@@ -151,7 +151,6 @@ def _load_and_pin(path: str, auto_permute: bool = True):
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
     fw, pf, perm = _load_and_pin(args.path, auto_permute=not args.no_permute)
-    kd = kernel_decomposition(rigidity_matrix(pf))
     t_pin = time.perf_counter()
     rep = rigidity_order(
         pf, max_k=args.max_k, tol=args.tol, energy_family=args.family, seed=args.seed
@@ -172,7 +171,7 @@ def cmd_analyze(args) -> int:
         "n_vertices": fw.n_vertices,
         "n_edges": fw.n_edges,
         "n_free": pf.n_free,
-        "dim_K": kd.dim_K,
+        "dim_K": rep.dim_K,
         "pinning_permutation": [v + 1 for v in perm],
         "verdict": _order_report_dict(rep),
         "timings_s": {
@@ -206,7 +205,7 @@ def cmd_analyze(args) -> int:
         print(f"framework: {args.path} (n={fw.n_vertices}, |G|={fw.n_edges}, N={pf.n_free})")
         if perm != list(range(fw.n_vertices)):
             print(f"pinning permutation: {[v + 1 for v in perm]}")
-        print(f"dim K = {kd.dim_K}")
+        print(f"dim K = {rep.dim_K}")
         print(f"verdict: {rep.summary()}")
         _print_residuals(rep)
         if growth is not None:
@@ -224,7 +223,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_order(args) -> int:
     fw, pf, perm = _load_and_pin(args.path)
-    kd = kernel_decomposition(rigidity_matrix(pf))
     rep = rigidity_order(pf, max_k=args.max_k, tol=args.tol)
     if args.json:
         out = _order_report_dict(rep)

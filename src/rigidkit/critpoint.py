@@ -25,20 +25,19 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
 from .errors import DimKNotOne, NotACriticalPoint
 from .framework import PinnedFramework
+from .growth import minimize_on_sphere
 from .jets import Jet
 from .ladder import PolyTrajectory
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
 DEFAULT_CRIT_TOL = 1e-8
 DEFAULT_STARTS = 64
-SOBOL_SAMPLES = 4096
-SOBOL_MAX_DIM = 4
+SPHERE_SAMPLES = 4096
+SPHERE_ROUNDS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +277,6 @@ class _QuarticForms:
     C: np.ndarray          # (n, m, m)
     B: np.ndarray          # (m, m, m, m) symmetric
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        v = 0.5 * x @ self.Hxx @ x
-        if self.C.size:
-            v += float(np.einsum("i,ijk,j,k->", x, self.C, y, y))
-        if self.B.size:
-            v += float(np.einsum("ijkl,i,j,k,l->", self.B, y, y, y, y))
-        return float(v)
-
     def value_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out = 0.5 * np.einsum("bi,ij,bj->b", xs, self.Hxx, xs)
         if self.C.size:
@@ -293,16 +284,6 @@ class _QuarticForms:
         if self.B.size:
             out += np.einsum("ijkl,bi,bj,bk,bl->b", self.B, ys, ys, ys, ys)
         return out
-
-    def grad(self, x: np.ndarray, y: np.ndarray):
-        gx = self.Hxx @ x
-        gy = np.zeros(y.size)
-        if self.C.size:
-            gx = gx + np.einsum("ijk,j,k->i", self.C, y, y)
-            gy = gy + 2.0 * np.einsum("i,ijk,k->j", x, self.C, y)
-        if self.B.size:
-            gy = gy + 4.0 * np.einsum("ijkl,j,k,l->i", self.B, y, y, y)
-        return gx, gy
 
     def grad_batch(self, xs: np.ndarray, ys: np.ndarray):
         gx = xs @ self.Hxx.T
@@ -313,17 +294,6 @@ class _QuarticForms:
         if self.B.size:
             gy = gy + 4.0 * np.einsum("ijkl,bj,bk,bl->bi", self.B, ys, ys, ys)
         return np.hstack([gx, gy])
-
-    def mixed_quadratic(self, y: np.ndarray) -> np.ndarray:
-        """c(y) with c_i = y' C[i] y (the coefficient of x_i)."""
-        if not self.C.size:
-            return np.zeros(self.Hxx.shape[0])
-        return np.einsum("ijk,j,k->i", self.C, y, y)
-
-    def kernel_quartic(self, y: np.ndarray) -> float:
-        if not self.B.size:
-            return 0.0
-        return float(np.einsum("ijkl,i,j,k,l->", self.B, y, y, y, y))
 
 
 def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray) -> _QuarticForms:
@@ -363,94 +333,49 @@ def _sphere_samples(dim: int, count: int, rng: np.random.Generator) -> np.ndarra
     return pts / norms[:, None]
 
 
-def _sobol_sphere(dim: int, count: int, seed: int) -> np.ndarray:
-    sob = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = sob.random(count)
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    return z / norms[:, None]
-
-
-def _project_tangent(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g - (g @ z) * z
-
-
-def _pgd_on_sphere(value_grad, z0: np.ndarray, max_iter: int = 400, gtol: float = 1e-14):
-    """Projected gradient descent on the unit sphere with backtracking."""
-    z = z0 / np.linalg.norm(z0)
-    val, grad = value_grad(z)
-    step = 1.0
-    for _ in range(max_iter):
-        g_tan = _project_tangent(z, grad)
-        gn = np.linalg.norm(g_tan)
-        if gn <= gtol * (1.0 + abs(val)):
-            break
-        accepted = False
-        for _ in range(60):
-            cand = z - step * g_tan
-            cand /= np.linalg.norm(cand)
-            c_val, c_grad = value_grad(cand)
-            if c_val < val - 1e-4 * step * gn * gn:
-                z, val, grad = cand, c_val, c_grad
-                step *= 2.0
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return z, val
-
-
-def _pgd_sphere_batch(forms: _QuarticForms, n: int, z0: np.ndarray, sign: float, rounds: int = 500):
-    """Vectorized projected gradient descent on the sphere from a batch of
-    starts, with per-start adaptive steps: an improving trial doubles the
-    step, a failing one halves it and retries next round."""
-    z = z0 / np.linalg.norm(z0, axis=1, keepdims=True)
-    vals = sign * forms.value_batch(z[:, :n], z[:, n:])
-    steps = np.full(z.shape[0], 1.0)
-    for _ in range(rounds):
-        grad = sign * forms.grad_batch(z[:, :n], z[:, n:])
-        g_tan = grad - np.sum(grad * z, axis=1, keepdims=True) * z
-        gnorm2 = np.sum(g_tan**2, axis=1)
-        active = gnorm2 > (1e-14 * (1.0 + np.abs(vals))) ** 2
-        if not np.any(active):
-            break
-        cand = z - steps[:, None] * g_tan
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        c_vals = sign * forms.value_batch(cand[:, :n], cand[:, n:])
-        improve = active & (c_vals < vals - 1e-4 * steps * gnorm2)
-        z[improve] = cand[improve]
-        vals[improve] = c_vals[improve]
-        steps[improve] *= 2.0
-        steps[~improve & active] *= 0.5
-    best = int(np.argmin(vals))
-    return z[best], sign * vals[best]
-
-
-def _extremize_a4(forms: _QuarticForms, n: int, m: int, tol: float, n_starts: int, seed: int):
+def _extremize_a4(forms: _QuarticForms, n: int, m: int, n_starts: int, seed: int):
     """Min and max of a4 over the unit sphere in R^(n+m), heuristically:
-    dense low-discrepancy samples in low dimension plus multistart projected
-    gradient descent.  Returns (min, argmin, max, argmax, scale)."""
+    dense seeded Gaussian samples plus multistart projected gradient descent
+    from the best samples.  Returns (min, argmin, max, argmax, scale)."""
     dim = n + m
     rng = np.random.default_rng(seed)
 
-    candidates = [np.eye(dim)[i] * s for i in range(dim) for s in (1.0, -1.0)]
-    candidates = np.array(candidates)
-    if dim <= SOBOL_MAX_DIM:
-        candidates = np.vstack([candidates, _sobol_sphere(dim, SOBOL_SAMPLES, seed)])
+    candidates = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(2 * dim, dim)
     starts = _sphere_samples(dim, n_starts, rng)
-    pool = np.vstack([candidates, starts])
+    pool = np.vstack([candidates, _sphere_samples(dim, SPHERE_SAMPLES, rng), starts])
     vals = forms.value_batch(pool[:, :n], pool[:, n:])
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
 
     order = np.argsort(vals)
-    min_seeds = np.vstack([pool[order[:8]], starts])
-    max_seeds = np.vstack([pool[order[-8:]], starts])
-    best_min_arg, best_min = _pgd_sphere_batch(forms, n, min_seeds, 1.0)
-    best_max_arg, best_max = _pgd_sphere_batch(forms, n, max_seeds, -1.0)
+
+    def extremize(sign, seeds):
+        def value_grad(z):
+            xs, ys = z[:, :n], z[:, n:]
+            return sign * forms.value_batch(xs, ys), sign * forms.grad_batch(xs, ys)
+
+        f_vals, f_z = minimize_on_sphere(value_grad, np.vstack([seeds, starts]), rounds=SPHERE_ROUNDS)
+        i = int(np.argmin(f_vals))
+        return sign * f_vals[i], f_z[i]
+
+    best_min, best_min_arg = extremize(1.0, pool[order[:8]])
+    best_max, best_max_arg = extremize(-1.0, pool[order[-8:]])
     scale = max(scale, abs(best_min), abs(best_max))
     return best_min, best_min_arg, best_max, best_max_arg, scale
+
+
+def _cubic_screen(target, Y: np.ndarray, tol: float) -> CritReport | None:
+    """Saddle report when the cubic kernel form C(y) = t^3 coefficient of
+    f(Y y t) is nonzero (any y_i y_j y_k term forces a saddle), else None."""
+    tensor3, evals3 = _cubic_kernel_form(target, Y)
+    scale3 = max((abs(v) for v, _ in evals3), default=0.0)
+    if not (tensor3.size and np.max(np.abs(tensor3)) > tol * (1.0 + scale3)):
+        return None
+    _, best_vec = max(evals3, key=lambda t: abs(t[0]))
+    return CritReport(
+        "saddle", "cubic", 3, Y.shape[1],
+        a3_witness=Y @ (best_vec / np.linalg.norm(best_vec)),
+        scale=scale3, notes=("cubic kernel form is nonzero",),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +448,12 @@ def fourth_derivative_test(
     Y = vec[:, zero]
     n = X.shape[1]
 
-    tensor3, evals3 = _cubic_kernel_form(target, Y)
-    scale3 = max((abs(v) for v, _ in evals3), default=0.0)
-    if tensor3.size and np.max(np.abs(tensor3)) > tol * (1.0 + scale3):
-        best_val, best_vec = max(evals3, key=lambda t: abs(t[0]))
-        wit = Y @ (best_vec / np.linalg.norm(best_vec))
-        return CritReport(
-            "saddle", "cubic", 3, m, a3_witness=wit, scale=scale3,
-            notes=("cubic kernel form is nonzero",),
-        )
+    cubic = _cubic_screen(target, Y, tol)
+    if cubic is not None:
+        return cubic
 
     forms = _assemble_quartic_forms(target, X, Y, hess)
-    a_min, z_min, a_max, z_max, scale = _extremize_a4(forms, n, m, tol, n_starts, seed)
+    a_min, z_min, a_max, z_max, scale = _extremize_a4(forms, n, m, n_starts, seed)
     tol_eff = tol * (1.0 + scale)
 
     def split(z):
@@ -598,61 +517,43 @@ def second_order_rigidity_test(
     X, Y = kd.Kbar_basis, kd.K_basis
     n = X.shape[1]
 
-    tensor3, evals3 = _cubic_kernel_form(target, Y)
-    scale3 = max((abs(v) for v, _ in evals3), default=0.0)
-    if tensor3.size and np.max(np.abs(tensor3)) > tol * (1.0 + scale3):
-        best_val, best_vec = max(evals3, key=lambda t: abs(t[0]))
-        return CritReport(
-            "saddle", "cubic", 3, m,
-            a3_witness=Y @ (best_vec / np.linalg.norm(best_vec)),
-            scale=scale3, notes=("cubic kernel form is nonzero",),
-        )
+    cubic = _cubic_screen(target, Y, tol)
+    if cubic is not None:
+        return cubic
 
     forms = _assemble_quartic_forms(target, X, Y, hess)
     hxx_inv = np.linalg.inv(forms.Hxx) if n else np.zeros((0, 0))
 
-    def mu_value(y):
-        c = forms.mixed_quadratic(y)
-        return forms.kernel_quartic(y) - 0.5 * float(c @ hxx_inv @ c)
-
-    def mu_value_grad(y):
-        c = forms.mixed_quadratic(y)
-        w = hxx_inv @ c
-        val = forms.kernel_quartic(y) - 0.5 * float(c @ w)
-        grad = 4.0 * np.einsum("ijkl,j,k,l->i", forms.B, y, y, y) if forms.B.size else np.zeros(y.size)
-        if n:
-            # d c_i / d y = 2 C_i y
-            jac = 2.0 * np.einsum("ijk,k->ij", forms.C, y)
-            grad = grad - jac.T @ w
-        return val, grad
+    def mu_value_grad(ys):
+        # mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y) with c_i(y) = y' C[i] y
+        quart = np.einsum("ijkl,bj,bk,bl->bi", forms.B, ys, ys, ys)
+        c = np.einsum("ijk,bj,bk->bi", forms.C, ys, ys)
+        w = c @ hxx_inv
+        vals = np.sum(quart * ys, axis=1) - 0.5 * np.sum(c * w, axis=1)
+        return vals, 4.0 * quart - 2.0 * np.einsum("ijk,bk,bi->bj", forms.C, ys, w)
 
     rng = np.random.default_rng(seed)
-    if m == 1:
-        y_best, mu_min = np.array([1.0]), mu_value(np.array([1.0]))
-        sampled = np.array([mu_min])
-    else:
-        pts = np.vstack([
-            np.eye(m), -np.eye(m),
-            _sobol_sphere(m, SOBOL_SAMPLES, seed) if m <= SOBOL_MAX_DIM else _sphere_samples(m, SOBOL_SAMPLES, rng),
-            _sphere_samples(m, n_starts, rng),
-        ])
-        sampled = np.array([mu_value(y) for y in pts])
-        order = np.argsort(sampled)
-        mu_min, y_best = np.inf, None
-        for y0 in np.vstack([pts[order[:8]], _sphere_samples(m, n_starts, rng)]):
-            y, v = _pgd_on_sphere(mu_value_grad, y0)
-            if v < mu_min:
-                mu_min, y_best = v, y
+    pts = np.vstack([
+        np.eye(m), -np.eye(m),
+        _sphere_samples(m, SPHERE_SAMPLES, rng),
+        _sphere_samples(m, n_starts, rng),
+    ])
+    sampled, _ = mu_value_grad(pts)
+    order = np.argsort(sampled)
+    seeds = np.vstack([pts[order[:8]], _sphere_samples(m, n_starts, rng)])
+    mins, ys = minimize_on_sphere(mu_value_grad, seeds, rounds=SPHERE_ROUNDS)
+    best = int(np.argmin(mins))
+    mu_min, y_best = float(mins[best]), ys[best]
 
-    scale = float(np.max(np.abs(sampled)))
-    c = forms.mixed_quadratic(y_best)
-    x_best = -hxx_inv @ c if n else np.zeros(0)
-    scale = max(scale, abs(forms.kernel_quartic(y_best)), abs(mu_min))
+    c = np.einsum("ijk,j,k->i", forms.C, y_best, y_best)
+    x_best = -hxx_inv @ c
+    quartic = float(np.einsum("ijkl,i,j,k,l->", forms.B, y_best, y_best, y_best, y_best))
+    scale = max(float(np.max(np.abs(sampled))), abs(quartic), abs(mu_min))
     tol_eff = tol * (1.0 + scale)
 
     norm = np.sqrt(1.0 + x_best @ x_best)
     vel = Y @ y_best / norm
-    cur = X @ x_best / norm if n else np.zeros(pf.n_free)
+    cur = X @ x_best / norm
     common = dict(
         a_min=mu_min, a_max=None,
         arg_min_velocity=vel, arg_min_curvature=cur, scale=scale,

@@ -154,11 +154,6 @@ def _gap_and_slope(spec: EnergySpec, lengths: np.ndarray, dl: np.ndarray):
 # value / gradient / Hessian in pinned coordinates
 # ---------------------------------------------------------------------------
 
-def _free_flat_index(pf: PinnedFramework) -> np.ndarray:
-    d = pf.dimension
-    return np.array([v * d + a for v, a in pf.free_coords], dtype=int)
-
-
 def _check_binding(spec: EnergySpec, pf: PinnedFramework) -> None:
     """Per-edge parameters are positional; evaluating a spec against a
     framework with a different edge list silently misassigns rest lengths,
@@ -167,7 +162,7 @@ def _check_binding(spec: EnergySpec, pf: PinnedFramework) -> None:
         raise ValueError(
             f"energy spec has {spec.rest_lengths.size} edges, framework has {pf.base.n_edges}"
         )
-    if spec.edges is not None and spec.edges != pf.base.edges:
+    if spec.edges is not None and spec.edges is not pf.base.edges and spec.edges != pf.base.edges:
         raise ValueError(
             "energy spec is bound to a different edge list than the framework; "
             "build it with EnergySpec.for_framework(pf.base, ...)"
@@ -204,28 +199,33 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
         hess_full[sv : sv + d, sw : sw + d] -= block
         hess_full[sw : sw + d, sv : sv + d] -= block
 
-    free = _free_flat_index(pf)
-    return float(np.sum(e)), grad_full.reshape(-1)[free], hess_full[np.ix_(free, free)]
+    free = pf.free_vertex * d + pf.free_axis
+    return float(np.sum(e)), grad_full[pf.free_vertex, pf.free_axis], hess_full[np.ix_(free, free)]
 
 
 def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
     """E(p + delta) - E(p) and its gradient with respect to the free
     displacement, evaluated in a cancellation-free form.
 
-    The squared-length change per edge is assembled as
+    A single displacement (n_free,) gives (float, (n_free,) array); a batch
+    (B, n_free) gives ((B,) gaps, (B, n_free) gradients), row by row equal
+    to single calls.  The squared-length change per edge is assembled as
     2 (p_v - p_w).(delta_v - delta_w) + |delta_v - delta_w|^2, which keeps
     the energy gap accurate down to the floating-point floor even when the
     displacement is many orders of magnitude smaller than the coordinates.
     """
     _check_binding(spec, pf)
-    base = pf.base.vertices
-    n, d = base.shape
-    delta_full = pf.embed_tangent(np.asarray(delta_free, dtype=float))
+    delta = np.asarray(delta_free, dtype=float)
+    batch = delta if delta.ndim == 2 else delta[None, :]
+    n_batch = batch.shape[0]
+    n, d = pf.base.vertices.shape
     ev, ew = pf.base.edge_index_arrays()
-    base_diff = base[ev] - base[ew]
-    delta_diff = delta_full[ev] - delta_full[ew]
+    delta_full = np.zeros((n_batch, n, d))
+    delta_full[:, pf.free_vertex, pf.free_axis] = batch
+    base_diff = pf.base.edge_vectors()
+    delta_diff = delta_full[:, ev] - delta_full[:, ew]
     rest = spec.rest_lengths
-    m_gap = 2.0 * np.sum(base_diff * delta_diff, axis=1) + np.sum(delta_diff**2, axis=1)
+    m_gap = 2.0 * np.einsum("bed,ed->be", delta_diff, base_diff) + np.sum(delta_diff**2, axis=2)
     m_val = rest**2 + m_gap
     if np.any(m_val <= 0.0):
         raise ZeroLengthEdge("zero-length edge in the displaced configuration")
@@ -233,13 +233,18 @@ def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.nd
     dl = m_gap / (lengths + rest)
     gap, slope = _gap_and_slope(spec, lengths, dl)
 
-    coeff = slope / lengths
-    grad_full = np.zeros((n, d))
-    contrib = coeff[:, None] * (base_diff + delta_diff)
-    np.add.at(grad_full, ev, contrib)
-    np.add.at(grad_full, ew, -contrib)
-    free = _free_flat_index(pf)
-    return float(np.sum(gap)), grad_full.reshape(-1)[free]
+    # scatter each edge's force onto its two endpoints: one bincount over
+    # flat (batch row, vertex, axis) bins
+    contrib = (slope / lengths)[:, :, None] * (base_diff + delta_diff)
+    slots = d * np.concatenate([ev, ew])[:, None] + np.arange(d)
+    bins = (n * d * np.arange(n_batch))[:, None] + slots.ravel()
+    forces = np.concatenate([contrib, -contrib], axis=1)
+    grad_full = np.bincount(bins.ravel(), forces.ravel(), minlength=n_batch * n * d)
+    grad_full = grad_full.reshape(n_batch, n, d)
+    grad = grad_full[:, pf.free_vertex, pf.free_axis]
+    if delta.ndim == 1:
+        return float(np.sum(gap)), grad[0]
+    return np.sum(gap, axis=1), grad
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +341,7 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
             contrib = 2.0 * (dm * diff)
             grad[v, a] += contrib.c
             grad[w, a] -= contrib.c
-    free = _free_flat_index(pf)
-    return grad.reshape(n * d, order + 1)[free]
+    return grad[pf.free_vertex, pf.free_axis]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,11 @@ class Framework:
         if self.dimension < 1:
             raise FrameworkValidationError("dimension must be a positive integer")
         n = verts.shape[0]
+        bad = np.flatnonzero(~np.all(np.isfinite(verts), axis=1))
+        if bad.size:
+            raise FrameworkValidationError(
+                f"vertex {int(bad[0])} has a non-finite coordinate"
+            )
         canon = []
         for e in self.edges:
             i, j = int(e[0]), int(e[1])
@@ -62,15 +67,20 @@ class Framework:
         if len(set(canon)) != len(canon):
             raise FrameworkValidationError("duplicate edges")
         canon.sort()
-        for i, j in canon:
-            if not np.linalg.norm(verts[i] - verts[j]) > 0.0:
-                raise FrameworkValidationError(
-                    f"edge ({i},{j}) connects coincident points"
-                )
+        ends = np.array(canon, dtype=int).reshape(-1, 2).T.copy()
+        vectors = verts[ends[0]] - verts[ends[1]]
+        coincident = np.flatnonzero(~(np.linalg.norm(vectors, axis=1) > 0.0))
+        if coincident.size:
+            i, j = canon[coincident[0]]
+            raise FrameworkValidationError(f"edge ({i},{j}) connects coincident points")
         if self.labels is not None and len(self.labels) != n:
             raise FrameworkValidationError("labels length must match vertex count")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
+        ends.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_vectors", vectors)
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
@@ -83,15 +93,16 @@ class Framework:
         return len(self.edges)
 
     def edge_lengths(self) -> np.ndarray:
-        ev, ew = self.edge_index_arrays()
-        return np.linalg.norm(self.vertices[ev] - self.vertices[ew], axis=1)
+        return np.linalg.norm(self._vectors, axis=1)
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.edges:
-            z = np.zeros(0, dtype=int)
-            return z, z
-        e = np.asarray(self.edges, dtype=int)
-        return e[:, 0], e[:, 1]
+        """Read-only (v, w) endpoint arrays in canonical edge order."""
+        return self._ends[0], self._ends[1]
+
+    def edge_vectors(self) -> np.ndarray:
+        """Read-only (n_edges, dimension) array of p_v - p_w per canonical
+        edge vw."""
+        return self._vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +180,8 @@ class PinnedFramework:
     free_coords lists the (vertex, axis) pairs (0-based) that remain variable
     after pinning, in vertex-major order.  That ordering fixes the column
     order of the rigidity matrix and the layout of every pinned-coordinate
-    vector used downstream.
+    vector used downstream.  free_vertex and free_axis hold the same pairs as
+    two read-only index arrays, for scattering into (n, d) arrays.
     """
 
     base: Framework
@@ -177,12 +189,14 @@ class PinnedFramework:
     free_coords: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        if not self.free_coords:
-            object.__setattr__(
-                self, "free_coords", _free_coords(self.base.n_vertices, self.base.dimension, self.span_dim)
-            )
-        idx = {fc: k for k, fc in enumerate(self.free_coords)}
-        object.__setattr__(self, "_free_index", idx)
+        if self.free_coords:
+            layout = np.array(self.free_coords, dtype=int).reshape(-1, 2).T
+        else:
+            layout = _free_layout(self.base.n_vertices, self.base.dimension, self.span_dim)
+            object.__setattr__(self, "free_coords", tuple(zip(*layout.tolist())))
+        layout.setflags(write=False)
+        object.__setattr__(self, "free_vertex", layout[0])
+        object.__setattr__(self, "free_axis", layout[1])
 
     @property
     def n_free(self) -> int:
@@ -196,36 +210,30 @@ class PinnedFramework:
         """Extract the free pinned coordinates from a full (n, d) configuration
         (defaults to the base configuration)."""
         pts = self.base.vertices if config is None else np.asarray(config, dtype=float)
-        return np.array([pts[v, a] for v, a in self.free_coords])
+        return pts[self.free_vertex, self.free_axis]
 
     def embed_config(self, x: np.ndarray) -> np.ndarray:
         """Full (n, d) configuration with free coordinates x and pinned
         coordinates at their base values."""
         pts = self.base.vertices.copy()
-        for k, (v, a) in enumerate(self.free_coords):
-            pts[v, a] = x[k]
+        pts[self.free_vertex, self.free_axis] = x
         return pts
 
     def embed_tangent(self, x: np.ndarray) -> np.ndarray:
         """Full (n, d) array with free coordinates x and zeros in pinned slots.
         Use for directions / flex coefficients."""
         pts = np.zeros((self.base.n_vertices, self.base.dimension))
-        for k, (v, a) in enumerate(self.free_coords):
-            pts[v, a] = x[k]
+        pts[self.free_vertex, self.free_axis] = x
         return pts
 
-    def free_index(self, vertex: int, axis: int) -> int:
-        return self._free_index[(vertex, axis)]
 
-
-def _free_coords(n: int, d: int, span_dim: int) -> tuple[tuple[int, int], ...]:
-    # vertex 0 fully pinned; vertex i in 1..span_dim has axes i..d-1 pinned
-    out = []
-    for v in range(n):
-        free_axes = range(min(v, d)) if v <= span_dim else range(d)
-        for a in free_axes:
-            out.append((v, a))
-    return tuple(out)
+def _free_layout(n: int, d: int, span_dim: int) -> np.ndarray:
+    """(2, n_free) array of free (vertex, axis) pairs in vertex-major order:
+    vertex 0 is fully pinned, vertex i in 1..span_dim has axes i..d-1
+    pinned."""
+    v = np.arange(n)[:, None]
+    free = (np.arange(d)[None, :] < v) | (v > span_dim)
+    return np.array(np.nonzero(free))
 
 
 def _is_pinned(verts: np.ndarray, span_dim: int, d: int) -> bool:

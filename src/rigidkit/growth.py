@@ -3,11 +3,13 @@ shrinking radius and the log-log slope fit that estimates the tight growth
 order s (rigidity order = s / 2).
 
 The minimum of E(q) - E(p) over the sphere |q - p| = r in pinned coordinates
-is found by multistart projected gradient descent with per-start adaptive
-steps, seeded along the first-order flex directions.  Any local method only
-upper-bounds the true minimum, so the fit is a cross-check on the ladder,
-not an oracle; double precision limits reliable slope recovery to s of
-roughly 10 or below, which the fit notes record.
+is found by minimize_on_sphere, a batched multistart projected gradient
+descent with per-start Barzilai-Borwein steps, seeded along the first-order
+flex directions; the order-4 critical-point tests use the same minimizer on
+their closed-form quartics.  Any local method only upper-bounds the true
+minimum, so the fit is a cross-check on the ladder, not an oracle; double
+precision limits reliable slope recovery to s of roughly 10 or below, which
+the fit notes record.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, _check_binding, _gap_and_slope
+from .energy import EnergySpec, energy_gap_and_grad
 from .errors import DegenerateFit, ZeroLengthEdge
 from .framework import PinnedFramework
 from .linear import kernel_decomposition, rigidity_matrix
@@ -44,53 +46,20 @@ def _safe_radius(spec: EnergySpec) -> float:
     return 0.5 * float(np.min(spec.rest_lengths))
 
 
-class _SphereProblem:
-    """Vectorized energy gap and gradient over a batch of displacements."""
+def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds: int):
+    """Minimize a function over the sphere |z| = r from a batch of start
+    directions; returns the final values (B,) and points (B, dim).
 
-    def __init__(self, spec: EnergySpec, pf: PinnedFramework):
-        _check_binding(spec, pf)
-        self.spec = spec
-        self.pf = pf
-        self.ev, self.ew = pf.base.edge_index_arrays()
-        self.base_diff = pf.base.vertices[self.ev] - pf.base.vertices[self.ew]
-        free = pf.free_coords
-        self.vidx = np.array([v for v, _ in free], dtype=int)
-        self.aidx = np.array([a for _, a in free], dtype=int)
-        self.n, self.d = pf.base.vertices.shape
-
-    def gap_grad(self, deltas: np.ndarray):
-        """deltas: (B, n_free) free displacements -> (gaps (B,), grads (B, n_free))."""
-        B = deltas.shape[0]
-        full = np.zeros((B, self.n, self.d))
-        full[:, self.vidx, self.aidx] = deltas
-        ddiff = full[:, self.ev, :] - full[:, self.ew, :]
-        rest = self.spec.rest_lengths
-        m_gap = 2.0 * np.einsum("bed,ed->be", ddiff, self.base_diff) + np.sum(ddiff**2, axis=2)
-        m_val = rest**2 + m_gap
-        if np.any(m_val <= 0.0):
-            raise ZeroLengthEdge("an edge length hit zero during sphere minimization")
-        lengths = np.sqrt(m_val)
-        dl = m_gap / (lengths + rest)
-        gap, slope = _gap_and_slope(self.spec, lengths, dl)
-        coeff = slope / lengths
-        contrib = coeff[:, :, None] * (self.base_diff[None, :, :] + ddiff)
-        grad_full = np.zeros((B, self.n, self.d))
-        np.add.at(grad_full, (slice(None), self.ev), contrib)
-        np.add.at(grad_full, (slice(None), self.ew), -contrib)
-        return np.sum(gap, axis=1), grad_full[:, self.vidx, self.aidx]
-
-
-def _pgd_sphere(problem: _SphereProblem, r: float, starts: np.ndarray, rounds: int):
-    """Minimize the gap over the sphere |delta| = r from unit start directions.
-
-    Vectorized projected gradient with per-start Barzilai-Borwein steps and a
-    backtracking fallback: an accepted move sets the next step from the
-    last displacement/gradient-change pair, a rejected one shrinks it.  The
-    spectral step is what lets the iteration follow the nearly flat valleys
-    of high-order frameworks down to m(r) values near the float floor.
+    value_grad maps a (B, dim) batch of points to (values (B,), gradients
+    (B, dim)).  Vectorized projected gradient with per-start Barzilai-Borwein
+    steps and a backtracking fallback: an accepted move sets the next step
+    from the last displacement/gradient-change pair, a rejected one shrinks
+    it.  The spectral step is what lets the iteration follow the nearly flat
+    valleys of high-order frameworks down to m(r) values near the float
+    floor.
     """
     z = r * starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    vals, grads = problem.gap_grad(z)
+    vals, grads = value_grad(z)
     steps = np.full(z.shape[0], 1e-3 * r)
     last_z = z.copy()
     last_g = grads.copy()
@@ -100,7 +69,7 @@ def _pgd_sphere(problem: _SphereProblem, r: float, starts: np.ndarray, rounds: i
         gnorm2 = np.sum(g_tan**2, axis=1)
         cand = z - steps[:, None] * g_tan
         cand *= r / np.linalg.norm(cand, axis=1, keepdims=True)
-        c_vals, c_grads = problem.gap_grad(cand)
+        c_vals, c_grads = value_grad(cand)
         improve = c_vals < vals - 1e-4 * steps * gnorm2
         if np.any(improve):
             dz = cand[improve] - last_z[improve]
@@ -154,7 +123,6 @@ def min_energy_on_sphere_with_arg(
             f"radius {r} exceeds the safe radius {_safe_radius(spec):.6g} "
             "(half the shortest rest length)"
         )
-    problem = _SphereProblem(spec, pf)
     kd = kernel_decomposition(rigidity_matrix(pf))
     rng = np.random.default_rng(seed)
     rows = []
@@ -168,10 +136,13 @@ def min_energy_on_sphere_with_arg(
     rows.extend(rand / np.linalg.norm(rand, axis=1, keepdims=True))
     starts = np.array(rows)
 
-    vals, z = _pgd_sphere(problem, r, starts, rounds=250)
+    def gap(z):
+        return energy_gap_and_grad(spec, pf, z)
+
+    vals, z = minimize_on_sphere(gap, starts, r, rounds=250)
     order = np.argsort(vals)
     finalists = z[order[:6]] / r
-    f_vals, f_z = _pgd_sphere(problem, r, finalists, rounds=1500)
+    f_vals, f_z = minimize_on_sphere(gap, finalists, r, rounds=1500)
     best = int(np.argmin(f_vals))
     return float(f_vals[best]), f_z[best] / r
 

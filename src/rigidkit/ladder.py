@@ -61,11 +61,6 @@ class PolyTrajectory:
             raise ValueError(f"prefix degree must be in 1..{self.degree}")
         return PolyTrajectory(self.coeffs[:degree])
 
-    def reparam_scale(self, alpha: float) -> "PolyTrajectory":
-        """Trajectory of t -> p(alpha t): coefficient l scales by alpha^l."""
-        scale = np.array([alpha**l for l in range(1, self.degree + 1)])
-        return PolyTrajectory(self.coeffs * scale[:, None])
-
 
 @dataclass(frozen=True)
 class LevelResidual:

@@ -41,19 +41,17 @@ class RigidityMatrix:
 def rigidity_matrix(pf: PinnedFramework) -> RigidityMatrix:
     """Assemble R(p): for edge vw, (p_v - p_w) lands in vertex v's free
     columns and (p_w - p_v) in vertex w's, with pinned columns deleted."""
-    verts = pf.base.vertices
-    n_edges = pf.base.n_edges
-    mat = np.zeros((n_edges, pf.n_free))
-    col = {fc: k for k, fc in enumerate(pf.free_coords)}
-    for row, (v, w) in enumerate(pf.base.edges):
-        diff = verts[v] - verts[w]
-        for a in range(pf.dimension):
-            cv = col.get((v, a))
-            if cv is not None:
-                mat[row, cv] = diff[a]
-            cw = col.get((w, a))
-            if cw is not None:
-                mat[row, cw] = -diff[a]
+    base = pf.base
+    ev, ew = base.edge_index_arrays()
+    diff = base.edge_vectors()
+    col = np.full(base.vertices.shape, -1)
+    col[pf.free_vertex, pf.free_axis] = np.arange(pf.n_free)
+    mat = np.zeros((base.n_edges, pf.n_free))
+    rows = np.broadcast_to(np.arange(base.n_edges)[:, None], diff.shape)
+    for ends, sign in ((ev, 1.0), (ew, -1.0)):
+        cols = col[ends]
+        free = cols >= 0
+        mat[rows[free], cols[free]] = sign * diff[free]
     return RigidityMatrix(mat, pf)
 
 

@@ -180,6 +180,27 @@ def test_analyze_with_growth_summary(tmp_path, capsys):
     assert rep["growth"]["fitted_s"] == pytest.approx(2.0, abs=0.2)
 
 
+def test_analyze_json_off_dim_k_one(tmp_path, capsys):
+    # a triangle is first-order rigid; a collinear midpoint on two of its
+    # edges adds one first-order flex each, and the order-4 test decides
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.7, 1.6]])
+    edges = [(0, 1), (1, 2), (0, 2)]
+    mids = np.vstack([pts, 0.5 * (pts[0] + pts[1]), 0.5 * (pts[1] + pts[2])])
+    cases = (
+        (Framework(2, pts, edges), 0, 1, "first-order"),
+        (Framework(2, mids, edges + [(0, 3), (1, 3), (1, 4), (2, 4)]), 2, 2, "order4-energy"),
+    )
+    for fw, dim_k, order, method in cases:
+        path = tmp_path / "fw.json"
+        save_framework(fw, path)
+        assert main(["analyze", str(path), "--json"]) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["dim_K"] == rep["verdict"]["dim_K"] == dim_k
+        assert rep["verdict"]["verdict"] == "order"
+        assert rep["verdict"]["order"] == order
+        assert rep["verdict"]["method"] == method
+
+
 def test_growth_deterministic_given_seed(k33_file, tmp_path):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for p in paths:

@@ -78,6 +78,26 @@ def test_gap_and_grad_matches_plain_energy(square, square_pinned):
         assert np.allclose(grad, g_full, atol=1e-9)
 
 
+def test_gap_and_grad_batch_matches_single_calls(square, square_pinned):
+    rng = np.random.default_rng(12)
+    deltas = 0.03 * rng.standard_normal((5, square_pinned.n_free))
+    for fam in FAMILIES:
+        spec = EnergySpec.for_framework(square, fam)
+        gaps, grads = energy_gap_and_grad(spec, square_pinned, deltas)
+        assert gaps.shape == (5,) and grads.shape == deltas.shape
+        for b, delta in enumerate(deltas):
+            gap, grad = energy_gap_and_grad(spec, square_pinned, delta)
+            assert isinstance(gap, float)
+            assert gaps[b] == gap
+            assert np.array_equal(grads[b], grad)
+        # row 3 moves vertex 1 (free coordinate 0) onto the pinned vertex 0
+        collapse = deltas.copy()
+        collapse[3] = 0.0
+        collapse[3, 0] = -square_pinned.free_vector()[0]
+        with pytest.raises(ZeroLengthEdge):
+            energy_gap_and_grad(spec, square_pinned, collapse)
+
+
 def test_zero_length_edge_raises(square, square_pinned):
     spec = EnergySpec.for_framework(square, "harmonic")
     q = square_pinned.free_vector().copy()

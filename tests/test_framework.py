@@ -41,6 +41,18 @@ def test_validation_rejects_coincident_adjacent():
         Framework(2, np.array([[0.0, 0], [0, 0]]), [(0, 1)])
 
 
+def test_validation_rejects_non_finite_coordinates():
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.array([[0.0, 0], [1, 0], [0.5, 1]])
+        pts[2, 1] = bad
+        with pytest.raises(FrameworkValidationError, match="vertex 2 has a non-finite"):
+            Framework(2, pts, edges)
+    # no edge touches the vertex, so no edge check can catch it
+    with pytest.raises(FrameworkValidationError, match="vertex 1 has a non-finite"):
+        Framework(2, np.array([[0.0, 0], [np.nan, 0]]), [])
+
+
 def test_coincident_nonadjacent_allowed():
     fw = Framework(2, np.array([[0.0, 0], [1, 0], [1, 0]]), [(0, 1), (0, 2)])
     assert fw.n_vertices == 3
