@@ -12,11 +12,21 @@ already forces a saddle.
 a4 decomposes exactly as
     a4(x0, y0) = 1/2 x0' Hxx x0  +  sum_i x0_i Ci(y0, y0)  +  B(y0^4),
 with Hxx positive definite on the non-kernel block.  The forms are assembled
-once by polarization (each evaluation is one exact jet of f along a
-polynomial trajectory), after which sphere sampling and projected-gradient
-extremization run on closed-form values and gradients.  For fixed y0 the x0
-part is a convex quadratic, which the rigidity tests exploit to minimize in
-closed form.
+once by polarization of exact jets along polynomial trajectories: B from
+order-4 jets of f(Y y t), one per sum of kernel basis vectors, and all n
+rows of C at once from the t^2 coefficient of one gradient jet,
+    y' C[i] y = (X' [t^2] grad f(Y y t))_i,
+over the m(m+1)/2 pairs of kernel basis vectors (Griewank, Utke & Walther,
+Math. Comp. 69 (2000)).  The number of jets thus depends on the kernel
+dimension m only, not on the size of the non-kernel block.  Sphere sampling
+and projected-gradient extremization then run on closed-form values and
+gradients, contracted as matmuls against the flattened forms.  For fixed y0
+the x0 part is a convex quadratic, which the rigidity tests exploit to
+minimize in closed form.
+
+Targets provide grad0, hessian0, jet_along (the jet of f) and
+gradient_jet_along (the Taylor coefficient rows of grad f) along a
+polynomial trajectory.
 """
 
 from __future__ import annotations
@@ -90,21 +100,40 @@ class PolynomialTarget:
                 h[j, i] += coef
         return h
 
+    def _variable_jets(self, rows, order: int) -> list[Jet]:
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        return [Jet.from_poly(0.0, rows[:, i], order) for i in range(self.n_vars)]
+
+    @staticmethod
+    def _monomial_jet(var_jets: list[Jet], coef: float, exps) -> Jet:
+        term = Jet.constant(coef, var_jets[0].order)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * var_jets[i].power(e)
+        return term
+
     def jet_along(self, rows: np.ndarray, order: int) -> Jet:
         """Exact jet of f along v(t) = sum_l rows[l-1] t^l (constant term of
         f dropped)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        var_jets = [Jet.from_poly(0.0, rows[:, i], order) for i in range(self.n_vars)]
+        var_jets = self._variable_jets(rows, order)
         total = Jet.constant(0.0, order)
         for exps, coef in self.monomials:
             if sum(exps) == 0:
                 continue
-            term = Jet.constant(coef, order)
+            total = total + self._monomial_jet(var_jets, coef, exps)
+        return total
+
+    def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
+        """(n_vars, order+1) Taylor coefficient rows of grad f along v(t),
+        from the jets of the differentiated monomials."""
+        var_jets = self._variable_jets(rows, order)
+        out = np.zeros((self.n_vars, order + 1))
+        for exps, coef in self.monomials:
             for i, e in enumerate(exps):
                 if e:
-                    term = term * var_jets[i].power(e)
-            total = total + term
-        return total
+                    lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    out[i] += self._monomial_jet(var_jets, coef * e, lowered).c
+        return out
 
 
 def polynomial_from_monomial_list(data, n_vars: int | None = None) -> PolynomialTarget:
@@ -141,6 +170,10 @@ class FrameworkEnergyTarget:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         return energy_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
 
+    def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        return gradient_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
+
 
 class _Negated:
     """View of a target with flipped sign (for NSD Hessians)."""
@@ -160,6 +193,9 @@ class _Negated:
 
     def jet_along(self, rows, order):
         return -self._t.jet_along(rows, order)
+
+    def gradient_jet_along(self, rows, order):
+        return -self._t.gradient_jet_along(rows, order)
 
 
 # ---------------------------------------------------------------------------
@@ -277,48 +313,51 @@ class _QuarticForms:
     C: np.ndarray          # (n, m, m)
     B: np.ndarray          # (m, m, m, m) symmetric
 
+    def kernel_terms(self, ys: np.ndarray):
+        """Per row y: c(y) = (y' C[i] y)_i, shape (b, n), and B(y, y, y, .),
+        shape (b, m), as matmuls of the rows of y(x)y against C and B
+        flattened (B is symmetric, so B(y, y, ., .) is one (m^2, m^2)
+        matmul away)."""
+        b, m = ys.shape
+        yy = (ys[:, :, None] * ys[:, None, :]).reshape(b, m * m)
+        byy = (yy @ self.B.reshape(m * m, m * m)).reshape(b, m, m)
+        return yy @ self.C.reshape(-1, m * m).T, np.einsum("bij,bj->bi", byy, ys)
+
+    def mixed_grad(self, ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Per row: the y-gradient of w . c(y), i.e. 2 sum_i w_i C[i] y."""
+        b, m = ys.shape
+        wc = (ws @ self.C.reshape(-1, m * m)).reshape(b, m, m)
+        return 2.0 * np.einsum("bjk,bk->bj", wc, ys)
+
     def value_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = 0.5 * np.einsum("bi,ij,bj->b", xs, self.Hxx, xs)
-        if self.C.size:
-            out += np.einsum("bi,ijk,bj,bk->b", xs, self.C, ys, ys)
-        if self.B.size:
-            out += np.einsum("ijkl,bi,bj,bk,bl->b", self.B, ys, ys, ys, ys)
-        return out
+        c, b3 = self.kernel_terms(ys)
+        return np.sum((0.5 * xs @ self.Hxx + c) * xs, axis=1) + np.sum(b3 * ys, axis=1)
 
     def grad_batch(self, xs: np.ndarray, ys: np.ndarray):
-        gx = xs @ self.Hxx.T
-        gy = np.zeros_like(ys)
-        if self.C.size:
-            gx = gx + np.einsum("ijk,bj,bk->bi", self.C, ys, ys)
-            gy = gy + 2.0 * np.einsum("bi,ijk,bk->bj", xs, self.C, ys)
-        if self.B.size:
-            gy = gy + 4.0 * np.einsum("ijkl,bj,bk,bl->bi", self.B, ys, ys, ys)
-        return np.hstack([gx, gy])
+        c, b3 = self.kernel_terms(ys)
+        return np.hstack([xs @ self.Hxx.T + c, self.mixed_grad(xs, ys) + 4.0 * b3])
 
 
 def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray) -> _QuarticForms:
+    """Hxx from the Hessian, B by polarizing order-4 jets of f(Y y t), and C
+    from order-2 gradient jets: y' C[i] y = (X' [t^2] grad f(Y y t))_i,
+    polarized over the m(m+1)/2 pairs of kernel basis vectors."""
     n, m = X.shape[1], Y.shape[1]
     hxx = X.T @ hess @ X if n else np.zeros((0, 0))
     b_tensor = _quartic_kernel_tensor(target, X, Y) if m else np.zeros((0,) * 4)
+
+    def mixed(y):
+        return X.T @ target.gradient_jet_along((Y @ y)[None, :], 2)[:, 2]
+
     c_forms = np.zeros((n, m, m))
     eye_m = np.eye(m)
-    for i in range(n):
-        ex = np.zeros(n)
-        ex[i] = 1.0
-
-        def mixed(y):
-            plus = _a4_eval(target, X, Y, ex, y)
-            minus = _a4_eval(target, X, Y, -ex, y)
-            return 0.5 * (plus - minus)
-
-        diag = np.array([mixed(eye_m[j]) for j in range(m)])
-        for j in range(m):
-            c_forms[i, j, j] = diag[j]
-        for j in range(m):
-            for k in range(j + 1, m):
-                val = 0.5 * (mixed(eye_m[j] + eye_m[k]) - diag[j] - diag[k])
-                c_forms[i, j, k] = val
-                c_forms[i, k, j] = val
+    diag = [mixed(eye_m[j]) for j in range(m)]
+    for j in range(m):
+        c_forms[:, j, j] = diag[j]
+        for k in range(j + 1, m):
+            val = 0.5 * (mixed(eye_m[j] + eye_m[k]) - diag[j] - diag[k])
+            c_forms[:, j, k] = val
+            c_forms[:, k, j] = val
     return _QuarticForms(hxx, c_forms, b_tensor)
 
 
@@ -526,11 +565,10 @@ def second_order_rigidity_test(
 
     def mu_value_grad(ys):
         # mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y) with c_i(y) = y' C[i] y
-        quart = np.einsum("ijkl,bj,bk,bl->bi", forms.B, ys, ys, ys)
-        c = np.einsum("ijk,bj,bk->bi", forms.C, ys, ys)
+        c, quart = forms.kernel_terms(ys)
         w = c @ hxx_inv
-        vals = np.sum(quart * ys, axis=1) - 0.5 * np.sum(c * w, axis=1)
-        return vals, 4.0 * quart - 2.0 * np.einsum("ijk,bk,bi->bj", forms.C, ys, w)
+        vals = np.sum(quart * ys, axis=1) - 0.5 * np.einsum("bi,bi->b", c, w)
+        return vals, 4.0 * quart - forms.mixed_grad(w, ys)
 
     rng = np.random.default_rng(seed)
     pts = np.vstack([
@@ -545,9 +583,9 @@ def second_order_rigidity_test(
     best = int(np.argmin(mins))
     mu_min, y_best = float(mins[best]), ys[best]
 
-    c = np.einsum("ijk,j,k->i", forms.C, y_best, y_best)
-    x_best = -hxx_inv @ c
-    quartic = float(np.einsum("ijkl,i,j,k,l->", forms.B, y_best, y_best, y_best, y_best))
+    c, b3 = forms.kernel_terms(y_best[None, :])
+    x_best = -hxx_inv @ c[0]
+    quartic = float(b3[0] @ y_best)
     scale = max(float(np.max(np.abs(sampled))), abs(quartic), abs(mu_min))
     tol_eff = tol * (1.0 + scale)
 

@@ -4,10 +4,14 @@ energy along polynomial trajectories.
 Four per-edge energy families are provided, each analytic with a strict
 positive-curvature minimum at the edge rest length: harmonic springs,
 the algebraic (squared-length) energy, Lennard-Jones, and Morse.  Energies,
-gradients and Hessians are assembled analytically per edge; derivatives of
-E(p(t)) along a polynomial trajectory are computed exactly with jet
-arithmetic (the algebraic family never needs a square root, Lennard-Jones
-uses jet reciprocals, Morse uses jet exp).
+gradients and Hessians are assembled analytically, all edges at once, and
+scattered onto the vertices with bincount.  Derivatives of E(p(t)) and of
+its gradient along a polynomial trajectory are computed exactly with jet
+arithmetic on one edge-batched Jet: the squared-length jets of all edges
+form an (E, M+1) coefficient array, each family formula runs once on it
+with per-edge parameters, and the rows are summed (energy) or scattered
+onto the endpoints (gradient).  The algebraic family never needs a square
+root, Lennard-Jones uses jet reciprocals, Morse uses jet exp.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import ZeroLengthEdge
 from .framework import Framework, PinnedFramework
-from .jets import Jet
+from .jets import Jet, series_mul
 from .ladder import PolyTrajectory
 from .linear import KernelDecomposition
 
@@ -184,23 +188,34 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
         raise ZeroLengthEdge("zero-length edge in the evaluated configuration")
     e, e1, e2 = _derivs012(spec, lengths)
 
-    grad_full = np.zeros((n, d))
-    hess_full = np.zeros((n * d, n * d))
-    for idx, (v, w) in enumerate(pf.base.edges):
-        u = diffs[idx] / lengths[idx]
-        g = e1[idx] * u
-        grad_full[v] += g
-        grad_full[w] -= g
-        proj = np.outer(u, u)
-        block = e2[idx] * proj + (e1[idx] / lengths[idx]) * (np.eye(d) - proj)
-        sv, sw = v * d, w * d
-        hess_full[sv : sv + d, sv : sv + d] += block
-        hess_full[sw : sw + d, sw : sw + d] += block
-        hess_full[sv : sv + d, sw : sw + d] -= block
-        hess_full[sw : sw + d, sv : sv + d] -= block
+    u = diffs / lengths[:, None]
+    proj = u[:, :, None] * u[:, None, :]
+    blocks = e2[:, None, None] * proj + (e1 / lengths)[:, None, None] * (np.eye(d) - proj)
+    grad_full = _scatter_onto_ends(pf, e1[:, None] * u)
+    # each edge adds its d x d block at (v, v) and (w, w) and subtracts it
+    # at (v, w) and (w, v): one bincount over flat Hessian entries, in edge
+    # order
+    axis = np.arange(d)
+    rows = np.stack([ev, ew, ev, ew], axis=1)[:, :, None, None] * d + axis[:, None]
+    cols = np.stack([ev, ew, ew, ev], axis=1)[:, :, None, None] * d + axis
+    signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, None]
+    hess_full = np.bincount((rows * n * d + cols).ravel(), signed.ravel(), minlength=(n * d) ** 2)
+    hess_full = hess_full.reshape(n * d, n * d)
 
     free = pf.free_vertex * d + pf.free_axis
     return float(np.sum(e)), grad_full[pf.free_vertex, pf.free_axis], hess_full[np.ix_(free, free)]
+
+
+def _scatter_onto_ends(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
+    """(n, ...) sums of +rows[i] onto the first and -rows[i] onto the second
+    endpoint of edge i, accumulated in canonical edge order."""
+    ev, ew = pf.base.edge_index_arrays()
+    width = int(np.prod(rows.shape[1:]))
+    ends = np.stack([ev, ew], axis=1).ravel()
+    flows = np.stack([rows, -rows], axis=1).reshape(-1, width)
+    bins = ends[:, None] * width + np.arange(width)
+    out = np.bincount(bins.ravel(), flows.ravel(), minlength=pf.base.n_vertices * width)
+    return out.reshape((pf.base.n_vertices,) + rows.shape[1:])
 
 
 def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
@@ -264,53 +279,63 @@ def _coordinate_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> n
     return coeffs
 
 
-def _edge_m_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> list[Jet]:
-    """Squared-length jets m_ij(p(t)) per canonical edge."""
+def _edge_m_jet(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> Jet:
+    """Squared-length jets m_ij(p(t)) of all edges as one Jet with an
+    (E, order+1) coefficient array, rows in canonical edge order."""
     coords = _coordinate_jets(pf, traj, order)
-    out = []
-    for v, w in pf.base.edges:
-        acc = Jet.constant(0.0, order)
-        for a in range(pf.dimension):
-            diff = Jet(coords[v, a] - coords[w, a])
-            acc = acc + diff * diff
-        out.append(acc)
-    return out
+    ev, ew = pf.base.edge_index_arrays()
+    diff = Jet(coords[ev] - coords[ew])
+    return (diff * diff).sum(axis=1)
 
 
-def _edge_energy_jet(spec: EnergySpec, idx: int, m_jet: Jet) -> Jet:
-    """Jet of E_ij along the trajectory, from the squared-length jet."""
-    dij = spec.rest_lengths[idx]
-    if m_jet.c[0] <= 0.0:
-        raise ZeroLengthEdge(f"edge {idx} has non-positive squared length along the trajectory")
+def _edge_m_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> list[Jet]:
+    """Squared-length jets m_ij(p(t)) per canonical edge, one Jet each."""
+    m_jet = _edge_m_jet(pf, traj, order)
+    return [Jet(c, mag) for c, mag in zip(m_jet.c, m_jet.mag)]
+
+
+def _check_positive(m_jet: Jet) -> None:
+    bad = np.flatnonzero(m_jet.c[:, 0] <= 0.0)
+    if bad.size:
+        raise ZeroLengthEdge(f"edge {bad[0]} has non-positive squared length along the trajectory")
+
+
+def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
+    """Jets of E_ij along the trajectory, one row per edge, from the
+    squared-length jets."""
+    d = spec.rest_lengths
+    _check_positive(m_jet)
     if spec.family == "harmonic":
-        dl = m_jet.sqrt() - dij
-        return 0.5 * spec.stiffness[idx] * (dl * dl)
+        dl = m_jet.sqrt() - d
+        return 0.5 * spec.stiffness * (dl * dl)
     if spec.family == "algebraic":
-        gap = m_jet - dij**2
-        return 0.5 * spec.stiffness[idx] * (gap * gap)
+        gap = m_jet - d**2
+        return 0.5 * spec.stiffness * (gap * gap)
     if spec.family == "lj":
-        u = (spec.sigma[idx] ** 2 * m_jet.reciprocal()).power(3)
-        return 4.0 * spec.epsilon[idx] * (u * u - u)
-    one_m = -((-spec.width[idx]) * (m_jet.sqrt() - dij)).exp() + 1.0
-    return spec.depth[idx] * (one_m * one_m)
+        u = (spec.sigma**2 * m_jet.reciprocal()).power(3)
+        return 4.0 * spec.epsilon * (u * u - u)
+    one_m = -((-spec.width) * (m_jet.sqrt() - d)).exp() + 1.0
+    return spec.depth * (one_m * one_m)
 
 
-def _edge_energy_dm_jet(spec: EnergySpec, idx: int, m_jet: Jet) -> Jet:
-    """Jet of dE_ij/dm along the trajectory (m = squared length)."""
-    dij = spec.rest_lengths[idx]
+def _edge_energy_dm_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
+    """Jets of dE_ij/dm along the trajectory (m = squared length), one row
+    per edge."""
+    d = spec.rest_lengths
+    _check_positive(m_jet)
     if spec.family == "harmonic":
         rsq = m_jet.sqrt().reciprocal()
-        return 0.5 * spec.stiffness[idx] * (1.0 - dij * rsq)
+        return 0.5 * spec.stiffness * (1.0 - d * rsq)
     if spec.family == "algebraic":
-        return spec.stiffness[idx] * (m_jet - dij**2)
+        return spec.stiffness * (m_jet - d**2)
     if spec.family == "lj":
         minv = m_jet.reciprocal()
-        u = (spec.sigma[idx] ** 2 * minv).power(3)
-        return 12.0 * spec.epsilon[idx] * minv * (u - 2.0 * (u * u))
+        u = (spec.sigma**2 * minv).power(3)
+        return 12.0 * spec.epsilon * minv * (u - 2.0 * (u * u))
     l_jet = m_jet.sqrt()
-    ex = ((-spec.width[idx]) * (l_jet - dij)).exp()
+    ex = ((-spec.width) * (l_jet - d)).exp()
     one_m = 1.0 - ex
-    return spec.depth[idx] * spec.width[idx] * (ex * one_m) * l_jet.reciprocal()
+    return spec.depth * spec.width * (ex * one_m) * l_jet.reciprocal()
 
 
 def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTrajectory, order: int) -> Jet:
@@ -319,9 +344,7 @@ def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTra
     if order < 1:
         raise ValueError("order must be >= 1")
     _check_binding(spec, pf)
-    total = Jet.constant(0.0, order)
-    for idx, m_jet in enumerate(_edge_m_jets(pf, traj, order)):
-        total = total + _edge_energy_jet(spec, idx, m_jet)
+    total = _edge_energy_jet(spec, _edge_m_jet(pf, traj, order)).sum()
     c = total.c.copy()
     c[0] -= spec.rest_energy()
     return Jet(c, total.mag)
@@ -332,16 +355,11 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
     an (n_free, order+1) array of Taylor coefficient rows."""
     _check_binding(spec, pf)
     coords = _coordinate_jets(pf, traj, order)
-    n, d = pf.base.vertices.shape
-    grad = np.zeros((n, d, order + 1))
-    for idx, ((v, w), m_jet) in enumerate(zip(pf.base.edges, _edge_m_jets(pf, traj, order))):
-        dm = _edge_energy_dm_jet(spec, idx, m_jet)
-        for a in range(pf.dimension):
-            diff = Jet(coords[v, a] - coords[w, a])
-            contrib = 2.0 * (dm * diff)
-            grad[v, a] += contrib.c
-            grad[w, a] -= contrib.c
-    return grad[pf.free_vertex, pf.free_axis]
+    ev, ew = pf.base.edge_index_arrays()
+    dm = _edge_energy_dm_jet(spec, _edge_m_jet(pf, traj, order))
+    # dE/dp_v = 2 dE/dm (p_v - p_w) per edge vw, and the negative for p_w
+    force = 2.0 * series_mul(dm.c[:, None, :], coords[ev] - coords[ew])
+    return _scatter_onto_ends(pf, force)[pf.free_vertex, pf.free_axis]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +381,7 @@ def classify_flex(pf: PinnedFramework, traj: PolyTrajectory, k_check: int, tol: 
         raise ValueError("trajectory is numerically zero")
     j_active = int(active[0]) + 1
 
-    m_rows = np.array([j.c for j in _edge_m_jets(pf, traj, k_check)])
+    m_rows = _edge_m_jet(pf, traj, k_check).c
     per_order = np.max(np.abs(m_rows[:, 1:]), axis=0) if m_rows.size else np.zeros(k_check)
     # scale includes order 0 (the squared rest lengths), so a trajectory whose
     # inspected derivatives all vanish still gets a meaningful threshold

@@ -21,7 +21,7 @@ import numpy as np
 from .energy import EnergySpec, energy_gap_and_grad
 from .errors import DegenerateFit, ZeroLengthEdge
 from .framework import PinnedFramework
-from .linear import kernel_decomposition, rigidity_matrix
+from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
 DEFAULT_N_RADII = 12
 DEFAULT_N_STARTS = 64
@@ -115,7 +115,11 @@ def min_energy_on_sphere_with_arg(
     n_starts: int = DEFAULT_N_STARTS,
     seed: int = 0,
     extra_starts: np.ndarray | None = None,
+    kd: KernelDecomposition | None = None,
 ):
+    """min_energy_on_sphere, also returning the minimizing unit direction;
+    kd, when given, is the framework's kernel decomposition (computed here
+    otherwise)."""
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if r >= _safe_radius(spec):
@@ -123,7 +127,8 @@ def min_energy_on_sphere_with_arg(
             f"radius {r} exceeds the safe radius {_safe_radius(spec):.6g} "
             "(half the shortest rest length)"
         )
-    kd = kernel_decomposition(rigidity_matrix(pf))
+    if kd is None:
+        kd = kernel_decomposition(rigidity_matrix(pf))
     rng = np.random.default_rng(seed)
     rows = []
     for j in range(kd.dim_K):
@@ -167,10 +172,11 @@ def fit_growth_order(
         raise ValueError("need 0 < r_min < r_max")
     radii = np.geomspace(r_max, r_min, n_radii)
     m_vals = np.empty(n_radii)
+    kd = kernel_decomposition(rigidity_matrix(pf))
     carry = None
     for i, r in enumerate(radii):
         m_vals[i], arg = min_energy_on_sphere_with_arg(
-            spec, pf, r, n_starts=n_starts, seed=seed + i, extra_starts=carry
+            spec, pf, r, n_starts=n_starts, seed=seed + i, extra_starts=carry, kd=kd
         )
         carry = np.vstack([arg[None, :], -arg[None, :]])
     radii = radii[::-1]

@@ -1,10 +1,18 @@
 """Truncated univariate Taylor series (jets) at t = 0.
 
-A Jet holds coefficients c[0..M] of a series truncated at order M.  Ring
+A Jet holds coefficients c[..., 0..M] of a series truncated at order M.
+Leading axes batch independent series of the same order: the energy code
+keeps the squared-length jets of all edges of a framework as one Jet with
+an (E, M+1) coefficient array, and every operation then acts on all rows at
+once.  A scalar or an array over the leading axes acts per series.  Ring
 operations and the composition helpers sqrt, exp, reciprocal and integer
 powers are exact on polynomial inputs up to the truncation order (up to
 rounding), which is what makes high-order differentiation of energies along
 polynomial trajectories exact.
+
+The recurrences themselves (Cauchy product, reciprocal, sqrt, exp) are
+plain functions on coefficient arrays, vectorized over the leading axes;
+Jet's methods call them, so each is written once.
 
 Every jet also carries a running magnitude vector: the same recurrences
 applied to absolute values.  The ratio mag[i] / |c[i]| estimates how much
@@ -14,22 +22,100 @@ trusted; it is reported, not asserted against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 MAX_ORDER = 64
 
 
+# ---------------------------------------------------------------------------
+# recurrences on coefficient arrays (last axis = Taylor order)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _lag_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and 0/1 mask that turn a coefficient row b into the upper
+    triangular Toeplitz matrix T[j, k] = b[k - j] (0 for k < j)."""
+    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+    idx, mask = np.maximum(lag, 0), (lag >= 0).astype(float)
+    idx.setflags(write=False)
+    mask.setflags(write=False)
+    return idx, mask
+
+
+def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two coefficient arrays, truncated at their shared
+    order; leading axes broadcast.  One batched matmul, which for a single
+    row sums in the same order as np.convolve."""
+    idx, mask = _lag_gather(a.shape[-1])
+    return (a[..., None, :] @ (b[..., idx] * mask))[..., 0, :]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def series_reciprocal(g: np.ndarray, g_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of 1/g and their magnitude twin."""
+    g0 = g[..., 0]
+    if np.any(g0 == 0.0):
+        raise ZeroDivisionError("jet reciprocal with zero constant term")
+    h = np.zeros(g.shape)
+    hm = np.zeros(g.shape)
+    h[..., 0] = 1.0 / g0
+    hm[..., 0] = np.abs(h[..., 0])
+    for k in range(1, g.shape[-1]):
+        h[..., k] = -_dot(g[..., 1 : k + 1], h[..., k - 1 :: -1]) / g0
+        hm[..., k] = _dot(g_mag[..., 1 : k + 1], hm[..., k - 1 :: -1]) / np.abs(g0)
+    return h, hm
+
+
+def series_sqrt(g: np.ndarray, g_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of sqrt(g) and their magnitude twin."""
+    if np.any(g[..., 0] <= 0.0):
+        raise ValueError("jet sqrt needs a positive constant term")
+    h = np.zeros(g.shape)
+    hm = np.zeros(g.shape)
+    h0 = np.sqrt(g[..., 0])
+    h[..., 0] = h0
+    hm[..., 0] = h0
+    for k in range(1, g.shape[-1]):
+        h[..., k] = (g[..., k] - _dot(h[..., 1:k], h[..., k - 1 : 0 : -1])) / (2.0 * h0)
+        hm[..., k] = (g_mag[..., k] + _dot(hm[..., 1:k], hm[..., k - 1 : 0 : -1])) / (2.0 * h0)
+    return h, hm
+
+
+def series_exp(g: np.ndarray, g_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of exp(g) and their magnitude twin."""
+    h = np.zeros(g.shape)
+    hm = np.zeros(g.shape)
+    h[..., 0] = np.exp(g[..., 0])
+    hm[..., 0] = h[..., 0]
+    ks = np.arange(g.shape[-1], dtype=float)
+    for k in range(1, g.shape[-1]):
+        h[..., k] = _dot(ks[1 : k + 1] * g[..., 1 : k + 1], h[..., k - 1 :: -1]) / k
+        hm[..., k] = _dot(ks[1 : k + 1] * g_mag[..., 1 : k + 1], hm[..., k - 1 :: -1]) / k
+    return h, hm
+
+
+# ---------------------------------------------------------------------------
+# the jet type
+# ---------------------------------------------------------------------------
+
 class Jet:
-    """Immutable truncated Taylor series sum_i c[i] t^i, i <= order."""
+    """Immutable truncated Taylor series sum_i c[..., i] t^i, i <= order."""
 
     __slots__ = ("c", "mag")
+    # make `ndarray * jet` and friends defer to the jet's reflected operators
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, mag=None):
         c = np.array(coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("jet coefficients must be a 1-D array")
-        if c.size - 1 > MAX_ORDER:
-            raise ValueError(f"jet order {c.size - 1} exceeds the cap {MAX_ORDER}")
+        if c.ndim < 1 or c.shape[-1] < 1:
+            raise ValueError("jet coefficients need a last axis of length >= 1")
+        if c.shape[-1] - 1 > MAX_ORDER:
+            raise ValueError(f"jet order {c.shape[-1] - 1} exceeds the cap {MAX_ORDER}")
         c.setflags(write=False)
         self.c = c
         m = np.abs(c) if mag is None else np.array(mag, dtype=float)
@@ -38,12 +124,14 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return self.c.size - 1
+        return self.c.shape[-1] - 1
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "Jet":
-        c = np.zeros(order + 1)
-        c[0] = value
+    def constant(cls, value, order: int) -> "Jet":
+        """Constant series; an array value gives one series per entry."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (order + 1,))
+        c[..., 0] = value
         return cls(c)
 
     @classmethod
@@ -63,6 +151,12 @@ class Jet:
             out = np.where(self.mag == 0.0, 1.0, self.mag / np.abs(self.c))
         return out
 
+    def sum(self, axis: int = 0) -> "Jet":
+        """Sum of the series along a leading (batch) axis."""
+        if not 0 <= axis < self.c.ndim - 1:
+            raise ValueError("a jet sums over its leading axes only")
+        return Jet(np.sum(self.c, axis=axis), np.sum(self.mag, axis=axis))
+
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other) -> "Jet":
@@ -70,7 +164,7 @@ class Jet:
             if other.order != self.order:
                 raise ValueError("jet orders differ")
             return other
-        return Jet.constant(float(other), self.order)
+        return Jet.constant(other, self.order)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -88,14 +182,11 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            s = float(other)
-            return Jet(self.c * s, self.mag * abs(s))
+        if not isinstance(other, Jet):
+            s = np.asarray(other, dtype=float)[..., None]
+            return Jet(self.c * s, self.mag * np.abs(s))
         o = self._coerce(other)
-        n = self.order + 1
-        c = np.convolve(self.c, o.c)[:n]
-        m = np.convolve(self.mag, o.mag)[:n]
-        return Jet(c, m)
+        return Jet(series_mul(self.c, o.c), series_mul(self.mag, o.mag))
 
     __rmul__ = __mul__
 
@@ -117,51 +208,13 @@ class Jet:
     # -- composition helpers ------------------------------------------------
 
     def reciprocal(self) -> "Jet":
-        g = self.c
-        if g[0] == 0.0:
-            raise ZeroDivisionError("jet reciprocal with zero constant term")
-        n = self.order
-        h = np.zeros(n + 1)
-        hm = np.zeros(n + 1)
-        h[0] = 1.0 / g[0]
-        hm[0] = abs(h[0])
-        for k in range(1, n + 1):
-            acc = np.dot(g[1 : k + 1], h[k - 1 :: -1])
-            accm = np.dot(self.mag[1 : k + 1], hm[k - 1 :: -1])
-            h[k] = -acc / g[0]
-            hm[k] = accm / abs(g[0])
-        return Jet(h, hm)
+        return Jet(*series_reciprocal(self.c, self.mag))
 
     def sqrt(self) -> "Jet":
-        g = self.c
-        if g[0] <= 0.0:
-            raise ValueError("jet sqrt needs a positive constant term")
-        n = self.order
-        h = np.zeros(n + 1)
-        hm = np.zeros(n + 1)
-        h[0] = np.sqrt(g[0])
-        hm[0] = h[0]
-        for k in range(1, n + 1):
-            acc = np.dot(h[1:k], h[k - 1 : 0 : -1]) if k > 1 else 0.0
-            accm = np.dot(hm[1:k], hm[k - 1 : 0 : -1]) if k > 1 else 0.0
-            h[k] = (g[k] - acc) / (2.0 * h[0])
-            hm[k] = (self.mag[k] + accm) / (2.0 * h[0])
-        return Jet(h, hm)
+        return Jet(*series_sqrt(self.c, self.mag))
 
     def exp(self) -> "Jet":
-        g = self.c
-        n = self.order
-        h = np.zeros(n + 1)
-        hm = np.zeros(n + 1)
-        h[0] = np.exp(g[0])
-        hm[0] = h[0]
-        ks = np.arange(n + 1, dtype=float)
-        for k in range(1, n + 1):
-            acc = np.dot(ks[1 : k + 1] * g[1 : k + 1], h[k - 1 :: -1])
-            accm = np.dot(ks[1 : k + 1] * self.mag[1 : k + 1], hm[k - 1 :: -1])
-            h[k] = acc / k
-            hm[k] = accm / k
-        return Jet(h, hm)
+        return Jet(*series_exp(self.c, self.mag))
 
     def __repr__(self):
         return f"Jet({self.c.tolist()})"
