@@ -313,15 +313,21 @@ class _QuarticForms:
     C: np.ndarray          # (n, m, m)
     B: np.ndarray          # (m, m, m, m) symmetric
 
-    def kernel_terms(self, ys: np.ndarray):
-        """Per row y: c(y) = (y' C[i] y)_i, shape (b, n), and B(y, y, y, .),
-        shape (b, m), as matmuls of the rows of y(x)y against C and B
-        flattened (B is symmetric, so B(y, y, ., .) is one (m^2, m^2)
-        matmul away)."""
+    def kernel_quartic(self, ys: np.ndarray):
+        """Per row y: the rows of y(x)y, shape (b, m^2), and B(y, y, y, .),
+        shape (b, m), from one matmul against B flattened (B is symmetric,
+        so B(y, y, ., .) is one (m^2, m^2) matmul away)."""
         b, m = ys.shape
         yy = (ys[:, :, None] * ys[:, None, :]).reshape(b, m * m)
         byy = (yy @ self.B.reshape(m * m, m * m)).reshape(b, m, m)
-        return yy @ self.C.reshape(-1, m * m).T, np.einsum("bij,bj->bi", byy, ys)
+        return yy, np.einsum("bij,bj->bi", byy, ys)
+
+    def kernel_terms(self, ys: np.ndarray):
+        """Per row y: c(y) = (y' C[i] y)_i, shape (b, n), and B(y, y, y, .),
+        shape (b, m)."""
+        yy, b3 = self.kernel_quartic(ys)
+        m = ys.shape[1]
+        return yy @ self.C.reshape(-1, m * m).T, b3
 
     def mixed_grad(self, ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Per row: the y-gradient of w . c(y), i.e. 2 sum_i w_i C[i] y."""
@@ -543,7 +549,10 @@ def second_order_rigidity_test(
         mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y),
     a homogeneous quartic whose strict positivity on the unit sphere of K is
     equivalent to positivity of a4 on the full parameter sphere.  A strict
-    minimum certifies rigidity order 2.  The cubic kernel screen is retained
+    minimum certifies rigidity order 2.  Since c(y) = C_flat (y(x)y) is
+    linear in y(x)y, the correction is the m^2 x m^2 quadratic form
+    G = C_flat' Hxx^-1 C_flat, formed once with one solve, so no evaluation
+    of mu touches the K-bar dimension.  The cubic kernel screen is retained
     for generality although it vanishes identically for stiff-bar energies.
     """
     if kd is None:
@@ -561,14 +570,18 @@ def second_order_rigidity_test(
         return cubic
 
     forms = _assemble_quartic_forms(target, X, Y, hess)
-    hxx_inv = np.linalg.inv(forms.Hxx) if n else np.zeros((0, 0))
+    c_flat = forms.C.reshape(n, m * m)
+    hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
+    g_form = c_flat.T @ hinv_c
 
     def mu_value_grad(ys):
-        # mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y) with c_i(y) = y' C[i] y
-        c, quart = forms.kernel_terms(ys)
-        w = c @ hxx_inv
-        vals = np.sum(quart * ys, axis=1) - 0.5 * np.einsum("bi,bi->b", c, w)
-        return vals, 4.0 * quart - forms.mixed_grad(w, ys)
+        # mu(y) = B(y^4) - 1/2 (y(x)y)' G (y(x)y); G (y(x)y) is a symmetric
+        # m x m matrix per row, whose y-gradient term is 2 G(y(x)y) y
+        yy, quart = forms.kernel_quartic(ys)
+        gyy = yy @ g_form
+        vals = np.sum(quart * ys, axis=1) - 0.5 * np.sum(gyy * yy, axis=1)
+        mixed = np.einsum("bjk,bk->bj", gyy.reshape(ys.shape[0], m, m), ys)
+        return vals, 4.0 * quart - 2.0 * mixed
 
     rng = np.random.default_rng(seed)
     pts = np.vstack([
@@ -583,8 +596,8 @@ def second_order_rigidity_test(
     best = int(np.argmin(mins))
     mu_min, y_best = float(mins[best]), ys[best]
 
-    c, b3 = forms.kernel_terms(y_best[None, :])
-    x_best = -hxx_inv @ c[0]
+    yy, b3 = forms.kernel_quartic(y_best[None, :])
+    x_best = -hinv_c @ yy[0]
     quartic = float(b3[0] @ y_best)
     scale = max(float(np.max(np.abs(sampled))), abs(quartic), abs(mu_min))
     tol_eff = tol * (1.0 + scale)

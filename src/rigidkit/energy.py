@@ -4,12 +4,13 @@ energy along polynomial trajectories.
 Four per-edge energy families are provided, each analytic with a strict
 positive-curvature minimum at the edge rest length: harmonic springs,
 the algebraic (squared-length) energy, Lennard-Jones, and Morse.  Energies,
-gradients and Hessians are assembled analytically, all edges at once, and
-scattered onto the vertices with bincount.  Derivatives of E(p(t)) and of
-its gradient along a polynomial trajectory are computed exactly with jet
-arithmetic on one edge-batched Jet: the squared-length jets of all edges
-form an (E, M+1) coefficient array, each family formula runs once on it
-with per-edge parameters, and the rows are summed (energy) or scattered
+gradients and Hessians are assembled analytically, all edges at once;
+gradients are summed into the free coordinates with the pinned framework's
+fixed gradient plan, Hessians with one bincount.  Derivatives of E(p(t))
+and of its gradient along a polynomial trajectory are computed exactly with
+jet arithmetic on one edge-batched Jet: the squared-length jets of all
+edges form an (E, M+1) coefficient array, each family formula runs once on
+it with per-edge parameters, and the rows are summed (energy) or summed
 onto the endpoints (gradient).  The algebraic family never needs a square
 root, Lennard-Jones uses jet reciprocals, Morse uses jet exp.
 """
@@ -131,24 +132,25 @@ def _derivs012(spec: EnergySpec, lengths: np.ndarray):
 
 
 def _gap_and_slope(spec: EnergySpec, lengths: np.ndarray, dl: np.ndarray):
-    """Cancellation-free (E(l) - E(d), dE/dl) given lengths and dl = l - d.
+    """Cancellation-free (E(l) - E(d), dE/dl) given (E, B) arrays of lengths
+    and dl = l - d, one column per displacement.
 
     Used by the growth probe, where E - E(rest) must stay accurate down to
     the square of the length perturbation.
     """
-    d = spec.rest_lengths
+    d = spec.rest_lengths[:, None]
     if spec.family == "harmonic":
-        k = spec.stiffness
+        k = spec.stiffness[:, None]
         return 0.5 * k * dl**2, k * dl
     if spec.family == "algebraic":
-        k = spec.stiffness
+        k = spec.stiffness[:, None]
         gap = dl * (lengths + d)
         return 0.5 * k * gap**2, 2.0 * k * lengths * gap
     if spec.family == "lj":
-        eps, sig = spec.epsilon, spec.sigma
+        eps, sig = spec.epsilon[:, None], spec.sigma[:, None]
         u = (sig / lengths) ** 6
         return 4.0 * eps * (u - 0.5) ** 2, (24.0 * eps / lengths) * (u - 2.0 * u**2)
-    eps_d, a = spec.depth, spec.width
+    eps_d, a = spec.depth[:, None], spec.width[:, None]
     one_m = -np.expm1(-a * dl)
     ex = 1.0 - one_m
     return eps_d * one_m**2, 2.0 * eps_d * a * ex * one_m
@@ -191,7 +193,7 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
     u = diffs / lengths[:, None]
     proj = u[:, :, None] * u[:, None, :]
     blocks = e2[:, None, None] * proj + (e1 / lengths)[:, None, None] * (np.eye(d) - proj)
-    grad_full = _scatter_onto_ends(pf, e1[:, None] * u)
+    grad = _sum_onto_free(pf, e1[:, None] * u)
     # each edge adds its d x d block at (v, v) and (w, w) and subtracts it
     # at (v, w) and (w, v): one bincount over flat Hessian entries, in edge
     # order
@@ -203,19 +205,22 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
     hess_full = hess_full.reshape(n * d, n * d)
 
     free = pf.free_vertex * d + pf.free_axis
-    return float(np.sum(e)), grad_full[pf.free_vertex, pf.free_axis], hess_full[np.ix_(free, free)]
+    return float(np.sum(e)), grad, hess_full[np.ix_(free, free)]
 
 
-def _scatter_onto_ends(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
-    """(n, ...) sums of +rows[i] onto the first and -rows[i] onto the second
-    endpoint of edge i, accumulated in canonical edge order."""
-    ev, ew = pf.base.edge_index_arrays()
-    width = int(np.prod(rows.shape[1:]))
-    ends = np.stack([ev, ew], axis=1).ravel()
-    flows = np.stack([rows, -rows], axis=1).reshape(-1, width)
-    bins = ends[:, None] * width + np.arange(width)
-    out = np.bincount(bins.ravel(), flows.ravel(), minlength=pf.base.n_vertices * width)
-    return out.reshape((pf.base.n_vertices,) + rows.shape[1:])
+def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
+    """(n_free, ...) sums of +rows[i] onto the free coordinates of edge i's
+    first endpoint and -rows[i] onto its second's, for rows of shape
+    (E, d, ...).  The pinned framework's gradient plan fixes the order:
+    per column, canonical edge order, first endpoints before second ones.
+    Free coordinates that no edge touches get zero."""
+    tail = rows.shape[2:]
+    flows = np.concatenate([rows, -rows]).reshape((-1,) + tail)
+    order, starts, columns = pf.gradient_plan()
+    out = np.zeros((pf.n_free,) + tail)
+    if starts.size:
+        out[columns] = np.add.reduceat(np.take(flows, order, axis=0), starts)
+    return out
 
 
 def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
@@ -228,38 +233,38 @@ def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.nd
     2 (p_v - p_w).(delta_v - delta_w) + |delta_v - delta_w|^2, which keeps
     the energy gap accurate down to the floating-point floor even when the
     displacement is many orders of magnitude smaller than the coordinates.
+
+    The work is edge-major: the batch is transposed once into an
+    (n_free + 1, B) array whose last row (the pinned slot) is zero, endpoint
+    differences are row gathers through the pinned framework's edge column
+    map, every per-edge quantity is an (E, B) array, and the forces are
+    summed into the free columns with the framework's fixed gradient plan.
+    No index array is built per call.
     """
     _check_binding(spec, pf)
     delta = np.asarray(delta_free, dtype=float)
     batch = delta if delta.ndim == 2 else delta[None, :]
     n_batch = batch.shape[0]
-    n, d = pf.base.vertices.shape
-    ev, ew = pf.base.edge_index_arrays()
-    delta_full = np.zeros((n_batch, n, d))
-    delta_full[:, pf.free_vertex, pf.free_axis] = batch
+    zt = np.zeros((pf.n_free + 1, n_batch))
+    zt[:-1] = batch.T
+    ends = np.take(zt, pf.edge_free_columns(), axis=0)
+    delta_diff = ends[0] - ends[1]
     base_diff = pf.base.edge_vectors()
-    delta_diff = delta_full[:, ev] - delta_full[:, ew]
-    rest = spec.rest_lengths
-    m_gap = 2.0 * np.einsum("bed,ed->be", delta_diff, base_diff) + np.sum(delta_diff**2, axis=2)
+    rest = spec.rest_lengths[:, None]
+    m_gap = 2.0 * np.einsum("edb,ed->eb", delta_diff, base_diff)
+    m_gap += np.einsum("edb,edb->eb", delta_diff, delta_diff)
     m_val = rest**2 + m_gap
-    if np.any(m_val <= 0.0):
+    if (m_val <= 0.0).any():
         raise ZeroLengthEdge("zero-length edge in the displaced configuration")
     lengths = np.sqrt(m_val)
     dl = m_gap / (lengths + rest)
     gap, slope = _gap_and_slope(spec, lengths, dl)
 
-    # scatter each edge's force onto its two endpoints: one bincount over
-    # flat (batch row, vertex, axis) bins
-    contrib = (slope / lengths)[:, :, None] * (base_diff + delta_diff)
-    slots = d * np.concatenate([ev, ew])[:, None] + np.arange(d)
-    bins = (n * d * np.arange(n_batch))[:, None] + slots.ravel()
-    forces = np.concatenate([contrib, -contrib], axis=1)
-    grad_full = np.bincount(bins.ravel(), forces.ravel(), minlength=n_batch * n * d)
-    grad_full = grad_full.reshape(n_batch, n, d)
-    grad = grad_full[:, pf.free_vertex, pf.free_axis]
+    contrib = (slope / lengths)[:, None, :] * (base_diff[:, :, None] + delta_diff)
+    grad = _sum_onto_free(pf, contrib)
     if delta.ndim == 1:
-        return float(np.sum(gap)), grad[0]
-    return np.sum(gap, axis=1), grad
+        return float(gap.sum()), grad[:, 0]
+    return gap.sum(0), np.ascontiguousarray(grad.T)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
     dm = _edge_energy_dm_jet(spec, _edge_m_jet(pf, traj, order))
     # dE/dp_v = 2 dE/dm (p_v - p_w) per edge vw, and the negative for p_w
     force = 2.0 * series_mul(dm.c[:, None, :], coords[ev] - coords[ew])
-    return _scatter_onto_ends(pf, force)[pf.free_vertex, pf.free_axis]
+    return _sum_onto_free(pf, force)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,10 @@ class PinnedFramework:
     order of the rigidity matrix and the layout of every pinned-coordinate
     vector used downstream.  free_vertex and free_axis hold the same pairs as
     two read-only index arrays, for scattering into (n, d) arrays.
+
+    The free column of every edge endpoint coordinate, and the order in which
+    per-endpoint contributions are summed into those columns, are computed
+    once here (O(E d) each); see edge_free_columns and gradient_plan.
     """
 
     base: Framework
@@ -198,6 +202,26 @@ class PinnedFramework:
         object.__setattr__(self, "free_vertex", layout[0])
         object.__setattr__(self, "free_axis", layout[1])
 
+        # free column of each (edge, axis) endpoint; pinned slots share the
+        # extra column n_free
+        n_free = layout.shape[1]
+        col = np.full(self.base.vertices.shape, n_free)
+        col[layout[0], layout[1]] = np.arange(n_free)
+        ends = col[self.base._ends]
+        # the 2 E d endpoint contributions, stably sorted by free column with
+        # the pinned ones dropped, and the start of each column's run
+        flat = ends.ravel()
+        order = np.argsort(flat, kind="stable")[: np.count_nonzero(flat < n_free)]
+        cols = flat[order]
+        first = np.ones(cols.size, dtype=bool)
+        first[1:] = cols[1:] != cols[:-1]
+        starts = np.flatnonzero(first)
+        plan = (order, starts, cols[starts])
+        for a in (ends, *plan):
+            a.setflags(write=False)
+        object.__setattr__(self, "_edge_columns", ends)
+        object.__setattr__(self, "_plan", plan)
+
     @property
     def n_free(self) -> int:
         return len(self.free_coords)
@@ -205,6 +229,20 @@ class PinnedFramework:
     @property
     def dimension(self) -> int:
         return self.base.dimension
+
+    def edge_free_columns(self) -> np.ndarray:
+        """Read-only (2, n_edges, dimension) array: the free columns of each
+        edge's first and second endpoint coordinates, in canonical edge
+        order; pinned coordinates map to the extra column n_free."""
+        return self._edge_columns
+
+    def gradient_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, columns): a fixed plan for summing 2 E d endpoint
+        contributions, laid out as (first/second endpoint, edge, axis), into
+        the free columns.  order lists the contributions to free columns,
+        stably sorted by column; starts[j] is where the run of columns[j]
+        begins in it.  A free column no edge touches has no run."""
+        return self._plan
 
     def free_vector(self, config: np.ndarray | None = None) -> np.ndarray:
         """Extract the free pinned coordinates from a full (n, d) configuration

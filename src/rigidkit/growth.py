@@ -10,6 +10,12 @@ their closed-form quartics.  Any local method only upper-bounds the true
 minimum, so the fit is a cross-check on the ladder, not an oracle; double
 precision limits reliable slope recovery to s of roughly 10 or below, which
 the fit notes record.
+
+A sweep makes tens of thousands of energy_gap_and_grad calls on small
+batches, so the per-call cost is kept to arithmetic: the kernel works
+edge-major on (E, d, B) arrays through the edge column map and gradient plan
+that PinnedFramework builds once, and each minimizer round updates its
+state with whole-array selects instead of boolean-mask gathers and scatters.
 """
 
 from __future__ import annotations
@@ -57,35 +63,40 @@ def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds
     it.  The spectral step is what lets the iteration follow the nearly flat
     valleys of high-order frameworks down to m(r) values near the float
     floor.
+
+    Every round computes the Barzilai-Borwein step of every row and keeps
+    it, with the moved point, value and gradient, only where the move was
+    accepted, by np.where over whole arrays; row by row this is the same
+    arithmetic as updating just the accepted rows.
     """
-    z = r * starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    z = r * starts / np.sqrt((starts * starts).sum(1))[:, None]
     vals, grads = value_grad(z)
     steps = np.full(z.shape[0], 1e-3 * r)
     last_z = z.copy()
     last_g = grads.copy()
     for _ in range(rounds):
         zh = z / r
-        g_tan = grads - np.sum(grads * zh, axis=1, keepdims=True) * zh
-        gnorm2 = np.sum(g_tan**2, axis=1)
+        g_tan = grads - (grads * zh).sum(1)[:, None] * zh
+        gnorm2 = (g_tan * g_tan).sum(1)
         cand = z - steps[:, None] * g_tan
-        cand *= r / np.linalg.norm(cand, axis=1, keepdims=True)
+        cand *= r / np.sqrt((cand * cand).sum(1))[:, None]
         c_vals, c_grads = value_grad(cand)
         improve = c_vals < vals - 1e-4 * steps * gnorm2
-        if np.any(improve):
-            dz = cand[improve] - last_z[improve]
-            dg = c_grads[improve] - last_g[improve]
-            den = np.sum(dg * dg, axis=1)
-            bb = np.abs(np.sum(dz * dg, axis=1)) / np.where(den > 0, den, 1.0)
-            bb = np.clip(bb, 1e-17 * r, 1e3 * r)
-            bb[den == 0] = steps[improve][den == 0] * 2.0
-            last_z[improve] = z[improve]
-            last_g[improve] = grads[improve]
-            z[improve] = cand[improve]
-            vals[improve] = c_vals[improve]
-            grads[improve] = c_grads[improve]
-            steps[improve] = bb
-        steps[~improve] *= 0.3
-        if np.all(steps < 1e-16 * r):
+        # the BB step of every row, kept only where the move is accepted
+        dz = cand - last_z
+        dg = c_grads - last_g
+        den = (dg * dg).sum(1)
+        bb = np.abs((dz * dg).sum(1)) / np.where(den > 0, den, 1.0)
+        bb = np.minimum(np.maximum(bb, 1e-17 * r), 1e3 * r)
+        bb = np.where(den == 0, steps * 2.0, bb)
+        steps = np.where(improve, bb, steps * 0.3)
+        moved = improve[:, None]
+        last_z = np.where(moved, z, last_z)
+        last_g = np.where(moved, grads, last_g)
+        z = np.where(moved, cand, z)
+        grads = np.where(moved, c_grads, grads)
+        vals = np.where(improve, c_vals, vals)
+        if (steps < 1e-16 * r).all():
             break
     return vals, z
 

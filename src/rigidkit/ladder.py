@@ -90,6 +90,8 @@ class OrderReport:
     dim_K: int | None = None
 
     def summary(self) -> str:
+        if self.method == "graph":
+            return f"flexible: {self.reason}"
         if self.verdict == "order":
             return f"rigidity order {self.order} ({self.method})"
         if self.verdict == "flex-found":
@@ -194,6 +196,26 @@ def solve_ladder(
     )
 
 
+def _component_count(n_vertices: int, edges) -> int:
+    """Connected components of a graph on n_vertices vertices (union-find
+    with path halving); an isolated vertex is a component of its own."""
+    root = list(range(n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    count = n_vertices
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[ri] = rj
+            count -= 1
+    return count
+
+
 def rigidity_order(
     pf: PinnedFramework,
     max_k: int = DEFAULT_MAX_K,
@@ -204,12 +226,23 @@ def rigidity_order(
 ) -> OrderReport:
     """Decide the rigidity order of a pinned framework.
 
-    dim K = 0 certifies order 1 outright.  dim K = 1 runs the flex ladder.
-    For dim K > 1 the ladder does not apply; the 4th-derivative energy test
-    is attempted, which can certify order 2 (absence of a second-order flex)
-    but nothing beyond.
+    A graph with two or more connected components (an isolated vertex
+    counts as one) is flexible: the components move apart freely, so the
+    verdict is flex-found by the graph check, with no numerics beyond the
+    kernel split.  Otherwise dim K = 0 certifies order 1 outright and
+    dim K = 1 runs the flex ladder.  For dim K > 1 the ladder does not
+    apply; the 4th-derivative energy test is attempted, which can certify
+    order 2 (absence of a second-order flex) but nothing beyond.
     """
     kd = kernel_decomposition(rigidity_matrix(pf), kernel_tol)
+    parts = _component_count(pf.base.n_vertices, pf.base.edges)
+    if parts > 1:
+        return OrderReport(
+            verdict="flex-found",
+            reason=f"the graph has {parts} connected components, which move apart freely",
+            method="graph",
+            dim_K=kd.dim_K,
+        )
     if kd.dim_K == 0:
         return OrderReport(verdict="order", order=1, method="first-order", dim_K=0)
     if kd.dim_K == 1:

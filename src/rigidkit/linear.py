@@ -41,18 +41,14 @@ class RigidityMatrix:
 def rigidity_matrix(pf: PinnedFramework) -> RigidityMatrix:
     """Assemble R(p): for edge vw, (p_v - p_w) lands in vertex v's free
     columns and (p_w - p_v) in vertex w's, with pinned columns deleted."""
-    base = pf.base
-    ev, ew = base.edge_index_arrays()
-    diff = base.edge_vectors()
-    col = np.full(base.vertices.shape, -1)
-    col[pf.free_vertex, pf.free_axis] = np.arange(pf.n_free)
-    mat = np.zeros((base.n_edges, pf.n_free))
-    rows = np.broadcast_to(np.arange(base.n_edges)[:, None], diff.shape)
-    for ends, sign in ((ev, 1.0), (ew, -1.0)):
-        cols = col[ends]
-        free = cols >= 0
-        mat[rows[free], cols[free]] = sign * diff[free]
-    return RigidityMatrix(mat, pf)
+    diff = pf.base.edge_vectors()
+    # pinned endpoints land in the extra column n_free, which is dropped
+    mat = np.zeros((pf.base.n_edges, pf.n_free + 1))
+    rows = np.arange(pf.base.n_edges)[:, None]
+    cv, cw = pf.edge_free_columns()
+    mat[rows, cv] = diff
+    mat[rows, cw] = -diff
+    return RigidityMatrix(mat[:, :-1], pf)
 
 
 @dataclass(frozen=True, eq=False)
