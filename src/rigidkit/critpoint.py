@@ -6,19 +6,21 @@ The 4th-derivative test probes f along the trajectory family
 x(t) = x0 t^2, y(t) = y0 t with (x0, y0) on the unit parameter sphere, where
 the y-coordinates span the Hessian kernel.  The t^4 coefficient
 a4(x0, y0) decides the critical point when it has a uniform sign over the
-sphere; cubic kernel terms are screened first, since any y_i y_j y_k term
-already forces a saddle.
+sphere; the cubic kernel form T is screened first, since any y_i y_j y_k
+term already forces a saddle.
 
 a4 decomposes exactly as
     a4(x0, y0) = 1/2 x0' Hxx x0  +  sum_i x0_i Ci(y0, y0)  +  B(y0^4),
 with Hxx positive definite on the non-kernel block.  The forms are assembled
 once by polarization of exact jets along polynomial trajectories: B from
-order-4 jets of f(Y y t), one per sum of kernel basis vectors, and all n
-rows of C at once from the t^2 coefficient of one gradient jet,
-    y' C[i] y = (X' [t^2] grad f(Y y t))_i,
-over the m(m+1)/2 pairs of kernel basis vectors (Griewank, Utke & Walther,
-Math. Comp. 69 (2000)).  The number of jets thus depends on the kernel
-dimension m only, not on the size of the non-kernel block.  Sphere sampling
+order-4 jets of f(Y y t), one per sum of kernel basis vectors, and both
+the mixed form C and the cubic kernel form T from the t^2 coefficients of
+m(m+1)/2 gradient jets.  Polarized over pairs of kernel basis vectors
+these give the (dim, m, m) tensor S with
+    y' S y = [t^2] grad f(Y y t) = 1/2 D^3 f(Y y, Y y, .),
+so C = X'S and T = Y'S / 3 (Griewank, Utke & Walther, Math. Comp. 69
+(2000)).  The number of jets thus depends on the kernel dimension m only,
+not on the size of the non-kernel block.  Sphere sampling
 and projected-gradient extremization then run on closed-form values and
 gradients, contracted as matmuls against the flattened forms.  For fixed y0
 the x0 part is a convex quadratic, which the rigidity tests exploit to
@@ -242,42 +244,6 @@ def _a4_eval(target, X: np.ndarray, Y: np.ndarray, x0: np.ndarray, y0: np.ndarra
     return float(target.jet_along(np.vstack([row1, row2]), 4).c[4])
 
 
-def _cubic_kernel_form(target, Y: np.ndarray):
-    """Cubic form C(y) = t^3 coefficient of f(Y y t) and its symmetric
-    coefficient tensor, by polarization over the kernel basis."""
-    m = Y.shape[1]
-
-    def cval(y):
-        return float(target.jet_along((Y @ y)[None, :], 3).c[3])
-
-    tensor = np.zeros((m, m, m))
-    evals = []
-    eye = np.eye(m)
-    cache: dict[tuple, float] = {}
-
-    def cached(vec_key, vec):
-        if vec_key not in cache:
-            cache[vec_key] = cval(vec)
-            evals.append((cache[vec_key], vec))
-        return cache[vec_key]
-
-    for i, j, k in combinations_with_replacement(range(m), 3):
-        # 6 T_ijk = C(a+b+c) - C(a+b) - C(a+c) - C(b+c) + C(a) + C(b) + C(c)
-        acc = 0.0
-        subsets = [
-            ((i, j, k), 1.0),
-            ((i, j), -1.0), ((i, k), -1.0), ((j, k), -1.0),
-            ((i,), 1.0), ((j,), 1.0), ((k,), 1.0),
-        ]
-        for ids, sign in subsets:
-            vec = np.sum(eye[list(ids)], axis=0)
-            acc += sign * cached(tuple(sorted(ids)), vec)
-        t_val = acc / 6.0
-        for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            tensor[perm] = t_val
-    return tensor, evals
-
-
 def _quartic_kernel_tensor(target, X: np.ndarray, Y: np.ndarray):
     """Symmetric coefficient tensor of the pure kernel quartic B(y) = a4(0, y)."""
     m = Y.shape[1]
@@ -307,11 +273,13 @@ def _quartic_kernel_tensor(target, X: np.ndarray, Y: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class _QuarticForms:
     """Closed-form a4 over the parameter sphere:
-    a4(x, y) = 1/2 x' Hxx x + sum_i x_i (y' C[i] y) + B(y,y,y,y)."""
+    a4(x, y) = 1/2 x' Hxx x + sum_i x_i (y' C[i] y) + B(y,y,y,y),
+    and the cubic kernel form T(y,y,y), the t^3 coefficient of f(Y y t)."""
 
     Hxx: np.ndarray        # (n, n)
     C: np.ndarray          # (n, m, m)
     B: np.ndarray          # (m, m, m, m) symmetric
+    T: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))   # (m, m, m) symmetric
 
     def kernel_quartic(self, ys: np.ndarray):
         """Per row y: the rows of y(x)y, shape (b, m^2), and B(y, y, y, .),
@@ -345,26 +313,29 @@ class _QuarticForms:
 
 
 def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray) -> _QuarticForms:
-    """Hxx from the Hessian, B by polarizing order-4 jets of f(Y y t), and C
-    from order-2 gradient jets: y' C[i] y = (X' [t^2] grad f(Y y t))_i,
-    polarized over the m(m+1)/2 pairs of kernel basis vectors."""
+    """Hxx from the Hessian, B by polarizing order-4 jets of f(Y y t), and
+    C = X'S and T = Y'S / 3 from S, y' S y = [t^2] grad f(Y y t), polarized
+    over the m(m+1)/2 pairs of kernel basis vectors."""
     n, m = X.shape[1], Y.shape[1]
     hxx = X.T @ hess @ X if n else np.zeros((0, 0))
     b_tensor = _quartic_kernel_tensor(target, X, Y) if m else np.zeros((0,) * 4)
 
-    def mixed(y):
-        return X.T @ target.gradient_jet_along((Y @ y)[None, :], 2)[:, 2]
+    def grad2(y):
+        return target.gradient_jet_along((Y @ y)[None, :], 2)[:, 2]
 
-    c_forms = np.zeros((n, m, m))
+    s_forms = np.zeros((target.dim, m, m))
     eye_m = np.eye(m)
-    diag = [mixed(eye_m[j]) for j in range(m)]
+    diag = [grad2(eye_m[j]) for j in range(m)]
     for j in range(m):
-        c_forms[:, j, j] = diag[j]
+        s_forms[:, j, j] = diag[j]
         for k in range(j + 1, m):
-            val = 0.5 * (mixed(eye_m[j] + eye_m[k]) - diag[j] - diag[k])
-            c_forms[:, j, k] = val
-            c_forms[:, k, j] = val
-    return _QuarticForms(hxx, c_forms, b_tensor)
+            val = 0.5 * (grad2(eye_m[j] + eye_m[k]) - diag[j] - diag[k])
+            s_forms[:, j, k] = val
+            s_forms[:, k, j] = val
+    s_flat = s_forms.reshape(target.dim, m * m)
+    c_forms = (X.T @ s_flat).reshape(n, m, m)
+    t_form = (Y.T @ s_flat).reshape(m, m, m) / 3.0
+    return _QuarticForms(hxx, c_forms, b_tensor, t_form)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +379,22 @@ def _extremize_a4(forms: _QuarticForms, n: int, m: int, n_starts: int, seed: int
     return best_min, best_min_arg, best_max, best_max_arg, scale
 
 
-def _cubic_screen(target, Y: np.ndarray, tol: float) -> CritReport | None:
-    """Saddle report when the cubic kernel form C(y) = t^3 coefficient of
-    f(Y y t) is nonzero (any y_i y_j y_k term forces a saddle), else None."""
-    tensor3, evals3 = _cubic_kernel_form(target, Y)
-    scale3 = max((abs(v) for v, _ in evals3), default=0.0)
-    if not (tensor3.size and np.max(np.abs(tensor3)) > tol * (1.0 + scale3)):
+def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None:
+    """Saddle report when the cubic kernel form T(y,y,y) = t^3 coefficient
+    of f(Y y t) is nonzero (any y_i y_j y_k term forces a saddle), else None.
+    The scale and the witness come from T on the sums of one to three
+    kernel basis vectors."""
+    m = T.shape[0]
+    eye = np.eye(m)
+    vecs = np.array([eye[list(ids)].sum(axis=0)
+                     for r in (1, 2, 3) for ids in combinations_with_replacement(range(m), r)])
+    vals = np.einsum("ijk,bi,bj,bk->b", T, vecs, vecs, vecs)
+    scale3 = float(np.max(np.abs(vals)))
+    if not np.max(np.abs(T)) > tol * (1.0 + scale3):
         return None
-    _, best_vec = max(evals3, key=lambda t: abs(t[0]))
+    best_vec = vecs[int(np.argmax(np.abs(vals)))]
     return CritReport(
-        "saddle", "cubic", 3, Y.shape[1],
+        "saddle", "cubic", 3, m,
         a3_witness=Y @ (best_vec / np.linalg.norm(best_vec)),
         scale=scale3, notes=("cubic kernel form is nonzero",),
     )
@@ -493,11 +470,11 @@ def fourth_derivative_test(
     Y = vec[:, zero]
     n = X.shape[1]
 
-    cubic = _cubic_screen(target, Y, tol)
+    forms = _assemble_quartic_forms(target, X, Y, hess)
+    cubic = _cubic_screen(forms.T, Y, tol)
     if cubic is not None:
         return cubic
 
-    forms = _assemble_quartic_forms(target, X, Y, hess)
     a_min, z_min, a_max, z_max, scale = _extremize_a4(forms, n, m, n_starts, seed)
     tol_eff = tol * (1.0 + scale)
 
@@ -553,7 +530,8 @@ def second_order_rigidity_test(
     linear in y(x)y, the correction is the m^2 x m^2 quadratic form
     G = C_flat' Hxx^-1 C_flat, formed once with one solve, so no evaluation
     of mu touches the K-bar dimension.  The cubic kernel screen is retained
-    for generality although it vanishes identically for stiff-bar energies.
+    for generality although it vanishes identically for stiff-bar energies;
+    it reads T from the gradient jets that give C, so it costs no jet.
     """
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))
@@ -565,11 +543,11 @@ def second_order_rigidity_test(
     X, Y = kd.Kbar_basis, kd.K_basis
     n = X.shape[1]
 
-    cubic = _cubic_screen(target, Y, tol)
+    forms = _assemble_quartic_forms(target, X, Y, hess)
+    cubic = _cubic_screen(forms.T, Y, tol)
     if cubic is not None:
         return cubic
 
-    forms = _assemble_quartic_forms(target, X, Y, hess)
     c_flat = forms.C.reshape(n, m * m)
     hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
     g_form = c_flat.T @ hinv_c

@@ -3,16 +3,17 @@ energy along polynomial trajectories.
 
 Four per-edge energy families are provided, each analytic with a strict
 positive-curvature minimum at the edge rest length: harmonic springs,
-the algebraic (squared-length) energy, Lennard-Jones, and Morse.  Energies,
-gradients and Hessians are assembled analytically, all edges at once;
-gradients are summed into the free coordinates with the pinned framework's
-fixed gradient plan, Hessians with one bincount.  Derivatives of E(p(t))
-and of its gradient along a polynomial trajectory are computed exactly with
-jet arithmetic on one edge-batched Jet: the squared-length jets of all
-edges form an (E, M+1) coefficient array, each family formula runs once on
-it with per-edge parameters, and the rows are summed (energy) or summed
-onto the endpoints (gradient).  The algebraic family never needs a square
-root, Lennard-Jones uses jet reciprocals, Morse uses jet exp.
+the algebraic (squared-length) energy, Lennard-Jones, and Morse.  Each is
+written as one jet formula phi(m) in the squared edge length m, run on all
+edges at once as an (E, M+1) Jet, and once more as the cancellation-free
+gap E(l) - E(d) of the growth probe.  On m(t) along a trajectory the jet
+formula gives the energy jets; on m + s it gives phi, phi' and phi''/2,
+hence with D = p_v - p_w the gradient 2 phi' D and the Hessian block
+2 phi' I + 4 phi'' D D' of edge vw, and, composed with m(t), the gradient
+jets 2 phi'(m(t)) D(t).  Gradients are summed into the free coordinates
+with the pinned framework's fixed gradient plan, Hessians with one
+bincount.  The algebraic family never needs a square root, Lennard-Jones
+uses jet reciprocals, Morse uses jet exp.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ZeroLengthEdge
 from .framework import Framework, PinnedFramework
-from .jets import Jet, series_mul
+from .jets import Jet, compose_series, series_mul
 from .ladder import PolyTrajectory
 from .linear import KernelDecomposition
 
@@ -101,34 +102,42 @@ class EnergySpec:
 
 
 # ---------------------------------------------------------------------------
-# scalar derivatives per family
+# the per-family formulas: a jet in the squared length, and the gap
 # ---------------------------------------------------------------------------
 
-def _derivs012(spec: EnergySpec, lengths: np.ndarray):
-    """Arrays (E, dE/dl, d2E/dl2) over edges at the given lengths."""
+def _check_positive(m_jet: Jet) -> None:
+    bad = np.flatnonzero(m_jet.c[:, 0] <= 0.0)
+    if bad.size:
+        raise ZeroLengthEdge(f"edge {bad[0]} has non-positive squared length along the trajectory")
+
+
+def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
+    """phi_ij(m) per edge as a jet, for an (E, M+1) Jet of squared lengths
+    m_ij: the one place each family's energy is written.  On the squared
+    lengths along a trajectory it gives the energy jets; on m_ij + s it
+    gives the Taylor series of phi_ij in m (see _taylor_in_m)."""
     d = spec.rest_lengths
+    _check_positive(m_jet)
     if spec.family == "harmonic":
-        k = spec.stiffness
-        dl = lengths - d
-        return 0.5 * k * dl**2, k * dl, k.copy()
+        dl = m_jet.sqrt() - d
+        return 0.5 * spec.stiffness * (dl * dl)
     if spec.family == "algebraic":
-        k = spec.stiffness
-        gap = lengths**2 - d**2
-        return 0.5 * k * gap**2, 2.0 * k * lengths * gap, 6.0 * k * lengths**2 - 2.0 * k * d**2
+        gap = m_jet - d**2
+        return 0.5 * spec.stiffness * (gap * gap)
     if spec.family == "lj":
-        eps, sig = spec.epsilon, spec.sigma
-        u = (sig / lengths) ** 6
-        e = 4.0 * eps * (u**2 - u)
-        e1 = (24.0 * eps / lengths) * (u - 2.0 * u**2)
-        e2 = (24.0 * eps / lengths**2) * (26.0 * u**2 - 7.0 * u)
-        return e, e1, e2
-    eps_d, a = spec.depth, spec.width
-    ex = np.exp(-a * (lengths - d))
-    one_m = -np.expm1(-a * (lengths - d))
-    e = eps_d * one_m**2
-    e1 = 2.0 * eps_d * a * ex * one_m
-    e2 = 2.0 * eps_d * a**2 * ex * (2.0 * ex - 1.0)
-    return e, e1, e2
+        u = (spec.sigma**2 * m_jet.reciprocal()).power(3)
+        return 4.0 * spec.epsilon * (u * u - u)
+    one_m = -((-spec.width) * (m_jet.sqrt() - d)).exp() + 1.0
+    return spec.depth * (one_m * one_m)
+
+
+def _taylor_in_m(spec: EnergySpec, m0: np.ndarray, order: int) -> np.ndarray:
+    """(E, order+1) Taylor coefficients phi^(k)(m0) / k! of every edge's
+    energy about its squared length m0, from the jet formula on m0 + s."""
+    c = np.zeros((m0.size, order + 1))
+    c[:, 0] = m0
+    c[:, 1] = 1.0
+    return _edge_energy_jet(spec, Jet(c)).c
 
 
 def _gap_and_slope(spec: EnergySpec, lengths: np.ndarray, dl: np.ndarray):
@@ -185,15 +194,14 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
     n, d = pts.shape
     ev, ew = pf.base.edge_index_arrays()
     diffs = pts[ev] - pts[ew]
-    lengths = np.linalg.norm(diffs, axis=1)
-    if np.any(lengths <= 0.0):
+    m0 = np.sum(diffs * diffs, axis=1)
+    if np.any(m0 <= 0.0):
         raise ZeroLengthEdge("zero-length edge in the evaluated configuration")
-    e, e1, e2 = _derivs012(spec, lengths)
-
-    u = diffs / lengths[:, None]
-    proj = u[:, :, None] * u[:, None, :]
-    blocks = e2[:, None, None] * proj + (e1 / lengths)[:, None, None] * (np.eye(d) - proj)
-    grad = _sum_onto_free(pf, e1[:, None] * u)
+    phi, dphi, half_d2phi = _taylor_in_m(spec, m0, 2).T
+    # dm/dp_v = 2 D: gradient 2 phi' D, Hessian block 2 phi' I + 4 phi'' D D'
+    blocks = (8.0 * half_d2phi)[:, None, None] * (diffs[:, :, None] * diffs[:, None, :])
+    blocks += (2.0 * dphi)[:, None, None] * np.eye(d)
+    grad = _sum_onto_free(pf, (2.0 * dphi)[:, None] * diffs)
     # each edge adds its d x d block at (v, v) and (w, w) and subtracts it
     # at (v, w) and (w, v): one bincount over flat Hessian entries, in edge
     # order
@@ -205,7 +213,7 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
     hess_full = hess_full.reshape(n * d, n * d)
 
     free = pf.free_vertex * d + pf.free_axis
-    return float(np.sum(e)), grad, hess_full[np.ix_(free, free)]
+    return float(np.sum(phi)), grad, hess_full[np.ix_(free, free)]
 
 
 def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
@@ -299,50 +307,6 @@ def _edge_m_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> list[
     return [Jet(c, mag) for c, mag in zip(m_jet.c, m_jet.mag)]
 
 
-def _check_positive(m_jet: Jet) -> None:
-    bad = np.flatnonzero(m_jet.c[:, 0] <= 0.0)
-    if bad.size:
-        raise ZeroLengthEdge(f"edge {bad[0]} has non-positive squared length along the trajectory")
-
-
-def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
-    """Jets of E_ij along the trajectory, one row per edge, from the
-    squared-length jets."""
-    d = spec.rest_lengths
-    _check_positive(m_jet)
-    if spec.family == "harmonic":
-        dl = m_jet.sqrt() - d
-        return 0.5 * spec.stiffness * (dl * dl)
-    if spec.family == "algebraic":
-        gap = m_jet - d**2
-        return 0.5 * spec.stiffness * (gap * gap)
-    if spec.family == "lj":
-        u = (spec.sigma**2 * m_jet.reciprocal()).power(3)
-        return 4.0 * spec.epsilon * (u * u - u)
-    one_m = -((-spec.width) * (m_jet.sqrt() - d)).exp() + 1.0
-    return spec.depth * (one_m * one_m)
-
-
-def _edge_energy_dm_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
-    """Jets of dE_ij/dm along the trajectory (m = squared length), one row
-    per edge."""
-    d = spec.rest_lengths
-    _check_positive(m_jet)
-    if spec.family == "harmonic":
-        rsq = m_jet.sqrt().reciprocal()
-        return 0.5 * spec.stiffness * (1.0 - d * rsq)
-    if spec.family == "algebraic":
-        return spec.stiffness * (m_jet - d**2)
-    if spec.family == "lj":
-        minv = m_jet.reciprocal()
-        u = (spec.sigma**2 * minv).power(3)
-        return 12.0 * spec.epsilon * minv * (u - 2.0 * (u * u))
-    l_jet = m_jet.sqrt()
-    ex = ((-spec.width) * (l_jet - d)).exp()
-    one_m = 1.0 - ex
-    return spec.depth * spec.width * (ex * one_m) * l_jet.reciprocal()
-
-
 def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTrajectory, order: int) -> Jet:
     """Exact Taylor coefficients of t -> E(p(t)) - E(p) through the given
     order, where p(t) = p + sum_l traj.coeffs[l-1] t^l."""
@@ -361,9 +325,12 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
     _check_binding(spec, pf)
     coords = _coordinate_jets(pf, traj, order)
     ev, ew = pf.base.edge_index_arrays()
-    dm = _edge_energy_dm_jet(spec, _edge_m_jet(pf, traj, order))
-    # dE/dp_v = 2 dE/dm (p_v - p_w) per edge vw, and the negative for p_w
-    force = 2.0 * series_mul(dm.c[:, None, :], coords[ev] - coords[ew])
+    m_jet = _edge_m_jet(pf, traj, order)
+    taylor = _taylor_in_m(spec, m_jet.c[:, 0], order + 1)
+    # phi'(m(t)): phi^(k+1)(m0) = (k+1)! taylor[k+1], composed with m(t)
+    dphi = compose_series(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_jet)
+    # dE/dp_v = 2 phi'(m) (p_v - p_w) per edge vw, and the negative for p_w
+    force = 2.0 * series_mul(dphi.c[:, None, :], coords[ev] - coords[ew])
     return _sum_onto_free(pf, force)
 
 

@@ -12,7 +12,8 @@ polynomial trajectories exact.
 
 The recurrences themselves (Cauchy product, reciprocal, sqrt, exp) are
 plain functions on coefficient arrays, vectorized over the leading axes;
-Jet's methods call them, so each is written once.
+Jet's methods call them, so each is written once.  compose_series batches
+the same way: (E, m+1) derivatives compose one function per row.
 
 Every jet also carries a running magnitude vector: the same recurrences
 applied to absolute values.  The ratio mag[i] / |c[i]| estimates how much
@@ -46,8 +47,9 @@ def _lag_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product of two coefficient arrays, truncated at their shared
-    order; leading axes broadcast.  One batched matmul, which for a single
-    row sums in the same order as np.convolve."""
+    order; leading axes broadcast.  One batched matmul; its summation order
+    is the BLAS kernel's, which can depend on the operands' memory layout,
+    so a row may differ from the same product taken alone by rounding."""
     idx, mask = _lag_gather(a.shape[-1])
     return (a[..., None, :] @ (b[..., idx] * mask))[..., 0, :]
 
@@ -223,17 +225,19 @@ class Jet:
 def compose_series(f_derivs, g: Jet) -> Jet:
     """Jet of f(g(t)) given derivatives f(g0), f'(g0), ..., f^(m)(g0).
 
-    Evaluates the Taylor polynomial of f around g0 at the shifted jet
-    g - g0 by Horner's scheme; exact through min(order, m).
+    The derivatives run along the last axis of f_derivs; leading axes match
+    g's, so an (E, m+1) array composes one function per row of an (E, M+1)
+    Jet (a 1-D array acts on every row).  Evaluates the Taylor polynomial of
+    f around g0 at the shifted jet g - g0 by Horner's scheme; exact through
+    min(order, m).
     """
     fd = np.asarray(f_derivs, dtype=float)
-    shifted = Jet(np.concatenate(([0.0], g.c[1:])), np.concatenate(([0.0], g.mag[1:])))
-    fact = 1.0
-    coeffs = []
-    for m in range(fd.size):
-        coeffs.append(fd[m] / fact)
-        fact *= m + 1
-    out = Jet.constant(coeffs[-1], g.order)
-    for a in reversed(coeffs[:-1]):
-        out = out * shifted + a
+    c, mag = g.c.copy(), g.mag.copy()
+    c[..., 0] = 0.0
+    mag[..., 0] = 0.0
+    shifted = Jet(c, mag)
+    coeffs = fd / np.cumprod(np.concatenate(([1.0], np.arange(1.0, fd.shape[-1]))))
+    out = Jet.constant(coeffs[..., -1], g.order)
+    for k in range(fd.shape[-1] - 2, -1, -1):
+        out = out * shifted + coeffs[..., k]
     return out

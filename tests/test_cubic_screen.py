@@ -1,0 +1,138 @@
+"""The cubic kernel form T is read from the order-2 gradient jets that
+already give the mixed form C: Y'[t^2] grad f(Y y t) = 3 T(y, y, .).  It
+is checked against the polarization of order-3 energy jets it replaced,
+on targets whose only cubic kernel term makes a saddle, and the order-4
+rigidity test is checked to take each of its jets once."""
+
+from collections import Counter
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+
+import rigidkit.critpoint as critpoint
+from rigidkit import (
+    EnergySpec,
+    PolynomialTarget,
+    fourth_derivative_test,
+    kernel_decomposition,
+    pin_with_permutation,
+    rigidity_matrix,
+    second_order_rigidity_test,
+)
+from rigidkit.critpoint import _assemble_quartic_forms, _cubic_screen
+from test_quartic_assembly import _polynomial_case, midpoint_strip
+
+RTOL = 1e-12
+
+
+def _energy_jet_cubic_form(target, Y):
+    """T by polarizing order-3 jets of f(Y y t) over sums of up to three
+    kernel basis vectors, and the (value, vector) pairs it evaluated."""
+    m = Y.shape[1]
+    eye = np.eye(m)
+    cache = {}
+
+    def cval(ids):
+        if ids not in cache:
+            vec = np.sum(eye[list(ids)], axis=0)
+            cache[ids] = (float(target.jet_along((Y @ vec)[None, :], 3).c[3]), vec)
+        return cache[ids][0]
+
+    tensor = np.zeros((m, m, m))
+    for i, j, k in combinations_with_replacement(range(m), 3):
+        # 6 T_ijk = C(a+b+c) - C(a+b) - C(a+c) - C(b+c) + C(a) + C(b) + C(c)
+        acc = cval((i, j, k)) - cval((i, j)) - cval((i, k)) - cval((j, k))
+        acc += cval((i,)) + cval((j,)) + cval((k,))
+        for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
+            tensor[perm] = acc / 6.0
+    return tensor, list(cache.values())
+
+
+def _lone_cubic(m):
+    # f = x^2 + one cubic kernel monomial (y1^2 y2 at m = 2, y1 y2 y3 at
+    # m = 3) + a positive quartic; the Hessian diag(2, 0, ..., 0) has an
+    # m-dimensional kernel
+    cubic = (0, 2, 1) if m == 2 else (0, 1, 1, 1)
+    monos = [((2,) + (0,) * m, 1.0), (cubic, 1.0)]
+    monos += [((0,) + tuple(4 * int(i == j) for j in range(m)), 1.0) for i in range(m)]
+    eye = np.eye(m + 1)
+    return PolynomialTarget(m + 1, tuple(monos)), eye[:, :1], eye[:, 1:]
+
+
+def _cases():
+    yield "lone-y1y1y2", _lone_cubic(2)
+    yield "lone-y1y2y3", _lone_cubic(3)
+    yield "polynomial", _polynomial_case()
+
+
+@pytest.mark.parametrize("name, case", list(_cases()))
+def test_cubic_form_from_gradient_jets_matches_energy_jets(name, case):
+    target, X, Y = case
+    forms = _assemble_quartic_forms(target, X, Y, target.hessian0())
+    want, evals = _energy_jet_cubic_form(target, Y)
+    assert forms.T.shape == want.shape
+    assert np.max(np.abs(forms.T - want)) <= RTOL * max(1.0, np.max(np.abs(want))), name
+
+    # the screen's scale and witness are those of the energy-jet screen
+    rep = _cubic_screen(forms.T, Y, 1e-8)
+    if np.max(np.abs(want)) == 0.0:
+        assert rep is None, name
+        return
+    scale, vec = max(evals, key=lambda e: abs(e[0]))
+    assert rep.scale == pytest.approx(abs(scale), rel=RTOL), name
+    np.testing.assert_allclose(rep.a3_witness, Y @ vec / np.linalg.norm(vec), rtol=0, atol=RTOL)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
+    target, _, _ = _lone_cubic(m)
+    calls = Counter()
+    original = PolynomialTarget.gradient_jet_along
+
+    def counted(self, rows, order):
+        calls[order] += 1
+        return original(self, rows, order)
+
+    monkeypatch.setattr(PolynomialTarget, "gradient_jet_along", counted)
+    rep = fourth_derivative_test(target)
+    assert (rep.classification, rep.resolved_by, rep.order, rep.nullity) == ("saddle", "cubic", 3, m)
+    witness = rep.a3_witness
+    assert np.linalg.norm(witness) == pytest.approx(1.0, rel=RTOL)
+    assert abs(witness[0]) <= RTOL               # in span Y: no x part
+    # one order-2 gradient jet per kernel pair, taken once for C and T
+    assert dict(calls) == {2: m * (m + 1) // 2}
+
+
+@pytest.mark.parametrize("m, energy_jets", [(2, 14), (3, 34)])
+def test_order4_test_takes_each_jet_once(monkeypatch, m, energy_jets):
+    # B polarizes order-4 energy jets over every sub-multiset of a 4-multiset
+    # of kernel indices; C and T share the m(m+1)/2 gradient jets; the cubic
+    # screen evaluates no jet of its own
+    calls = Counter()
+    for name in ("energy_along_trajectory", "gradient_along_trajectory"):
+        def counted(*args, _name=name, _fn=getattr(critpoint, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(critpoint, name, counted)
+    screen = critpoint._cubic_screen
+
+    def guarded_screen(*args):
+        before = Counter(calls)
+        out = screen(*args)
+        assert calls == before
+        return out
+
+    monkeypatch.setattr(critpoint, "_cubic_screen", guarded_screen)
+    for n_vertices in (20, 40):
+        calls.clear()
+        pf, _, _ = pin_with_permutation(midpoint_strip(n_vertices, m))
+        kd = kernel_decomposition(rigidity_matrix(pf))
+        assert kd.dim_K == m
+        rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"), kd)
+        assert rep.classification == "strict-min"
+        assert dict(calls) == {
+            "energy_along_trajectory": energy_jets,
+            "gradient_along_trajectory": m * (m + 1) // 2,
+        }, n_vertices

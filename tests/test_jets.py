@@ -122,3 +122,23 @@ def test_magnitude_tracks_cancellation():
         x, y = random_jet(rng), random_jet(rng)
         out = x * y + x.exp()
         assert np.all(out.mag + 1e-12 >= np.abs(out.c))
+
+
+def test_compose_series_batch_matches_per_row_calls():
+    # per-row derivative arrays along the last axis, composed with one
+    # (E, M+1) jet, give row by row the coefficients and magnitudes of one
+    # call per row.  Equal up to rounding, not bit for bit: the Cauchy
+    # product is a matmul whose BLAS summation order can change with the
+    # operands' memory alignment, so the same row taken alone may round
+    # differently.
+    rng = np.random.default_rng(7)
+    rows, order = 9, 6
+    for n_derivs in (1, 4, order + 1, order + 3):
+        derivs = rng.standard_normal((rows, n_derivs))
+        g = Jet(rng.standard_normal((rows, order + 1)))
+        batch = compose_series(derivs, g)
+        assert batch.c.shape == batch.mag.shape == (rows, order + 1)
+        for i in range(rows):
+            single = compose_series(derivs[i], Jet(g.c[i], g.mag[i]))
+            assert np.all(np.abs(batch.c[i] - single.c) <= 1e-14 * single.mag), (n_derivs, i)
+            assert np.allclose(batch.mag[i], single.mag, rtol=1e-14, atol=0.0), (n_derivs, i)
