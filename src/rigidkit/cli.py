@@ -191,6 +191,9 @@ def cmd_analyze(args) -> int:
                 "nu_hat": growth.nu_hat,
                 "r2": growth.r2,
                 "monotone": growth.monotone,
+                "radii": growth.radii.tolist(),
+                "newton_steps": growth.newton_steps.tolist(),
+                "tangent_grad_ratio": growth.tangent_ratio.tolist(),
                 "notes": list(growth.notes),
             }
     # witness coefficients are bulky; analyze keeps a summary only
@@ -256,8 +259,9 @@ def cmd_growth(args) -> int:
                 fh.write(
                     f"{row['r']:.17g},{row['m_r']:.17g},{row['log_r']:.17g},{row['log_m']:.17g}\n"
                 )
-    for row in rows:
-        print(f"r = {row['r']:.6e}   m(r) = {row['m_r']:.6e}")
+    for row, steps, ratio in zip(rows, fit.newton_steps, fit.tangent_ratio):
+        print(f"r = {row['r']:.6e}   m(r) = {row['m_r']:.6e}   "
+              f"newton steps = {steps}   |g_tan|/|g| = {ratio:.1e}")
     print(
         f"fit [{fit.family}]: s = {fit.fitted_s:.4f}, nu = {fit.nu_hat:.4f}, r2 = {fit.r2:.6f}"
     )
@@ -395,9 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rmin", type=float, default=1e-3)
     g.add_argument("--rmax", type=float, default=1e-1)
     g.add_argument("--n", type=int, default=12)
-    g.add_argument("--starts", type=int, default=64)
+    g.add_argument("--starts", type=int, default=64,
+                   help="random starts of the multistart, which runs at the first radius "
+                        "when dim K <= 1 and at every radius when dim K > 1")
     g.add_argument("--csv")
-    add_common(g)
+    g.add_argument("--seed", type=int, default=0,
+                   help="seed of the multistart's random starts")
     g.set_defaults(func=cmd_growth)
 
     e = sub.add_parser("energy", help="energy jet coefficients along a trajectory (CSV)")

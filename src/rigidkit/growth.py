@@ -2,20 +2,27 @@
 shrinking radius and the log-log slope fit that estimates the tight growth
 order s (rigidity order = s / 2).
 
-The minimum of E(q) - E(p) over the sphere |q - p| = r in pinned coordinates
-is found by minimize_on_sphere, a batched multistart projected gradient
-descent with per-start Barzilai-Borwein steps, seeded along the first-order
-flex directions; the order-4 critical-point tests use the same minimizer on
-their closed-form quartics.  Any local method only upper-bounds the true
-minimum, so the fit is a cross-check on the ladder, not an oracle; double
-precision limits reliable slope recovery to s of roughly 10 or below, which
-the fit notes record.
+The minimum m(r) of E(q) - E(p) over the sphere |q - p| = r in pinned
+coordinates is found by minimize_on_sphere.  A seeded multistart (the
++/- first-order flex directions plus random unit vectors) runs a few
+hundred Barzilai-Borwein projected-gradient rounds, and its best rows are
+then polished by Riemannian Newton steps on the sphere, with the gradient
+of the cancellation-free gap kernel and the energy Hessian at p + z.  Near a
+minimizer the sphere's tangent space is close to the complement of the
+flex space, where the Hessian is well conditioned (the block the order-4
+test eliminates), so Newton settles in a few steps.  A radius sweep runs
+from the largest radius down and continues from +/- the last minimizer:
+when dim K <= 1 the multistart runs at the first radius only and every
+later radius is Newton alone; when dim K > 1 the multistart runs at every
+radius.  The order-4 critical-point tests use the same minimizer, without
+a Hessian, on their closed-form quartics.
 
-A sweep makes tens of thousands of energy_gap_and_grad calls on small
-batches, so the per-call cost is kept to arithmetic: the kernel works
-edge-major on (E, d, B) arrays through the edge column map and gradient plan
-that PinnedFramework builds once, and each minimizer round updates its
-state with whole-array selects instead of boolean-mask gathers and scatters.
+Any local method only upper-bounds the true minimum, so the fit is a
+cross-check on the ladder, not an oracle.  Double precision limits
+reliable slope recovery to s of roughly 10 or below, and below m ~ 1e-24
+the gap kernel's rounding, not the minimizer, sets the accuracy of m(r);
+the fit notes record both.  GrowthFit keeps, per radius, the Newton steps
+taken and the final tangent gradient relative to the whole gradient.
 """
 
 from __future__ import annotations
@@ -24,13 +31,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, energy_gap_and_grad
+from .energy import EnergySpec, energy_gap_and_grad, energy_value_grad_hess
 from .errors import DegenerateFit, ZeroLengthEdge
 from .framework import PinnedFramework
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
 DEFAULT_N_RADII = 12
 DEFAULT_N_STARTS = 64
+MULTISTART_ROUNDS = 250   # Barzilai-Borwein rounds of the multistart
+N_FINALISTS = 6           # multistart rows polished by Newton
+NEWTON_ROUNDS = 50        # round limit of the Newton polish
+NEWTON_LOCAL = 1e-6       # steps shorter than NEWTON_LOCAL r skip the value test
+NEWTON_XTOL = 1e-15       # converged: Newton step shorter than NEWTON_XTOL r
+NEWTON_TMIN = 1e-3        # stalled: backtracked below this share of the step
 SLOPE_RELIABLE_LIMIT = 10.0
 
 
@@ -45,32 +58,62 @@ class GrowthFit:
     r2: float
     nu_hat: float
     monotone: bool
+    newton_steps: np.ndarray      # accepted Newton steps of the minimizing row, per radius
+    tangent_ratio: np.ndarray     # its final |tangent gradient| / |gradient|, per radius
     notes: tuple[str, ...] = field(default=())
+
+
+@dataclass(frozen=True, eq=False)
+class NewtonStats:
+    """How a Newton run of minimize_on_sphere ended, as arrays over its rows
+    (or scalars for one row): accepted Newton steps, the final
+    |tangent gradient| / |gradient|, and whether the row converged, that is
+    stopped once its Newton steps became negligible or no longer shrank,
+    rather than on a failed line search or the round limit."""
+
+    steps: np.ndarray
+    tangent_ratio: np.ndarray
+    converged: np.ndarray
 
 
 def _safe_radius(spec: EnergySpec) -> float:
     return 0.5 * float(np.min(spec.rest_lengths))
 
 
-def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds: int):
+def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds: int, hess=None):
     """Minimize a function over the sphere |z| = r from a batch of start
-    directions; returns the final values (B,) and points (B, dim).
+    directions; returns the final values (B,) and points (B, dim), and with
+    hess a third item, the rows' NewtonStats.
 
     value_grad maps a (B, dim) batch of points to (values (B,), gradients
-    (B, dim)).  Vectorized projected gradient with per-start Barzilai-Borwein
-    steps and a backtracking fallback: an accepted move sets the next step
-    from the last displacement/gradient-change pair, a rejected one shrinks
-    it.  The spectral step is what lets the iteration follow the nearly flat
-    valleys of high-order frameworks down to m(r) values near the float
-    floor.
+    (B, dim)).  Without hess, this is vectorized projected gradient with
+    per-start Barzilai-Borwein steps and a backtracking fallback: an
+    accepted move sets the next step from the last displacement/gradient-
+    change pair, a rejected one shrinks it.  Every round computes the
+    Barzilai-Borwein step of every row and keeps it, with the moved point,
+    value and gradient, only where the move was accepted, by np.where over
+    whole arrays; row by row this is the same arithmetic as updating just
+    the accepted rows.  The sphere searches of the order-4 tests use this
+    path.
 
-    Every round computes the Barzilai-Borwein step of every row and keeps
-    it, with the moved point, value and gradient, only where the move was
-    accepted, by np.where over whole arrays; row by row this is the same
-    arithmetic as updating just the accepted rows.
+    hess maps one point (dim,) to the (dim, dim) Hessian of the function
+    there.  With it, each round takes a Riemannian Newton step per row
+    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 6): the tangent step eta solves
+    [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with lam = g.z / r^2,
+    z + t eta is pulled back onto the sphere, and the move is kept by the
+    same Armijo test and np.where select as above; a rejected one halves t.
+    Steps shorter than NEWTON_LOCAL r skip the test.  A row has converged
+    once its step is shorter than NEWTON_XTOL r, or is such a local step
+    no shorter than half the step before it: Newton converges
+    quadratically, so a step that stops shrinking is driven by rounding,
+    not curvature.  A row has stalled once t drops below NEWTON_TMIN.  The
+    loop ends when no row is left to move, or after rounds rounds.
     """
     z = r * starts / np.sqrt((starts * starts).sum(1))[:, None]
     vals, grads = value_grad(z)
+    if hess is not None:
+        return _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds)
     steps = np.full(z.shape[0], 1e-3 * r)
     last_z = z.copy()
     last_g = grads.copy()
@@ -101,6 +144,82 @@ def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds
     return vals, z
 
 
+def _tangent(grads: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
+    """The tangent part of each gradient row at z on the sphere of radius r."""
+    zh = z / r
+    return grads - (grads * zh).sum(1)[:, None] * zh
+
+
+def _newton_direction(h: np.ndarray, g: np.ndarray, z: np.ndarray, g_tan: np.ndarray, r: float):
+    """Tangent Newton step at z from the bordered system, written with the
+    unit normal z / r.  Where the system is singular or its solution is not
+    a descent direction, the Cauchy step along -g_tan instead, or a step of
+    length r where the tangent curvature along it is not positive.  Capped
+    at length r."""
+    dim = z.size
+    zh = z / r
+    kkt = np.zeros((dim + 1, dim + 1))
+    kkt[:dim, :dim] = h - (g @ zh / r) * np.eye(dim)
+    kkt[:dim, dim] = zh
+    kkt[dim, :dim] = zh
+    try:
+        eta = np.linalg.solve(kkt, np.append(-g, 0.0))[:dim]
+    except np.linalg.LinAlgError:
+        eta = g_tan
+    if not np.all(np.isfinite(eta)) or eta @ g_tan >= 0.0:
+        gg = g_tan @ g_tan
+        curv = g_tan @ kkt[:dim, :dim] @ g_tan
+        if curv > 0.0:
+            eta = -(gg / curv) * g_tan
+        else:
+            eta = -(r / np.sqrt(gg)) * g_tan if gg > 0.0 else np.zeros(dim)
+    size = float(np.sqrt(eta @ eta))
+    return eta * (r / size) if size > r else eta
+
+
+def _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds):
+    n_rows = z.shape[0]
+    t = np.ones(n_rows)
+    eta = np.zeros_like(z)
+    steps = np.zeros(n_rows, dtype=int)
+    fresh = np.ones(n_rows, dtype=bool)       # moved since its last direction
+    last = np.full(n_rows, np.inf)            # length of the last accepted step
+    converged = np.zeros(n_rows, dtype=bool)
+    stalled = np.zeros(n_rows, dtype=bool)    # backtracked below NEWTON_TMIN
+    for _ in range(rounds):
+        g_tan = _tangent(grads, z, r)
+        stalled |= ~converged & (t < NEWTON_TMIN)
+        for i in np.flatnonzero(fresh & ~converged & ~stalled):
+            eta[i] = _newton_direction(hess(z[i]), grads[i], z[i], g_tan[i], r)
+        size = t * np.sqrt((eta * eta).sum(1))
+        local = size <= NEWTON_LOCAL * r
+        stagnant = local & (size >= 0.5 * last)
+        converged |= ~stalled & ((size <= NEWTON_XTOL * r) | stagnant)
+        active = ~converged & ~stalled
+        if not active.any():
+            break
+        cand = z + t[:, None] * eta
+        cand *= r / np.sqrt((cand * cand).sum(1))[:, None]
+        c_vals, c_grads = value_grad(cand)
+        slope = (g_tan * eta).sum(1)
+        # a local step lies where Newton converges without a line search,
+        # and the gap's change over it can sit below the kernel's rounding,
+        # where the value test would refuse it at random
+        improve = active & (local | (c_vals < vals + 1e-4 * t * slope))
+        moved = improve[:, None]
+        z = np.where(moved, cand, z)
+        grads = np.where(moved, c_grads, grads)
+        vals = np.where(improve, c_vals, vals)
+        steps += improve
+        last = np.where(improve, size, last)
+        t = np.where(improve, 1.0, 0.5 * t)
+        fresh = improve
+    g_tan = _tangent(grads, z, r)
+    gnorm = np.sqrt((grads * grads).sum(1))
+    ratio = np.sqrt((g_tan * g_tan).sum(1)) / np.where(gnorm > 0.0, gnorm, 1.0)
+    return vals, z, NewtonStats(steps, ratio, converged)
+
+
 def min_energy_on_sphere(
     spec: EnergySpec,
     pf: PinnedFramework,
@@ -115,8 +234,7 @@ def min_energy_on_sphere(
     unit vectors; extra_starts rows (unit directions) are appended, which the
     radius sweep uses to continue the minimizing valley between radii.
     """
-    value, _ = min_energy_on_sphere_with_arg(spec, pf, r, n_starts, seed, extra_starts)
-    return value
+    return min_energy_on_sphere_with_arg(spec, pf, r, n_starts, seed, extra_starts)[0]
 
 
 def min_energy_on_sphere_with_arg(
@@ -127,10 +245,19 @@ def min_energy_on_sphere_with_arg(
     seed: int = 0,
     extra_starts: np.ndarray | None = None,
     kd: KernelDecomposition | None = None,
+    *,
+    multistart: bool = True,
 ):
-    """min_energy_on_sphere, also returning the minimizing unit direction;
-    kd, when given, is the framework's kernel decomposition (computed here
-    otherwise)."""
+    """min_energy_on_sphere, also returning the minimizing unit direction
+    and the NewtonStats of its row; kd, when given, is the framework's
+    kernel decomposition (computed here otherwise).
+
+    With multistart, MULTISTART_ROUNDS Barzilai-Borwein rounds run from all
+    starts and the best N_FINALISTS rows are polished by Newton.  With
+    multistart=False no random starts are drawn: Newton runs from the
+    extra_starts rows alone."""
+    if not multistart and extra_starts is None:
+        raise ValueError("multistart=False needs extra_starts")
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if r >= _safe_radius(spec):
@@ -138,29 +265,35 @@ def min_energy_on_sphere_with_arg(
             f"radius {r} exceeds the safe radius {_safe_radius(spec):.6g} "
             "(half the shortest rest length)"
         )
-    if kd is None:
-        kd = kernel_decomposition(rigidity_matrix(pf))
-    rng = np.random.default_rng(seed)
-    rows = []
-    for j in range(kd.dim_K):
-        rows.append(kd.K_basis[:, j])
-        rows.append(-kd.K_basis[:, j])
-    if extra_starts is not None:
-        rows.extend(np.atleast_2d(extra_starts))
-    need = max(n_starts - len(rows), 4)
-    rand = rng.standard_normal((need, pf.n_free))
-    rows.extend(rand / np.linalg.norm(rand, axis=1, keepdims=True))
-    starts = np.array(rows)
+    rest = pf.free_vector()
 
     def gap(z):
         return energy_gap_and_grad(spec, pf, z)
 
-    vals, z = minimize_on_sphere(gap, starts, r, rounds=250)
-    order = np.argsort(vals)
-    finalists = z[order[:6]] / r
-    f_vals, f_z = minimize_on_sphere(gap, finalists, r, rounds=1500)
+    def hess(z):
+        return energy_value_grad_hess(spec, pf, rest + z)[2]
+
+    if multistart:
+        if kd is None:
+            kd = kernel_decomposition(rigidity_matrix(pf))
+        rng = np.random.default_rng(seed)
+        rows = []
+        for j in range(kd.dim_K):
+            rows.append(kd.K_basis[:, j])
+            rows.append(-kd.K_basis[:, j])
+        if extra_starts is not None:
+            rows.extend(np.atleast_2d(extra_starts))
+        need = max(n_starts - len(rows), 4)
+        rand = rng.standard_normal((need, pf.n_free))
+        rows.extend(rand / np.linalg.norm(rand, axis=1, keepdims=True))
+        vals, z = minimize_on_sphere(gap, np.array(rows), r, rounds=MULTISTART_ROUNDS)
+        finalists = z[np.argsort(vals)[:N_FINALISTS]]
+    else:
+        finalists = np.atleast_2d(extra_starts)
+    f_vals, f_z, stats = minimize_on_sphere(gap, finalists, r, rounds=NEWTON_ROUNDS, hess=hess)
     best = int(np.argmin(f_vals))
-    return float(f_vals[best]), f_z[best] / r
+    row = NewtonStats(stats.steps[best], stats.tangent_ratio[best], stats.converged[best])
+    return float(f_vals[best]), f_z[best] / r, row
 
 
 def fit_growth_order(
@@ -174,24 +307,33 @@ def fit_growth_order(
 ) -> GrowthFit:
     """Fit log m(r) against log r on a geometric radius grid.
 
-    Radii are processed from largest to smallest; each radius seeds the next
-    with the minimizing direction found so far.  Raises DegenerateFit when
-    some m(r) <= 0, which signals a flexible framework or values below the
-    floating-point floor rather than a fittable growth order.
+    Radii are processed from largest to smallest; each radius continues
+    from +/- the minimizing direction of the one before.  The seeded random
+    multistart (n_starts, seed + i at radius i) runs at the first radius
+    when dim K <= 1 and at every radius when dim K > 1.  Raises DegenerateFit
+    when some m(r) <= 0, which signals a flexible framework or values below
+    the floating-point floor rather than a fittable growth order.
     """
     if not 0.0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
     radii = np.geomspace(r_max, r_min, n_radii)
     m_vals = np.empty(n_radii)
+    newton_steps = np.empty(n_radii, dtype=int)
+    tangent_ratio = np.empty(n_radii)
+    converged = np.empty(n_radii, dtype=bool)
     kd = kernel_decomposition(rigidity_matrix(pf))
     carry = None
     for i, r in enumerate(radii):
-        m_vals[i], arg = min_energy_on_sphere_with_arg(
-            spec, pf, r, n_starts=n_starts, seed=seed + i, extra_starts=carry, kd=kd
+        m_vals[i], arg, stats = min_energy_on_sphere_with_arg(
+            spec, pf, r, n_starts=n_starts, seed=seed + i, extra_starts=carry, kd=kd,
+            multistart=carry is None or kd.dim_K > 1,
         )
+        newton_steps[i], tangent_ratio[i] = stats.steps, stats.tangent_ratio
+        converged[i] = stats.converged
         carry = np.vstack([arg[None, :], -arg[None, :]])
-    radii = radii[::-1]
-    m_vals = m_vals[::-1]
+    radii, m_vals = radii[::-1], m_vals[::-1]
+    newton_steps, tangent_ratio = newton_steps[::-1], tangent_ratio[::-1]
+    converged = converged[::-1]
     if np.any(m_vals <= 0.0) or not np.all(np.isfinite(m_vals)):
         raise DegenerateFit(
             "minimal energy gap is non-positive at some radius: the framework "
@@ -213,6 +355,12 @@ def fit_growth_order(
             "some m(r) sit at the floating-point floor: the framework is "
             "flexible or its growth order is beyond double precision"
         )
+    if not converged.all():
+        missed = ", ".join(f"{r:.3g}" for r in radii[~converged])
+        notes.append(
+            f"the sphere minimizer did not converge at r = {missed}: its Newton "
+            "steps hit the round limit or no longer lowered the gap"
+        )
     if slope > SLOPE_RELIABLE_LIMIT:
         notes.append(
             f"fitted s = {slope:.2f} exceeds the double-precision reliability "
@@ -226,5 +374,7 @@ def fit_growth_order(
         r2=r2,
         nu_hat=float(slope) / 2.0,
         monotone=monotone,
+        newton_steps=newton_steps,
+        tangent_ratio=tangent_ratio,
         notes=tuple(notes),
     )

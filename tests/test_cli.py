@@ -257,3 +257,14 @@ def test_energy_accepts_bare_coefficient_file(k33_file, tmp_path, capsys):
     ]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert float(lines[-1].split(",")[1]) > 0
+
+
+def test_growth_reports_newton_steps_and_tangent_ratio(k33_file, capsys):
+    assert main(["analyze", k33_file, "--growth", "--json"]) == EXIT_OK
+    block = json.loads(capsys.readouterr().out)["growth"]
+    per_radius = (block["radii"], block["newton_steps"], block["tangent_grad_ratio"])
+    assert [len(v) for v in per_radius] == [12, 12, 12]
+    assert all(steps >= 1 for steps in block["newton_steps"])
+    assert main(["growth", k33_file, "--n", "4", "--rmin", "1e-2"]) == EXIT_OK
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("r = ")]
+    assert len(rows) == 4 and all("newton steps = " in ln and "|g_tan|/|g| = " in ln for ln in rows)
