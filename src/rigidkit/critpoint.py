@@ -12,29 +12,30 @@ term already forces a saddle.
 a4 decomposes exactly as
     a4(x0, y0) = 1/2 x0' Hxx x0  +  sum_i x0_i Ci(y0, y0)  +  B(y0^4),
 with Hxx positive definite on the non-kernel block.  The forms are assembled
-once by polarization of exact jets along polynomial trajectories: B from
-order-4 jets of f(Y y t), one per sum of kernel basis vectors, and both
-the mixed form C and the cubic kernel form T from the t^2 coefficients of
-m(m+1)/2 gradient jets.  Polarized over pairs of kernel basis vectors
-these give the (dim, m, m) tensor S with
+once from exact order-3 gradient jets along the lines Y a t, one per
+lattice point a in N^m with |a| = 3 (m = dim K; 1, 4 and 10 jets at
+m = 1, 2, 3).  Their t^2 rows give the (dim, m, m) tensor S with
     y' S y = [t^2] grad f(Y y t) = 1/2 D^3 f(Y y, Y y, .),
-so C = X'S and T = Y'S / 3 (Griewank, Utke & Walther, Math. Comp. 69
-(2000)).  The number of jets thus depends on the kernel dimension m only,
-not on the size of the non-kernel block.  Sphere sampling
+so C = X'S and T = Y'S / 3, and Y' times their t^3 rows gives
+4 B(y, y, y, .).  The lattice determines every homogeneous cubic, so S and
+B each follow from one least-squares solve (Griewank, Utke & Walther,
+Math. Comp. 69 (2000)).  The number of jets thus depends on the kernel
+dimension m only, not on the size of the non-kernel block.  Sphere sampling
 and projected-gradient extremization then run on closed-form values and
 gradients, contracted as matmuls against the flattened forms.  For fixed y0
 the x0 part is a convex quadratic, which the rigidity tests exploit to
 minimize in closed form.
 
-Targets provide grad0, hessian0, jet_along (the jet of f) and
-gradient_jet_along (the Taylor coefficient rows of grad f) along a
-polynomial trajectory.
+Targets provide grad0, hessian0 and gradient_jet_along (the Taylor
+coefficient rows of grad f along a polynomial trajectory).  They also
+provide jet_along, the jet of f itself, which only the exact a4 oracle
+_a4_eval reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -237,37 +238,13 @@ class CritReport:
 # ---------------------------------------------------------------------------
 
 def _a4_eval(target, X: np.ndarray, Y: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> float:
-    """One exact a4 evaluation: t^4 coefficient of f(X x0 t^2 + Y y0 t)."""
+    """One exact a4 evaluation: t^4 coefficient of f(X x0 t^2 + Y y0 t).
+    Kept as the exact oracle the assembled forms are tested against;
+    fourth_derivative_test and second_order_rigidity_test never call it."""
     dim = target.dim
     row1 = Y @ y0 if Y.shape[1] else np.zeros(dim)
     row2 = X @ x0 if X.shape[1] else np.zeros(dim)
     return float(target.jet_along(np.vstack([row1, row2]), 4).c[4])
-
-
-def _quartic_kernel_tensor(target, X: np.ndarray, Y: np.ndarray):
-    """Symmetric coefficient tensor of the pure kernel quartic B(y) = a4(0, y)."""
-    m = Y.shape[1]
-    eye = np.eye(m)
-    cache: dict[tuple, float] = {}
-
-    def bval(key, vec):
-        if key not in cache:
-            cache[key] = _a4_eval(target, X, Y, np.zeros(X.shape[1]), vec)
-        return cache[key]
-
-    tensor = np.zeros((m,) * 4)
-    for ids in combinations_with_replacement(range(m), 4):
-        # 24 T = sum over nonempty sub-multisets S of (-1)^(4-|S|) B(sum S)
-        acc = 0.0
-        npts = len(ids)
-        for mask in range(1, 1 << npts):
-            sel = [ids[b] for b in range(npts) if mask >> b & 1]
-            vec = np.sum(eye[sel], axis=0)
-            acc += (-1.0) ** (npts - len(sel)) * bval(tuple(sorted(sel)), vec)
-        t_val = acc / 24.0
-        for perm in set(permutations(ids)):
-            tensor[perm] = t_val
-    return tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,26 +290,22 @@ class _QuarticForms:
 
 
 def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray) -> _QuarticForms:
-    """Hxx from the Hessian, B by polarizing order-4 jets of f(Y y t), and
-    C = X'S and T = Y'S / 3 from S, y' S y = [t^2] grad f(Y y t), polarized
-    over the m(m+1)/2 pairs of kernel basis vectors."""
+    """Hxx from the Hessian; C, T and B from one order-3 gradient jet of f
+    along Y a t per lattice point a in N^m with |a| = 3.  The t^2 rows give
+    S, a' S a = [t^2] grad f(Y a t), hence C = X'S and T = Y'S / 3; Y' times
+    the t^3 rows gives 4 B(a, a, a, .).  S and B are each one minimum-norm
+    least-squares solve against the rows a(x)a, resp. a(x)a(x)a: the
+    lattice determines every homogeneous cubic, and the minimum-norm
+    solution is the symmetric tensor."""
     n, m = X.shape[1], Y.shape[1]
     hxx = X.T @ hess @ X if n else np.zeros((0, 0))
-    b_tensor = _quartic_kernel_tensor(target, X, Y) if m else np.zeros((0,) * 4)
-
-    def grad2(y):
-        return target.gradient_jet_along((Y @ y)[None, :], 2)[:, 2]
-
-    s_forms = np.zeros((target.dim, m, m))
     eye_m = np.eye(m)
-    diag = [grad2(eye_m[j]) for j in range(m)]
-    for j in range(m):
-        s_forms[:, j, j] = diag[j]
-        for k in range(j + 1, m):
-            val = 0.5 * (grad2(eye_m[j] + eye_m[k]) - diag[j] - diag[k])
-            s_forms[:, j, k] = val
-            s_forms[:, k, j] = val
-    s_flat = s_forms.reshape(target.dim, m * m)
+    lattice = np.array([eye_m[list(ids)].sum(axis=0) for ids in combinations_with_replacement(range(m), 3)])
+    jets = np.stack([target.gradient_jet_along((Y @ a)[None, :], 3) for a in lattice])
+    aa = (lattice[:, :, None] * lattice[:, None, :]).reshape(-1, m * m)
+    aaa = (aa[:, :, None] * lattice[:, None, :]).reshape(-1, m**3)
+    s_flat = np.linalg.lstsq(aa, jets[:, :, 2], rcond=None)[0].T
+    b_tensor = np.linalg.lstsq(aaa, jets[:, :, 3] @ Y, rcond=None)[0].reshape((m,) * 4) / 4.0
     c_forms = (X.T @ s_flat).reshape(n, m, m)
     t_form = (Y.T @ s_flat).reshape(m, m, m) / 3.0
     return _QuarticForms(hxx, c_forms, b_tensor, t_form)

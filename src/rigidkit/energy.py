@@ -12,8 +12,9 @@ hence with D = p_v - p_w the gradient 2 phi' D and the Hessian block
 2 phi' I + 4 phi'' D D' of edge vw, and, composed with m(t), the gradient
 jets 2 phi'(m(t)) D(t).  Gradients are summed into the free coordinates
 with the pinned framework's fixed gradient plan, Hessians with one
-bincount.  The algebraic family never needs a square root, Lennard-Jones
-uses jet reciprocals, Morse uses jet exp.
+bincount.  The algebraic family takes a square root of the constant term
+only, so that m - d^2 is exactly zero at rest; Lennard-Jones uses jet
+reciprocals, Morse uses jet exp.
 """
 
 from __future__ import annotations
@@ -122,7 +123,13 @@ def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
         dl = m_jet.sqrt() - d
         return 0.5 * spec.stiffness * (dl * dl)
     if spec.family == "algebraic":
+        # m - d^2, with the constant term as (sqrt(m0) - d)(sqrt(m0) + d):
+        # exactly zero at rest, as harmonic's sqrt(m) - d is
         gap = m_jet - d**2
+        root = np.sqrt(m_jet.c[:, 0])
+        gap_c = gap.c.copy()
+        gap_c[:, 0] = (root - d) * (root + d)
+        gap = Jet(gap_c, gap.mag)
         return 0.5 * spec.stiffness * (gap * gap)
     if spec.family == "lj":
         u = (spec.sigma**2 * m_jet.reciprocal()).power(3)
@@ -279,31 +286,31 @@ def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.nd
 # jets along polynomial trajectories
 # ---------------------------------------------------------------------------
 
-def _coordinate_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
-    """(n, d) object-free array of jet coefficient rows for every coordinate
-    of p(t) = p + traj(t); pinned coordinates are constants."""
+def _edge_diffs(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
+    """(E, d, order+1) object-free jet coefficient rows of p_v(t) - p_w(t)
+    for every canonical edge vw, where p(t) = p + traj(t); pinned
+    coordinates are constants."""
     base = pf.base.vertices
     n, d = base.shape
-    coeffs = np.zeros((n, d, order + 1))
-    coeffs[:, :, 0] = base
+    coords = np.zeros((n, d, order + 1))
+    coords[:, :, 0] = base
     upto = min(traj.degree, order)
     for l in range(1, upto + 1):
-        coeffs[:, :, l] = pf.embed_tangent(traj.coeffs[l - 1])
-    return coeffs
-
-
-def _edge_m_jet(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> Jet:
-    """Squared-length jets m_ij(p(t)) of all edges as one Jet with an
-    (E, order+1) coefficient array, rows in canonical edge order."""
-    coords = _coordinate_jets(pf, traj, order)
+        coords[:, :, l] = pf.embed_tangent(traj.coeffs[l - 1])
     ev, ew = pf.base.edge_index_arrays()
-    diff = Jet(coords[ev] - coords[ew])
+    return coords[ev] - coords[ew]
+
+
+def _edge_m_jet(diffs: np.ndarray) -> Jet:
+    """Squared-length jets m_ij(p(t)) of all edges as one Jet with an
+    (E, order+1) coefficient array, from their _edge_diffs rows."""
+    diff = Jet(diffs)
     return (diff * diff).sum(axis=1)
 
 
 def _edge_m_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> list[Jet]:
     """Squared-length jets m_ij(p(t)) per canonical edge, one Jet each."""
-    m_jet = _edge_m_jet(pf, traj, order)
+    m_jet = _edge_m_jet(_edge_diffs(pf, traj, order))
     return [Jet(c, mag) for c, mag in zip(m_jet.c, m_jet.mag)]
 
 
@@ -313,7 +320,7 @@ def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTra
     if order < 1:
         raise ValueError("order must be >= 1")
     _check_binding(spec, pf)
-    total = _edge_energy_jet(spec, _edge_m_jet(pf, traj, order)).sum()
+    total = _edge_energy_jet(spec, _edge_m_jet(_edge_diffs(pf, traj, order))).sum()
     c = total.c.copy()
     c[0] -= spec.rest_energy()
     return Jet(c, total.mag)
@@ -323,14 +330,13 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
     """Jets of the free-coordinate gradient of E along the trajectory:
     an (n_free, order+1) array of Taylor coefficient rows."""
     _check_binding(spec, pf)
-    coords = _coordinate_jets(pf, traj, order)
-    ev, ew = pf.base.edge_index_arrays()
-    m_jet = _edge_m_jet(pf, traj, order)
+    diffs = _edge_diffs(pf, traj, order)
+    m_jet = _edge_m_jet(diffs)
     taylor = _taylor_in_m(spec, m_jet.c[:, 0], order + 1)
     # phi'(m(t)): phi^(k+1)(m0) = (k+1)! taylor[k+1], composed with m(t)
     dphi = compose_series(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_jet)
     # dE/dp_v = 2 phi'(m) (p_v - p_w) per edge vw, and the negative for p_w
-    force = 2.0 * series_mul(dphi.c[:, None, :], coords[ev] - coords[ew])
+    force = 2.0 * series_mul(dphi.c[:, None, :], diffs)
     return _sum_onto_free(pf, force)
 
 
@@ -353,7 +359,7 @@ def classify_flex(pf: PinnedFramework, traj: PolyTrajectory, k_check: int, tol: 
         raise ValueError("trajectory is numerically zero")
     j_active = int(active[0]) + 1
 
-    m_rows = _edge_m_jet(pf, traj, k_check).c
+    m_rows = _edge_m_jet(_edge_diffs(pf, traj, k_check)).c
     per_order = np.max(np.abs(m_rows[:, 1:]), axis=0) if m_rows.size else np.zeros(k_check)
     # scale includes order 0 (the squared rest lengths), so a trajectory whose
     # inspected derivatives all vanish still gets a meaningful threshold

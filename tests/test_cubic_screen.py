@@ -100,15 +100,16 @@ def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
     witness = rep.a3_witness
     assert np.linalg.norm(witness) == pytest.approx(1.0, rel=RTOL)
     assert abs(witness[0]) <= RTOL               # in span Y: no x part
-    # one order-2 gradient jet per kernel pair, taken once for C and T
-    assert dict(calls) == {2: m * (m + 1) // 2}
+    # one order-3 gradient jet per lattice point a in N^m with |a| = 3,
+    # taken once for C, T and B
+    assert dict(calls) == {3: m * (m + 1) * (m + 2) // 6}
 
 
-@pytest.mark.parametrize("m, energy_jets", [(2, 14), (3, 34)])
-def test_order4_test_takes_each_jet_once(monkeypatch, m, energy_jets):
-    # B polarizes order-4 energy jets over every sub-multiset of a 4-multiset
-    # of kernel indices; C and T share the m(m+1)/2 gradient jets; the cubic
-    # screen evaluates no jet of its own
+@pytest.mark.parametrize("m, gradient_jets", [(2, 4), (3, 10)])
+def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
+    # C, T and B share the m(m+1)(m+2)/6 order-3 gradient jets, one per
+    # lattice point a in N^m with |a| = 3; no energy jet is taken, and the
+    # cubic screen evaluates no jet of its own
     calls = Counter()
     for name in ("energy_along_trajectory", "gradient_along_trajectory"):
         def counted(*args, _name=name, _fn=getattr(critpoint, name), **kwargs):
@@ -132,7 +133,4 @@ def test_order4_test_takes_each_jet_once(monkeypatch, m, energy_jets):
         assert kd.dim_K == m
         rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"), kd)
         assert rep.classification == "strict-min"
-        assert dict(calls) == {
-            "energy_along_trajectory": energy_jets,
-            "gradient_along_trajectory": m * (m + 1) // 2,
-        }, n_vertices
+        assert dict(calls) == {"gradient_along_trajectory": gradient_jets}, n_vertices

@@ -12,7 +12,16 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from rigidkit import FAMILIES, EnergySpec, energy_gap_and_grad, energy_value_grad_hess
+from rigidkit import (
+    FAMILIES,
+    EnergySpec,
+    Framework,
+    energy_gap_and_grad,
+    energy_value_grad_hess,
+    fourth_derivative_test,
+    pin_with_permutation,
+)
+from rigidkit.critpoint import FrameworkEnergyTarget
 from rigidkit.growth import min_energy_on_sphere_with_arg
 
 RTOL = 1e-12
@@ -90,6 +99,22 @@ def test_value_grad_hess_matches_length_derivatives(corpus_analysis, family):
             assert np.max(np.abs(got_g - want_g)) <= RTOL * g_scale, (name, family)
             v_scale = max(abs(want_v), h_scale * longest**2)
             assert abs(got_v - want_v) <= RTOL * v_scale, (name, family)
+
+
+@pytest.mark.parametrize("name", ["k33", "leonardo3", "flipped_prism"])
+def test_algebraic_rest_gradient_is_exactly_zero(corpus_analysis, name):
+    # m - d^2 cancels at rest; with its constant term taken as
+    # (sqrt(m0) - d)(sqrt(m0) + d) the rest gradient is exactly zero, as
+    # harmonic's is, so at 1e3 times the coordinates the point is still
+    # critical and the verdict is the unit-scale one
+    fw = corpus_analysis[name]["framework"]
+    verdicts = []
+    for scale in (1.0, 1e3):
+        pf, _, _ = pin_with_permutation(Framework(fw.dimension, scale * fw.vertices, fw.edges))
+        target = FrameworkEnergyTarget(EnergySpec.for_framework(pf.base, "algebraic"), pf)
+        assert not np.any(target.grad0()), (name, scale)
+        verdicts.append(fourth_derivative_test(target).classification)
+    assert verdicts[0] == verdicts[1], (name, verdicts)
 
 
 def _decimal_gap(spec, pf, delta):

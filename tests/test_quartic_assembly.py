@@ -93,6 +93,8 @@ def _cases():
     yield "chain-lj", _framework_case(collinear_chain(), "lj")
     yield "strip20", _framework_case(midpoint_strip(20, 2), "morse")
     yield "polynomial", _polynomial_case()
+    # m = 3 is the first kernel dimension with an interior lattice node (1, 1, 1)
+    yield "strip20m3-lj", _framework_case(midpoint_strip(20, 3), "lj")
 
 
 @pytest.mark.parametrize("name, case", list(_cases()))
@@ -186,12 +188,15 @@ def _count_order4_jets(monkeypatch, fw, family="harmonic"):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_order4_jet_count_does_not_grow_with_the_framework(monkeypatch, family):
     # the jets the order-4 test evaluates depend on dim K only: doubling the
-    # strip must not add any (the mixed form once took 2 n_Kbar m(m+1)/2)
+    # strip must not add any (the mixed form once took 2 n_Kbar m(m+1)/2).
+    # C, T and B all come from the m(m+1)(m+2)/6 order-3 gradient jets, so
+    # no energy jet is taken
     counts = []
     for n_vertices in (20, 40):
         rep, dim_k, calls = _count_order4_jets(monkeypatch, midpoint_strip(n_vertices, 2), family)
         assert dim_k == 2
         assert rep.classification == "strict-min"
-        assert calls["gradient_along_trajectory"] == 3      # m (m + 1) / 2
+        assert calls["gradient_along_trajectory"] == 4      # m (m + 1) (m + 2) / 6
+        assert "energy_along_trajectory" not in calls
         counts.append(dict(calls))
     assert counts[0] == counts[1]
