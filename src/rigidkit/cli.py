@@ -172,6 +172,7 @@ def cmd_analyze(args) -> int:
         "n_edges": fw.n_edges,
         "n_free": pf.n_free,
         "dim_K": rep.dim_K,
+        "kernel": {"method": rep.kernel_method, "rank_margin": rep.rank_margin},
         "pinning_permutation": [v + 1 for v in perm],
         "verdict": _order_report_dict(rep),
         "timings_s": {

@@ -12,13 +12,18 @@ in the report so users can audit the margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimKNotOne
 from .framework import PinnedFramework
-from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
+from .linear import (
+    DEFAULT_KERNEL_TOL,
+    KernelDecomposition,
+    kernel_decomposition,
+    rigidity_matrix,
+)
 
 DEFAULT_MAX_K = 32
 DEFAULT_LADDER_TOL = 1e-7
@@ -78,6 +83,8 @@ class OrderReport:
     (a (1, max_k)-flex exists; no certificate up to max_k, likely flexible),
     or "inconclusive" (with .reason).  witness holds the flex coefficients
     that were found; residuals the per-level least-squares audit trail.
+    kernel_method ("qr" or "svd") and rank_margin describe the kernel split
+    (see KernelDecomposition); rigidity_order fills them in.
     """
 
     verdict: str
@@ -88,6 +95,8 @@ class OrderReport:
     witness: PolyTrajectory | None = None
     residuals: tuple[LevelResidual, ...] = field(default=())
     dim_K: int | None = None
+    kernel_method: str | None = None
+    rank_margin: float | None = None
 
     def summary(self) -> str:
         if self.method == "graph":
@@ -97,13 +106,6 @@ class OrderReport:
         if self.verdict == "flex-found":
             return f"no rigidity certificate up to k={self.max_k}; (1,{self.max_k})-flex found"
         return f"inconclusive: {self.reason}"
-
-
-def _edge_diffs(pf: PinnedFramework, free_vec: np.ndarray) -> np.ndarray:
-    """Per-edge difference vectors x_v - x_w of an embedded tangent vector."""
-    full = pf.embed_tangent(free_vec)
-    ev, ew = pf.base.edge_index_arrays()
-    return full[ev] - full[ew]
 
 
 def flex_rhs(pf: PinnedFramework, derivs, l: int) -> np.ndarray:
@@ -117,12 +119,12 @@ def flex_rhs(pf: PinnedFramework, derivs, l: int) -> np.ndarray:
     """
     if l < 1:
         raise ValueError("level must be >= 1")
-    n_edges = pf.base.n_edges
-    rhs = np.zeros(n_edges)
-    diffs = [_edge_diffs(pf, np.asarray(v, dtype=float)) for v in derivs[: l - 1]]
-    for a in range(1, l):
-        rhs -= 0.5 * math.comb(l, a) * np.sum(diffs[a - 1] * diffs[l - a - 1], axis=1)
-    return rhs
+    coeffs = np.zeros((l - 1, pf.n_free + 1))   # pinned slots read column n_free
+    coeffs[:, :-1] = np.asarray(derivs[: l - 1], dtype=float).reshape(l - 1, pf.n_free)
+    ends = coeffs[:, pf.edge_free_columns()]      # (l - 1, 2, E, d)
+    diffs = ends[:, 0] - ends[:, 1]
+    weights = np.array([-0.5 * math.comb(l, a) for a in range(1, l)])
+    return np.einsum("a,aed,aed->e", weights, diffs, diffs[::-1])
 
 
 def _sign_fixed_unit(v: np.ndarray) -> np.ndarray:
@@ -220,7 +222,7 @@ def rigidity_order(
     pf: PinnedFramework,
     max_k: int = DEFAULT_MAX_K,
     tol: float = DEFAULT_LADDER_TOL,
-    kernel_tol: float = 1e-9,
+    kernel_tol: float = DEFAULT_KERNEL_TOL,
     energy_family: str = "harmonic",
     seed: int = 0,
 ) -> OrderReport:
@@ -232,9 +234,18 @@ def rigidity_order(
     kernel split.  Otherwise dim K = 0 certifies order 1 outright and
     dim K = 1 runs the flex ladder.  For dim K > 1 the ladder does not
     apply; the 4th-derivative energy test is attempted, which can certify
-    order 2 (absence of a second-order flex) but nothing beyond.
+    order 2 (absence of a second-order flex) but nothing beyond.  The
+    report names the kernel split's method and rank margin.
     """
     kd = kernel_decomposition(rigidity_matrix(pf), kernel_tol)
+    rep = _order_from_kernel(pf, kd, max_k, tol, energy_family, seed)
+    return replace(rep, kernel_method=kd.method, rank_margin=kd.rank_margin)
+
+
+def _order_from_kernel(
+    pf: PinnedFramework, kd: KernelDecomposition, max_k: int, tol: float,
+    energy_family: str, seed: int,
+) -> OrderReport:
     parts = _component_count(pf.base.n_vertices, pf.base.edges)
     if parts > 1:
         return OrderReport(

@@ -54,19 +54,31 @@ def rigidity_matrix(pf: PinnedFramework) -> RigidityMatrix:
 @dataclass(frozen=True, eq=False)
 class KernelDecomposition:
     """Orthonormal bases of K = ker R and of its orthogonal complement K-bar,
-    plus the thin SVD data needed to reuse the factorization for the ladder's
-    minimum-norm least-squares solves."""
+    plus what the ladder's minimum-norm least-squares solves reuse.
+
+    R factors through K-bar as R = F Kbar' with F (n_edges, rank) of full
+    column rank, so the minimum-norm solution of R x = rhs is
+    Kbar (F^+ rhs).  _pinv stores F^+: T^-T when R' = Kbar T came from QR
+    (method "qr"), diag(1/sigma_r) U_r' when R = U_r diag(sigma_r) Kbar'
+    came from the SVD (method "svd").  stresses is an orthonormal basis W of
+    the self-stresses (coker R, empty on the QR path), and the least-squares
+    residual is ||W' rhs||.  rank_margin is the factor by which the smallest
+    kept singular value clears the cutoff tol * sigma_max: exact on the SVD
+    path, a certified lower bound on the QR path, None at rank 0.
+    """
 
     K_basis: np.ndarray           # (n_free, dim_K)
     Kbar_basis: np.ndarray        # (n_free, rank)
     dim_K: int
-    singular_values: np.ndarray   # length min(n_edges, n_free)
-    _U: np.ndarray                # (n_edges, n_edges) left singular vectors
-    _Vt: np.ndarray               # (n_free, n_free) right singular vectors
+    stresses: np.ndarray          # (n_edges, n_edges - rank)
+    _pinv: np.ndarray             # (rank, n_edges)
+    method: str                   # "qr" or "svd"
+    rank_margin: float | None
 
     def __post_init__(self):
-        for name in ("K_basis", "Kbar_basis", "singular_values", "_U", "_Vt"):
-            a = np.array(getattr(self, name), dtype=float)
+        # read-only views, not copies: at N ~ 1000 each factor is ~10 MB
+        for name in ("K_basis", "Kbar_basis", "stresses", "_pinv"):
+            a = np.asarray(getattr(self, name), dtype=float).view()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -82,38 +94,92 @@ class KernelDecomposition:
         return self.K_basis @ (self.K_basis.T @ x)
 
     def solve_min_norm(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Minimum-norm least-squares solution of R x = rhs via the stored
-        truncated SVD, together with the residual norm ||R x - rhs||.
+        """Minimum-norm least-squares solution of R x = rhs, together with the
+        residual norm ||R x - rhs|| = ||W' rhs||, W the stress basis.
 
         The solution is orthogonal to ker R, i.e. automatically in K-bar.
         """
-        r = self.rank
-        if r == 0:
-            return np.zeros(self.n_free), float(np.linalg.norm(rhs))
-        u_r = self._U[:, :r]
-        y = u_r.T @ rhs
-        x = self.Kbar_basis @ (y / self.singular_values[:r])
-        residual = rhs - u_r @ y
-        return x, float(np.linalg.norm(residual))
+        x = self.Kbar_basis @ (self._pinv @ rhs)
+        return x, float(np.linalg.norm(self.stresses.T @ rhs))
 
 
-def kernel_decomposition(R: RigidityMatrix, tol: float = DEFAULT_KERNEL_TOL) -> KernelDecomposition:
+# Order at which the recursive triangular inverse hands a block to LAPACK.
+_TRIANGULAR_LEAF = 64
+
+
+def _upper_triangular_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular matrix by block recursion,
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so all work
+    above the leaves is matmuls (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14)."""
+    n = t.shape[0]
+    if n <= _TRIANGULAR_LEAF:
+        return np.linalg.inv(t)
+    h = n // 2
+    a_inv = _upper_triangular_inverse(t[:h, :h])
+    d_inv = _upper_triangular_inverse(t[h:, h:])
+    out = np.zeros_like(t)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[:h, h:] = -(a_inv @ t[:h, h:]) @ d_inv
+    return out
+
+
+def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
+    """Splitting for a matrix with certified independent rows, or None.
+
+    Householder QR of R' = Q [T; 0] gives K-bar = Q[:, :E] and K = Q[:, E:]
+    once rank E is certified: sigma_min >= 1 / ||T^-1||_F and
+    sigma_max <= ||R||_F, so 1 / ||T^-1||_F > tol ||R||_F implies the SVD's
+    rule s > tol * s_max keeps all E singular values.  Since
+    sigma_min <= min |T_jj|, a diagonal at or below tol ||R||_F rules the
+    certificate out before T is inverted.
+    """
+    n_edges = mat.shape[0]
+    q, t = np.linalg.qr(mat.T, mode="complete")
+    t = t[:n_edges]
+    cutoff = tol * np.linalg.norm(mat)
+    if not np.min(np.abs(np.diagonal(t))) > cutoff:
+        return None
+    t_inv = _upper_triangular_inverse(t)
+    del t
+    sigma_min_bound = 1.0 / np.linalg.norm(t_inv)
+    if not sigma_min_bound > cutoff:
+        return None
+    return KernelDecomposition(
+        q[:, n_edges:], q[:, :n_edges], q.shape[0] - n_edges,
+        np.zeros((n_edges, 0)), t_inv.T, "qr", float(sigma_min_bound / cutoff),
+    )
+
+
+def _svd_split(mat: np.ndarray, tol: float) -> KernelDecomposition:
     """SVD-based splitting: right singular vectors whose singular value is
     <= tol * sigma_max span K, the rest span K-bar."""
-    mat = R.matrix
-    n_free = mat.shape[1]
-    if mat.shape[0] == 0 or n_free == 0:
-        eye = np.eye(n_free)
-        return KernelDecomposition(
-            eye, np.zeros((n_free, 0)), n_free, np.zeros(0),
-            np.zeros((mat.shape[0], mat.shape[0])), eye.T,
-        )
     u, s, vt = np.linalg.svd(mat, full_matrices=True)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    kbar = vt[:rank].T
-    k = vt[rank:].T
-    return KernelDecomposition(k, kbar, n_free - rank, s, u, vt)
+    margin = float(s[rank - 1] / (tol * smax)) if rank else None
+    return KernelDecomposition(
+        vt[rank:].T, vt[:rank].T, mat.shape[1] - rank,
+        u[:, rank:], u[:, :rank].T / s[:rank, None], "svd", margin,
+    )
+
+
+def kernel_decomposition(R: RigidityMatrix, tol: float = DEFAULT_KERNEL_TOL) -> KernelDecomposition:
+    """Split pinned coordinate space into K = ker R and K-bar.
+
+    A matrix with no more rows than columns first tries the QR path, which
+    accepts only a rank it can certify (see _qr_split).  Everything else (more
+    rows than columns, a self-stress, a failed certificate) goes to the full
+    SVD, which keeps the right singular vectors with s > tol * sigma_max as
+    K-bar.  The QR path accepts only the rank that rule would give.
+    """
+    mat = R.matrix
+    if 0 < mat.shape[0] <= mat.shape[1]:
+        kd = _qr_split(mat, tol)
+        if kd is not None:
+            return kd
+    return _svd_split(mat, tol)
 
 
 def first_order_rigid(pf: PinnedFramework, tol: float = DEFAULT_KERNEL_TOL) -> bool:

@@ -59,6 +59,16 @@ def test_analyze_json_round_trips(k33_file, capsys):
     assert len(parsed["hash"]) == 64
 
 
+def test_analyze_json_reports_kernel_split(k33_file, square_file, capsys):
+    # k33 has a self-stress (SVD path); the square's rows are independent
+    assert main(["analyze", k33_file, "--json"]) == EXIT_OK
+    kernel = json.loads(capsys.readouterr().out)["kernel"]
+    assert kernel["method"] == "svd" and kernel["rank_margin"] > 1
+    assert main(["analyze", square_file, "--json"]) == EXIT_OK
+    kernel = json.loads(capsys.readouterr().out)["kernel"]
+    assert kernel["method"] == "qr" and kernel["rank_margin"] > 1
+
+
 def test_order_json_feeds_energy_command(k33_file, tmp_path, capsys):
     assert main(["order", k33_file, "--json"]) == EXIT_OK
     report = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,31 @@ def test_flex_rhs_level_three_vanishing_factor(square_pinned):
     p2 = np.zeros(square_pinned.n_free)
     rhs = flex_rhs(square_pinned, [p1, p2], 3)
     assert np.allclose(rhs, 0.0, atol=1e-15)
+
+
+def flex_rhs_per_level(pf, derivs, l):
+    """The level-l rhs with one embed_tangent per lower level and one
+    accumulation per pair, the summation order flex_rhs used before."""
+    ev, ew = pf.base.edge_index_arrays()
+    diffs = []
+    for v in derivs[: l - 1]:
+        full = pf.embed_tangent(np.asarray(v, dtype=float))
+        diffs.append(full[ev] - full[ew])
+    rhs = np.zeros(pf.base.n_edges)
+    for a in range(1, l):
+        rhs -= 0.5 * math.comb(l, a) * np.sum(diffs[a - 1] * diffs[l - a - 1], axis=1)
+    return rhs
+
+
+def test_flex_rhs_matches_per_level_gathers(corpus_analysis):
+    rng = np.random.default_rng(11)
+    for name, item in corpus_analysis.items():
+        pf = item["pf"]
+        derivs = list(rng.standard_normal((31, pf.n_free)))
+        for l in range(1, 33):
+            want = flex_rhs_per_level(pf, derivs, l)
+            got = flex_rhs(pf, derivs, l)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (name, l)
 
 
 def test_corpus_orders(corpus_analysis):

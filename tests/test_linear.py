@@ -7,11 +7,14 @@ from rigidkit import (
     Framework,
     first_order_rigid,
     kernel_decomposition,
+    load_corpus,
     permute_framework,
     pin,
     pin_with_permutation,
     rigidity_matrix,
+    solve_ladder,
 )
+from rigidkit.linear import DEFAULT_KERNEL_TOL, _svd_split
 
 
 def exact_rank(matrix) -> int:
@@ -134,3 +137,98 @@ def test_solve_min_norm_consistency(square_pinned):
     # against numpy lstsq
     x2, *_ = np.linalg.lstsq(R.matrix, rhs, rcond=None)
     assert np.allclose(x, x2, atol=1e-10)
+
+
+def strip_minus_edge(n: int, seed: int):
+    """Pinned triangulated strip on n vertices (two jittered rows, 2n - 3
+    bars) with one interior zig-zag diagonal removed: a mechanism with
+    dim K = 1 whose 2n - 4 rows are independent."""
+    rng = np.random.default_rng(seed)
+    x = np.repeat(np.arange(n // 2, dtype=float), 2)
+    x[0::2] += 0.5
+    pts = np.column_stack([x, np.tile([1.0, 0.0], n // 2)])
+    pts += rng.uniform(-0.02, 0.02, size=pts.shape)
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    drop = int(rng.integers(n // 4, 3 * n // 4))
+    edges.remove((drop, drop + 1))
+    return pin(Framework(2, pts, edges))[0]
+
+
+def near_flat_triangle(eps: float):
+    """Pinned triangle whose apex sits eps off the line of the other two
+    vertices: sigma_min of R is proportional to eps."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, eps]])
+    return pin(Framework(2, pts, [(0, 1), (0, 2), (1, 2)]))[0]
+
+
+@pytest.mark.parametrize("n", [150, 300, 600])
+def test_qr_split_matches_svd_referee_on_strips(n):
+    pf = strip_minus_edge(n, seed=n)
+    R = rigidity_matrix(pf)
+    kd = kernel_decomposition(R)
+    ref = _svd_split(R.matrix, DEFAULT_KERNEL_TOL)
+    assert (kd.method, ref.method) == ("qr", "svd")
+    assert kd.dim_K == ref.dim_K == 1
+    assert abs(kd.K_basis[:, 0] @ ref.K_basis[:, 0]) >= 1 - 1e-12
+    # the QR margin is a certified lower bound of the exact one
+    assert 1 < kd.rank_margin <= ref.rank_margin
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        rhs = rng.standard_normal(R.shape[0])
+        x, residual = kd.solve_min_norm(rhs)
+        x_ref, residual_ref = ref.solve_min_norm(rhs)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert residual == 0.0
+        assert residual_ref <= 1e-12 * np.linalg.norm(rhs)
+    rep, rep_ref = solve_ladder(pf, kd), solve_ladder(pf, ref)
+    assert rep.verdict == rep_ref.verdict == "flex-found"
+    assert len(rep.residuals) == len(rep_ref.residuals)
+    norms = np.linalg.norm(rep.witness.coeffs, axis=1)
+    norms_ref = np.linalg.norm(rep_ref.witness.coeffs, axis=1)
+    assert np.allclose(norms, norms_ref, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("eps, diagonal_clears", [(1e-11, False), (8e-10, True), (9e-10, True)])
+def test_qr_split_declines_near_degenerate_triangle(eps, diagonal_clears):
+    # At 1e-11 a diagonal entry of T is below tol ||R||_F.  At 8e-10 and
+    # 9e-10 every diagonal entry clears it but 1 / ||T^-1||_F does not; the
+    # SVD then keeps 2 and 3 singular values.
+    R = rigidity_matrix(near_flat_triangle(eps))
+    t = np.linalg.qr(R.matrix.T, mode="r")
+    cutoff = DEFAULT_KERNEL_TOL * np.linalg.norm(R.matrix)
+    assert (np.min(np.abs(np.diagonal(t))) > cutoff) == diagonal_clears
+    kd = kernel_decomposition(R)
+    ref = _svd_split(R.matrix, DEFAULT_KERNEL_TOL)
+    assert kd.method == "svd"
+    assert kd.dim_K == ref.dim_K == (1 if eps < 9e-10 else 0)
+    s = np.linalg.svd(R.matrix, compute_uv=False)
+    exact = s[kd.rank - 1] / (DEFAULT_KERNEL_TOL * s[0])
+    assert kd.rank_margin == pytest.approx(exact, rel=1e-12)
+
+
+def test_qr_path_never_decides_a_rank_the_svd_would_not():
+    methods = set()
+    for eps in np.geomspace(1e-12, 1e-6, 61):
+        R = rigidity_matrix(near_flat_triangle(eps))
+        kd = kernel_decomposition(R)
+        methods.add(kd.method)
+        assert kd.dim_K == _svd_split(R.matrix, DEFAULT_KERNEL_TOL).dim_K, eps
+    assert methods == {"qr", "svd"}
+
+
+def test_kernel_decomposition_svd_count(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    strip = rigidity_matrix(strip_minus_edge(300, seed=300))
+    k33 = rigidity_matrix(pin_with_permutation(load_corpus("k33"))[0])
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    kd = kernel_decomposition(strip)
+    assert (kd.method, len(calls)) == ("qr", 0)
+    # k33 has a self-stress, so the QR path declines and the SVD decides
+    kd = kernel_decomposition(k33)
+    assert (kd.method, kd.dim_K, len(calls)) == ("svd", 1, 1)
