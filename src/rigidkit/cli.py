@@ -27,7 +27,7 @@ from .critpoint import (
     second_order_rigidity_test,
 )
 from .energy import FAMILIES, EnergySpec, energy_along_trajectory
-from .errors import RigidkitError
+from .errors import FrameworkValidationError, RigidkitError
 from .framework import (
     Framework,
     framework_to_dict,
@@ -243,6 +243,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    if not 0.0 < args.rmin < args.rmax:
+        raise _UsageError("need 0 < --rmin < --rmax")
     fw, pf, _ = _load_and_pin(args.path)
     spec = EnergySpec.for_framework(pf.base, args.family)
     fit = fit_growth_order(
@@ -274,9 +276,12 @@ def cmd_growth(args) -> int:
 def _load_trajectory(path: str) -> PolyTrajectory:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "witness" in data:
-        data = data["witness"]
-    return PolyTrajectory(np.asarray(data["coeffs"], dtype=float))
+    try:
+        if "witness" in data:
+            data = data["witness"]
+        return PolyTrajectory(np.asarray(data["coeffs"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _InputError(f"{path}: not a trajectory ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_energy(args) -> int:
@@ -284,7 +289,7 @@ def cmd_energy(args) -> int:
     spec = EnergySpec.for_framework(pf.base, args.family)
     traj = _load_trajectory(args.traj)
     if traj.n_free != pf.n_free:
-        raise RigidkitError(
+        raise _InputError(
             f"trajectory has {traj.n_free} coordinates, framework has {pf.n_free} free"
         )
     jet = energy_along_trajectory(spec, pf, traj, args.order)
@@ -303,7 +308,11 @@ def cmd_energy(args) -> int:
 def cmd_critpoint(args) -> int:
     if args.poly:
         with open(args.poly, "r", encoding="utf-8") as fh:
-            target = polynomial_from_monomial_list(json.load(fh))
+            data = json.load(fh)
+        try:
+            target = polynomial_from_monomial_list(data)
+        except ValueError as exc:
+            raise _InputError(f"{args.poly}: {exc}") from exc
         rep = fourth_derivative_test(target, n_starts=args.starts, seed=args.seed)
         _emit_json(_crit_report_dict(rep))
         return EXIT_OK
@@ -317,7 +326,7 @@ def cmd_critpoint(args) -> int:
         _emit_json(_crit_report_dict(rep))
         return EXIT_OK
     k = args.order
-    ladder = solve_ladder(pf, kd, max_k=max(k, 2))
+    ladder = solve_ladder(pf, kd, max_k=k)
     if ladder.verdict == "order" and ladder.order is not None and ladder.order < k:
         _emit_json({
             "classification": "inapplicable",
@@ -363,9 +372,23 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="full analysis: pin, dim K, rigidity order")
     a.add_argument("path")
-    a.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
+    a.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_MAX_K)
     a.add_argument("--tol", type=float, default=DEFAULT_LADDER_TOL)
     a.add_argument("--family", choices=FAMILIES, default="harmonic")
     a.add_argument("--growth", action="store_true", help="also fit the energy growth order")
@@ -389,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("order", help="rigidity order with ladder residuals and witness")
     o.add_argument("path")
-    o.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
+    o.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_MAX_K)
     o.add_argument("--tol", type=float, default=DEFAULT_LADDER_TOL)
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_order)
@@ -420,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("path", nargs="?")
     c.add_argument("--poly", help='polynomial target JSON: [{"exps": [..], "coef": r}, ...]')
     c.add_argument("--family", choices=FAMILIES, default="harmonic")
-    c.add_argument("--order", type=int, help="run the order-2k family test at k=ORDER")
+    c.add_argument("--order", type=_int_at_least(2), help="run the order-2k family test at k=ORDER")
     c.add_argument("--starts", type=int, default=64)
     add_common(c)
     c.set_defaults(func=cmd_critpoint)
@@ -438,7 +461,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, FrameworkValidationError, _InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RigidkitError as exc:

@@ -20,11 +20,15 @@ so C = X'S and T = Y'S / 3, and Y' times their t^3 rows gives
 4 B(y, y, y, .).  The lattice determines every homogeneous cubic, so S and
 B each follow from one least-squares solve (Griewank, Utke & Walther,
 Math. Comp. 69 (2000)).  The number of jets thus depends on the kernel
-dimension m only, not on the size of the non-kernel block.  Sphere sampling
-and projected-gradient extremization then run on closed-form values and
-gradients, contracted as matmuls against the flattened forms.  For fixed y0
-the x0 part is a convex quadratic, which the rigidity tests exploit to
-minimize in closed form.
+dimension m only, not on the size of the non-kernel block.
+
+For fixed y0 the x0 part is a convex quadratic, minimized in closed form at
+x0 = -Hxx^-1 c(y0), c(y0) = (Ci(y0, y0))_i.  This leaves
+    mu(y0) = B(y0^4) - 1/2 c(y0)' Hxx^-1 c(y0),
+and a4 > 0 on the parameter sphere exactly when mu > 0 on the unit kernel
+sphere.  Both order-4 tests search mu there with _kernel_search (seeded
+samples, one projected-gradient run): exact at m = 1, where that sphere is
+{+1, -1}, and a heuristic upper bound on min mu for m >= 2.
 
 Targets provide grad0, hessian0 and gradient_jet_along (the Taylor
 coefficient rows of grad f along a polynomial trajectory).  They also
@@ -141,7 +145,10 @@ class PolynomialTarget:
 
 def polynomial_from_monomial_list(data, n_vars: int | None = None) -> PolynomialTarget:
     """Build a PolynomialTarget from [{"exps": [...], "coef": r}, ...]."""
-    monos = [(tuple(item["exps"]), float(item["coef"])) for item in data]
+    try:
+        monos = [(tuple(item["exps"]), float(item["coef"])) for item in data]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f'each monomial needs "exps" and "coef" ({type(exc).__name__}: {exc})') from exc
     if n_vars is None:
         if not monos:
             raise ValueError("empty monomial list")
@@ -212,10 +219,11 @@ class CritReport:
     classification: "strict-min" | "strict-max" | "saddle" | "inconclusive".
     resolved_by records which stage decided: "hessian" (classical second
     derivative test), "cubic" (a kernel y_i y_j y_k term), "quartic" (the
-    order-4 family), or "order2k-family".  a_min / a_max hold the extremized
-    leading coefficient over the parameter sphere; arg points are reported in
-    original coordinates as (velocity, curvature) = (t-part, t^2..t^k-part)
-    of the extremizing trajectory.
+    order-4 family), or "order2k-family".  For "quartic", a_min is min mu
+    on the unit kernel sphere, not a4 at the arg_min point (a4 is s^4 a_min
+    there), and a_max is a4 at its point (see fourth_derivative_test).  Arg
+    points are reported in original coordinates as (velocity, curvature) =
+    (t-part, t^2..t^k-part) of the extremizing trajectory.
     """
 
     classification: str
@@ -312,7 +320,7 @@ def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# sphere extremization
+# the kernel sphere search
 # ---------------------------------------------------------------------------
 
 def _sphere_samples(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -322,34 +330,45 @@ def _sphere_samples(dim: int, count: int, rng: np.random.Generator) -> np.ndarra
     return pts / norms[:, None]
 
 
-def _extremize_a4(forms: _QuarticForms, n: int, m: int, n_starts: int, seed: int):
-    """Min and max of a4 over the unit sphere in R^(n+m), heuristically:
-    dense seeded Gaussian samples plus multistart projected gradient descent
-    from the best samples.  Returns (min, argmin, max, argmax, scale)."""
-    dim = n + m
+def _kernel_search(forms: _QuarticForms, n_starts: int, seed: int, sign: float = 1.0):
+    """Minimum of sign * mu(y) = sign * (B(y^4) - 1/2 c(y)' Hxx^-1 c(y))
+    over the unit sphere of R^m.  Since c(y) = C_flat (y(x)y) is linear in
+    y(x)y, the correction is the m^2 x m^2 form G = C_flat' Hxx^-1 C_flat,
+    formed with one solve, so no evaluation of mu touches the x dimension.
+    Seeded samples pick the starts of one minimize_on_sphere run.  Returns
+    (mu(y), y, x, scale) with x = -Hxx^-1 c(y), the minimizing x-part."""
+    n, m = forms.C.shape[:2]
+    c_flat = forms.C.reshape(n, m * m)
+    hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
+    g_form = c_flat.T @ hinv_c
+
+    def mu_value_grad(ys):
+        # mu(y) = B(y^4) - 1/2 (y(x)y)' G (y(x)y); G (y(x)y) is a symmetric
+        # m x m matrix per row, whose y-gradient term is 2 G(y(x)y) y
+        yy, quart = forms.kernel_quartic(ys)
+        gyy = yy @ g_form
+        vals = np.sum(quart * ys, axis=1) - 0.5 * np.sum(gyy * yy, axis=1)
+        mixed = np.einsum("bjk,bk->bj", gyy.reshape(ys.shape[0], m, m), ys)
+        return sign * vals, sign * (4.0 * quart - 2.0 * mixed)
+
     rng = np.random.default_rng(seed)
+    pts = np.vstack([
+        np.eye(m), -np.eye(m),
+        _sphere_samples(m, SPHERE_SAMPLES, rng),
+        _sphere_samples(m, n_starts, rng),
+    ])
+    sampled, _ = mu_value_grad(pts)
+    order = np.argsort(sampled)
+    seeds = np.vstack([pts[order[:8]], _sphere_samples(m, n_starts, rng)])
+    mins, ys = minimize_on_sphere(mu_value_grad, seeds, rounds=SPHERE_ROUNDS)
+    best = int(np.argmin(mins))
+    mu_best, y_best = sign * float(mins[best]), ys[best]
 
-    candidates = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(2 * dim, dim)
-    starts = _sphere_samples(dim, n_starts, rng)
-    pool = np.vstack([candidates, _sphere_samples(dim, SPHERE_SAMPLES, rng), starts])
-    vals = forms.value_batch(pool[:, :n], pool[:, n:])
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    order = np.argsort(vals)
-
-    def extremize(sign, seeds):
-        def value_grad(z):
-            xs, ys = z[:, :n], z[:, n:]
-            return sign * forms.value_batch(xs, ys), sign * forms.grad_batch(xs, ys)
-
-        f_vals, f_z = minimize_on_sphere(value_grad, np.vstack([seeds, starts]), rounds=SPHERE_ROUNDS)
-        i = int(np.argmin(f_vals))
-        return sign * f_vals[i], f_z[i]
-
-    best_min, best_min_arg = extremize(1.0, pool[order[:8]])
-    best_max, best_max_arg = extremize(-1.0, pool[order[-8:]])
-    scale = max(scale, abs(best_min), abs(best_max))
-    return best_min, best_min_arg, best_max, best_max_arg, scale
+    yy, b3 = forms.kernel_quartic(y_best[None, :])
+    x_best = -hinv_c @ yy[0]
+    quartic = float(b3[0] @ y_best)
+    scale = max(float(np.max(np.abs(sampled))), abs(quartic), abs(mu_best))
+    return mu_best, y_best, x_best, scale
 
 
 def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None:
@@ -389,13 +408,18 @@ def fourth_derivative_test(
     resolves the point at second order.  (2) For a degenerate PSD Hessian,
     rotate so the kernel spans the y-coordinates and screen the cubic kernel
     form; a nonzero y_i y_j y_k coefficient is a saddle certificate.
-    (3) Otherwise extremize a4 over the parameter sphere: a positive minimum
-    certifies a strict local minimum, mixed signs a saddle, and a vanishing
-    minimum leaves the test inconclusive, with the vanishing direction
-    reported.  NSD Hessians are handled by negating the target.
+    (3) Otherwise a_min = min mu on the unit kernel sphere (module
+    docstring) and a_max = a4 at the top curvature eigenvector, 1/2 lam_max,
+    or max B for a zero Hessian (a4 = B).  a_min > 0 certifies a strict
+    local minimum, a_max < 0 a strict local maximum, and a_min < 0 a saddle
+    when the Hessian is nonzero (f grows along its top eigenvector) or
+    a_max > 0; a vanishing a_min leaves the test inconclusive.  Arg points
+    lie on the unit parameter sphere: the minimizer (x, y), |y| = 1, maps
+    to (s^2 x, s y), s^2 = 2 / (1 + sqrt(1 + 4 |x|^2)), where a4 is
+    s^4 a_min.  NSD Hessians are handled by negating the target.
 
-    The sphere extremization is heuristic (multistart + sampling), so a
-    strict-min verdict for a general polynomial target carries that caveat.
+    The kernel sphere search is heuristic for m >= 2 (at m = 1 the sphere is
+    {+1, -1}), so a strict verdict there carries that caveat.
     """
     g0 = np.asarray(target.grad0(), dtype=float)
     if np.linalg.norm(g0) > tol:
@@ -448,18 +472,22 @@ def fourth_derivative_test(
     if cubic is not None:
         return cubic
 
-    a_min, z_min, a_max, z_max, scale = _extremize_a4(forms, n, m, n_starts, seed)
+    def on_sphere(y, x):
+        # a4(s^2 x, s y) = s^4 a4(x, y), and s^2 + s^4 |x|^2 = 1 at this s^2
+        s2 = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * float(x @ x)))
+        return Y @ (np.sqrt(s2) * y), X @ (s2 * x)
+
+    a_min, y_min, x_min, scale = _kernel_search(forms, n_starts, seed)
+    vel_min, cur_min = on_sphere(y_min, x_min)
+    if n:
+        # a4(e, 0) = 1/2 lam_max at the top curvature eigenvector e
+        a_max = scale_max = 0.5 * float(lam[-1])
+        vel_max, cur_max = np.zeros(target.dim), vec[:, -1]
+    else:
+        a_max, y_max, x_max, scale_max = _kernel_search(forms, n_starts, seed, sign=-1.0)
+        vel_max, cur_max = on_sphere(y_max, x_max)
+    scale = max(scale, scale_max)
     tol_eff = tol * (1.0 + scale)
-
-    def split(z):
-        if z is None:
-            return None, None
-        vel = Y @ z[n:] if m else np.zeros(target.dim)
-        cur = X @ z[:n] if n else np.zeros(target.dim)
-        return vel, cur
-
-    vel_min, cur_min = split(z_min)
-    vel_max, cur_max = split(z_max)
     common = dict(
         a_min=a_min, a_max=a_max,
         arg_min_velocity=vel_min, arg_min_curvature=cur_min,
@@ -470,7 +498,7 @@ def fourth_derivative_test(
         return CritReport("strict-min", "quartic", 4, m, **common)
     if a_max < -tol_eff:
         return CritReport("strict-max", "quartic", 4, m, **common)
-    if a_min < -tol_eff and a_max > tol_eff:
+    if a_min < -tol_eff and (n or a_max > tol_eff):
         return CritReport("saddle", "quartic", 4, m, **common)
     return CritReport(
         "inconclusive", "quartic", 4, m, **common,
@@ -499,10 +527,9 @@ def second_order_rigidity_test(
         mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y),
     a homogeneous quartic whose strict positivity on the unit sphere of K is
     equivalent to positivity of a4 on the full parameter sphere.  A strict
-    minimum certifies rigidity order 2.  Since c(y) = C_flat (y(x)y) is
-    linear in y(x)y, the correction is the m^2 x m^2 quadratic form
-    G = C_flat' Hxx^-1 C_flat, formed once with one solve, so no evaluation
-    of mu touches the K-bar dimension.  The cubic kernel screen is retained
+    minimum certifies rigidity order 2.  The search is _kernel_search, the
+    one fourth_derivative_test runs; the argmin is reported as
+    (Y y, X x) / sqrt(1 + |x|^2).  The cubic kernel screen is retained
     for generality although it vanishes identically for stiff-bar energies;
     it reads T from the gradient jets that give C, so it costs no jet.
     """
@@ -514,43 +541,13 @@ def second_order_rigidity_test(
     target = FrameworkEnergyTarget(spec, pf)
     hess = target.hessian0()
     X, Y = kd.Kbar_basis, kd.K_basis
-    n = X.shape[1]
 
     forms = _assemble_quartic_forms(target, X, Y, hess)
     cubic = _cubic_screen(forms.T, Y, tol)
     if cubic is not None:
         return cubic
 
-    c_flat = forms.C.reshape(n, m * m)
-    hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
-    g_form = c_flat.T @ hinv_c
-
-    def mu_value_grad(ys):
-        # mu(y) = B(y^4) - 1/2 (y(x)y)' G (y(x)y); G (y(x)y) is a symmetric
-        # m x m matrix per row, whose y-gradient term is 2 G(y(x)y) y
-        yy, quart = forms.kernel_quartic(ys)
-        gyy = yy @ g_form
-        vals = np.sum(quart * ys, axis=1) - 0.5 * np.sum(gyy * yy, axis=1)
-        mixed = np.einsum("bjk,bk->bj", gyy.reshape(ys.shape[0], m, m), ys)
-        return vals, 4.0 * quart - 2.0 * mixed
-
-    rng = np.random.default_rng(seed)
-    pts = np.vstack([
-        np.eye(m), -np.eye(m),
-        _sphere_samples(m, SPHERE_SAMPLES, rng),
-        _sphere_samples(m, n_starts, rng),
-    ])
-    sampled, _ = mu_value_grad(pts)
-    order = np.argsort(sampled)
-    seeds = np.vstack([pts[order[:8]], _sphere_samples(m, n_starts, rng)])
-    mins, ys = minimize_on_sphere(mu_value_grad, seeds, rounds=SPHERE_ROUNDS)
-    best = int(np.argmin(mins))
-    mu_min, y_best = float(mins[best]), ys[best]
-
-    yy, b3 = forms.kernel_quartic(y_best[None, :])
-    x_best = -hinv_c @ yy[0]
-    quartic = float(b3[0] @ y_best)
-    scale = max(float(np.max(np.abs(sampled))), abs(quartic), abs(mu_min))
+    mu_min, y_best, x_best, scale = _kernel_search(forms, n_starts, seed)
     tol_eff = tol * (1.0 + scale)
 
     norm = np.sqrt(1.0 + x_best @ x_best)

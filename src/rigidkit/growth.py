@@ -15,7 +15,8 @@ from the largest radius down and continues from +/- the last minimizer:
 when dim K <= 1 the multistart runs at the first radius only and every
 later radius is Newton alone; when dim K > 1 the multistart runs at every
 radius.  The order-4 critical-point tests use the same minimizer, without
-a Hessian, on their closed-form quartics.
+a Hessian, on mu, their quartic with the curvature block eliminated in
+closed form, over the unit sphere of the kernel.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits

@@ -278,3 +278,42 @@ def test_growth_reports_newton_steps_and_tangent_ratio(k33_file, capsys):
     assert main(["growth", k33_file, "--n", "4", "--rmin", "1e-2"]) == EXIT_OK
     rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("r = ")]
     assert len(rows) == 4 and all("newton steps = " in ln and "|g_tan|/|g| = " in ln for ln in rows)
+
+
+@pytest.fixture()
+def bad_input_files(tmp_path, k33_file):
+    contents = {
+        "self_loop": {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "edges": [[1, 1], [2, 3]]},
+        "no_edges": {"dimension": 2, "vertices": [[0, 0], [1, 0]]},
+        "short_traj": {"coeffs": [[1.0, 0.0, 0.0]]},
+        "empty_poly": [],
+        "poly_no_coef": [{"exps": [2, 0]}],
+    }
+    paths = {"k33": k33_file}
+    for name, data in contents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    pytest.param(["analyze", "{self_loop}"], "input error: ", id="self-loop-edge"),
+    pytest.param(["analyze", "{no_edges}"], "input error: ", id="missing-edges-key"),
+    pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "4"],
+                 "input error: ", id="traj-coordinate-count"),
+    pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{k33}", "--order", "4"],
+                 "input error: ", id="traj-without-coeffs"),
+    pytest.param(["critpoint", "--poly", "{empty_poly}"], "input error: ", id="empty-poly"),
+    pytest.param(["critpoint", "--poly", "{poly_no_coef}"], "input error: ", id="monomial-without-coef"),
+    pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
+    pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
+    pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
+])
+def test_bad_input_exits_with_input_or_usage_error(bad_input_files, capsys, argv, prefix):
+    # malformed files and out-of-range arguments exit 1 with a message; an
+    # escaping exception would fail this test, and "numerical failure"
+    # (exit 3) is kept for the computations themselves
+    assert main([arg.format(**bad_input_files) for arg in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err

@@ -55,6 +55,66 @@ def test_inconclusive_case_with_located_zero():
     assert err < 1e-6
 
 
+def test_soft_curvature_direction_does_not_hide_a_strict_minimum():
+    # f = eps x1^2 + (x2 - y^2)^2 + y^4: x1 is a curvature direction just
+    # above the Hessian threshold, so a4 is as small as eps/2 on the
+    # parameter sphere, but mu = B - 1/2 c' Hxx^-1 c = 2 - 1 = 1 on the kernel
+    eps = 1.5e-8
+    target = PolynomialTarget(
+        3, (((2, 0, 0), eps), ((0, 2, 0), 1.0), ((0, 1, 2), -2.0), ((0, 0, 4), 2.0))
+    )
+    rep = fourth_derivative_test(target)
+    assert (rep.classification, rep.resolved_by) == ("strict-min", "quartic")
+    assert rep.a_min == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("target", [
+    # eps x^2 + x y^2 + y^4: mu = 1 - 1/(4 eps), about -1.7e7, so the
+    # relative tolerance (about 0.17) exceeds 1/2 lam_max = eps
+    PolynomialTarget(2, (((2, 0), 1.5e-8), ((1, 2), 1.0), ((0, 4), 1.0))),
+    # x^2 + 1e8 (y1^4 - y2^4): 1/2 lam_max = 1, below the tolerance of about 1
+    PolynomialTarget(3, (((2, 0, 0), 1.0), ((0, 4, 0), 1e8), ((0, 0, 4), -1e8))),
+])
+def test_large_negative_mu_is_a_saddle_next_to_a_soft_curvature(target):
+    rep = fourth_derivative_test(target)
+    assert (rep.classification, rep.resolved_by) == ("saddle", "quartic")
+    assert rep.a_min < 0 < rep.a_max
+
+
+def _kernel_dim2_poly(A: float) -> PolynomialTarget:
+    # f = (x - q(y))^2 + y1^4 + A y2^4 with q = y1^2 + y1 y2 + y2^2: Hessian
+    # diag(2, 0, 0), and mu(y) = y1^4 + A y2^4 on the kernel sphere
+    return PolynomialTarget(3, (
+        ((2, 0, 0), 1.0), ((1, 2, 0), -2.0), ((1, 1, 1), -2.0), ((1, 0, 2), -2.0),
+        ((0, 4, 0), 2.0), ((0, 3, 1), 2.0), ((0, 2, 2), 3.0), ((0, 1, 3), 2.0), ((0, 0, 4), 1.0 + A),
+    ))
+
+
+@pytest.mark.parametrize("target, want", [
+    (_kernel_dim2_poly(1.0), "strict-min"),
+    (_kernel_dim2_poly(-1.0), "saddle"),
+    (_kernel_dim2_poly(0.0), "inconclusive"),
+    (PolynomialTarget(2, (((4, 0), 1.0), ((0, 4), -1.0))), "saddle"),
+    (PolynomialTarget(2, (((4, 0), -1.0), ((0, 4), -1.0))), "strict-max"),
+    (PolynomialTarget(2, (((2, 2), 1.0),)), "inconclusive"),
+])
+def test_reported_extremizers_are_witnesses_on_the_parameter_sphere(target, want):
+    from rigidkit.critpoint import _a4_eval
+
+    rep = fourth_derivative_test(target)
+    assert (rep.classification, rep.nullity) == (want, 2)
+    tol_eff = 1e-8 * (1.0 + rep.scale)
+    eye = np.eye(target.dim)
+    for value, vel, cur in ((rep.a_min, rep.arg_min_velocity, rep.arg_min_curvature),
+                            (rep.a_max, rep.arg_max_velocity, rep.arg_max_curvature)):
+        assert vel @ vel + cur @ cur == pytest.approx(1.0, rel=1e-12)
+        a4 = _a4_eval(target, eye, eye, cur, vel)
+        if abs(value) > tol_eff:
+            assert np.sign(a4) == np.sign(value) and abs(a4) > tol_eff
+        else:
+            assert abs(a4) <= tol_eff
+
+
 def test_limit_counterexample_is_inconclusive():
     # f = (x - y^2)^2 + x^2 y^2 - y^6 has a saddle at the origin, but its a4
     # equals (x0 - y0^2)^2, which is PSD with zeros: the test cannot decide

@@ -13,7 +13,9 @@ from rigidkit import (
     EnergySpec,
     Framework,
     PolynomialTarget,
+    fourth_derivative_test,
     kernel_decomposition,
+    permute_framework,
     pin_with_permutation,
     rigidity_matrix,
     second_order_rigidity_test,
@@ -200,3 +202,24 @@ def test_order4_jet_count_does_not_grow_with_the_framework(monkeypatch, family):
         assert "energy_along_trajectory" not in calls
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("build", [collinear_chain, lambda: midpoint_strip(20, 2), lambda: midpoint_strip(20, 3)],
+                         ids=["chain", "strip20m2", "strip20m3"])
+def test_both_order4_entry_points_search_one_mu(build, family, relabel):
+    # fourth_derivative_test on the framework energy takes its kernel from
+    # the Hessian, second_order_rigidity_test from the rigidity matrix; both
+    # minimize the same mu over the kernel sphere
+    fw = build()
+    if relabel:
+        fw = permute_framework(fw, np.random.default_rng(11).permutation(fw.n_vertices))
+    pf, _, _ = pin_with_permutation(fw)
+    kd = kernel_decomposition(rigidity_matrix(pf))
+    spec = EnergySpec.for_framework(pf.base, family)
+    generic = fourth_derivative_test(FrameworkEnergyTarget(spec, pf))
+    rigidity = second_order_rigidity_test(pf, spec, kd)
+    assert generic.classification == rigidity.classification == "strict-min"
+    assert generic.nullity == rigidity.nullity == kd.dim_K
+    assert generic.a_min == pytest.approx(rigidity.a_min, rel=1e-10)
