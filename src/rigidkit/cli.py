@@ -3,8 +3,10 @@
 Subcommands: analyze, order, growth, energy, critpoint, corpus-verify.
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch
 (corpus-verify), 3 numerical failure.  JSON output prints floats with 17
-significant digits so reports round-trip byte-for-byte; every command is
-deterministic given --seed.  RIGIDKIT_THREADS caps corpus-verify concurrency.
+significant digits so reports round-trip byte-for-byte.  Every command is
+deterministic: --seed seeds the growth fit's random starts only, and the
+order-4 tests draw no random numbers.  RIGIDKIT_THREADS caps corpus-verify
+concurrency.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .framework import (
     pin_with_permutation,
 )
 from .growth import fit_growth_order
+from .jets import MAX_ORDER
 from .ladder import DEFAULT_LADDER_TOL, DEFAULT_MAX_K, OrderReport, PolyTrajectory, rigidity_order, solve_ladder
 from .linear import kernel_decomposition, rigidity_matrix
 
@@ -152,9 +155,7 @@ def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
     fw, pf, perm = _load_and_pin(args.path, auto_permute=not args.no_permute)
     t_pin = time.perf_counter()
-    rep = rigidity_order(
-        pf, max_k=args.max_k, tol=args.tol, energy_family=args.family, seed=args.seed
-    )
+    rep = rigidity_order(pf, max_k=args.max_k, tol=args.tol, energy_family=args.family)
     t_order = time.perf_counter()
     growth = None
     if args.growth:
@@ -305,6 +306,11 @@ def cmd_energy(args) -> int:
     return EXIT_OK
 
 
+def _inapplicable(reason: str) -> int:
+    _emit_json({"classification": "inapplicable", "reason": reason})
+    return EXIT_OK
+
+
 def cmd_critpoint(args) -> int:
     if args.poly:
         with open(args.poly, "r", encoding="utf-8") as fh:
@@ -313,7 +319,7 @@ def cmd_critpoint(args) -> int:
             target = polynomial_from_monomial_list(data)
         except ValueError as exc:
             raise _InputError(f"{args.poly}: {exc}") from exc
-        rep = fourth_derivative_test(target, n_starts=args.starts, seed=args.seed)
+        rep = fourth_derivative_test(target)
         _emit_json(_crit_report_dict(rep))
         return EXIT_OK
     if not args.path:
@@ -321,18 +327,18 @@ def cmd_critpoint(args) -> int:
     fw, pf, _ = _load_and_pin(args.path)
     spec = EnergySpec.for_framework(pf.base, args.family)
     kd = kernel_decomposition(rigidity_matrix(pf))
+    if kd.dim_K == 0:
+        return _inapplicable("dim K = 0: the framework is first-order rigid")
     if args.order is None:
-        rep = second_order_rigidity_test(pf, spec, kd, n_starts=args.starts, seed=args.seed)
+        rep = second_order_rigidity_test(pf, spec, kd)
         _emit_json(_crit_report_dict(rep))
         return EXIT_OK
     k = args.order
+    if kd.dim_K > 1:
+        return _inapplicable(f"the order-2k family test needs dim K = 1, got {kd.dim_K}")
     ladder = solve_ladder(pf, kd, max_k=k)
     if ladder.verdict == "order" and ladder.order is not None and ladder.order < k:
-        _emit_json({
-            "classification": "inapplicable",
-            "reason": f"no (1,{k - 1})-flex exists: ladder certifies order {ladder.order}",
-        })
-        return EXIT_OK
+        return _inapplicable(f"no (1,{k - 1})-flex exists: ladder certifies order {ladder.order}")
     rep = order2k_family_test(pf, spec, ladder.witness, k, kd=kd)
     _emit_json(_crit_report_dict(rep))
     return EXIT_OK
@@ -381,39 +387,45 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rigidkit", description="Rigidity orders of bar-and-joint frameworks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-
     a = sub.add_parser("analyze", help="full analysis: pin, dim K, rigidity order")
     a.add_argument("path")
     a.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_MAX_K)
-    a.add_argument("--tol", type=float, default=DEFAULT_LADDER_TOL)
+    a.add_argument("--tol", type=_positive_float, default=DEFAULT_LADDER_TOL)
     a.add_argument("--family", choices=FAMILIES, default="harmonic")
     a.add_argument("--growth", action="store_true", help="also fit the energy growth order")
     a.add_argument("--json", action="store_true")
     a.add_argument("--no-permute", action="store_true",
                    help="fail instead of permuting vertices when the leading set is degenerate")
-    add_common(a)
+    a.add_argument("--seed", type=int, default=0, help="seed of the growth fit's random starts")
     a.set_defaults(func=cmd_analyze)
 
     o = sub.add_parser("order", help="rigidity order with ladder residuals and witness")
     o.add_argument("path")
     o.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_MAX_K)
-    o.add_argument("--tol", type=float, default=DEFAULT_LADDER_TOL)
+    o.add_argument("--tol", type=_positive_float, default=DEFAULT_LADDER_TOL)
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_order)
 
@@ -422,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", choices=FAMILIES, default="harmonic")
     g.add_argument("--rmin", type=float, default=1e-3)
     g.add_argument("--rmax", type=float, default=1e-1)
-    g.add_argument("--n", type=int, default=12)
+    g.add_argument("--n", type=_int_at_least(2), default=12, help="number of radii")
     g.add_argument("--starts", type=int, default=64,
                    help="random starts of the multistart, which runs at the first radius "
                         "when dim K <= 1 and at every radius when dim K > 1")
@@ -435,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("path")
     e.add_argument("--family", choices=FAMILIES, required=True)
     e.add_argument("--traj", required=True, help="JSON with witness coefficients")
-    e.add_argument("--order", type=int, required=True)
+    e.add_argument("--order", type=_int_at_least(1, MAX_ORDER), required=True)
     e.add_argument("--csv")
     e.set_defaults(func=cmd_energy)
 
@@ -444,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--poly", help='polynomial target JSON: [{"exps": [..], "coef": r}, ...]')
     c.add_argument("--family", choices=FAMILIES, default="harmonic")
     c.add_argument("--order", type=_int_at_least(2), help="run the order-2k family test at k=ORDER")
-    c.add_argument("--starts", type=int, default=64)
-    add_common(c)
     c.set_defaults(func=cmd_critpoint)
 
     v = sub.add_parser("corpus-verify", help="recompute the bundled corpus orders")

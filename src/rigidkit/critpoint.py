@@ -26,9 +26,12 @@ For fixed y0 the x0 part is a convex quadratic, minimized in closed form at
 x0 = -Hxx^-1 c(y0), c(y0) = (Ci(y0, y0))_i.  This leaves
     mu(y0) = B(y0^4) - 1/2 c(y0)' Hxx^-1 c(y0),
 and a4 > 0 on the parameter sphere exactly when mu > 0 on the unit kernel
-sphere.  Both order-4 tests search mu there with _kernel_search (seeded
-samples, one projected-gradient run): exact at m = 1, where that sphere is
-{+1, -1}, and a heuristic upper bound on min mu for m >= 2.
+sphere.  Both order-4 tests decide the sign of mu there with _kernel_search,
+a deterministic Bernstein branch and bound: a strict verdict carries a
+certified bound on min mu beyond tol_eff, a saddle a sphere point where mu
+is below -tol_eff, and an inconclusive one a certificate that min mu lies
+within +/- tol_eff, or the note that the box cap was reached.  At m = 1 the
+sphere is {+1, -1} and mu(e_1) is exact.
 
 Targets provide grad0, hessian0 and gradient_jet_along (the Taylor
 coefficient rows of grad f along a polynomial trajectory).  They also
@@ -39,22 +42,21 @@ _a4_eval reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 import numpy as np
 
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
 from .errors import DimKNotOne, NotACriticalPoint
 from .framework import PinnedFramework
-from .growth import minimize_on_sphere
+from .growth import NEWTON_ROUNDS, minimize_on_sphere
 from .jets import Jet
 from .ladder import PolyTrajectory
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
 DEFAULT_CRIT_TOL = 1e-8
-DEFAULT_STARTS = 64
-SPHERE_SAMPLES = 4096
-SPHERE_ROUNDS = 500
+BOX_CAP = 4096   # boxes the order-4 branch and bound may bound before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -266,36 +268,6 @@ class _QuarticForms:
     B: np.ndarray          # (m, m, m, m) symmetric
     T: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))   # (m, m, m) symmetric
 
-    def kernel_quartic(self, ys: np.ndarray):
-        """Per row y: the rows of y(x)y, shape (b, m^2), and B(y, y, y, .),
-        shape (b, m), from one matmul against B flattened (B is symmetric,
-        so B(y, y, ., .) is one (m^2, m^2) matmul away)."""
-        b, m = ys.shape
-        yy = (ys[:, :, None] * ys[:, None, :]).reshape(b, m * m)
-        byy = (yy @ self.B.reshape(m * m, m * m)).reshape(b, m, m)
-        return yy, np.einsum("bij,bj->bi", byy, ys)
-
-    def kernel_terms(self, ys: np.ndarray):
-        """Per row y: c(y) = (y' C[i] y)_i, shape (b, n), and B(y, y, y, .),
-        shape (b, m)."""
-        yy, b3 = self.kernel_quartic(ys)
-        m = ys.shape[1]
-        return yy @ self.C.reshape(-1, m * m).T, b3
-
-    def mixed_grad(self, ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Per row: the y-gradient of w . c(y), i.e. 2 sum_i w_i C[i] y."""
-        b, m = ys.shape
-        wc = (ws @ self.C.reshape(-1, m * m)).reshape(b, m, m)
-        return 2.0 * np.einsum("bjk,bk->bj", wc, ys)
-
-    def value_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        c, b3 = self.kernel_terms(ys)
-        return np.sum((0.5 * xs @ self.Hxx + c) * xs, axis=1) + np.sum(b3 * ys, axis=1)
-
-    def grad_batch(self, xs: np.ndarray, ys: np.ndarray):
-        c, b3 = self.kernel_terms(ys)
-        return np.hstack([xs @ self.Hxx.T + c, self.mixed_grad(xs, ys) + 4.0 * b3])
-
 
 def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray) -> _QuarticForms:
     """Hxx from the Hessian; C, T and B from one order-3 gradient jet of f
@@ -320,55 +292,184 @@ def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# the kernel sphere search
+# the kernel sphere search: Bernstein branch and bound on mu
 # ---------------------------------------------------------------------------
 
-def _sphere_samples(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    pts = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(pts, axis=1)
-    norms[norms == 0] = 1.0
-    return pts / norms[:, None]
+_CHEB = np.cos((2 * np.arange(5) + 1) * np.pi / 10)            # 5 Chebyshev nodes on [-1, 1]
+_VANDER_INV = np.linalg.inv(np.vander(_CHEB, 5, increasing=True))
+_BINOM = np.array([[comb(a, b) for b in range(5)] for a in range(5)], dtype=float)
+_POW_TO_BERN = _BINOM / _BINOM[4]        # [i, j] = C(i, j) / C(4, j): t^j in the degree-4 Bernstein basis
+_SHIFT_EXP = np.maximum(np.arange(5)[None, :] - np.arange(5)[:, None], 0)   # [c, a] = a - c
 
 
-def _kernel_search(forms: _QuarticForms, n_starts: int, seed: int, sign: float = 1.0):
-    """Minimum of sign * mu(y) = sign * (B(y^4) - 1/2 c(y)' Hxx^-1 c(y))
+def _along_axes(mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Apply mats[:, j], a batch of 5 x 5 matrices, to axis j + 1 of the
+    batch of coefficient tensors coef, shape (b, 5, ..., 5).  Each product
+    moves the axis it maps to the back, so after all of them the axes are
+    in their first order again."""
+    flat = coef.reshape(coef.shape[0], -1)
+    for j in range(mats.shape[1]):
+        flat = np.swapaxes(mats[:, j] @ flat.reshape(flat.shape[0], 5, -1), 1, 2)
+    return flat.reshape(coef.shape)
+
+
+def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: float = 0.0):
+    """Certified minimum of sign * mu(y) = sign * (B(y^4) - 1/2 c(y)' Hxx^-1 c(y))
     over the unit sphere of R^m.  Since c(y) = C_flat (y(x)y) is linear in
-    y(x)y, the correction is the m^2 x m^2 form G = C_flat' Hxx^-1 C_flat,
-    formed with one solve, so no evaluation of mu touches the x dimension.
-    Seeded samples pick the starts of one minimize_on_sphere run.  Returns
-    (mu(y), y, x, scale) with x = -Hxx^-1 c(y), the minimizing x-part."""
+    y(x)y, mu is the quartic form of the symmetric 4-tensor
+    M = Sym(B - 1/2 C_flat' Hxx^-1 C_flat), formed with one solve, so no
+    evaluation of mu touches the x dimension.  Its sign is decided by
+    _bernstein_bound.  The returned scale, which sets the callers' tol_eff =
+    tol (1 + scale), is the largest |mu| and |B(y^4)| over the root points
+    and the reported point: mu can be small through cancellation of its
+    two terms, and tol_eff grows with the terms.  The search's own tol_eff
+    also takes the caller's scale into account.
+
+    One root box has 5^(m-1) Bernstein coefficients.  When that exceeds
+    BOX_CAP, no box is bounded, min mu stays unbounded, and mu is evaluated
+    only at the axes and the diagonals (e_i +/- e_j) / sqrt(2), so a point
+    below -tol_eff can still be a witness at any m.
+
+    The least point is then polished by minimize_on_sphere's Newton path,
+    with Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x, scale, bound,
+    note): x = -Hxx^-1 c(y) is the minimizing x-part, bound the certified
+    lower bound on min mu (for sign = -1, the upper bound on max mu; an
+    infinite one when no box was bounded), and note states the decision
+    and the boxes it took."""
     n, m = forms.C.shape[:2]
     c_flat = forms.C.reshape(n, m * m)
     hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
-    g_form = c_flat.T @ hinv_c
+    quart = forms.B - 0.5 * (c_flat.T @ hinv_c).reshape((m,) * 4)
+    quart = sign * sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
+    flat = quart.reshape(m * m, m * m)
+    b_flat = forms.B.reshape(m * m, m * m)
 
-    def mu_value_grad(ys):
-        # mu(y) = B(y^4) - 1/2 (y(x)y)' G (y(x)y); G (y(x)y) is a symmetric
-        # m x m matrix per row, whose y-gradient term is 2 G(y(x)y) y
-        yy, quart = forms.kernel_quartic(ys)
-        gyy = yy @ g_form
-        vals = np.sum(quart * ys, axis=1) - 0.5 * np.sum(gyy * yy, axis=1)
-        mixed = np.einsum("bjk,bk->bj", gyy.reshape(ys.shape[0], m, m), ys)
-        return sign * vals, sign * (4.0 * quart - 2.0 * mixed)
+    def value_grad(ys):
+        yy = (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
+        cubic = np.einsum("bij,bj->bi", (yy @ flat).reshape(-1, m, m), ys)   # M(y, y, y, .)
+        return np.sum(cubic * ys, axis=1), 4.0 * cubic
 
-    rng = np.random.default_rng(seed)
-    pts = np.vstack([
-        np.eye(m), -np.eye(m),
-        _sphere_samples(m, SPHERE_SAMPLES, rng),
-        _sphere_samples(m, n_starts, rng),
-    ])
-    sampled, _ = mu_value_grad(pts)
-    order = np.argsort(sampled)
-    seeds = np.vstack([pts[order[:8]], _sphere_samples(m, n_starts, rng)])
-    mins, ys = minimize_on_sphere(mu_value_grad, seeds, rounds=SPHERE_ROUNDS)
-    best = int(np.argmin(mins))
-    mu_best, y_best = sign * float(mins[best]), ys[best]
+    def hess(y):
+        return 12.0 * (np.outer(y, y).reshape(m * m) @ flat).reshape(m, m)
 
-    yy, b3 = forms.kernel_quartic(y_best[None, :])
-    x_best = -hinv_c @ yy[0]
-    quartic = float(b3[0] @ y_best)
-    scale = max(float(np.max(np.abs(sampled))), abs(quartic), abs(mu_best))
-    return mu_best, y_best, x_best, scale
+    def size(ys, vals):
+        # max of |mu| (vals) and |B(y^4)| over the rows ys
+        yy = (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
+        return max(float(np.max(np.abs(vals))), float(np.max(np.abs(np.sum((yy @ b_flat) * yy, axis=1)))))
+
+    if 5 ** (m - 1) <= BOX_CAP:
+        least, y_best, low, root_scale, note = _bernstein_bound(value_grad, size, m, tol, scale, sign)
+    else:
+        eye = np.eye(m)
+        ys = np.vstack([eye] + [(eye[i] + s * eye[j]) / np.sqrt(2.0)
+                                for i, j in combinations(range(m), 2) for s in (1.0, -1.0)])
+        vals = value_grad(ys)[0]
+        at = int(np.argmin(vals))
+        least, y_best, low, root_scale = float(vals[at]), ys[at], -np.inf, size(ys, vals)
+        note = (f"box cap of {BOX_CAP} reached before the first box: one face box at m = {m} "
+                f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
+
+    vals, zs, _ = minimize_on_sphere(value_grad, y_best[None, :], rounds=NEWTON_ROUNDS, hess=hess)
+    if vals[0] < least:
+        least, y_best = float(vals[0]), zs[0]
+    x_best = -hinv_c @ np.outer(y_best, y_best).reshape(m * m)
+    scale = max(root_scale, size(y_best[None, :], np.array([least])))
+    return sign * least, y_best, x_best, scale, sign * low, note
+
+
+def _bernstein_bound(value_grad, size, m: int, tol: float, scale: float, sign: float):
+    """Branch and bound on the sign of the even quartic form of value_grad
+    (batched values and gradients, here sign * mu) on the unit sphere of R^m.
+
+    The form is even, so it is positive on the sphere exactly when each face
+    polynomial q_k(u) = mu(e_k + sum_{j != k} u_j e_j) is positive on the
+    box [-1, 1]^(m-1).  The power coefficients of q_k follow from its values
+    on the 5^(m-1) Chebyshev grid; on a box, the degree-4 tensor Bernstein
+    coefficients of q_k bound its range (Garloff, LNCS 212, 1986; Zettler &
+    Garloff, IEEE TAC 43, 1998), and dividing their least value b by
+    (1 + |u|^2)^2 at its largest (b >= 0) or smallest (b < 0) over the box
+    bounds mu at the normalized points below.  Point values are mu at the
+    normalized box centres and corners.  With L the least box bound, U the
+    least point value and tol_eff = tol (1 + max(scale, root scale)), the
+    root scale being size() over the root boxes' points, the search stops
+    at L > tol_eff (certified positive), U < -tol_eff (a witness), or
+    -tol_eff <= L, U <= tol_eff (min mu certified within +/- tol_eff);
+    otherwise it splits every box whose bound leaves that open at the
+    middle of its widest side, one round at a time, until BOX_CAP boxes
+    have been bounded.  Returns (U, its point, L, root scale, note)."""
+    eye = np.eye(m)
+    embed = eye[[[j for j in range(m) if j != k] for k in range(m)]].reshape(m, m - 1, m)
+
+    def lift(face, us):
+        # the points e_k + sum_{j != k} u_j e_j of faces k = face
+        return eye[face] + np.einsum("...j,...jk->...k", us, embed[face])
+
+    faces = np.arange(m)
+    grid = np.array(list(product(_CHEB, repeat=m - 1))).reshape(5 ** (m - 1), m - 1)
+    face_vals = value_grad(lift(faces[:, None], grid).reshape(-1, m))[0]
+    van = np.broadcast_to(_VANDER_INV, (m, m - 1, 5, 5))
+    power = _along_axes(van, face_vals.reshape((m,) + (5,) * (m - 1)))
+    bits = np.array(list(product((0.0, 1.0), repeat=m - 1))).reshape(2 ** (m - 1), m - 1)
+    chunk = max(1, 2**16 // 5 ** (m - 1))     # boxes per Bernstein batch: 2^16 coefficients
+
+    def box_bounds(face, lo, hi):
+        width = hi - lo
+        lo_pow = lo[..., None] ** np.arange(5)
+        width_pow = width[..., None] ** np.arange(5)
+        mats = _POW_TO_BERN @ (_BINOM.T * lo_pow[..., _SHIFT_EXP] * width_pow[..., :, None])
+        least = np.concatenate([
+            _along_axes(mats[s:s + chunk], power[face[s:s + chunk]]).reshape(-1, 5 ** (m - 1)).min(axis=1)
+            for s in range(0, face.size, chunk)
+        ])
+        far = 1.0 + np.sum(np.maximum(lo * lo, hi * hi), axis=1)
+        near = 1.0 + np.sum(np.where((lo < 0) & (hi > 0), 0.0, np.minimum(lo * lo, hi * hi)), axis=1)
+        return least / np.where(least >= 0.0, far, near) ** 2
+
+    def point_values(face, lo, hi):
+        us = np.concatenate([0.5 * (lo + hi)[:, None], lo[:, None] + (hi - lo)[:, None] * bits], axis=1)
+        ys = lift(np.broadcast_to(face[:, None], us.shape[:2]), us).reshape(-1, m)
+        ys /= np.sqrt(np.sum(ys * ys, axis=1))[:, None]
+        return value_grad(ys)[0], ys
+
+    face, lo, hi = faces, -np.ones((m, m - 1)), np.ones((m, m - 1))
+    vals, ys = point_values(face, lo, hi)
+    root_scale = size(ys, vals)
+    tol_eff = tol * (1.0 + max(scale, root_scale))
+    boxes, retired, least = m, np.inf, np.inf
+    while True:
+        bound = box_bounds(face, lo, hi)
+        at = int(np.argmin(vals))
+        if vals[at] < least:
+            least, y_best = float(vals[at]), ys[at]
+        low = min(retired, float(np.min(bound)))
+        if low > tol_eff or least < -tol_eff or (low >= -tol_eff and least <= tol_eff):
+            break
+        split = bound <= tol_eff if least > tol_eff else bound < -tol_eff
+        if boxes + 2 * int(np.sum(split)) > BOX_CAP:
+            break
+        retired = min(retired, float(np.min(bound[~split], initial=np.inf)))
+        face, lo, hi = face[split], lo[split], hi[split]
+        at_box, axis = np.arange(face.size), np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo[at_box, axis] + hi[at_box, axis])
+        lo_right, hi_left = lo.copy(), hi.copy()
+        lo_right[at_box, axis] = mid
+        hi_left[at_box, axis] = mid
+        face, lo, hi = np.concatenate([face, face]), np.vstack([lo, lo_right]), np.vstack([hi_left, hi])
+        boxes += face.size
+        vals, ys = point_values(face, lo, hi)
+
+    lowest, relation = ("min mu", ">=") if sign > 0 else ("max mu", "<=")
+    if low > tol_eff:
+        note = f"certified: {lowest} {relation} {sign * low:.6e} (tol_eff {tol_eff:.3e}, box count {boxes})"
+    elif least < -tol_eff:
+        note = f"witness: mu = {sign * least:.6e} on the kernel sphere (tol_eff {tol_eff:.3e}, box count {boxes})"
+    elif low >= -tol_eff and least <= tol_eff:
+        note = f"certified: {lowest} within +/-{tol_eff:.3e} (box count {boxes})"
+    else:
+        note = (f"box cap of {BOX_CAP} reached: {lowest} undecided between "
+                f"{sign * low:.6e} and {sign * least:.6e} (tol_eff {tol_eff:.3e})")
+
+    return least, y_best, low, root_scale, note
 
 
 def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None:
@@ -396,12 +497,7 @@ def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None
 # the 4th derivative test
 # ---------------------------------------------------------------------------
 
-def fourth_derivative_test(
-    target,
-    tol: float = DEFAULT_CRIT_TOL,
-    n_starts: int = DEFAULT_STARTS,
-    seed: int = 0,
-) -> CritReport:
+def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
     """Classify the critical point of a target function at the origin.
 
     Stages: (1) eigendecompose the Hessian; a definite or indefinite Hessian
@@ -418,8 +514,11 @@ def fourth_derivative_test(
     to (s^2 x, s y), s^2 = 2 / (1 + sqrt(1 + 4 |x|^2)), where a4 is
     s^4 a_min.  NSD Hessians are handled by negating the target.
 
-    The kernel sphere search is heuristic for m >= 2 (at m = 1 the sphere is
-    {+1, -1}), so a strict verdict there carries that caveat.
+    Every verdict is certified at any m: strict-min needs the branch and
+    bound's lower bound on min mu above tol_eff, strict-max (zero Hessian)
+    its upper bound on max a4 below -tol_eff, and a saddle a sphere point
+    where mu is below -tol_eff.  The notes state the bound or witness and
+    the boxes it took; a search stopped by BOX_CAP is inconclusive.
     """
     g0 = np.asarray(target.grad0(), dtype=float)
     if np.linalg.norm(g0) > tol:
@@ -445,7 +544,7 @@ def fourth_derivative_test(
     if np.any(pos) and np.any(neg):
         return CritReport("saddle", "hessian", 2, m, scale=h_scale)
     if np.any(neg):
-        flipped = fourth_derivative_test(_Negated(target), tol, n_starts, seed)
+        flipped = fourth_derivative_test(_Negated(target), tol)
         swap = {"strict-min": "strict-max", "strict-max": "strict-min"}
         return CritReport(
             swap.get(flipped.classification, flipped.classification),
@@ -477,15 +576,17 @@ def fourth_derivative_test(
         s2 = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * float(x @ x)))
         return Y @ (np.sqrt(s2) * y), X @ (s2 * x)
 
-    a_min, y_min, x_min, scale = _kernel_search(forms, n_starts, seed)
-    vel_min, cur_min = on_sphere(y_min, x_min)
     if n:
         # a4(e, 0) = 1/2 lam_max at the top curvature eigenvector e
-        a_max = scale_max = 0.5 * float(lam[-1])
+        a_max = upper = scale_max = 0.5 * float(lam[-1])
         vel_max, cur_max = np.zeros(target.dim), vec[:, -1]
+        notes = ()
     else:
-        a_max, y_max, x_max, scale_max = _kernel_search(forms, n_starts, seed, sign=-1.0)
+        a_max, y_max, x_max, scale_max, upper, note = _kernel_search(forms, tol, sign=-1.0)
         vel_max, cur_max = on_sphere(y_max, x_max)
+        notes = (note,)
+    a_min, y_min, x_min, scale, lower, note = _kernel_search(forms, tol, scale=scale_max)
+    vel_min, cur_min = on_sphere(y_min, x_min)
     scale = max(scale, scale_max)
     tol_eff = tol * (1.0 + scale)
     common = dict(
@@ -494,15 +595,16 @@ def fourth_derivative_test(
         arg_max_velocity=vel_max, arg_max_curvature=cur_max,
         scale=scale,
     )
-    if a_min > tol_eff:
-        return CritReport("strict-min", "quartic", 4, m, **common)
-    if a_max < -tol_eff:
-        return CritReport("strict-max", "quartic", 4, m, **common)
+    notes = (note,) + notes
+    if lower > tol_eff:
+        return CritReport("strict-min", "quartic", 4, m, **common, notes=notes)
+    if upper < -tol_eff:
+        return CritReport("strict-max", "quartic", 4, m, **common, notes=notes)
     if a_min < -tol_eff and (n or a_max > tol_eff):
-        return CritReport("saddle", "quartic", 4, m, **common)
+        return CritReport("saddle", "quartic", 4, m, **common, notes=notes)
     return CritReport(
         "inconclusive", "quartic", 4, m, **common,
-        notes=("a4 attains (near-)zero on the parameter sphere",),
+        notes=notes + ("a4 attains (near-)zero on the parameter sphere",),
     )
 
 
@@ -515,8 +617,6 @@ def second_order_rigidity_test(
     spec: EnergySpec,
     kd: KernelDecomposition | None = None,
     tol: float = DEFAULT_CRIT_TOL,
-    n_starts: int = DEFAULT_STARTS,
-    seed: int = 0,
 ) -> CritReport:
     """Order-4 test of the framework energy with x-coordinates spanning
     K-bar and y-coordinates spanning K.
@@ -526,9 +626,11 @@ def second_order_rigidity_test(
     only the kernel sphere is searched:
         mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y),
     a homogeneous quartic whose strict positivity on the unit sphere of K is
-    equivalent to positivity of a4 on the full parameter sphere.  A strict
-    minimum certifies rigidity order 2.  The search is _kernel_search, the
-    one fourth_derivative_test runs; the argmin is reported as
+    equivalent to positivity of a4 on the full parameter sphere.  The search
+    is _kernel_search, the one fourth_derivative_test runs, so a strict
+    minimum carries a certified lower bound on min mu above tol_eff and
+    certifies rigidity order 2 at any dim K; a saddle carries a sphere
+    point where mu is below -tol_eff.  The argmin is reported as
     (Y y, X x) / sqrt(1 + |x|^2).  The cubic kernel screen is retained
     for generality although it vanishes identically for stiff-bar energies;
     it reads T from the gradient jets that give C, so it costs no jet.
@@ -547,7 +649,7 @@ def second_order_rigidity_test(
     if cubic is not None:
         return cubic
 
-    mu_min, y_best, x_best, scale = _kernel_search(forms, n_starts, seed)
+    mu_min, y_best, x_best, scale, lower, note = _kernel_search(forms, tol)
     tol_eff = tol * (1.0 + scale)
 
     norm = np.sqrt(1.0 + x_best @ x_best)
@@ -556,9 +658,9 @@ def second_order_rigidity_test(
     common = dict(
         a_min=mu_min, a_max=None,
         arg_min_velocity=vel, arg_min_curvature=cur, scale=scale,
-        notes=("x-part minimized in closed form over K-bar",),
+        notes=(note, "x-part minimized in closed form over K-bar"),
     )
-    if mu_min > tol_eff:
+    if lower > tol_eff:
         return CritReport("strict-min", "quartic", 4, m, **common)
     if mu_min < -tol_eff:
         return CritReport("saddle", "quartic", 4, m, **common)

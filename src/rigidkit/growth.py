@@ -14,9 +14,11 @@ test eliminates), so Newton settles in a few steps.  A radius sweep runs
 from the largest radius down and continues from +/- the last minimizer:
 when dim K <= 1 the multistart runs at the first radius only and every
 later radius is Newton alone; when dim K > 1 the multistart runs at every
-radius.  The order-4 critical-point tests use the same minimizer, without
-a Hessian, on mu, their quartic with the curvature block eliminated in
-closed form, over the unit sphere of the kernel.
+radius.  The order-4 critical-point tests decide the sign of mu, their
+quartic with the curvature block eliminated in closed form, by a Bernstein
+branch and bound, and use the Newton path of the same minimizer, with
+mu's Hessian, only to polish the reported minimum from the point that
+decided.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits
@@ -94,8 +96,7 @@ def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds
     Barzilai-Borwein step of every row and keeps it, with the moved point,
     value and gradient, only where the move was accepted, by np.where over
     whole arrays; row by row this is the same arithmetic as updating just
-    the accepted rows.  The sphere searches of the order-4 tests use this
-    path.
+    the accepted rows.  The growth fits' multistart uses this path.
 
     hess maps one point (dim,) to the (dim, dim) Hessian of the function
     there.  With it, each round takes a Riemannian Newton step per row

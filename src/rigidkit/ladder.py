@@ -224,7 +224,6 @@ def rigidity_order(
     tol: float = DEFAULT_LADDER_TOL,
     kernel_tol: float = DEFAULT_KERNEL_TOL,
     energy_family: str = "harmonic",
-    seed: int = 0,
 ) -> OrderReport:
     """Decide the rigidity order of a pinned framework.
 
@@ -234,17 +233,19 @@ def rigidity_order(
     kernel split.  Otherwise dim K = 0 certifies order 1 outright and
     dim K = 1 runs the flex ladder.  For dim K > 1 the ladder does not
     apply; the 4th-derivative energy test is attempted, which can certify
-    order 2 (absence of a second-order flex) but nothing beyond.  The
-    report names the kernel split's method and rank margin.
+    order 2 (absence of a second-order flex) but nothing beyond.  That test
+    draws no random numbers, so the verdict takes no seed (the CLI's --seed
+    seeds the growth fit only).  The report names the kernel split's method
+    and rank margin.
     """
     kd = kernel_decomposition(rigidity_matrix(pf), kernel_tol)
-    rep = _order_from_kernel(pf, kd, max_k, tol, energy_family, seed)
+    rep = _order_from_kernel(pf, kd, max_k, tol, energy_family)
     return replace(rep, kernel_method=kd.method, rank_margin=kd.rank_margin)
 
 
 def _order_from_kernel(
     pf: PinnedFramework, kd: KernelDecomposition, max_k: int, tol: float,
-    energy_family: str, seed: int,
+    energy_family: str,
 ) -> OrderReport:
     parts = _component_count(pf.base.n_vertices, pf.base.edges)
     if parts > 1:
@@ -263,7 +264,7 @@ def _order_from_kernel(
     from .energy import EnergySpec
 
     spec = EnergySpec.for_framework(pf.base, energy_family)
-    crit = second_order_rigidity_test(pf, spec, kd, seed=seed)
+    crit = second_order_rigidity_test(pf, spec, kd)
     if crit.classification == "strict-min":
         return OrderReport(
             verdict="order", order=2, method="order4-energy", dim_K=kd.dim_K

@@ -80,13 +80,13 @@ def test_criterion_3_polynomial_fourth_derivative_tests():
     def poly_with_A(A):
         return PolynomialTarget(2, (((2, 0), 1.0), ((1, 2), -2.0), ((0, 4), 1.0 + A)))
 
-    rep_min = fourth_derivative_test(poly_with_A(1.0), seed=1)
-    rep_sad = fourth_derivative_test(poly_with_A(-1.0), seed=1)
-    rep_inc = fourth_derivative_test(poly_with_A(0.0), seed=1)
+    rep_min = fourth_derivative_test(poly_with_A(1.0))
+    rep_sad = fourth_derivative_test(poly_with_A(-1.0))
+    rep_inc = fourth_derivative_test(poly_with_A(0.0))
     eq6 = PolynomialTarget(
         2, (((2, 0), 1.0), ((1, 2), -2.0), ((0, 4), 1.0), ((2, 2), 1.0), ((0, 6), -1.0))
     )
-    rep_eq6 = fourth_derivative_test(eq6, seed=1)
+    rep_eq6 = fourth_derivative_test(eq6)
     elapsed = time.perf_counter() - t0
 
     curv_err = np.linalg.norm(rep_inc.arg_min_curvature - np.array([PHI, 0.0]))

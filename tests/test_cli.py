@@ -309,6 +309,14 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
+    pytest.param(["analyze", "{k33}", "--tol", "-1"], "usage error: ", id="negative-tol"),
+    pytest.param(["order", "{k33}", "--tol", "0"], "usage error: ", id="zero-tol"),
+    pytest.param(["growth", "{k33}", "--n", "0"], "usage error: ", id="no-radii"),
+    pytest.param(["growth", "{k33}", "--n", "1"], "usage error: ", id="one-radius"),
+    pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "0"],
+                 "usage error: ", id="energy-order-0"),
+    pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "70"],
+                 "usage error: ", id="energy-order-above-jet-cap"),
 ])
 def test_bad_input_exits_with_input_or_usage_error(bad_input_files, capsys, argv, prefix):
     # malformed files and out-of-range arguments exit 1 with a message; an
@@ -317,3 +325,22 @@ def test_bad_input_exits_with_input_or_usage_error(bad_input_files, capsys, argv
     assert main([arg.format(**bad_input_files) for arg in argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+TRIANGLE = ([[0, 0], [1, 0], [0, 1]], [[1, 2], [2, 3], [1, 3]])
+COLLINEAR_CHAIN = ([[0, 0], [1, 0], [2, 0], [3, 0]], [[1, 2], [2, 3], [3, 4], [1, 4]])
+
+
+@pytest.mark.parametrize("framework, extra", [
+    pytest.param(TRIANGLE, [], id="triangle"),
+    pytest.param(TRIANGLE, ["--order", "2"], id="triangle-order-2"),
+    pytest.param(COLLINEAR_CHAIN, ["--order", "2"], id="dimk2-order-2"),
+])
+def test_critpoint_without_an_applicable_test_is_inapplicable(tmp_path, capsys, framework, extra):
+    # dim K = 0 leaves no degenerate direction to test, and the order-2k
+    # family test needs dim K = 1
+    vertices, edges = framework
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": vertices, "edges": edges}))
+    assert main(["critpoint", str(path), *extra]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["classification"] == "inapplicable"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from rigidkit import (
     pin_with_permutation,
     polynomial_from_monomial_list,
     rigidity_matrix,
+    rigidity_order,
     second_order_rigidity_test,
 )
+from rigidkit.critpoint import BOX_CAP
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -30,20 +34,20 @@ def poly_with_A(A: float) -> PolynomialTarget:
 
 
 def test_strict_minimum_case():
-    rep = fourth_derivative_test(poly_with_A(1.0), seed=1)
+    rep = fourth_derivative_test(poly_with_A(1.0))
     assert rep.classification == "strict-min"
     assert rep.resolved_by == "quartic"
     assert rep.a_min > 0.25
 
 
 def test_saddle_case():
-    rep = fourth_derivative_test(poly_with_A(-1.0), seed=1)
+    rep = fourth_derivative_test(poly_with_A(-1.0))
     assert rep.classification == "saddle"
     assert rep.a_min < -1e-3 < 1e-3 < rep.a_max
 
 
 def test_inconclusive_case_with_located_zero():
-    rep = fourth_derivative_test(poly_with_A(0.0), seed=1)
+    rep = fourth_derivative_test(poly_with_A(0.0))
     assert rep.classification == "inconclusive"
     assert abs(rep.a_min) <= 1e-8 * (1 + rep.scale)
     # a4 vanishes exactly at curvature (phi, 0), velocity (0, +/- sqrt(phi))
@@ -90,19 +94,41 @@ def _kernel_dim2_poly(A: float) -> PolynomialTarget:
     ))
 
 
-@pytest.mark.parametrize("target, want", [
-    (_kernel_dim2_poly(1.0), "strict-min"),
-    (_kernel_dim2_poly(-1.0), "saddle"),
-    (_kernel_dim2_poly(0.0), "inconclusive"),
-    (PolynomialTarget(2, (((4, 0), 1.0), ((0, 4), -1.0))), "saddle"),
-    (PolynomialTarget(2, (((4, 0), -1.0), ((0, 4), -1.0))), "strict-max"),
-    (PolynomialTarget(2, (((2, 2), 1.0),)), "inconclusive"),
-])
-def test_reported_extremizers_are_witnesses_on_the_parameter_sphere(target, want):
+def _near_square(delta: float) -> PolynomialTarget:
+    # y1^4 + y2^4 + (-2 + delta) y1^2 y2^2 = (y1^2 - y2^2)^2 + delta y1^2 y2^2:
+    # min on the circle delta / 4 at y1^2 = y2^2
+    return PolynomialTarget(2, (((4, 0), 1.0), ((0, 4), 1.0), ((2, 2), -2.0 + delta)))
+
+
+def _coupled_quartic3(c: float) -> PolynomialTarget:
+    # sum y_i^4 + c sum_{i<j} y_i^2 y_j^2: min (3 + 3c) / 9 at |y_i| = 1/sqrt(3)
+    return PolynomialTarget(3, (
+        ((4, 0, 0), 1.0), ((0, 4, 0), 1.0), ((0, 0, 4), 1.0),
+        ((2, 2, 0), c), ((2, 0, 2), c), ((0, 2, 2), c),
+    ))
+
+
+_WITNESS_CASES = [
+    (_kernel_dim2_poly(1.0), "strict-min", 2),
+    (_kernel_dim2_poly(-1.0), "saddle", 2),
+    (_kernel_dim2_poly(0.0), "inconclusive", 2),
+    (PolynomialTarget(2, (((4, 0), 1.0), ((0, 4), -1.0))), "saddle", 2),
+    (PolynomialTarget(2, (((4, 0), -1.0), ((0, 4), -1.0))), "strict-max", 2),
+    (PolynomialTarget(2, (((2, 2), 1.0),)), "inconclusive", 2),
+    (_near_square(1e-6), "strict-min", 2),
+    (_near_square(1e-9), "inconclusive", 2),
+    (_coupled_quartic3(-1.0 + 1e-6), "strict-min", 3),
+    (_coupled_quartic3(-1.01), "saddle", 3),
+]
+
+
+@pytest.mark.parametrize("target, want, nullity", _WITNESS_CASES,
+                         ids=[f"target{i}-{want}" for i, (_, want, _) in enumerate(_WITNESS_CASES)])
+def test_reported_extremizers_are_witnesses_on_the_parameter_sphere(target, want, nullity):
     from rigidkit.critpoint import _a4_eval
 
     rep = fourth_derivative_test(target)
-    assert (rep.classification, rep.nullity) == (want, 2)
+    assert (rep.classification, rep.nullity) == (want, nullity)
     tol_eff = 1e-8 * (1.0 + rep.scale)
     eye = np.eye(target.dim)
     for value, vel, cur in ((rep.a_min, rep.arg_min_velocity, rep.arg_min_curvature),
@@ -115,13 +141,49 @@ def test_reported_extremizers_are_witnesses_on_the_parameter_sphere(target, want
             assert abs(a4) <= tol_eff
 
 
+def test_near_square_minimum_is_certified_with_its_bound():
+    rep = fourth_derivative_test(_near_square(1e-6))
+    assert rep.classification == "strict-min"
+    assert rep.a_min == pytest.approx(2.5e-7, rel=1e-6)
+    assert rep.notes[0].startswith("certified: min mu >= ")
+    assert 1e-8 * (1.0 + rep.scale) < float(rep.notes[0].split()[4]) <= rep.a_min
+
+
+@pytest.mark.parametrize("cap", [2, 5])
+def test_box_cap_leaves_the_verdict_inconclusive(monkeypatch, cap):
+    # cap 2 is below the 5 Bernstein coefficients of one root box at m = 2,
+    # so no box is bounded; cap 5 stops the splitting after the root
+    import rigidkit.critpoint as critpoint
+
+    monkeypatch.setattr(critpoint, "BOX_CAP", cap)
+    rep = fourth_derivative_test(_near_square(1e-6))
+    assert rep.classification == "inconclusive"
+    assert rep.notes[0].startswith(f"box cap of {cap} reached")
+
+
+def test_large_kernel_dimension_returns_promptly_without_a_bound():
+    # a planar zigzag path of 12 vertices has dim K = 10: one root box would
+    # hold 5^9 Bernstein coefficients, so the search bounds no box
+    pts = np.array([[i, 0.3 * (i % 2)] for i in range(12)], dtype=float)
+    pf = pin_with_permutation(Framework(2, pts, [(i, i + 1) for i in range(11)]))[0]
+    kd = kernel_decomposition(rigidity_matrix(pf))
+    assert kd.dim_K == 10
+    start = time.perf_counter()
+    rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"), kd)
+    order = rigidity_order(pf)
+    assert time.perf_counter() - start < 20.0
+    assert rep.classification == "inconclusive"
+    assert rep.notes[0].startswith(f"box cap of {BOX_CAP} reached before the first box")
+    assert (order.verdict, order.dim_K) == ("inconclusive", 10)
+
+
 def test_limit_counterexample_is_inconclusive():
     # f = (x - y^2)^2 + x^2 y^2 - y^6 has a saddle at the origin, but its a4
     # equals (x0 - y0^2)^2, which is PSD with zeros: the test cannot decide
     target = PolynomialTarget(
         2, (((2, 0), 1.0), ((1, 2), -2.0), ((0, 4), 1.0), ((2, 2), 1.0), ((0, 6), -1.0))
     )
-    rep = fourth_derivative_test(target, seed=1)
+    rep = fourth_derivative_test(target)
     assert rep.classification == "inconclusive"
 
 
@@ -137,7 +199,7 @@ def test_hessian_resolved_cases():
 
 def test_nsd_degenerate_via_negation():
     target = PolynomialTarget(2, (((2, 0), -1.0), ((1, 2), 2.0), ((0, 4), -2.0)))
-    rep = fourth_derivative_test(target, seed=2)
+    rep = fourth_derivative_test(target)
     assert rep.classification == "strict-max"
     assert "negated" in " ".join(rep.notes)
 
@@ -281,7 +343,7 @@ def test_dimk2_second_order_runs():
     kd = kernel_decomposition(rigidity_matrix(pf))
     assert kd.dim_K == 2
     spec = EnergySpec.for_framework(pf.base, "harmonic")
-    rep = second_order_rigidity_test(pf, spec, kd, seed=5)
+    rep = second_order_rigidity_test(pf, spec, kd)
     # two edges gone: the framework is flexible, so no certificate
     assert rep.classification == "inconclusive"
     assert rep.nullity == 2

@@ -21,6 +21,7 @@ from rigidkit import (
     second_order_rigidity_test,
 )
 from rigidkit.critpoint import FrameworkEnergyTarget, _a4_eval, _assemble_quartic_forms, _Negated
+from quartic_eval import grad_batch, value_batch
 
 RTOL = 1e-12
 
@@ -113,12 +114,12 @@ def test_gradient_polarized_forms_match_a4_differences(name, case):
     n = X.shape[1]
     z = rng.standard_normal((12, n + Y.shape[1]))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    got = forms.value_batch(z[:, :n], z[:, n:])
+    got = value_batch(forms, z[:, :n], z[:, n:])
     want = np.array([_a4_eval(target, X, Y, row[:n], row[n:]) for row in z])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= RTOL * scale, name
     # and the pure kernel quartic alone (x = 0)
-    got_b = forms.value_batch(np.zeros((12, n)), z[:, n:])
+    got_b = value_batch(forms, np.zeros((12, n)), z[:, n:])
     want_b = np.array([_a4_eval(target, X, Y, np.zeros(n), row[n:]) for row in z])
     assert np.max(np.abs(got_b - want_b)) <= RTOL * np.max(np.abs(want_b)), name
 
@@ -128,13 +129,13 @@ def test_quartic_form_gradients_match_finite_differences():
     forms = _assemble_quartic_forms(target, X, Y, target.hessian0())
     rng = np.random.default_rng(8)
     xs, ys = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
-    grad = forms.grad_batch(xs, ys)
+    grad = grad_batch(forms, xs, ys)
     h = 1e-6
     for col in range(4):
         step = np.zeros(4)
         step[col] = h
-        plus = forms.value_batch(xs + step[:2], ys + step[2:])
-        minus = forms.value_batch(xs - step[:2], ys - step[2:])
+        plus = value_batch(forms, xs + step[:2], ys + step[2:])
+        minus = value_batch(forms, xs - step[:2], ys - step[2:])
         assert np.allclose(grad[:, col], (plus - minus) / (2 * h), rtol=1e-7, atol=1e-7)
 
 

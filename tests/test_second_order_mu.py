@@ -16,6 +16,7 @@ from rigidkit import (
     second_order_rigidity_test,
 )
 from rigidkit.critpoint import _assemble_quartic_forms
+from quartic_eval import kernel_terms
 
 
 def _triangle_with_two_midpoints():
@@ -44,7 +45,7 @@ def test_mu_minimum_matches_explicit_inverse(build, family):
     # the reported velocity is Y y / sqrt(1 + |x|^2) with |y| = 1
     vel_norm = np.linalg.norm(rep.arg_min_velocity)
     y = Y.T @ rep.arg_min_velocity / vel_norm
-    c, b3 = forms.kernel_terms(y[None, :])
+    c, b3 = kernel_terms(forms, y[None, :])
     x = -np.linalg.inv(forms.Hxx) @ c[0]
     mu = float(b3[0] @ y) - 0.5 * float(c[0] @ (np.linalg.inv(forms.Hxx) @ c[0]))
     assert rep.a_min == pytest.approx(mu, rel=1e-12)
