@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--json", action="store_true")
     a.add_argument("--no-permute", action="store_true",
                    help="fail instead of permuting vertices when the leading set is degenerate")
-    a.add_argument("--seed", type=int, default=0, help="seed of the growth fit's random starts")
+    a.add_argument("--seed", type=_int_at_least(0), default=0, help="seed of the growth fit's random starts")
     a.set_defaults(func=cmd_analyze)
 
     o = sub.add_parser("order", help="rigidity order with ladder residuals and witness")
@@ -435,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rmin", type=float, default=1e-3)
     g.add_argument("--rmax", type=float, default=1e-1)
     g.add_argument("--n", type=_int_at_least(2), default=12, help="number of radii")
-    g.add_argument("--starts", type=int, default=64,
+    g.add_argument("--starts", type=_int_at_least(1), default=64,
                    help="random starts of the multistart, which runs at the first radius "
                         "when dim K <= 1 and at every radius when dim K > 1")
     g.add_argument("--csv")
-    g.add_argument("--seed", type=int, default=0,
+    g.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed of the multistart's random starts")
     g.set_defaults(func=cmd_growth)
 

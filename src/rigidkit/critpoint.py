@@ -11,7 +11,7 @@ term already forces a saddle.
 
 a4 decomposes exactly as
     a4(x0, y0) = 1/2 x0' Hxx x0  +  sum_i x0_i Ci(y0, y0)  +  B(y0^4),
-with Hxx positive definite on the non-kernel block.  The forms are assembled
+with Hxx definite on the non-kernel block.  The forms are assembled
 once from exact order-3 gradient jets along the lines Y a t, one per
 lattice point a in N^m with |a| = 3 (m = dim K; 1, 4 and 10 jets at
 m = 1, 2, 3).  Their t^2 rows give the (dim, m, m) tensor S with
@@ -22,11 +22,13 @@ B each follow from one least-squares solve (Griewank, Utke & Walther,
 Math. Comp. 69 (2000)).  The number of jets thus depends on the kernel
 dimension m only, not on the size of the non-kernel block.
 
-For fixed y0 the x0 part is a convex quadratic, minimized in closed form at
-x0 = -Hxx^-1 c(y0), c(y0) = (Ci(y0, y0))_i.  This leaves
+For fixed y0 the x0 part is a definite quadratic, extremized in closed form
+at x0 = -Hxx^-1 c(y0), c(y0) = (Ci(y0, y0))_i.  This leaves
     mu(y0) = B(y0^4) - 1/2 c(y0)' Hxx^-1 c(y0),
-and a4 > 0 on the parameter sphere exactly when mu > 0 on the unit kernel
-sphere.  Both order-4 tests decide the sign of mu there with _kernel_search,
+and for a PSD Hessian a4 > 0 on the parameter sphere exactly when mu > 0 on
+the unit kernel sphere.  For an NSD Hessian the signs flip (a4 < 0 exactly
+when mu < 0), so NSD Hessians are handled by the search's sign, on -mu,
+in the same pass.  Both order-4 tests decide the sign of mu there with _kernel_search,
 a deterministic Bernstein branch and bound: a strict verdict carries a
 certified bound on min mu beyond tol_eff, a saddle a sphere point where mu
 is below -tol_eff, and an inconclusive one a certificate that min mu lies
@@ -41,7 +43,7 @@ _a4_eval reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
@@ -187,29 +189,6 @@ class FrameworkEnergyTarget:
         return gradient_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
 
 
-class _Negated:
-    """View of a target with flipped sign (for NSD Hessians)."""
-
-    def __init__(self, target):
-        self._t = target
-
-    @property
-    def dim(self):
-        return self._t.dim
-
-    def grad0(self):
-        return -self._t.grad0()
-
-    def hessian0(self):
-        return -self._t.hessian0()
-
-    def jet_along(self, rows, order):
-        return -self._t.jet_along(rows, order)
-
-    def gradient_jet_along(self, rows, order):
-        return -self._t.gradient_jet_along(rows, order)
-
-
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -221,9 +200,11 @@ class CritReport:
     classification: "strict-min" | "strict-max" | "saddle" | "inconclusive".
     resolved_by records which stage decided: "hessian" (classical second
     derivative test), "cubic" (a kernel y_i y_j y_k term), "quartic" (the
-    order-4 family), or "order2k-family".  For "quartic", a_min is min mu
-    on the unit kernel sphere, not a4 at the arg_min point (a4 is s^4 a_min
-    there), and a_max is a4 at its point (see fourth_derivative_test).  Arg
+    order-4 family), or "order2k-family".  For "quartic" at a PSD Hessian,
+    a_min is min mu on the unit kernel sphere, not a4 at the arg_min point
+    (a4 is s^4 a_min there), and a_max is a4 at its point; at an NSD Hessian
+    a_max is max mu and a_min is a4 at its point (see
+    fourth_derivative_test).  Arg
     points are reported in original coordinates as (velocity, curvature) =
     (t-part, t^2..t^k-part) of the extremizing trajectory.
     """
@@ -332,7 +313,7 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
 
     The least point is then polished by minimize_on_sphere's Newton path,
     with Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x, scale, bound,
-    note): x = -Hxx^-1 c(y) is the minimizing x-part, bound the certified
+    note): x = -Hxx^-1 c(y) is the extremizing x-part, bound the certified
     lower bound on min mu (for sign = -1, the upper bound on max mu; an
     infinite one when no box was bounded), and note states the decision
     and the boxes it took."""
@@ -501,24 +482,27 @@ def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
     """Classify the critical point of a target function at the origin.
 
     Stages: (1) eigendecompose the Hessian; a definite or indefinite Hessian
-    resolves the point at second order.  (2) For a degenerate PSD Hessian,
-    rotate so the kernel spans the y-coordinates and screen the cubic kernel
-    form; a nonzero y_i y_j y_k coefficient is a saddle certificate.
-    (3) Otherwise a_min = min mu on the unit kernel sphere (module
-    docstring) and a_max = a4 at the top curvature eigenvector, 1/2 lam_max,
-    or max B for a zero Hessian (a4 = B).  a_min > 0 certifies a strict
-    local minimum, a_max < 0 a strict local maximum, and a_min < 0 a saddle
-    when the Hessian is nonzero (f grows along its top eigenvector) or
-    a_max > 0; a vanishing a_min leaves the test inconclusive.  Arg points
-    lie on the unit parameter sphere: the minimizer (x, y), |y| = 1, maps
-    to (s^2 x, s y), s^2 = 2 / (1 + sqrt(1 + 4 |x|^2)), where a4 is
-    s^4 a_min.  NSD Hessians are handled by negating the target.
+    resolves the point at second order.  (2) For a degenerate semidefinite
+    Hessian, rotate so the kernel spans the y-coordinates and screen the
+    cubic kernel form; a nonzero y_i y_j y_k coefficient is a saddle
+    certificate.  (3) Otherwise side = +1 (PSD) or -1 (NSD) picks the near
+    extreme, min mu resp. max mu on the unit kernel sphere (module
+    docstring), and the far one, a4 = 1/2 lam at the curvature eigenvector
+    of largest |lam|, or the other extreme of mu = B for a zero Hessian.
+    a_min is the near extreme for PSD and the far one for NSD, a_max the
+    other.  a_min > 0 certifies a strict local minimum, a_max < 0 a strict
+    local maximum, and side * near < 0 a saddle when the Hessian is nonzero
+    or side * far > 0; a vanishing near extreme is inconclusive.  Arg points
+    lie on the unit parameter sphere: the extremizer (x, y), |y| = 1, maps
+    to (s^2 x, s y), s^2 = 2 / (1 + sqrt(1 + 4 |x|^2)), where a4 is s^4 mu.
+    NSD Hessians are handled by the search's sign in the same pass; their
+    reports end with the note "negated target (NSD Hessian)".
 
-    Every verdict is certified at any m: strict-min needs the branch and
-    bound's lower bound on min mu above tol_eff, strict-max (zero Hessian)
-    its upper bound on max a4 below -tol_eff, and a saddle a sphere point
-    where mu is below -tol_eff.  The notes state the bound or witness and
-    the boxes it took; a search stopped by BOX_CAP is inconclusive.
+    Every verdict is certified at any m: a strict one by the branch and
+    bound's bound on an extreme beyond tol_eff, a saddle by a sphere point
+    where side * mu is below -tol_eff.  The notes state the bound or
+    witness in f's own sign and the boxes it took; a search stopped by
+    BOX_CAP is inconclusive.
     """
     g0 = np.asarray(target.grad0(), dtype=float)
     if np.linalg.norm(g0) > tol:
@@ -533,43 +517,22 @@ def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
     zero = ~(pos | neg)
     m = int(np.sum(zero))
 
-    if m == 0:
-        if np.all(pos):
-            cls = "strict-min"
-        elif np.all(neg):
-            cls = "strict-max"
-        else:
-            cls = "saddle"
-        return CritReport(cls, "hessian", 2, 0, scale=h_scale)
+    side = -1.0 if np.any(neg) else 1.0
+    verdicts = ("strict-min", "strict-max")[:: int(side)]   # (near side's, far side's)
     if np.any(pos) and np.any(neg):
         return CritReport("saddle", "hessian", 2, m, scale=h_scale)
-    if np.any(neg):
-        flipped = fourth_derivative_test(_Negated(target), tol)
-        swap = {"strict-min": "strict-max", "strict-max": "strict-min"}
-        return CritReport(
-            swap.get(flipped.classification, flipped.classification),
-            flipped.resolved_by,
-            flipped.order,
-            flipped.nullity,
-            a_min=None if flipped.a_max is None else -flipped.a_max,
-            a_max=None if flipped.a_min is None else -flipped.a_min,
-            arg_min_velocity=flipped.arg_max_velocity,
-            arg_min_curvature=flipped.arg_max_curvature,
-            arg_max_velocity=flipped.arg_min_velocity,
-            arg_max_curvature=flipped.arg_min_curvature,
-            a3_witness=flipped.a3_witness,
-            scale=flipped.scale,
-            notes=flipped.notes + ("negated target (NSD Hessian)",),
-        )
+    if m == 0:
+        return CritReport(verdicts[0], "hessian", 2, 0, scale=h_scale)
 
-    X = vec[:, pos]
+    X = vec[:, neg if side < 0 else pos]
     Y = vec[:, zero]
     n = X.shape[1]
+    nsd = ("negated target (NSD Hessian)",) if side < 0 else ()
 
     forms = _assemble_quartic_forms(target, X, Y, hess)
     cubic = _cubic_screen(forms.T, Y, tol)
     if cubic is not None:
-        return cubic
+        return replace(cubic, notes=cubic.notes + nsd)
 
     def on_sphere(y, x):
         # a4(s^2 x, s y) = s^4 a4(x, y), and s^2 + s^4 |x|^2 = 1 at this s^2
@@ -577,34 +540,35 @@ def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
         return Y @ (np.sqrt(s2) * y), X @ (s2 * x)
 
     if n:
-        # a4(e, 0) = 1/2 lam_max at the top curvature eigenvector e
-        a_max = upper = scale_max = 0.5 * float(lam[-1])
-        vel_max, cur_max = np.zeros(target.dim), vec[:, -1]
+        # a4(e, 0) = 1/2 lam at the curvature eigenvector e of largest |lam|
+        top = -1 if side > 0 else 0
+        far = far_bound = 0.5 * float(lam[top])
+        far_scale, far_arg = abs(far), (np.zeros(target.dim), vec[:, top])
         notes = ()
     else:
-        a_max, y_max, x_max, scale_max, upper, note = _kernel_search(forms, tol, sign=-1.0)
-        vel_max, cur_max = on_sphere(y_max, x_max)
+        far, y_far, x_far, far_scale, far_bound, note = _kernel_search(forms, tol, sign=-side)
+        far_arg = on_sphere(y_far, x_far)
         notes = (note,)
-    a_min, y_min, x_min, scale, lower, note = _kernel_search(forms, tol, scale=scale_max)
-    vel_min, cur_min = on_sphere(y_min, x_min)
-    scale = max(scale, scale_max)
+    near, y_near, x_near, scale, near_bound, note = _kernel_search(forms, tol, sign=side, scale=far_scale)
+    scale = max(scale, far_scale)
     tol_eff = tol * (1.0 + scale)
-    common = dict(
-        a_min=a_min, a_max=a_max,
+    notes = (note,) + notes
+    if side * near_bound > tol_eff:
+        cls = verdicts[0]
+    elif side * far_bound < -tol_eff:
+        cls = verdicts[1]
+    elif side * near < -tol_eff and (n or side * far > tol_eff):
+        cls = "saddle"
+    else:
+        cls, notes = "inconclusive", notes + ("a4 attains (near-)zero on the parameter sphere",)
+    # the near extreme is min mu on a PSD side and max mu on an NSD one
+    ends = [(near, on_sphere(y_near, x_near)), (far, far_arg)][:: int(side)]
+    (a_min, (vel_min, cur_min)), (a_max, (vel_max, cur_max)) = ends
+    return CritReport(
+        cls, "quartic", 4, m, a_min=a_min, a_max=a_max,
         arg_min_velocity=vel_min, arg_min_curvature=cur_min,
         arg_max_velocity=vel_max, arg_max_curvature=cur_max,
-        scale=scale,
-    )
-    notes = (note,) + notes
-    if lower > tol_eff:
-        return CritReport("strict-min", "quartic", 4, m, **common, notes=notes)
-    if upper < -tol_eff:
-        return CritReport("strict-max", "quartic", 4, m, **common, notes=notes)
-    if a_min < -tol_eff and (n or a_max > tol_eff):
-        return CritReport("saddle", "quartic", 4, m, **common, notes=notes)
-    return CritReport(
-        "inconclusive", "quartic", 4, m, **common,
-        notes=notes + ("a4 attains (near-)zero on the parameter sphere",),
+        scale=scale, notes=notes + nsd,
     )
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +103,14 @@ class EnergySpec:
             return float(-np.sum(self.epsilon))
         return 0.0
 
+    @cached_property
+    def _lj_well_offset(self) -> np.ndarray:
+        """c = u_d - 1/2 per Lennard-Jones edge, u_d = (sigma/d)^6, rounded
+        once from the exact rational value of the float sigma and d: at
+        sigma = d 2^(-1/6) it is a rounding residue that cancels in floats."""
+        return np.array([float((Fraction(s) / Fraction(d)) ** 6 - Fraction(1, 2))
+                         for s, d in zip(self.sigma, self.rest_lengths)])
+
 
 # ---------------------------------------------------------------------------
 # the per-family formulas: a jet in the squared length, and the gap
@@ -163,9 +173,12 @@ def _gap_and_slope(spec: EnergySpec, lengths: np.ndarray, dl: np.ndarray):
         gap = dl * (lengths + d)
         return 0.5 * k * gap**2, 2.0 * k * lengths * gap
     if spec.family == "lj":
-        eps, sig = spec.epsilon[:, None], spec.sigma[:, None]
-        u = (sig / lengths) ** 6
-        return 4.0 * eps * (u - 0.5) ** 2, (24.0 * eps / lengths) * (u - 2.0 * u**2)
+        # E(l) - E(d) = 4 eps delta (delta + 2c) with delta = u_l - u_d from
+        # log1p/expm1 and c = u_d - 1/2 exact, so no difference of rounded u
+        eps, c = spec.epsilon[:, None], spec._lj_well_offset[:, None]
+        u_d = c + 0.5
+        delta = u_d * np.expm1(-6.0 * np.log1p(dl / d))
+        return 4.0 * eps * delta * (delta + 2.0 * c), (-48.0 * eps / lengths) * (u_d + delta) * (delta + c)
     eps_d, a = spec.depth[:, None], spec.width[:, None]
     one_m = -np.expm1(-a * dl)
     ex = 1.0 - one_m

@@ -313,6 +313,9 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["order", "{k33}", "--tol", "0"], "usage error: ", id="zero-tol"),
     pytest.param(["growth", "{k33}", "--n", "0"], "usage error: ", id="no-radii"),
     pytest.param(["growth", "{k33}", "--n", "1"], "usage error: ", id="one-radius"),
+    pytest.param(["growth", "{k33}", "--seed", "-1"], "usage error: ", id="growth-negative-seed"),
+    pytest.param(["analyze", "{k33}", "--growth", "--seed", "-3"], "usage error: ", id="analyze-negative-seed"),
+    pytest.param(["growth", "{k33}", "--starts", "-3"], "usage error: ", id="negative-starts"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "0"],
                  "usage error: ", id="energy-order-0"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "70"],

@@ -204,6 +204,31 @@ def test_nsd_degenerate_via_negation():
     assert "negated" in " ".join(rep.notes)
 
 
+def _negated(target: PolynomialTarget) -> PolynomialTarget:
+    return PolynomialTarget(target.n_vars, tuple((exps, -coef) for exps, coef in target.monomials))
+
+
+_MIRROR_CASES = [target for target, _, _ in _WITNESS_CASES] + [poly_with_A(A) for A in (1.0, -1.0, 0.0)]
+
+
+@pytest.mark.parametrize("target", _MIRROR_CASES, ids=[f"target{i}" for i in range(len(_MIRROR_CASES))])
+def test_negated_target_mirrors_the_report(target):
+    # -f has a strict max where f has a strict min, and its extremes are
+    # those of f reflected; an NSD Hessian (the first three _WITNESS_CASES
+    # and the poly_with_A cases, negated) runs the same pass with side -1
+    rep, mirror = fourth_derivative_test(target), fourth_derivative_test(_negated(target))
+    swap = {"strict-min": "strict-max", "strict-max": "strict-min"}
+    assert mirror.classification == swap.get(rep.classification, rep.classification)
+    assert (mirror.nullity, mirror.scale) == (rep.nullity, rep.scale)
+    assert mirror.a_min == pytest.approx(-rep.a_max, abs=1e-12)
+    assert mirror.a_max == pytest.approx(-rep.a_min, abs=1e-12)
+    for rp in (rep, mirror):
+        if rp.classification == "strict-max":
+            bounds = [float(note.split()[4]) for note in rp.notes if note.startswith("certified: max mu <= ")]
+            assert len(bounds) == 1 and bounds[0] < -1e-8 * (1.0 + rp.scale)
+            assert rp.a_max <= bounds[0]
+
+
 def test_cubic_kernel_term_is_saddle():
     target = PolynomialTarget(2, (((2, 0), 1.0), ((0, 3), 1.0)))
     rep = fourth_derivative_test(target)

@@ -151,14 +151,7 @@ def _decimal_gap(spec, pf, delta):
         return float(total)
 
 
-@pytest.mark.parametrize("family", [
-    "harmonic",
-    pytest.param("lj", marks=pytest.mark.xfail(
-        strict=True,
-        reason="the Lennard-Jones gap 4 eps (u - 1/2)^2 cancels in u - 1/2 "
-               "as the displacement shrinks (about 7.6e-11 relative at 1e-6)",
-    )),
-])
+@pytest.mark.parametrize("family", ["harmonic", "lj"])
 def test_gap_matches_decimal_sum(corpus_analysis, family):
     pf = corpus_analysis["k33"]["pf"]
     spec = EnergySpec.for_framework(pf.base, family)
@@ -169,6 +162,20 @@ def test_gap_matches_decimal_sum(corpus_analysis, family):
         got, _ = energy_gap_and_grad(spec, pf, delta)
         want = _decimal_gap(spec, pf, delta)
         assert abs(got - want) <= 1e-13 * abs(want), (family, size, abs(got - want) / abs(want))
+
+
+def test_lj_gap_is_taken_from_the_rest_length_at_any_sigma(corpus_analysis):
+    # with sigma off d 2^(-1/6) the rest length is not the well's minimum;
+    # the gap is still E(l) - E(d), not E(l) - E_min
+    pf = corpus_analysis["k33"]["pf"]
+    rest = EnergySpec.for_framework(pf.base, "lj")
+    spec = EnergySpec("lj", rest.rest_lengths, epsilon=1.3, sigma=0.93 * rest.rest_lengths, edges=rest.edges)
+    direction = np.random.default_rng(12).standard_normal(pf.n_free)
+    direction /= np.linalg.norm(direction)
+    for size in (1e-2, 1e-6):
+        got, _ = energy_gap_and_grad(spec, pf, size * direction)
+        want = _decimal_gap(spec, pf, size * direction)
+        assert abs(got - want) <= 1e-13 * abs(want), (size, abs(got - want) / abs(want))
 
 
 @pytest.mark.xfail(

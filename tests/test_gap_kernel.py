@@ -7,6 +7,8 @@ with np.where instead of boolean-mask updates; the reference is the masked
 loop, which it must match bit for bit.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,9 +40,10 @@ def _reference_gap_and_slope(spec, lengths, dl):
         gap = dl * (lengths + d)
         return 0.5 * k * gap**2, 2.0 * k * lengths * gap
     if spec.family == "lj":
-        eps, sig = spec.epsilon, spec.sigma
-        u = (sig / lengths) ** 6
-        return 4.0 * eps * (u - 0.5) ** 2, (24.0 * eps / lengths) * (u - 2.0 * u**2)
+        eps = spec.epsilon
+        c = np.array([float((Fraction(s) / Fraction(r)) ** 6 - Fraction(1, 2)) for s, r in zip(spec.sigma, d)])
+        delta = (c + 0.5) * np.expm1(-6.0 * np.log1p(dl / d))
+        return 4.0 * eps * delta * (delta + 2.0 * c), (-48.0 * eps / lengths) * (c + 0.5 + delta) * (delta + c)
     eps_d, a = spec.depth, spec.width
     one_m = -np.expm1(-a * dl)
     return eps_d * one_m**2, 2.0 * eps_d * a * (1.0 - one_m) * one_m
