@@ -21,13 +21,11 @@ from .critpoint import (
 from .energy import (
     FAMILIES,
     EnergySpec,
-    classify_flex,
     energy_along_trajectory,
     energy_gap_and_grad,
     energy_value_grad_hess,
     faa_di_bruno_term,
     gradient_along_trajectory,
-    kernel_of_hessian_equals_K,
 )
 from .errors import (
     DegenerateFit,
@@ -41,14 +39,12 @@ from .errors import (
 from .framework import (
     Framework,
     Isometry,
-    MeasurementVector,
     PinnedFramework,
     affine_span_dimension,
     find_pinnable_permutation,
     framework_from_dict,
     framework_to_dict,
     load_framework,
-    measure,
     permute_framework,
     pin,
     pin_with_permutation,
@@ -66,7 +62,6 @@ from .ladder import (
 from .linear import (
     KernelDecomposition,
     RigidityMatrix,
-    first_order_rigid,
     kernel_decomposition,
     rigidity_matrix,
 )
@@ -78,19 +73,18 @@ __all__ = [
     "CritReport", "FrameworkEnergyTarget", "PolynomialTarget",
     "fourth_derivative_test", "order2k_family_test",
     "polynomial_from_monomial_list", "second_order_rigidity_test",
-    "FAMILIES", "EnergySpec", "classify_flex", "energy_along_trajectory",
-    "energy_gap_and_grad", "energy_value_grad_hess", "faa_di_bruno_term",
-    "gradient_along_trajectory", "kernel_of_hessian_equals_K",
+    "FAMILIES", "EnergySpec", "energy_along_trajectory", "energy_gap_and_grad",
+    "energy_value_grad_hess", "faa_di_bruno_term", "gradient_along_trajectory",
     "DegenerateFit", "DegenerateLeadingVertices", "DimKNotOne",
     "FrameworkValidationError", "NotACriticalPoint", "RigidkitError",
     "ZeroLengthEdge",
-    "Framework", "Isometry", "MeasurementVector", "PinnedFramework",
-    "affine_span_dimension", "find_pinnable_permutation",
-    "framework_from_dict", "framework_to_dict", "load_framework", "measure",
-    "permute_framework", "pin", "pin_with_permutation", "save_framework",
+    "Framework", "Isometry", "PinnedFramework", "affine_span_dimension",
+    "find_pinnable_permutation", "framework_from_dict", "framework_to_dict",
+    "load_framework", "permute_framework", "pin", "pin_with_permutation",
+    "save_framework",
     "GrowthFit", "fit_growth_order", "min_energy_on_sphere",
     "Jet", "compose_series",
     "OrderReport", "PolyTrajectory", "flex_rhs", "rigidity_order", "solve_ladder",
-    "KernelDecomposition", "RigidityMatrix", "first_order_rigid",
-    "kernel_decomposition", "rigidity_matrix",
+    "KernelDecomposition", "RigidityMatrix", "kernel_decomposition",
+    "rigidity_matrix",
 ]

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch
 (corpus-verify), 3 numerical failure.  JSON output prints floats with 17
 significant digits so reports round-trip byte-for-byte.  Every command is
 deterministic: --seed seeds the growth fit's random starts only, and the
-order-4 tests draw no random numbers.  RIGIDKIT_THREADS caps corpus-verify
-concurrency.
+order-4 tests draw no random numbers.  A reader that closes the output pipe
+early (rigidkit ... | head) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -312,6 +311,8 @@ def _inapplicable(reason: str) -> int:
 
 
 def cmd_critpoint(args) -> int:
+    if args.poly and args.order is not None:
+        raise _UsageError("--order applies to a framework file, not to --poly")
     if args.poly:
         with open(args.poly, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -344,24 +345,14 @@ def cmd_critpoint(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(name: str):
-    fw = corpus_mod.load_corpus(name)
-    pf, _, perm = pin_with_permutation(fw)
-    rep = rigidity_order(pf)
-    got = rep.order if rep.verdict == "order" else None
-    return name, got, corpus_mod.EXPECTED_ORDERS[name], rep
-
-
 def cmd_corpus_verify(args) -> int:
-    threads = int(os.environ.get("RIGIDKIT_THREADS", "1"))
     names = list(corpus_mod.CORPUS_NAMES)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_verify_one, names))
-    else:
-        results = [_verify_one(n) for n in names]
     failures = 0
-    for name, got, expected, rep in results:
+    for name in names:
+        pf, _, _ = pin_with_permutation(corpus_mod.load_corpus(name))
+        rep = rigidity_order(pf)
+        got = rep.order if rep.verdict == "order" else None
+        expected = corpus_mod.EXPECTED_ORDERS[name]
         ok = got == expected
         failures += 0 if ok else 1
         status = "ok" if ok else "MISMATCH"
@@ -455,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("path", nargs="?")
     c.add_argument("--poly", help='polynomial target JSON: [{"exps": [..], "coef": r}, ...]')
     c.add_argument("--family", choices=FAMILIES, default="harmonic")
-    c.add_argument("--order", type=_int_at_least(2), help="run the order-2k family test at k=ORDER")
+    c.add_argument("--order", type=_int_at_least(2),
+                   help="run the order-2k family test at k=ORDER (framework file only)")
     c.set_defaults(func=cmd_critpoint)
 
     v = sub.add_parser("corpus-verify", help="recompute the bundled corpus orders")
@@ -465,9 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    code = EXIT_OK
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone away; point stdout at devnull so the
+        # interpreter's own flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -477,6 +475,7 @@ def main(argv=None) -> int:
     except RigidkitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return code
 
 
 if __name__ == "__main__":

@@ -36,9 +36,7 @@ within +/- tol_eff, or the note that the box cap was reached.  At m = 1 the
 sphere is {+1, -1} and mu(e_1) is exact.
 
 Targets provide grad0, hessian0 and gradient_jet_along (the Taylor
-coefficient rows of grad f along a polynomial trajectory).  They also
-provide jet_along, the jet of f itself, which only the exact a4 oracle
-_a4_eval reads.
+coefficient rows of grad f along a polynomial trajectory).
 """
 
 from __future__ import annotations
@@ -123,17 +121,6 @@ class PolynomialTarget:
                 term = term * var_jets[i].power(e)
         return term
 
-    def jet_along(self, rows: np.ndarray, order: int) -> Jet:
-        """Exact jet of f along v(t) = sum_l rows[l-1] t^l (constant term of
-        f dropped)."""
-        var_jets = self._variable_jets(rows, order)
-        total = Jet.constant(0.0, order)
-        for exps, coef in self.monomials:
-            if sum(exps) == 0:
-                continue
-            total = total + self._monomial_jet(var_jets, coef, exps)
-        return total
-
     def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
         """(n_vars, order+1) Taylor coefficient rows of grad f along v(t),
         from the jets of the differentiated monomials."""
@@ -180,10 +167,6 @@ class FrameworkEnergyTarget:
         _, _, h = energy_value_grad_hess(self.spec, self.pf)
         return h
 
-    def jet_along(self, rows: np.ndarray, order: int) -> Jet:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return energy_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
-
     def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         return gradient_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
@@ -227,16 +210,6 @@ class CritReport:
 # ---------------------------------------------------------------------------
 # quartic form assembly
 # ---------------------------------------------------------------------------
-
-def _a4_eval(target, X: np.ndarray, Y: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> float:
-    """One exact a4 evaluation: t^4 coefficient of f(X x0 t^2 + Y y0 t).
-    Kept as the exact oracle the assembled forms are tested against;
-    fourth_derivative_test and second_order_rigidity_test never call it."""
-    dim = target.dim
-    row1 = Y @ y0 if Y.shape[1] else np.zeros(dim)
-    row2 = X @ x0 if X.shape[1] else np.zeros(dim)
-    return float(target.jet_along(np.vstack([row1, row2]), 4).c[4])
-
 
 @dataclass(frozen=True, eq=False)
 class _QuarticForms:

@@ -30,7 +30,6 @@ from .errors import ZeroLengthEdge
 from .framework import Framework, PinnedFramework
 from .jets import Jet, compose_series, series_mul
 from .ladder import PolyTrajectory
-from .linear import KernelDecomposition
 
 FAMILIES = ("harmonic", "algebraic", "lj", "morse")
 
@@ -321,12 +320,6 @@ def _edge_m_jet(diffs: np.ndarray) -> Jet:
     return (diff * diff).sum(axis=1)
 
 
-def _edge_m_jets(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> list[Jet]:
-    """Squared-length jets m_ij(p(t)) per canonical edge, one Jet each."""
-    m_jet = _edge_m_jet(_edge_diffs(pf, traj, order))
-    return [Jet(c, mag) for c, mag in zip(m_jet.c, m_jet.mag)]
-
-
 def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTrajectory, order: int) -> Jet:
     """Exact Taylor coefficients of t -> E(p(t)) - E(p) through the given
     order, where p(t) = p + sum_l traj.coeffs[l-1] t^l."""
@@ -351,68 +344,6 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
     # dE/dp_v = 2 phi'(m) (p_v - p_w) per edge vw, and the negative for p_w
     force = 2.0 * series_mul(dphi.c[:, None, :], diffs)
     return _sum_onto_free(pf, force)
-
-
-# ---------------------------------------------------------------------------
-# flex classification and the Hessian-kernel identity
-# ---------------------------------------------------------------------------
-
-def classify_flex(pf: PinnedFramework, traj: PolyTrajectory, k_check: int, tol: float = 1e-8):
-    """Activity and vanishing orders of a polynomial trajectory.
-
-    Returns (j_active, k_vanish): j_active is the smallest l with a nonzero
-    t^l coefficient; k_vanish is the largest k <= k_check such that all
-    derivatives of the squared edge lengths through order k vanish at t = 0
-    (coefficients below tol relative to the largest coefficient magnitude
-    through k_check).
-    """
-    norms = np.linalg.norm(traj.coeffs, axis=1)
-    active = np.flatnonzero(norms > tol)
-    if active.size == 0:
-        raise ValueError("trajectory is numerically zero")
-    j_active = int(active[0]) + 1
-
-    m_rows = _edge_m_jet(_edge_diffs(pf, traj, k_check)).c
-    per_order = np.max(np.abs(m_rows[:, 1:]), axis=0) if m_rows.size else np.zeros(k_check)
-    # scale includes order 0 (the squared rest lengths), so a trajectory whose
-    # inspected derivatives all vanish still gets a meaningful threshold
-    scale = float(np.max(np.abs(m_rows))) if m_rows.size else 0.0
-    k_vanish = 0
-    for k in range(1, k_check + 1):
-        if per_order[k - 1] <= tol * scale:
-            k_vanish = k
-        else:
-            break
-    return j_active, k_vanish
-
-
-def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of two orthonormal bases."""
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(A.T @ B, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
-
-
-def kernel_of_hessian_equals_K(
-    spec: EnergySpec,
-    pf: PinnedFramework,
-    kd: KernelDecomposition,
-    tol: float = 1e-8,
-    angle_tol: float = 1e-6,
-) -> bool:
-    """Check that the numerical kernel of the energy Hessian at rest
-    coincides with the first-order flex space K as subspaces."""
-    _, _, hess = energy_value_grad_hess(spec, pf)
-    lam, vec = np.linalg.eigh(hess)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    ker = vec[:, np.abs(lam) <= tol * max(scale, 1.0)]
-    if ker.shape[1] != kd.dim_K:
-        return False
-    if kd.dim_K == 0:
-        return True
-    ang = principal_angles(ker, kd.K_basis)
-    return bool(np.max(ang) < angle_tol)
 
 
 # ---------------------------------------------------------------------------

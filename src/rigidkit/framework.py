@@ -1,5 +1,5 @@
-"""Bar-and-joint frameworks, congruence-normal (pinned) coordinates, and
-edge-length measurement maps.
+"""Bar-and-joint frameworks and their congruence-normal (pinned)
+coordinates.
 
 A framework is a graph together with a point configuration in d dimensions;
 edges are rigid bars.  Pinning removes the rigid-motion degrees of freedom by
@@ -34,7 +34,8 @@ class Framework:
 
     Vertices are indexed from 0 internally; the JSON file format is 1-based.
     Edges are canonicalized to sorted pairs in lexicographic order, so
-    measurement vectors are reproducible bit-for-bit across runs.
+    per-edge arrays such as edge_lengths() are reproducible bit-for-bit
+    across runs.
     """
 
     dimension: int
@@ -103,30 +104,6 @@ class Framework:
         """Read-only (n_edges, dimension) array of p_v - p_w per canonical
         edge vw."""
         return self._vectors
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementVector:
-    """Per-edge lengths l(p) or squared lengths m(p), in canonical edge order."""
-
-    kind: str                  # "lengths" | "squared"
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("lengths", "squared"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        object.__setattr__(self, "values", _as_readonly(self.values))
-
-
-def measure(framework: Framework, kind: str = "lengths") -> MeasurementVector:
-    """Vector of edge lengths (kind="lengths") or squared lengths
-    (kind="squared"), one entry per canonical edge."""
-    lengths = framework.edge_lengths()
-    if kind == "lengths":
-        return MeasurementVector(kind, lengths)
-    if kind == "squared":
-        return MeasurementVector(kind, lengths**2)
-    raise ValueError(f"unknown measurement kind {kind!r}")
 
 
 def affine_span_dimension(config, tol: float = DEFAULT_RANK_TOL) -> int:

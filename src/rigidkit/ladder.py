@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import DimKNotOne
 from .framework import PinnedFramework
-from .linear import (
-    DEFAULT_KERNEL_TOL,
-    KernelDecomposition,
-    kernel_decomposition,
-    rigidity_matrix,
-)
+from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
 DEFAULT_MAX_K = 32
 DEFAULT_LADDER_TOL = 1e-7
@@ -222,7 +217,6 @@ def rigidity_order(
     pf: PinnedFramework,
     max_k: int = DEFAULT_MAX_K,
     tol: float = DEFAULT_LADDER_TOL,
-    kernel_tol: float = DEFAULT_KERNEL_TOL,
     energy_family: str = "harmonic",
 ) -> OrderReport:
     """Decide the rigidity order of a pinned framework.
@@ -238,7 +232,7 @@ def rigidity_order(
     seeds the growth fit only).  The report names the kernel split's method
     and rank margin.
     """
-    kd = kernel_decomposition(rigidity_matrix(pf), kernel_tol)
+    kd = kernel_decomposition(rigidity_matrix(pf))
     rep = _order_from_kernel(pf, kd, max_k, tol, energy_family)
     return replace(rep, kernel_method=kd.method, rank_margin=kd.rank_margin)
 

@@ -90,9 +90,6 @@ class KernelDecomposition:
     def n_free(self) -> int:
         return self.K_basis.shape[0]
 
-    def project_K(self, x: np.ndarray) -> np.ndarray:
-        return self.K_basis @ (self.K_basis.T @ x)
-
     def solve_min_norm(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """Minimum-norm least-squares solution of R x = rhs, together with the
         residual norm ||R x - rhs|| = ||W' rhs||, W the stress basis.
@@ -181,8 +178,3 @@ def kernel_decomposition(R: RigidityMatrix, tol: float = DEFAULT_KERNEL_TOL) -> 
             return kd
     return _svd_split(mat, tol)
 
-
-def first_order_rigid(pf: PinnedFramework, tol: float = DEFAULT_KERNEL_TOL) -> bool:
-    """True iff the pinned framework has no nontrivial first-order flex
-    (dim K = 0), which certifies rigidity order 1."""
-    return kernel_decomposition(rigidity_matrix(pf), tol).dim_K == 0

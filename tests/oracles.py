@@ -1,0 +1,144 @@
+"""Reference checks the tests compare the library against.
+
+None of this is on the library's decision path; each function recomputes
+a quantity by a slower or more direct route:
+
+- f_jet and a4_eval: the exact jet of a critical-point target along a
+  polynomial trajectory, and the t^4 coefficient a4(x0, y0) of
+  f(X x0 t^2 + Y y0 t) read from it;
+- kernel_terms, value_batch and grad_batch: a4(x, y) = 1/2 x' Hxx x +
+  sum_i x_i (y' C[i] y) + B(y, y, y, y) and its gradient, batched over
+  rows, from the fields of a critpoint._QuarticForms.  The library decides
+  the sign of a4 through the reduced form mu in critpoint._kernel_search;
+  these keep the full (x, y) form checkable against a4_eval;
+- edge_m_jets and classify_flex: the squared edge-length jets of a
+  trajectory, per edge, and the (j, k) flex type they give;
+- principal_angles and kernel_of_hessian_equals_K: the energy Hessian's
+  numerical kernel against the first-order flex space K.
+"""
+
+import numpy as np
+
+from rigidkit import FrameworkEnergyTarget, Jet, PolyTrajectory, energy_along_trajectory, energy_value_grad_hess
+from rigidkit.energy import _edge_diffs, _edge_m_jet
+
+
+# ---------------------------------------------------------------------------
+# exact jets of a critical-point target
+# ---------------------------------------------------------------------------
+
+def f_jet(target, rows, order: int) -> Jet:
+    """Exact jet of f along v(t) = sum_l rows[l-1] t^l (constant term of f
+    dropped): the energy jet for a framework target, the sum of monomial
+    jets for a polynomial one."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if isinstance(target, FrameworkEnergyTarget):
+        return energy_along_trajectory(target.spec, target.pf, PolyTrajectory(rows), order)
+    var_jets = target._variable_jets(rows, order)
+    total = Jet.constant(0.0, order)
+    for exps, coef in target.monomials:
+        if sum(exps):
+            total = total + target._monomial_jet(var_jets, coef, exps)
+    return total
+
+
+def a4_eval(target, X: np.ndarray, Y: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> float:
+    """One exact a4 evaluation: t^4 coefficient of f(X x0 t^2 + Y y0 t)."""
+    dim = target.dim
+    row1 = Y @ y0 if Y.shape[1] else np.zeros(dim)
+    row2 = X @ x0 if X.shape[1] else np.zeros(dim)
+    return float(f_jet(target, np.vstack([row1, row2]), 4).c[4])
+
+
+# ---------------------------------------------------------------------------
+# the assembled order-4 forms, evaluated directly
+# ---------------------------------------------------------------------------
+
+def kernel_terms(forms, ys: np.ndarray):
+    """Per row y: c(y) = (y' C[i] y)_i, shape (b, n), and B(y, y, y, .),
+    shape (b, m)."""
+    b, m = ys.shape
+    yy = (ys[:, :, None] * ys[:, None, :]).reshape(b, m * m)
+    byy = (yy @ forms.B.reshape(m * m, m * m)).reshape(b, m, m)
+    return yy @ forms.C.reshape(-1, m * m).T, np.einsum("bij,bj->bi", byy, ys)
+
+
+def value_batch(forms, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """a4 at each row pair (x, y)."""
+    c, b3 = kernel_terms(forms, ys)
+    return np.sum((0.5 * xs @ forms.Hxx + c) * xs, axis=1) + np.sum(b3 * ys, axis=1)
+
+
+def grad_batch(forms, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (x, y)-gradient of a4 at each row pair, shape (b, n + m)."""
+    c, b3 = kernel_terms(forms, ys)
+    b, m = ys.shape
+    wc = (xs @ forms.C.reshape(-1, m * m)).reshape(b, m, m)
+    mixed = 2.0 * np.einsum("bjk,bk->bj", wc, ys)     # y-gradient of x . c(y)
+    return np.hstack([xs @ forms.Hxx.T + c, mixed + 4.0 * b3])
+
+
+# ---------------------------------------------------------------------------
+# flex classification from squared edge-length jets
+# ---------------------------------------------------------------------------
+
+def edge_m_jets(pf, traj: PolyTrajectory, order: int) -> list[Jet]:
+    """Squared-length jets m_ij(p(t)) per canonical edge, one Jet each."""
+    m_jet = _edge_m_jet(_edge_diffs(pf, traj, order))
+    return [Jet(c, mag) for c, mag in zip(m_jet.c, m_jet.mag)]
+
+
+def classify_flex(pf, traj: PolyTrajectory, k_check: int, tol: float = 1e-8):
+    """Activity and vanishing orders of a polynomial trajectory.
+
+    Returns (j_active, k_vanish): j_active is the smallest l with a nonzero
+    t^l coefficient; k_vanish is the largest k <= k_check such that all
+    derivatives of the squared edge lengths through order k vanish at t = 0
+    (coefficients below tol relative to the largest coefficient magnitude
+    through k_check).
+    """
+    norms = np.linalg.norm(traj.coeffs, axis=1)
+    active = np.flatnonzero(norms > tol)
+    if active.size == 0:
+        raise ValueError("trajectory is numerically zero")
+    j_active = int(active[0]) + 1
+
+    m_rows = _edge_m_jet(_edge_diffs(pf, traj, k_check)).c
+    per_order = np.max(np.abs(m_rows[:, 1:]), axis=0) if m_rows.size else np.zeros(k_check)
+    # scale includes order 0 (the squared rest lengths), so a trajectory whose
+    # inspected derivatives all vanish still gets a meaningful threshold
+    scale = float(np.max(np.abs(m_rows))) if m_rows.size else 0.0
+    k_vanish = 0
+    for k in range(1, k_check + 1):
+        if per_order[k - 1] <= tol * scale:
+            k_vanish = k
+        else:
+            break
+    return j_active, k_vanish
+
+
+# ---------------------------------------------------------------------------
+# the Hessian-kernel identity
+# ---------------------------------------------------------------------------
+
+def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spans of two orthonormal bases."""
+    if A.shape[1] == 0 or B.shape[1] == 0:
+        return np.zeros(0)
+    s = np.linalg.svd(A.T @ B, compute_uv=False)
+    return np.arccos(np.clip(s, -1.0, 1.0))
+
+
+def kernel_of_hessian_equals_K(spec, pf, kd, tol: float = 1e-8, angle_tol: float = 1e-6) -> bool:
+    """Check that the numerical kernel of the energy Hessian at rest
+    coincides with the first-order flex space K as subspaces."""
+    _, _, hess = energy_value_grad_hess(spec, pf)
+    lam, vec = np.linalg.eigh(hess)
+    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
+    ker = vec[:, np.abs(lam) <= tol * max(scale, 1.0)]
+    if ker.shape[1] != kd.dim_K:
+        return False
+    if kd.dim_K == 0:
+        return True
+    ang = principal_angles(ker, kd.K_basis)
+    return bool(np.max(ang) < angle_tol)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigidkit
 from rigidkit import Framework, load_corpus, save_framework
 from rigidkit.cli import (
     EXIT_MISMATCH,
@@ -151,12 +156,6 @@ def test_corpus_verify_mismatch_exit(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_corpus_verify_threaded(monkeypatch, capsys):
-    monkeypatch.setenv("RIGIDKIT_THREADS", "4")
-    assert main(["corpus-verify"]) == EXIT_OK
-    assert "8/8 match" in capsys.readouterr().out
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
 
@@ -288,6 +287,7 @@ def bad_input_files(tmp_path, k33_file):
         "short_traj": {"coeffs": [[1.0, 0.0, 0.0]]},
         "empty_poly": [],
         "poly_no_coef": [{"exps": [2, 0]}],
+        "poly": [{"exps": [2, 0], "coef": 1.0}, {"exps": [0, 4], "coef": 1.0}],
     }
     paths = {"k33": k33_file}
     for name, data in contents.items():
@@ -309,6 +309,7 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
+    pytest.param(["critpoint", "--poly", "{poly}", "--order", "3"], "usage error: ", id="poly-with-order"),
     pytest.param(["analyze", "{k33}", "--tol", "-1"], "usage error: ", id="negative-tol"),
     pytest.param(["order", "{k33}", "--tol", "0"], "usage error: ", id="zero-tol"),
     pytest.param(["growth", "{k33}", "--n", "0"], "usage error: ", id="no-radii"),
@@ -347,3 +348,22 @@ def test_critpoint_without_an_applicable_test_is_inapplicable(tmp_path, capsys, 
     path.write_text(json.dumps({"dimension": 2, "vertices": vertices, "edges": edges}))
     assert main(["critpoint", str(path), *extra]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["classification"] == "inapplicable"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_ends_quietly(k33_file, unbuffered):
+    # the reader is gone before anything is written, as in
+    # `rigidkit analyze k33.json --json | true`: that is no input error.
+    # Buffered, the pipe breaks at the final flush; unbuffered, at the write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rigidkit.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rigidkit.cli", "analyze", k33_file, "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")

@@ -125,7 +125,7 @@ _WITNESS_CASES = [
 @pytest.mark.parametrize("target, want, nullity", _WITNESS_CASES,
                          ids=[f"target{i}-{want}" for i, (_, want, _) in enumerate(_WITNESS_CASES)])
 def test_reported_extremizers_are_witnesses_on_the_parameter_sphere(target, want, nullity):
-    from rigidkit.critpoint import _a4_eval
+    from oracles import a4_eval
 
     rep = fourth_derivative_test(target)
     assert (rep.classification, rep.nullity) == (want, nullity)
@@ -134,7 +134,7 @@ def test_reported_extremizers_are_witnesses_on_the_parameter_sphere(target, want
     for value, vel, cur in ((rep.a_min, rep.arg_min_velocity, rep.arg_min_curvature),
                             (rep.a_max, rep.arg_max_velocity, rep.arg_max_curvature)):
         assert vel @ vel + cur @ cur == pytest.approx(1.0, rel=1e-12)
-        a4 = _a4_eval(target, eye, eye, cur, vel)
+        a4 = a4_eval(target, eye, eye, cur, vel)
         if abs(value) > tol_eff:
             assert np.sign(a4) == np.sign(value) and abs(a4) > tol_eff
         else:
@@ -269,14 +269,14 @@ def test_a4_exactness_on_random_quartics():
         )
         X = np.array([[1.0], [0.0]])
         Y = np.array([[0.0], [1.0]])
-        from rigidkit.critpoint import _a4_eval
+        from oracles import a4_eval
 
         for _ in range(5):
             z = rng.standard_normal(2)
             z /= np.linalg.norm(z)
             x0, y0 = z[0], z[1]
             expected = hxx * x0**2 + c_xyy * x0 * y0**2 + c_y4 * y0**4
-            got = _a4_eval(target, X, Y, np.array([x0]), np.array([y0]))
+            got = a4_eval(target, X, Y, np.array([x0]), np.array([y0]))
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 

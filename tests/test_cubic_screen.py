@@ -21,6 +21,7 @@ from rigidkit import (
     second_order_rigidity_test,
 )
 from rigidkit.critpoint import _assemble_quartic_forms, _cubic_screen
+from oracles import f_jet
 from test_quartic_assembly import _polynomial_case, midpoint_strip
 
 RTOL = 1e-12
@@ -36,7 +37,7 @@ def _energy_jet_cubic_form(target, Y):
     def cval(ids):
         if ids not in cache:
             vec = np.sum(eye[list(ids)], axis=0)
-            cache[ids] = (float(target.jet_along((Y @ vec)[None, :], 3).c[3]), vec)
+            cache[ids] = (float(f_jet(target, (Y @ vec)[None, :], 3).c[3]), vec)
         return cache[ids][0]
 
     tensor = np.zeros((m, m, m))

@@ -13,7 +13,6 @@ from rigidkit import (
     framework_to_dict,
     load_corpus,
     load_framework,
-    measure,
     permute_framework,
     pin,
     pin_with_permutation,
@@ -81,14 +80,14 @@ def test_affine_span_half_flat_prism():
 
 def test_measure_unit_segment():
     seg = Framework(2, np.array([[0.0, 0], [1, 0]]), [(0, 1)])
-    assert measure(seg, "lengths").values.tolist() == [1.0]
-    assert measure(seg, "squared").values.tolist() == [1.0]
+    assert seg.edge_lengths().tolist() == [1.0]
+    assert (seg.edge_lengths() ** 2).tolist() == [1.0]
 
 
 def test_measure_half_flat_prism_edge_56():
     fw = load_corpus("half_flat_prism")
     idx = fw.edges.index((4, 5))
-    assert measure(fw, "lengths").values[idx] == pytest.approx(3.0, abs=1e-15)
+    assert fw.edge_lengths()[idx] == pytest.approx(3.0, abs=1e-15)
     # vertices 5 and 6 sit at (-1, 0) and (2, 0)
     assert np.allclose(fw.vertices[4], [-1, 0])
     assert np.allclose(fw.vertices[5], [2, 0])
@@ -123,7 +122,7 @@ def test_pin_preserves_k33_lengths():
     fw = load_corpus("k33")
     pf, _ = pin(fw)
     assert np.allclose(
-        measure(pf.base, "lengths").values, measure(fw, "lengths").values, atol=1e-12
+        pf.base.edge_lengths(), fw.edge_lengths(), atol=1e-12
     )
 
 
@@ -131,8 +130,8 @@ def test_measure_invariant_under_pin(corpus_analysis):
     for item in corpus_analysis.values():
         fw = item["framework"]
         pf, _, _ = pin_with_permutation(fw)
-        before = np.sort(measure(fw, "lengths").values)
-        after = np.sort(measure(pf.base, "lengths").values)
+        before = np.sort(fw.edge_lengths())
+        after = np.sort(pf.base.edge_lengths())
         assert np.allclose(before, after, atol=1e-10)
 
 
@@ -190,8 +189,8 @@ def test_permute_framework_round_trip():
     fw = load_corpus("k33")
     perm = [3, 1, 5, 0, 2, 4]
     pfw = permute_framework(fw, perm)
-    assert sorted(np.sort(measure(pfw, "lengths").values)) == pytest.approx(
-        sorted(np.sort(measure(fw, "lengths").values))
+    assert sorted(np.sort(pfw.edge_lengths())) == pytest.approx(
+        sorted(np.sort(fw.edge_lengths()))
     )
     inv = [perm.index(v) for v in range(6)]
     back = permute_framework(pfw, inv)

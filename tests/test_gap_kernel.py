@@ -24,7 +24,7 @@ from rigidkit import (
 )
 from rigidkit.critpoint import _QuarticForms
 from rigidkit.growth import minimize_on_sphere
-from quartic_eval import grad_batch, value_batch
+from oracles import grad_batch, value_batch
 
 SCALES = (1e-1, 1e-3, 1e-6)
 BATCHES = (1, 6, 64)

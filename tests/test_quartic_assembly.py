@@ -20,8 +20,8 @@ from rigidkit import (
     rigidity_matrix,
     second_order_rigidity_test,
 )
-from rigidkit.critpoint import FrameworkEnergyTarget, _a4_eval, _assemble_quartic_forms
-from quartic_eval import grad_batch, value_batch
+from rigidkit.critpoint import FrameworkEnergyTarget, _assemble_quartic_forms
+from oracles import a4_eval, grad_batch, value_batch
 
 RTOL = 1e-12
 
@@ -78,7 +78,7 @@ def _difference_C(target, X, Y):
     eye_n, eye_m = np.eye(n), np.eye(m)
 
     def mixed(i, y):
-        return 0.5 * (_a4_eval(target, X, Y, eye_n[i], y) - _a4_eval(target, X, Y, -eye_n[i], y))
+        return 0.5 * (a4_eval(target, X, Y, eye_n[i], y) - a4_eval(target, X, Y, -eye_n[i], y))
 
     out = np.zeros((n, m, m))
     for i in range(n):
@@ -115,12 +115,12 @@ def test_gradient_polarized_forms_match_a4_differences(name, case):
     z = rng.standard_normal((12, n + Y.shape[1]))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     got = value_batch(forms, z[:, :n], z[:, n:])
-    want = np.array([_a4_eval(target, X, Y, row[:n], row[n:]) for row in z])
+    want = np.array([a4_eval(target, X, Y, row[:n], row[n:]) for row in z])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= RTOL * scale, name
     # and the pure kernel quartic alone (x = 0)
     got_b = value_batch(forms, np.zeros((12, n)), z[:, n:])
-    want_b = np.array([_a4_eval(target, X, Y, np.zeros(n), row[n:]) for row in z])
+    want_b = np.array([a4_eval(target, X, Y, np.zeros(n), row[n:]) for row in z])
     assert np.max(np.abs(got_b - want_b)) <= RTOL * np.max(np.abs(want_b)), name
 
 

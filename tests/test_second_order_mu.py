@@ -16,7 +16,7 @@ from rigidkit import (
     second_order_rigidity_test,
 )
 from rigidkit.critpoint import _assemble_quartic_forms
-from quartic_eval import kernel_terms
+from oracles import kernel_terms
 
 
 def _triangle_with_two_midpoints():
