@@ -311,9 +311,9 @@ def _inapplicable(reason: str) -> int:
 
 
 def cmd_critpoint(args) -> int:
-    if args.poly and args.order is not None:
-        raise _UsageError("--order applies to a framework file, not to --poly")
     if args.poly:
+        if args.path or args.order is not None or args.family is not None:
+            raise _UsageError("--poly takes no framework file, --order or --family")
         with open(args.poly, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         try:
@@ -326,7 +326,7 @@ def cmd_critpoint(args) -> int:
     if not args.path:
         raise _UsageError("critpoint needs --poly or a framework file")
     fw, pf, _ = _load_and_pin(args.path)
-    spec = EnergySpec.for_framework(pf.base, args.family)
+    spec = EnergySpec.for_framework(pf.base, args.family or "harmonic")
     kd = kernel_decomposition(rigidity_matrix(pf))
     if kd.dim_K == 0:
         return _inapplicable("dim K = 0: the framework is first-order rigid")
@@ -445,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("critpoint", help="derivative tests at a degenerate critical point")
     c.add_argument("path", nargs="?")
     c.add_argument("--poly", help='polynomial target JSON: [{"exps": [..], "coef": r}, ...]')
-    c.add_argument("--family", choices=FAMILIES, default="harmonic")
+    c.add_argument("--family", choices=FAMILIES,
+                   help="energy family for a framework file (default harmonic)")
     c.add_argument("--order", type=_int_at_least(2),
                    help="run the order-2k family test at k=ORDER (framework file only)")
     c.set_defaults(func=cmd_critpoint)

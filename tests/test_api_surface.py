@@ -1,10 +1,13 @@
 """The library keeps only what its own modules, the CLI and the benchmark
 call.  Reference checks that only tests read live in tests/oracles.py, and
 thin views of a library call are gone in favour of that call; none of these
-names may resolve on rigidkit, on any of its modules or on their classes."""
+names may resolve on rigidkit, on any of its modules or on their classes.
+No module of the library or of the tests imports a name it never reads."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import rigidkit
 
@@ -29,3 +32,25 @@ def test_test_only_names_stay_out_of_the_library():
              if hasattr(ns, name)]
     assert not found
     assert not set(TEST_ONLY_NAMES) & set(rigidkit.__all__)
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module binds by import but never loads; `from __future__`
+    imports bind no name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an __init__.py imports to re-export, so it is exempt
+    roots = (Path(rigidkit.__file__).parent, Path(__file__).parent)
+    found = {str(path): names for root in roots for path in sorted(root.rglob("*.py"))
+             if path.name != "__init__.py" and (names := _unread_imports(path))}
+    assert not found

@@ -310,6 +310,10 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
     pytest.param(["critpoint", "--poly", "{poly}", "--order", "3"], "usage error: ", id="poly-with-order"),
+    pytest.param(["critpoint", "{k33}", "--poly", "{poly}"], "usage error: ", id="poly-with-file"),
+    pytest.param(["critpoint", "--poly", "{poly}", "--family", "lj"], "usage error: ", id="poly-with-family"),
+    pytest.param(["critpoint", "--poly", "{poly}", "--family", "harmonic"], "usage error: ",
+                 id="poly-with-default-family"),
     pytest.param(["analyze", "{k33}", "--tol", "-1"], "usage error: ", id="negative-tol"),
     pytest.param(["order", "{k33}", "--tol", "0"], "usage error: ", id="zero-tol"),
     pytest.param(["growth", "{k33}", "--n", "0"], "usage error: ", id="no-radii"),

@@ -15,11 +15,9 @@ from fractions import Fraction
 
 import math
 
-import numpy as np
 import pytest
 
 from rigidkit import (
-    Framework,
     kernel_decomposition,
     load_corpus,
     permute_framework,

@@ -13,7 +13,7 @@ from rigidkit import (
     rigidity_matrix,
     solve_ladder,
 )
-from rigidkit.linear import DEFAULT_KERNEL_TOL, _svd_split
+from rigidkit.linear import DEFAULT_KERNEL_TOL, _CompactWY, _svd_split
 
 
 def exact_rank(matrix) -> int:
@@ -138,18 +138,33 @@ def test_solve_min_norm_consistency(square_pinned):
     assert np.allclose(x, x2, atol=1e-10)
 
 
-def strip_minus_edge(n: int, seed: int):
-    """Pinned triangulated strip on n vertices (two jittered rows, 2n - 3
-    bars) with one interior zig-zag diagonal removed: a mechanism with
-    dim K = 1 whose 2n - 4 rows are independent."""
-    rng = np.random.default_rng(seed)
+def _jittered_strip(n: int, rng):
+    """Triangulated strip on n vertices: two jittered rows, 2n - 3 bars."""
     x = np.repeat(np.arange(n // 2, dtype=float), 2)
     x[0::2] += 0.5
     pts = np.column_stack([x, np.tile([1.0, 0.0], n // 2)])
     pts += rng.uniform(-0.02, 0.02, size=pts.shape)
     edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    return pts, edges
+
+
+def strip_minus_edge(n: int, seed: int):
+    """Pinned triangulated strip on n vertices with one interior zig-zag
+    diagonal removed: a mechanism with dim K = 1 whose 2n - 4 rows are
+    independent."""
+    rng = np.random.default_rng(seed)
+    pts, edges = _jittered_strip(n, rng)
     drop = int(rng.integers(n // 4, 3 * n // 4))
     edges.remove((drop, drop + 1))
+    return pin(Framework(2, pts, edges))[0]
+
+
+def strip_minus_two_diagonals(n: int, seed: int):
+    """Pinned triangulated strip on n vertices with two zig-zag diagonals
+    removed: a mechanism with dim K = 2 whose 2n - 5 rows are independent."""
+    pts, edges = _jittered_strip(n, np.random.default_rng(seed))
+    for drop in (n // 4, 3 * n // 4):
+        edges.remove((drop, drop + 1))
     return pin(Framework(2, pts, edges))[0]
 
 
@@ -185,6 +200,55 @@ def test_qr_split_matches_svd_referee_on_strips(n):
     norms = np.linalg.norm(rep.witness.coeffs, axis=1)
     norms_ref = np.linalg.norm(rep_ref.witness.coeffs, axis=1)
     assert np.allclose(norms, norms_ref, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_qr_split_matches_svd_referee_at_dim_k_two(n):
+    # n = 200 has 395 rows, so K, K-bar and the solves cross several
+    # compact-WY blocks of the Householder factor
+    R = rigidity_matrix(strip_minus_two_diagonals(n, seed=n))
+    kd = kernel_decomposition(R)
+    ref = _svd_split(R.matrix, DEFAULT_KERNEL_TOL)
+    assert (kd.method, ref.method) == ("qr", "svd")
+    assert kd.dim_K == ref.dim_K == 2
+    proj = kd.K_basis @ kd.K_basis.T + kd.Kbar_basis @ kd.Kbar_basis.T
+    assert np.max(np.abs(proj - np.eye(kd.n_free))) <= 1e-12
+    assert np.linalg.norm(R.matrix @ kd.K_basis) <= 1e-9 * np.linalg.norm(R.matrix)
+    # the cosines of the principal angles between the two kernels
+    cosines = np.linalg.svd(kd.K_basis.T @ ref.K_basis, compute_uv=False)
+    assert np.min(cosines) >= 1 - 1e-12
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        rhs = rng.standard_normal(R.shape[0])
+        x, residual = kd.solve_min_norm(rhs)
+        x_ref, _ = ref.solve_min_norm(rhs)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert residual == 0.0
+
+
+def test_qr_split_never_forms_q(monkeypatch):
+    # only the Householder factor is computed, on an accepted split and a
+    # declined one alike, and the dim K = 1 ladder never needs K-bar itself
+    modes, formed = [], []
+    qr, leading_columns = np.linalg.qr, _CompactWY.leading_columns
+
+    def recording_qr(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    def recording_leading_columns(q):
+        formed.append(q)
+        return leading_columns(q)
+
+    strip = strip_minus_edge(300, seed=300)
+    k33 = pin_with_permutation(load_corpus("k33"))[0]
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(_CompactWY, "leading_columns", recording_leading_columns)
+    kd = kernel_decomposition(rigidity_matrix(strip))
+    assert solve_ladder(strip, kd).verdict == "flex-found"
+    assert kd.method == "qr" and not formed
+    assert kernel_decomposition(rigidity_matrix(k33)).method == "svd"
+    assert modes == ["raw", "raw"]
 
 
 @pytest.mark.parametrize("eps, diagonal_clears", [(1e-11, False), (8e-10, True), (9e-10, True)])
