@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="full analysis: pin, dim K, rigidity order")
     a.add_argument("path")
-    a.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_MAX_K)
+    a.add_argument("--max-k", type=_int_at_least(2, MAX_ORDER), default=DEFAULT_MAX_K)
     a.add_argument("--tol", type=_positive_float, default=DEFAULT_LADDER_TOL)
     a.add_argument("--family", choices=FAMILIES, default="harmonic")
     a.add_argument("--growth", action="store_true", help="also fit the energy growth order")
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("order", help="rigidity order with ladder residuals and witness")
     o.add_argument("path")
-    o.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_MAX_K)
+    o.add_argument("--max-k", type=_int_at_least(2, MAX_ORDER), default=DEFAULT_MAX_K)
     o.add_argument("--tol", type=_positive_float, default=DEFAULT_LADDER_TOL)
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_order)

@@ -28,8 +28,9 @@ at x0 = -Hxx^-1 c(y0), c(y0) = (Ci(y0, y0))_i.  This leaves
 and for a PSD Hessian a4 > 0 on the parameter sphere exactly when mu > 0 on
 the unit kernel sphere.  For an NSD Hessian the signs flip (a4 < 0 exactly
 when mu < 0), so NSD Hessians are handled by the search's sign, on -mu,
-in the same pass.  Both order-4 tests decide the sign of mu there with _kernel_search,
-a deterministic Bernstein branch and bound: a strict verdict carries a
+in the same pass.  Both order-4 tests, and the order-2k test through the same
+reduction at m = 1, decide the sign of mu there with _kernel_search, a
+deterministic Bernstein branch and bound: a strict verdict carries a
 certified bound on min mu beyond tol_eff, a saddle a sphere point where mu
 is below -tol_eff, and an inconclusive one a certificate that min mu lies
 within +/- tol_eff, or the note that the box cap was reached.  At m = 1 the
@@ -189,7 +190,11 @@ class CritReport:
     a_max is max mu and a_min is a4 at its point (see
     fourth_derivative_test).  Arg
     points are reported in original coordinates as (velocity, curvature) =
-    (t-part, t^2..t^k-part) of the extremizing trajectory.
+    (t-part, t^2..t^k-part) of the extremizing trajectory.  The two
+    rigidity tests, second_order_rigidity_test and order2k_family_test,
+    report a_min = min mu and the arg point (Y y, X x) / sqrt(1 + |x|^2) of
+    the kernel search's least point y and its closed-form x-part, and their
+    notes start with the search's certificate, then name the closed form.
     """
 
     classification: str
@@ -284,12 +289,12 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     only at the axes and the diagonals (e_i +/- e_j) / sqrt(2), so a point
     below -tol_eff can still be a witness at any m.
 
-    The least point is then polished by minimize_on_sphere's Newton path,
-    with Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x, scale, bound,
-    note): x = -Hxx^-1 c(y) is the extremizing x-part, bound the certified
-    lower bound on min mu (for sign = -1, the upper bound on max mu; an
-    infinite one when no box was bounded), and note states the decision
-    and the boxes it took."""
+    At m > 1 the least point is then polished by minimize_on_sphere's
+    Newton path, with Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
+    scale, bound, note): x = -Hxx^-1 c(y) is the extremizing x-part, bound
+    the certified lower bound on min mu (for sign = -1, the upper bound on
+    max mu; an infinite one when no box was bounded), and note states the
+    decision and the boxes it took."""
     n, m = forms.C.shape[:2]
     c_flat = forms.C.reshape(n, m * m)
     hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
@@ -323,9 +328,10 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
         note = (f"box cap of {BOX_CAP} reached before the first box: one face box at m = {m} "
                 f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
 
-    vals, zs, _ = minimize_on_sphere(value_grad, y_best[None, :], rounds=NEWTON_ROUNDS, hess=hess)
-    if vals[0] < least:
-        least, y_best = float(vals[0]), zs[0]
+    if m > 1:   # the sphere of R^1 is {+1, -1}: no tangent step to polish
+        vals, zs, _ = minimize_on_sphere(value_grad, y_best[None, :], rounds=NEWTON_ROUNDS, hess=hess)
+        if vals[0] < least:
+            least, y_best = float(vals[0]), zs[0]
     x_best = -hinv_c @ np.outer(y_best, y_best).reshape(m * m)
     scale = max(root_scale, size(y_best[None, :], np.array([least])))
     return sign * least, y_best, x_best, scale, sign * low, note
@@ -451,7 +457,7 @@ def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None
 # the 4th derivative test
 # ---------------------------------------------------------------------------
 
-def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
+def fourth_derivative_test(target) -> CritReport:
     """Classify the critical point of a target function at the origin.
 
     Stages: (1) eigendecompose the Hessian; a definite or indefinite Hessian
@@ -478,13 +484,13 @@ def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
     BOX_CAP is inconclusive.
     """
     g0 = np.asarray(target.grad0(), dtype=float)
-    if np.linalg.norm(g0) > tol:
+    if np.linalg.norm(g0) > DEFAULT_CRIT_TOL:
         raise NotACriticalPoint(f"gradient norm {np.linalg.norm(g0):.3e} exceeds tol")
 
     hess = np.asarray(target.hessian0(), dtype=float)
     lam, vec = np.linalg.eigh(hess)
     h_scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    thresh = tol * max(h_scale, 1.0)
+    thresh = DEFAULT_CRIT_TOL * max(h_scale, 1.0)
     pos = lam > thresh
     neg = lam < -thresh
     zero = ~(pos | neg)
@@ -503,7 +509,7 @@ def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
     nsd = ("negated target (NSD Hessian)",) if side < 0 else ()
 
     forms = _assemble_quartic_forms(target, X, Y, hess)
-    cubic = _cubic_screen(forms.T, Y, tol)
+    cubic = _cubic_screen(forms.T, Y, DEFAULT_CRIT_TOL)
     if cubic is not None:
         return replace(cubic, notes=cubic.notes + nsd)
 
@@ -519,12 +525,13 @@ def fourth_derivative_test(target, tol: float = DEFAULT_CRIT_TOL) -> CritReport:
         far_scale, far_arg = abs(far), (np.zeros(target.dim), vec[:, top])
         notes = ()
     else:
-        far, y_far, x_far, far_scale, far_bound, note = _kernel_search(forms, tol, sign=-side)
+        far, y_far, x_far, far_scale, far_bound, note = _kernel_search(forms, DEFAULT_CRIT_TOL, sign=-side)
         far_arg = on_sphere(y_far, x_far)
         notes = (note,)
-    near, y_near, x_near, scale, near_bound, note = _kernel_search(forms, tol, sign=side, scale=far_scale)
+    near, y_near, x_near, scale, near_bound, note = _kernel_search(
+        forms, DEFAULT_CRIT_TOL, sign=side, scale=far_scale)
     scale = max(scale, far_scale)
-    tol_eff = tol * (1.0 + scale)
+    tol_eff = DEFAULT_CRIT_TOL * (1.0 + scale)
     notes = (note,) + notes
     if side * near_bound > tol_eff:
         cls = verdicts[0]
@@ -553,7 +560,6 @@ def second_order_rigidity_test(
     pf: PinnedFramework,
     spec: EnergySpec,
     kd: KernelDecomposition | None = None,
-    tol: float = DEFAULT_CRIT_TOL,
 ) -> CritReport:
     """Order-4 test of the framework energy with x-coordinates spanning
     K-bar and y-coordinates spanning K.
@@ -574,34 +580,39 @@ def second_order_rigidity_test(
     """
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))
-    m = kd.dim_K
-    if m < 1:
+    if kd.dim_K < 1:
         raise ValueError("second-order test needs dim K >= 1 (otherwise first-order rigid)")
     target = FrameworkEnergyTarget(spec, pf)
-    hess = target.hessian0()
     X, Y = kd.Kbar_basis, kd.K_basis
-
-    forms = _assemble_quartic_forms(target, X, Y, hess)
-    cubic = _cubic_screen(forms.T, Y, tol)
+    forms = _assemble_quartic_forms(target, X, Y, target.hessian0())
+    cubic = _cubic_screen(forms.T, Y, DEFAULT_CRIT_TOL)
     if cubic is not None:
         return cubic
+    return _kernel_verdict(forms, X, Y, "quartic", 4, "x-part minimized in closed form over K-bar")
 
-    mu_min, y_best, x_best, scale, lower, note = _kernel_search(forms, tol)
-    tol_eff = tol * (1.0 + scale)
 
-    norm = np.sqrt(1.0 + x_best @ x_best)
-    vel = Y @ y_best / norm
-    cur = X @ x_best / norm
-    common = dict(
-        a_min=mu_min, a_max=None,
-        arg_min_velocity=vel, arg_min_curvature=cur, scale=scale,
-        notes=(note, "x-part minimized in closed form over K-bar"),
-    )
+def _kernel_verdict(forms: _QuarticForms, X: np.ndarray, Y: np.ndarray,
+                    resolved_by: str, order: int, closed_form_note: str) -> CritReport:
+    """The energy tests' verdict on mu over the unit sphere of R^m,
+    m = Y.shape[1]: strict-min when _kernel_search's certified bound on
+    min mu exceeds tol_eff = DEFAULT_CRIT_TOL (1 + scale), saddle when its
+    least mu is below -tol_eff, otherwise inconclusive.  The argmin (y, x)
+    is reported as (Y y, X x) / sqrt(1 + |x|^2); the notes are the search's
+    certificate, then closed_form_note."""
+    mu_min, y_best, x_best, scale, lower, note = _kernel_search(forms, DEFAULT_CRIT_TOL)
+    tol_eff = DEFAULT_CRIT_TOL * (1.0 + scale)
     if lower > tol_eff:
-        return CritReport("strict-min", "quartic", 4, m, **common)
-    if mu_min < -tol_eff:
-        return CritReport("saddle", "quartic", 4, m, **common)
-    return CritReport("inconclusive", "quartic", 4, m, **common)
+        cls = "strict-min"
+    elif mu_min < -tol_eff:
+        cls = "saddle"
+    else:
+        cls = "inconclusive"
+    norm = np.sqrt(1.0 + x_best @ x_best)
+    return CritReport(
+        cls, resolved_by, order, Y.shape[1], a_min=mu_min,
+        arg_min_velocity=Y @ y_best / norm, arg_min_curvature=X @ x_best / norm,
+        scale=scale, notes=(note, closed_form_note),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +624,6 @@ def order2k_family_test(
     spec: EnergySpec,
     witness: PolyTrajectory,
     k: int,
-    tol: float = DEFAULT_CRIT_TOL,
     kd: KernelDecomposition | None = None,
 ) -> CritReport:
     """2k-th derivative test along the family
@@ -628,9 +638,13 @@ def order2k_family_test(
     Hxx the energy Hessian on K-bar (positive definite).  Substituting
     u = w / y0^k shows a2k is positive on the whole sphere iff
         mu = F - 1/2 G' Hxx^-1 G
-    is positive (the y0 = 0 slice is covered by Hxx > 0), so the minimization
-    is exact: no grid search is needed.  mu > tol certifies rigidity order k,
-    matching the ladder verdict.
+    is positive (the y0 = 0 slice is covered by Hxx > 0).  That mu is the
+    order-4 reduction's mu at m = 1 with B = F and c = G, so it is decided by
+    the same certified search as second_order_rigidity_test, on the kernel
+    basis Y = p1, where it is exact: mu > tol_eff certifies rigidity order k,
+    matching the ladder verdict.  As there, the arg point is
+    (p1, K-bar u*) / sqrt(1 + |u*|^2) with u* = -Hxx^-1 G, and the notes are
+    the search's certificate, then the closed form.
     """
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))
@@ -645,46 +659,10 @@ def order2k_family_test(
     if abs(lead - 1.0) > 1e-6:
         raise ValueError("witness leading coefficient must be a unit vector")
 
-    e_jet = energy_along_trajectory(spec, pf, traj, 2 * k)
-    f2k = float(e_jet.c[2 * k])
-    grad_rows = gradient_along_trajectory(spec, pf, traj, k)
-    g_vec = kd.Kbar_basis.T @ grad_rows[:, k]
+    X = kd.Kbar_basis
+    f2k = energy_along_trajectory(spec, pf, traj, 2 * k).c[2 * k]
+    g_vec = X.T @ gradient_along_trajectory(spec, pf, traj, k)[:, k]
     _, _, hess = energy_value_grad_hess(spec, pf)
-    hxx = kd.Kbar_basis.T @ hess @ kd.Kbar_basis
-    u_star = np.linalg.solve(hxx, -g_vec)
-    correction = float(g_vec @ u_star + 0.5 * u_star @ hxx @ u_star)  # = -1/2 G' Hxx^-1 G <= 0
-    mu = f2k + correction
-
-    scale = max(abs(f2k), abs(correction))
-    tol_eff = tol * (1.0 + scale)
-
-    # map the reduced argmin (y0 = 1, w = u*) back onto the parameter sphere
-    u_norm2 = float(u_star @ u_star)
-    y0 = 1.0
-    if u_norm2 > 0.0:
-        for _ in range(200):
-            f_val = y0**2 + y0 ** (2 * k) * u_norm2 - 1.0
-            df = 2.0 * y0 + 2.0 * k * y0 ** (2 * k - 1) * u_norm2
-            y_next = y0 - f_val / df
-            if abs(y_next - y0) < 1e-16:
-                y0 = y_next
-                break
-            y0 = min(max(y_next, 1e-12), 1.0)
-    w_sphere = y0**k * u_star
-    sphere_min = y0 ** (2 * k) * mu
-
-    vel = y0 * traj.coeffs[0]
-    cur = kd.Kbar_basis @ w_sphere
-    common = dict(
-        a_min=mu, a_max=None,
-        arg_min_velocity=vel, arg_min_curvature=cur, scale=scale,
-        notes=(
-            f"a2k on the sphere attains {sphere_min:.6e} at y0={y0:.6f}",
-            "w minimized in closed form; mu = F2k - 1/2 G' Hxx^-1 G",
-        ),
-    )
-    if mu > tol_eff:
-        return CritReport("strict-min", "order2k-family", 2 * k, 1, **common)
-    if mu < -tol_eff:
-        return CritReport("saddle", "order2k-family", 2 * k, 1, **common)
-    return CritReport("inconclusive", "order2k-family", 2 * k, 1, **common)
+    forms = _QuarticForms(X.T @ hess @ X, g_vec.reshape(-1, 1, 1), np.full((1, 1, 1, 1), f2k))
+    return _kernel_verdict(forms, X, traj.coeffs[0][:, None], "order2k-family", 2 * k,
+                           "w minimized in closed form; mu = F2k - 1/2 G' Hxx^-1 G")

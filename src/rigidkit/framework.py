@@ -106,11 +106,12 @@ class Framework:
         return self._vectors
 
 
-def affine_span_dimension(config, tol: float = DEFAULT_RANK_TOL) -> int:
+def affine_span_dimension(config) -> int:
     """Dimension of the affine span of a point configuration.
 
-    Computed as the numerical rank (singular values above tol * sigma_max) of
-    the matrix whose columns are p_i - p_1 for i >= 2.
+    Computed as the numerical rank (singular values above
+    DEFAULT_RANK_TOL * sigma_max) of the matrix whose columns are p_i - p_1
+    for i >= 2.
     """
     pts = np.asarray(config, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -118,16 +119,16 @@ def affine_span_dimension(config, tol: float = DEFAULT_RANK_TOL) -> int:
     if pts.shape[0] == 1:
         return 0
     diffs = (pts[1:] - pts[0]).T
-    return _numerical_rank(diffs, tol)
+    return _numerical_rank(diffs)
 
 
-def _numerical_rank(mat: np.ndarray, tol: float) -> int:
+def _numerical_rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +155,11 @@ class Isometry:
 class PinnedFramework:
     """A framework whose configuration is in pinned position.
 
-    free_coords lists the (vertex, axis) pairs (0-based) that remain variable
-    after pinning, in vertex-major order.  That ordering fixes the column
-    order of the rigidity matrix and the layout of every pinned-coordinate
-    vector used downstream.  free_vertex and free_axis hold the same pairs as
+    free_coords, derived from the base's size and span_dim, lists the
+    (vertex, axis) pairs (0-based) that remain variable after pinning, in
+    vertex-major order.  That ordering fixes the column order of the
+    rigidity matrix and the layout of every pinned-coordinate vector used
+    downstream.  free_vertex and free_axis hold the same pairs as
     two read-only index arrays, for scattering into (n, d) arrays.
 
     The free column of every edge endpoint coordinate, and the order in which
@@ -167,14 +169,11 @@ class PinnedFramework:
 
     base: Framework
     span_dim: int
-    free_coords: tuple[tuple[int, int], ...] = field(default=())
+    free_coords: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        if self.free_coords:
-            layout = np.array(self.free_coords, dtype=int).reshape(-1, 2).T
-        else:
-            layout = _free_layout(self.base.n_vertices, self.base.dimension, self.span_dim)
-            object.__setattr__(self, "free_coords", tuple(zip(*layout.tolist())))
+        layout = _free_layout(self.base.n_vertices, self.base.dimension, self.span_dim)
+        object.__setattr__(self, "free_coords", tuple(zip(*layout.tolist())))
         layout.setflags(write=False)
         object.__setattr__(self, "free_vertex", layout[0])
         object.__setattr__(self, "free_axis", layout[1])
@@ -263,7 +262,7 @@ def _is_pinned(verts: np.ndarray, span_dim: int, d: int) -> bool:
     return True
 
 
-def pin(framework: Framework, tol: float = DEFAULT_RANK_TOL) -> tuple[PinnedFramework, Isometry]:
+def pin(framework: Framework) -> tuple[PinnedFramework, Isometry]:
     """Move a framework into pinned position by a direct isometry.
 
     Translates vertex 1 to the origin, then applies the Gram-Schmidt
@@ -277,11 +276,11 @@ def pin(framework: Framework, tol: float = DEFAULT_RANK_TOL) -> tuple[PinnedFram
     """
     verts = framework.vertices
     d = framework.dimension
-    ell = affine_span_dimension(verts, tol)
+    ell = affine_span_dimension(verts)
     if verts.shape[0] < ell + 1:
         raise DegenerateLeadingVertices("not enough vertices for the affine span")
     lead = (verts[1 : ell + 1] - verts[0]).T  # d x ell
-    if _numerical_rank(lead, tol) != ell:
+    if _numerical_rank(lead) != ell:
         raise DegenerateLeadingVertices(
             f"the first {ell + 1} vertices are affinely dependent"
         )
@@ -327,19 +326,19 @@ def permute_framework(framework: Framework, perm) -> Framework:
     return Framework(framework.dimension, verts, edges, labels)
 
 
-def find_pinnable_permutation(framework: Framework, tol: float = DEFAULT_RANK_TOL) -> list[int]:
+def find_pinnable_permutation(framework: Framework) -> list[int]:
     """Greedy vertex order whose leading span_dim + 1 vertices are affinely
     independent: scan in label order, keeping each vertex that increases the
     affine rank, then append the rest in original order."""
     verts = framework.vertices
-    ell = affine_span_dimension(verts, tol)
+    ell = affine_span_dimension(verts)
     chosen = [0]
     for v in range(1, framework.n_vertices):
         if len(chosen) == ell + 1:
             break
         cand = chosen + [v]
         diffs = (verts[cand[1:]] - verts[cand[0]]).T
-        if _numerical_rank(diffs, tol) == len(cand) - 1:
+        if _numerical_rank(diffs) == len(cand) - 1:
             chosen.append(v)
     if len(chosen) != ell + 1:
         raise DegenerateLeadingVertices("could not find an affinely independent leading set")
@@ -348,19 +347,19 @@ def find_pinnable_permutation(framework: Framework, tol: float = DEFAULT_RANK_TO
 
 
 def pin_with_permutation(
-    framework: Framework, tol: float = DEFAULT_RANK_TOL, auto_permute: bool = True
+    framework: Framework, auto_permute: bool = True
 ) -> tuple[PinnedFramework, Isometry, list[int]]:
     """Pin, permuting the vertex order first if the leading vertices are
     degenerate and auto_permute is set.  Returns the permutation used
     (identity when no reordering was needed)."""
     try:
-        pf, iso = pin(framework, tol)
+        pf, iso = pin(framework)
         return pf, iso, list(range(framework.n_vertices))
     except DegenerateLeadingVertices:
         if not auto_permute:
             raise
-    perm = find_pinnable_permutation(framework, tol)
-    pf, iso = pin(permute_framework(framework, perm), tol)
+    perm = find_pinnable_permutation(framework)
+    pf, iso = pin(permute_framework(framework, perm))
     return pf, iso, perm
 
 

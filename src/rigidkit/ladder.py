@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimKNotOne
+from .errors import DimKNotOne, RigidkitError
 from .framework import PinnedFramework
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
@@ -151,7 +151,9 @@ def solve_ladder(
     Order(l) and the witness collects the coefficients through l - 1
     (converted to Taylor coefficients, so the witness polynomial is itself a
     (1, l-1)-flex).  If every level up to max_k solves, the report is
-    flex-found with the degree-max_k witness.
+    flex-found with the degree-max_k witness.  A level whose rhs norm or
+    residual is not finite (the coefficients grow with the level and can
+    overflow) raises RigidkitError naming that level.
 
     p1 overrides the initial flex direction (used to exercise scale
     equivariance); it must lie in K.
@@ -170,6 +172,11 @@ def solve_ladder(
         rhs = flex_rhs(pf, derivs, level)
         rhs_norm = float(np.linalg.norm(rhs))
         x, residual = kd.solve_min_norm(rhs)
+        if not (math.isfinite(rhs_norm) and math.isfinite(residual)):
+            raise RigidkitError(
+                f"ladder level {level}: rhs norm {rhs_norm:.3e}, residual {residual:.3e}; "
+                "the flex coefficients overflow at this level"
+            )
         threshold = tol * (1.0 + rhs_norm)
         records.append(LevelResidual(level, residual, threshold, rhs_norm))
         if residual > threshold:

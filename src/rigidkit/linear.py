@@ -231,19 +231,20 @@ def _svd_split(mat: np.ndarray, tol: float) -> KernelDecomposition:
     )
 
 
-def kernel_decomposition(R: RigidityMatrix, tol: float = DEFAULT_KERNEL_TOL) -> KernelDecomposition:
+def kernel_decomposition(R: RigidityMatrix) -> KernelDecomposition:
     """Split pinned coordinate space into K = ker R and K-bar.
 
     A matrix with no more rows than columns first tries the QR path, which
     accepts only a rank it can certify (see _qr_split).  Everything else (more
     rows than columns, a self-stress, a failed certificate) goes to the full
     SVD, which keeps the right singular vectors with s > tol * sigma_max as
-    K-bar.  The QR path accepts only the rank that rule would give.
+    K-bar, tol = DEFAULT_KERNEL_TOL.  The QR path accepts only the rank that
+    rule would give.
     """
     mat = R.matrix
     if 0 < mat.shape[0] <= mat.shape[1]:
-        kd = _qr_split(mat, tol)
+        kd = _qr_split(mat, DEFAULT_KERNEL_TOL)
         if kd is not None:
             return kd
-    return _svd_split(mat, tol)
+    return _svd_split(mat, DEFAULT_KERNEL_TOL)
 

@@ -6,6 +6,7 @@ No module of the library or of the tests imports a name it never reads."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -54,3 +55,19 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {str(path): names for root in roots for path in sorted(root.rglob("*.py"))
              if path.name != "__init__.py" and (names := _unread_imports(path))}
     assert not found
+
+
+FIXED_TOLERANCE = (
+    "fourth_derivative_test", "second_order_rigidity_test", "order2k_family_test",
+    "kernel_decomposition", "pin", "pin_with_permutation", "find_pinnable_permutation",
+    "affine_span_dimension",
+)
+
+
+def test_fixed_tolerances_are_module_constants():
+    # nothing sets these tolerances, so each function reads its module's
+    # constant; the ladder keeps its tol, which the CLI's --tol sets
+    found = [name for name in FIXED_TOLERANCE if "tol" in inspect.signature(getattr(rigidkit, name)).parameters]
+    assert not found
+    assert "tol" in inspect.signature(rigidkit.solve_ladder).parameters
+    assert "tol" in inspect.signature(rigidkit.rigidity_order).parameters

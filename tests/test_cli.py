@@ -54,6 +54,17 @@ def test_analyze_square_reports_flex(square_file, capsys):
     assert "no rigidity certificate up to k=10; (1,10)-flex found" in out
 
 
+def test_order_json_stays_finite_up_to_the_max_k_cap(square_file, capsys):
+    # the largest rhs norm at --max-k 64 is about 6.6e76, still a float
+    assert main(["order", square_file, "--max-k", "64", "--json"]) == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["verdict"] == "flex-found" and len(report["residuals"]) == 63
+
+
 def test_analyze_json_round_trips(k33_file, capsys):
     assert main(["analyze", k33_file, "--json"]) == EXIT_OK
     text = capsys.readouterr().out.strip()
@@ -307,6 +318,7 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["critpoint", "--poly", "{empty_poly}"], "input error: ", id="empty-poly"),
     pytest.param(["critpoint", "--poly", "{poly_no_coef}"], "input error: ", id="monomial-without-coef"),
     pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
+    pytest.param(["analyze", "{k33}", "--max-k", "65"], "usage error: ", id="max-k-above-jet-cap"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
     pytest.param(["critpoint", "--poly", "{poly}", "--order", "3"], "usage error: ", id="poly-with-order"),

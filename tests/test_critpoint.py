@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rigidkit import (
+    FAMILIES,
     DimKNotOne,
     EnergySpec,
     Framework,
@@ -22,6 +23,7 @@ from rigidkit import (
     rigidity_matrix,
     rigidity_order,
     second_order_rigidity_test,
+    solve_ladder,
 )
 from rigidkit.critpoint import BOX_CAP
 
@@ -430,6 +432,33 @@ def test_order2k_specializes_to_witness_energy(corpus_analysis):
     test = order2k_family_test(pf, spec, rep.witness, k, kd=kd)
     # mu = c2k + (non-positive correction), and correction vanishes iff G = 0
     assert test.a_min <= c2k + 1e-15
+
+
+def test_order2k_at_k2_is_the_order4_test_at_dimk_one():
+    # a triangle with a collinear midpoint on one bar: dim K = 1, order 2.
+    # At k = 2 the family is the order-4 one, and both tests reduce to the
+    # same mu, so they report the same number
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.7, 1.6], [1.0, 0.0]])
+    pf, _, _ = pin_with_permutation(Framework(2, pts, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]))
+    kd = kernel_decomposition(rigidity_matrix(pf))
+    ladder = solve_ladder(pf, kd)
+    assert kd.dim_K == 1 and ladder.order == 2
+    for family in FAMILIES:
+        spec = EnergySpec.for_framework(pf.base, family)
+        family_test = order2k_family_test(pf, spec, ladder.witness, 2, kd=kd)
+        order4 = second_order_rigidity_test(pf, spec, kd)
+        assert family_test.a_min == order4.a_min, family
+        assert family_test.classification == order4.classification == "strict-min", family
+
+
+def test_order2k_notes_carry_the_search_certificate(corpus_analysis):
+    item = corpus_analysis["k33"]
+    pf, kd, rep = item["pf"], item["kd"], item["report"]
+    spec = EnergySpec.for_framework(pf.base, "harmonic")
+    at = order2k_family_test(pf, spec, rep.witness, rep.order, kd=kd)
+    below = order2k_family_test(pf, spec, rep.witness, rep.order - 1, kd=kd)
+    assert at.notes[0].startswith("certified: min mu >= ")
+    assert below.notes[0].startswith("certified: min mu within")
 
 
 def test_order2k_requires_dimk_one(square, square_pinned):

@@ -6,6 +6,7 @@ import pytest
 from rigidkit import (
     DimKNotOne,
     Framework,
+    RigidkitError,
     flex_rhs,
     kernel_decomposition,
     load_corpus,
@@ -234,6 +235,14 @@ def test_flex_found_report_shape(square_pinned):
     assert rep.witness.degree == 6
     assert rep.order is None
     assert "no rigidity certificate" in rep.summary()
+
+
+def test_overflowing_ladder_names_its_level(square_pinned):
+    # the square's flex coefficients grow with the level until the rhs of
+    # level 108 overflows: the ladder stops there instead of reporting inf
+    kd = kernel_decomposition(rigidity_matrix(square_pinned))
+    with np.errstate(over="ignore"), pytest.raises(RigidkitError, match=r"ladder level \d+: "):
+        solve_ladder(square_pinned, kd, max_k=150)
 
 
 def test_ladder_sign_convention(corpus_analysis):
