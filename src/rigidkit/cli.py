@@ -4,9 +4,10 @@ Subcommands: analyze, order, growth, energy, critpoint, corpus-verify.
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch
 (corpus-verify), 3 numerical failure.  JSON output prints floats with 17
 significant digits so reports round-trip byte-for-byte.  Every command is
-deterministic: --seed seeds the growth fit's random starts only, and the
-order-4 tests draw no random numbers.  A reader that closes the output pipe
-early (rigidkit ... | head) ends the command quietly with exit 0.
+deterministic: --seed (and growth --starts) act only on the growth fit's
+multistart, which runs when dim K > 1; at dim K <= 1 the fit is seedless,
+and the order-4 tests draw no random numbers.  A reader that closes the
+output pipe early (rigidkit ... | head) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -410,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--json", action="store_true")
     a.add_argument("--no-permute", action="store_true",
                    help="fail instead of permuting vertices when the leading set is degenerate")
-    a.add_argument("--seed", type=_int_at_least(0), default=0, help="seed of the growth fit's random starts")
+    a.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="seed of the growth fit's random starts, drawn only when dim K > 1")
     a.set_defaults(func=cmd_analyze)
 
     o = sub.add_parser("order", help="rigidity order with ladder residuals and witness")
@@ -427,11 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rmax", type=float, default=1e-1)
     g.add_argument("--n", type=_int_at_least(2), default=12, help="number of radii")
     g.add_argument("--starts", type=_int_at_least(1), default=64,
-                   help="random starts of the multistart, which runs at the first radius "
-                        "when dim K <= 1 and at every radius when dim K > 1")
+                   help="random starts of the multistart, which runs at every radius when "
+                        "dim K > 1; at dim K <= 1 the fit starts from the rest Hessian's "
+                        "softest mode and draws none")
     g.add_argument("--csv")
     g.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="seed of the multistart's random starts")
+                   help="seed of the multistart's random starts (dim K > 1 only)")
     g.set_defaults(func=cmd_growth)
 
     e = sub.add_parser("energy", help="energy jet coefficients along a trajectory (CSV)")
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--poly", help='polynomial target JSON: [{"exps": [..], "coef": r}, ...]')
     c.add_argument("--family", choices=FAMILIES,
                    help="energy family for a framework file (default harmonic)")
-    c.add_argument("--order", type=_int_at_least(2),
+    c.add_argument("--order", type=_int_at_least(2, MAX_ORDER // 2),
                    help="run the order-2k family test at k=ORDER (framework file only)")
     c.set_defaults(func=cmd_critpoint)
 

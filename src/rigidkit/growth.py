@@ -3,22 +3,23 @@ shrinking radius and the log-log slope fit that estimates the tight growth
 order s (rigidity order = s / 2).
 
 The minimum m(r) of E(q) - E(p) over the sphere |q - p| = r in pinned
-coordinates is found by minimize_on_sphere.  A seeded multistart (the
-+/- first-order flex directions plus random unit vectors) runs a few
-hundred Barzilai-Borwein projected-gradient rounds, and its best rows are
-then polished by Riemannian Newton steps on the sphere, with the gradient
-of the cancellation-free gap kernel and the energy Hessian at p + z.  Near a
-minimizer the sphere's tangent space is close to the complement of the
-flex space, where the Hessian is well conditioned (the block the order-4
-test eliminates), so Newton settles in a few steps.  A radius sweep runs
-from the largest radius down and continues from +/- the last minimizer:
-when dim K <= 1 the multistart runs at the first radius only and every
-later radius is Newton alone; when dim K > 1 the multistart runs at every
-radius.  The order-4 critical-point tests decide the sign of mu, their
-quartic with the curvature block eliminated in closed form, by a Bernstein
-branch and bound, and use the Newton path of the same minimizer, with
-mu's Hessian, only to polish the reported minimum from the point that
-decided.
+coordinates is found by minimize_on_sphere: Riemannian Newton steps on the
+sphere, with the gradient of the cancellation-free gap kernel and the
+energy Hessian at p + z.  Near a minimizer the sphere's tangent space is
+close to the complement of the flex space, where the Hessian is well
+conditioned (the block the order-4 test eliminates), so Newton settles in
+a few steps.  A radius sweep runs from the largest radius down and
+continues from +/- the last minimizer.  When dim K <= 1 it is seedless: the
+first radius starts from +/- the lowest eigenvector of the rest Hessian,
+and every radius is Newton alone.  When dim K > 1, and on a direct
+min_energy_on_sphere call, a seeded multistart (the +/- first-order flex
+directions plus random unit vectors) first runs a few hundred
+Barzilai-Borwein projected-gradient rounds, and Newton polishes its best
+rows; the seed and the number of starts act only there.  The order-4
+critical-point tests decide the sign of mu, their quartic with the
+curvature block eliminated in closed form, by a Bernstein branch and
+bound, and use the Newton path of the same minimizer, with mu's Hessian,
+only to polish the reported minimum from the point that decided.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits
@@ -310,11 +311,18 @@ def fit_growth_order(
     """Fit log m(r) against log r on a geometric radius grid.
 
     Radii are processed from largest to smallest; each radius continues
-    from +/- the minimizing direction of the one before.  The seeded random
-    multistart (n_starts, seed + i at radius i) runs at the first radius
-    when dim K <= 1 and at every radius when dim K > 1.  Raises DegenerateFit
-    when some m(r) <= 0, which signals a flexible framework or values below
-    the floating-point floor rather than a fittable growth order.
+    from +/- the minimizing direction of the one before.  When dim K <= 1,
+    every radius runs Newton alone, and the first starts from +/- the
+    lowest eigenvector of the rest Hessian (the flex when dim K = 1, the
+    softest mode when dim K = 0), so the fit draws no random numbers and
+    n_starts and seed do nothing.  When dim K > 1, the seeded random
+    multistart (n_starts, seed + i at radius i) runs at every radius.
+
+    Raises DegenerateFit when some m(r) <= 0, or when m(r_max) <=
+    u^2 lambda_max r_max^2 (u the machine epsilon, lambda_max the rest
+    Hessian's largest eigenvalue), which signals a flexible framework or
+    values below the floating-point floor rather than a fittable growth
+    order.  The rule is dimensionless, so it holds at any length scale.
     """
     if not 0.0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
@@ -324,11 +332,12 @@ def fit_growth_order(
     tangent_ratio = np.empty(n_radii)
     converged = np.empty(n_radii, dtype=bool)
     kd = kernel_decomposition(rigidity_matrix(pf))
-    carry = None
+    lam, vecs = np.linalg.eigh(energy_value_grad_hess(spec, pf)[2])
+    carry = np.vstack([vecs[:, 0], -vecs[:, 0]]) if kd.dim_K <= 1 else None
     for i, r in enumerate(radii):
         m_vals[i], arg, stats = min_energy_on_sphere_with_arg(
             spec, pf, r, n_starts=n_starts, seed=seed + i, extra_starts=carry, kd=kd,
-            multistart=carry is None or kd.dim_K > 1,
+            multistart=kd.dim_K > 1,
         )
         newton_steps[i], tangent_ratio[i] = stats.steps, stats.tangent_ratio
         converged[i] = stats.converged
@@ -336,10 +345,14 @@ def fit_growth_order(
     radii, m_vals = radii[::-1], m_vals[::-1]
     newton_steps, tangent_ratio = newton_steps[::-1], tangent_ratio[::-1]
     converged = converged[::-1]
-    if np.any(m_vals <= 0.0) or not np.all(np.isfinite(m_vals)):
+    # a mechanism's m(r) is rounding noise: the flexible square reads
+    # m(r_max) <= 5e-35 lam_max r_max^2 at any scale, the corpus >= 2e-16
+    floor = np.finfo(float).eps ** 2 * lam[-1] * r_max**2
+    if np.any(m_vals <= 0.0) or not np.all(np.isfinite(m_vals)) or m_vals[-1] <= floor:
         raise DegenerateFit(
-            "minimal energy gap is non-positive at some radius: the framework "
-            "is flexible or the gap sits below the floating-point floor"
+            "minimal energy gap is non-positive at some radius, or at r_max "
+            "no more than u^2 lambda_max r_max^2: the framework is flexible or "
+            "the gap sits below the floating-point floor"
         )
     log_r = np.log(radii)
     log_m = np.log(m_vals)

@@ -222,13 +222,15 @@ def test_analyze_json_off_dim_k_one(tmp_path, capsys):
 
 
 def test_growth_deterministic_given_seed(k33_file, tmp_path):
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for p in paths:
+    # k33 has dim K = 1, where the fit draws no random numbers: any seed
+    # gives the same bytes
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
+    for p, seed in zip(paths, ("7", "7", "0")):
         assert main([
             "growth", k33_file, "--rmin", "1e-2", "--rmax", "1e-1",
-            "--n", "4", "--starts", "16", "--seed", "7", "--csv", str(p),
+            "--n", "4", "--starts", "16", "--seed", seed, "--csv", str(p),
         ]) == EXIT_OK
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
 def test_analyze_corpus_examples(tmp_path, capsys):
@@ -321,6 +323,7 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["analyze", "{k33}", "--max-k", "65"], "usage error: ", id="max-k-above-jet-cap"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
+    pytest.param(["critpoint", "{k33}", "--order", "33"], "usage error: ", id="order-above-jet-cap"),
     pytest.param(["critpoint", "--poly", "{poly}", "--order", "3"], "usage error: ", id="poly-with-order"),
     pytest.param(["critpoint", "{k33}", "--poly", "{poly}"], "usage error: ", id="poly-with-file"),
     pytest.param(["critpoint", "--poly", "{poly}", "--family", "lj"], "usage error: ", id="poly-with-family"),

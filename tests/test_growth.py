@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import rigidkit.growth as growth
 from rigidkit import (
     DegenerateFit,
     EnergySpec,
+    Framework,
     PolyTrajectory,
     ZeroLengthEdge,
     energy_gap_and_grad,
@@ -11,6 +13,7 @@ from rigidkit import (
     fit_growth_order,
     kernel_decomposition,
     min_energy_on_sphere,
+    pin,
     rigidity_matrix,
 )
 
@@ -41,10 +44,52 @@ def test_triangle_growth_fit(triangle, triangle_pinned):
     assert fit.monotone
 
 
-def test_square_fit_degenerates(square, square_pinned):
-    spec = EnergySpec.for_framework(square, "harmonic")
+def test_square_fit_degenerates(square):
+    # the mechanism's m(r) is rounding noise, 1e-36 to 1e-67 at unit scale
+    # and not exactly 0; the relative floor u^2 lambda_max r_max^2 catches it
+    # whatever the unit of length
+    for scale in (1e-3, 1.0, 1e3):
+        fw = Framework(2, square.vertices * scale, square.edges)
+        pf, _ = pin(fw)
+        for family in ("harmonic", "algebraic", "morse"):
+            spec = EnergySpec.for_framework(fw, family)
+            with pytest.raises(DegenerateFit):
+                fit_growth_order(spec, pf, r_min=1e-3 * scale, r_max=1e-1 * scale, n_radii=4, seed=0)
+
+
+def test_seedless_fit_at_dim_k_at_most_one(corpus_analysis, triangle, triangle_pinned, monkeypatch):
+    # dim K = 1 (k33) and dim K = 0 (the triangle) start from the rest
+    # Hessian's softest mode and draw no random numbers
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the fit drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    pf = corpus_analysis["k33"]["pf"]
+    fit = fit_growth_order(EnergySpec.for_framework(pf.base, "harmonic"), pf)
+    assert fit.fitted_s == pytest.approx(6.0, abs=0.5)
+    fit = fit_growth_order(EnergySpec.for_framework(triangle, "harmonic"), triangle_pinned)
+    assert fit.fitted_s == pytest.approx(2.0, abs=0.2)
+
+
+def test_dim_k_two_mechanism_fit_degenerates():
+    # a pentagon flexes two ways (dim K = 2); the multistart's m(r) reads
+    # 1e-40 to 1e-37, positive, and only the relative floor catches it
+    angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
+    fw = Framework(2, np.c_[np.cos(angles), np.sin(angles)], [(i, (i + 1) % 5) for i in range(5)])
+    pf, _ = pin(fw)
+    assert kernel_decomposition(rigidity_matrix(pf)).dim_K == 2
     with pytest.raises(DegenerateFit):
-        fit_growth_order(spec, square_pinned, n_radii=4, seed=0)
+        fit_growth_order(EnergySpec.for_framework(fw, "harmonic"), pf, n_radii=4, seed=0)
+
+
+def test_leonardo3_fits_with_its_reliability_note(corpus_analysis):
+    # s = 16 is past the double-precision limit, but m(r_max) is 2e-16 or
+    # more of lambda_max r_max^2, far above the degeneracy floor
+    pf = corpus_analysis["leonardo3"]["pf"]
+    for family in ("harmonic", "algebraic", "morse"):
+        fit = fit_growth_order(EnergySpec.for_framework(pf.base, family), pf)
+        assert fit.fitted_s > growth.SLOPE_RELIABLE_LIMIT, family
+        assert any("reliability" in n for n in fit.notes), (family, fit.notes)
 
 
 def test_radius_beyond_safe_raises(triangle, triangle_pinned):
