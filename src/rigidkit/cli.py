@@ -51,6 +51,17 @@ EXIT_NUMERICAL = 3
 # canonical JSON rendering (17 significant digits, sorted keys)
 # ---------------------------------------------------------------------------
 
+def _render_numbers(values: list, shape: tuple[int, ...], spec: str, indent: int) -> str:
+    """render_json's text for a nested list of the given shape holding
+    values (row-major) as numbers, formatted by one %-operation: the cost
+    follows the number of values, not a call per list."""
+    text = spec
+    for depth in range(len(shape) - 1, -1, -1):   # innermost list first
+        pad = " " * (indent + depth)
+        text = "[\n" + pad + " " + (",\n" + pad + " ").join([text] * shape[depth]) + "\n" + pad + "]"
+    return text % tuple(values)
+
+
 def render_json(obj, indent: int = 0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
@@ -63,6 +74,11 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
+        # "%.17g" and "%d" give format(x, ".17g") and str(n) byte for byte
+        if all(type(v) is float for v in obj):
+            return _render_numbers(obj, (len(obj),), "%.17g", indent)
+        if all(type(v) is int for v in obj):
+            return _render_numbers(obj, (len(obj),), "%d", indent)
         items = [f"{pad} {render_json(v, indent + 1).lstrip()}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
@@ -76,6 +92,9 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.size and obj.dtype.kind in "fiu":
+            spec = "%.17g" if obj.dtype.kind == "f" else "%d"
+            return _render_numbers(obj.ravel().tolist(), obj.shape, spec, indent)
         return render_json(obj.tolist(), indent)
     raise TypeError(f"cannot render {type(obj)}")
 
@@ -85,7 +104,10 @@ def _emit_json(obj) -> None:
 
 
 def _framework_hash(fw: Framework) -> str:
-    canon = render_json(framework_to_dict(fw))
+    # framework_to_dict's text, with the vertices and edges rendered from
+    # arrays in one pass each
+    arrays = {"vertices": fw.vertices, "edges": np.column_stack(fw.edge_index_arrays()) + 1}
+    canon = render_json(framework_to_dict(fw) | arrays)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

@@ -382,8 +382,8 @@ def framework_from_dict(data: dict) -> Framework:
 def framework_to_dict(framework: Framework) -> dict:
     out = {
         "dimension": framework.dimension,
-        "vertices": [list(map(float, row)) for row in framework.vertices],
-        "edges": [[i + 1, j + 1] for i, j in framework.edges],
+        "vertices": framework.vertices.tolist(),
+        "edges": (np.column_stack(framework.edge_index_arrays()) + 1).tolist(),
     }
     if framework.labels is not None:
         out["labels"] = list(framework.labels)

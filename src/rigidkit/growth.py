@@ -23,10 +23,11 @@ only to polish the reported minimum from the point that decided.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits
-reliable slope recovery to s of roughly 10 or below, and below m ~ 1e-24
-the gap kernel's rounding, not the minimizer, sets the accuracy of m(r);
-the fit notes record both.  GrowthFit keeps, per radius, the Newton steps
-taken and the final tangent gradient relative to the whole gradient.
+reliable slope recovery to s of roughly 10 or below, and below
+m ~ 1e-20 lambda_max r^2 the gap kernel's rounding, not the minimizer,
+sets the accuracy of m(r); the fit notes record both.  GrowthFit keeps,
+per radius, the Newton steps taken and the final tangent gradient
+relative to the whole gradient.
 """
 
 from __future__ import annotations
@@ -365,7 +366,10 @@ def fit_growth_order(
     notes = []
     if not monotone:
         notes.append("m(r) is not monotone over the sampled radii")
-    if np.any(m_vals < 1e-24):
+    # relative like DegenerateFit's floor: on the corpus, min m(r) /
+    # (lambda_max r^2) is <= 3.7e-21 where a growth order is past double
+    # precision and >= 5.1e-19 elsewhere, at any length scale
+    if np.any(m_vals < 1e-20 * lam[-1] * radii**2):
         notes.append(
             "some m(r) sit at the floating-point floor: the framework is "
             "flexible or its growth order is beyond double precision"

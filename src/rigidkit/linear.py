@@ -7,6 +7,13 @@ conventional factor of 2 from differentiating squared lengths is dropped).
 K = ker R holds the first-order flex coefficients; K-bar is chosen as its
 orthogonal complement, which makes the ladder's least-squares solutions
 canonical.
+
+A matrix with independent rows is split by a certified Householder QR of R'
+that works on R's envelope (_qr_split): the coordinates go in reverse
+Cuthill-McKee order, the edges by their last coordinate in it, and each
+panel of _BLOCK_ORDER edges is factored over the window of coordinates it
+reaches, so a banded R, such as a strip's, costs O(E b^2) for the factor
+instead of O(N^3).  Everything else goes to the dense SVD.
 """
 
 from __future__ import annotations
@@ -59,12 +66,14 @@ class KernelDecomposition:
 
     R factors through K-bar as R = F Kbar' with F (n_edges, rank) of full
     column rank, so the minimum-norm solution of R x = rhs is
-    Kbar (F^+ rhs).  _pinv stores F^+: T^-T when R' = Q [T; 0] came from QR
-    (method "qr", Kbar = Q[:, :E]), diag(1/sigma_r) U_r' when
-    R = U_r diag(sigma_r) Kbar' came from the SVD (method "svd").  _range
-    maps F^+ rhs into pinned coordinates: it is Kbar itself on the SVD path
-    and the Householder reflectors of Q on the QR path, where Q is never
-    formed and Kbar_basis is built from the reflectors on first read.
+    Kbar (F^+ rhs).  _pinv stores F^+: T^-T with its columns put back in
+    edge order when P R' E = Q [T; 0] came from QR, P and E the coordinate
+    and edge orders (method "qr", Kbar = P' Q[:, :E]), diag(1/sigma_r) U_r'
+    when R = U_r diag(sigma_r) Kbar' came from the SVD (method "svd").
+    _range maps F^+ rhs into pinned coordinates: it is Kbar itself on the
+    SVD path and the Householder reflectors of Q, with P, on the QR path,
+    where Q is never formed and Kbar_basis is built from the reflectors on
+    first read.
     stresses is an orthonormal basis W of the self-stresses (coker R, empty
     on the QR path), and the least-squares residual is ||W' rhs||.
     rank_margin is the factor by which the smallest kept singular value
@@ -117,72 +126,125 @@ class KernelDecomposition:
 
 
 # Block order of the recursive triangular inverse's LAPACK leaves and of the
-# compact-WY blocks of a Householder factor.
+# panels of the Householder factor.
 _BLOCK_ORDER = 64
 
 
-def _upper_triangular_inverse(t: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular upper-triangular matrix by block recursion,
-    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so all work
-    above the leaves is matmuls (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 14)."""
+def _invert_upper_triangular(t: np.ndarray) -> np.ndarray:
+    """Invert a nonsingular upper-triangular matrix in place by block
+    recursion, [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so
+    all work above the leaves is matmuls (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 14).  Only the rectangle of B that
+    holds its nonzeros enters the products: all of B when T is dense, a
+    corner of it when T is banded."""
     n = t.shape[0]
     if n <= _BLOCK_ORDER:
-        return np.linalg.inv(t)
+        t[...] = np.linalg.inv(t)
+        return t
     h = n // 2
-    a_inv = _upper_triangular_inverse(t[:h, :h])
-    d_inv = _upper_triangular_inverse(t[h:, h:])
-    out = np.zeros_like(t)
-    out[:h, :h] = a_inv
-    out[h:, h:] = d_inv
-    out[:h, h:] = -(a_inv @ t[:h, h:]) @ d_inv
-    return out
+    b = t[:h, h:]
+    rows, cols = np.flatnonzero(b.any(axis=1)), np.flatnonzero(b.any(axis=0))
+    a_inv = _invert_upper_triangular(t[:h, :h])
+    d_inv = _invert_upper_triangular(t[h:, h:])
+    if rows.size:
+        r0, c1 = rows[0], cols[-1] + 1
+        np.matmul(-(a_inv[:, r0:] @ b[r0:, :c1]), d_inv[:c1], out=b)
+    return t
 
 
 class _CompactWY:
-    """Q = H_0 H_1 ... H_{E-1} of a Householder QR of an (N, E) matrix, kept
-    as its reflectors in compact-WY blocks (Schreiber & Van Loan, SIAM J.
-    Sci. Stat. Comput. 10, 1989); Q itself is never formed.
+    """Q = H_0 H_1 ... H_{E-1} of a Householder QR of an (N, E) matrix whose
+    rows were taken in the order perm, kept as its reflectors in compact-WY
+    blocks (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989); Q
+    itself is never formed.
 
-    Block i holds reflectors j0..j1-1 as V' (rows: the reflectors, columns:
-    coordinates j0..N-1, unit lower trapezoidal as V) and an upper-triangular
-    S with H_j0 ... H_j1-1 = I - V S V'.  ``q @ y`` is Q [y; 0], i.e.
-    Q[:, :E] y.
+    Block i holds reflectors j0..j1-1 as V' over their row window j0..r1-1
+    (rows: the reflectors, columns: the window, unit lower trapezoidal as V)
+    and an upper-triangular S with H_j0 ... H_j1-1 = I - V S V'; every
+    reflector of the block is zero outside the window.  ``q @ y`` is
+    Q [y; 0] with its rows put back in the original order, so for y of E
+    rows it is Q[:, :E] y.
     """
 
-    def __init__(self, h: np.ndarray, tau: np.ndarray):
-        # (h, tau) as np.linalg.qr(a, mode="raw") returns them: reflector j
-        # is h[j, j:] with its first entry set to 1, H_j = I - tau_j v_j v_j'
-        self.shape = h.shape[::-1]
+    def __init__(self, perm: np.ndarray, n_cols: int):
+        self.perm = perm
+        self.shape = (len(perm), n_cols)
         self.blocks = []
-        for j0 in range(0, len(tau), _BLOCK_ORDER):
-            j1 = min(j0 + _BLOCK_ORDER, len(tau))
-            b = j1 - j0
-            vt = np.array(h[j0:j1, j0:], order="C")
-            vt[:, :b] = np.triu(vt[:, :b], 1) + np.eye(b)
-            gram = vt @ vt.T
-            s = np.zeros((b, b))
-            # appending H_j to I - V S V' appends the column -tau_j S V' v_j
-            for i, t in enumerate(tau[j0:j1]):
-                s[:i, i] = -t * (s[:i, :i] @ gram[:i, i])
-                s[i, i] = t
-            self.blocks.append((j0, vt, s))
+
+    def add_panel(self, j0: int, h: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append the block of a panel factor whose window starts at row j0
+        and return its (V', S).  (h, tau) are as np.linalg.qr(window,
+        mode="raw") returns them: reflector j is h[j, j:] with its first
+        entry set to 1, H_j = I - tau_j v_j v_j'."""
+        b = len(tau)
+        vt = np.array(h, order="C")
+        vt[:, :b] = np.triu(vt[:, :b], 1) + np.eye(b)
+        # S^-1 = diag(1/tau) + striu(V'V) (Puglisi, SIAM J. Sci. Stat.
+        # Comput. 13, 1992), taken as S = (I + diag(tau) striu(V'V))^-1 diag(tau)
+        # so that a reflector with tau = 0 (H_j = I) needs no special case
+        s = np.linalg.inv(np.eye(b) + tau[:, None] * np.triu(vt @ vt.T, 1)) * tau
+        self.blocks.append((j0, vt, s))
+        return vt, s
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Q x, computed in place in x of shape (N,) or (N, m)."""
+        """Q x, computed in place in x of shape (N,) or (N, m), x in the
+        factor's row order."""
         for j0, vt, s in reversed(self.blocks):
-            tail = x[j0:]
-            tail -= vt.T @ (s @ (vt @ tail))
+            win = x[j0:j0 + vt.shape[1]]
+            win -= vt.T @ (s @ (vt @ win))
         return x
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         x = np.zeros((self.shape[0],) + y.shape[1:])
         x[:len(y)] = y
-        return self.apply(x)
+        out = np.empty_like(x)
+        out[self.perm] = self.apply(x)
+        return out
 
     def leading_columns(self) -> np.ndarray:
         """Q[:, :E]."""
         return self @ np.eye(self.shape[1])
+
+
+def _envelope_order(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Reverse Cuthill-McKee order (Cuthill & McKee, Proc. 24th ACM National
+    Conference, 1969) of the columns of a matrix whose nonzeros sit at
+    (rows, cols), rows ascending: two columns are adjacent when some row has
+    nonzeros in both.  Each connected component is searched breadth-first
+    from its column of fewest nonzeros, each column's new neighbours taken
+    in order of ascending nonzero count.  Returns the column at each
+    position."""
+    n_rows = int(rows[-1]) + 1 if rows.size else 0
+    by_col = np.argsort(cols, kind="stable")
+    col_ptr = np.searchsorted(cols[by_col], np.arange(n_cols + 1)).tolist()
+    row_ptr = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    flat = rows[by_col].tolist()
+    col_rows = [flat[a:b] for a, b in zip(col_ptr, col_ptr[1:])]
+    flat = cols.tolist()
+    row_cols = [flat[a:b] for a, b in zip(row_ptr, row_ptr[1:])]
+    degree = [len(r) for r in col_rows]
+    seen, row_seen = bytearray(n_cols), bytearray(n_rows)
+    order = []
+    for start in sorted(range(n_cols), key=degree.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        i = len(order)
+        order.append(start)
+        while i < len(order):
+            c = order[i]
+            i += 1
+            new = []
+            for r in col_rows[c]:
+                if not row_seen[r]:
+                    row_seen[r] = 1
+                    for c2 in row_cols[r]:
+                        if not seen[c2]:
+                            seen[c2] = 1
+                            new.append(c2)
+            new.sort(key=degree.__getitem__)
+            order += new
+    return np.array(order[::-1], dtype=np.intp)
 
 
 def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
@@ -195,26 +257,67 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     sigma_min <= min |T_jj|, a diagonal at or below tol ||R||_F rules the
     certificate out before T is inverted.
 
-    Only the factor is computed (LAPACK's geqrf, no orgqr), so a declined
-    attempt costs no work on Q.  An accepted one keeps Q as its reflectors
-    in compact-WY blocks: K = Q [0; I], the solves apply Q to [T^-T rhs; 0],
-    and K-bar is formed only if Kbar_basis is read.
+    The factor works on R's envelope.  R's columns (the coordinates) are
+    put in reverse Cuthill-McKee order and its rows (the edges) by their
+    last, then first, nonzero column in that order, so the nonzeros of
+    edge j, and every fill-in of the factorization, lie in coordinates up
+    to its last one, l_j.  A panel of _BLOCK_ORDER edges j0..j1-1 is then
+    one np.linalg.qr(mode="raw") of the window of coordinates
+    j0..l_{j1-1}, and its compact-WY block updates only that window of the
+    later edges whose first nonzero lies in it (sparse QR: George & Heath,
+    Linear Algebra Appl. 34, 1980).  On a banded R,
+    such as a strip's, this touches O(E b) entries for window width b; on a
+    dense envelope it is ordinary blocked QR at the dense cost.  An edge j
+    with l_j < j proves the rows dependent, and a panel whose diagonal
+    fails the cutoff stops the factorization, so a declined attempt ends
+    early.  An accepted one keeps Q as its blocks: K = Q [0; I], the
+    solves apply Q to [T^-T rhs; 0], and K-bar is formed only if
+    Kbar_basis is read; the two orders fold into _pinv's columns and into
+    Q's rows.
     """
     n_edges, n_free = mat.shape
-    h, tau = np.linalg.qr(mat.T, mode="raw")
-    cutoff = tol * np.linalg.norm(mat)
-    if not np.min(np.abs(np.diagonal(h))) > cutoff:   # T's diagonal
+    rows, cols = np.unravel_index(np.flatnonzero(mat != 0), mat.shape)
+    vals = mat[rows, cols]
+    cutoff = tol * np.linalg.norm(vals)
+    # one panel is one dense factor, whatever the order
+    col_order = _envelope_order(rows, cols, n_free) if n_edges > _BLOCK_ORDER else np.arange(n_free)
+    col_rank = np.empty(n_free, dtype=np.intp)
+    col_rank[col_order] = np.arange(n_free)
+    first = np.full(n_edges, n_free)
+    last = np.full(n_edges, -1)
+    np.minimum.at(first, rows, col_rank[cols])
+    np.maximum.at(last, rows, col_rank[cols])
+    row_order = np.lexsort((first, last))
+    first, last = first[row_order], last[row_order]
+    if np.any(last < np.arange(n_edges)):
         return None
-    t_inv = _upper_triangular_inverse(np.triu(h.T[:n_edges]))
+    row_rank = np.empty(n_edges, dtype=np.intp)
+    row_rank[row_order] = np.arange(n_edges)
+    # R' in the two orders; the loop leaves T in its first E rows
+    work = np.zeros((n_free, n_edges))
+    work[col_rank[cols], row_rank[rows]] = vals
+    # the edges from k on all start at or after reach[k]
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    q = _CompactWY(col_order, n_edges)
+    for j0 in range(0, n_edges, _BLOCK_ORDER):
+        j1 = min(j0 + _BLOCK_ORDER, n_edges)
+        r1 = last[j1 - 1] + 1
+        h, tau = np.linalg.qr(work[j0:r1, j0:j1], mode="raw")
+        if not np.min(np.abs(np.diagonal(h))) > cutoff:   # T's diagonal
+            return None
+        work[j0:r1, j0:j1] = np.triu(h.T)
+        vt, s = q.add_panel(j0, h, tau)
+        trail = work[j0:r1, j1:np.searchsorted(reach, r1)]
+        trail -= vt.T @ (s.T @ (vt @ trail))
+    t_inv = _invert_upper_triangular(work[:n_edges])
     sigma_min_bound = 1.0 / np.linalg.norm(t_inv)
     if not sigma_min_bound > cutoff:
         return None
-    q = _CompactWY(h, tau)
-    del h
     dim_k = n_free - n_edges
     return KernelDecomposition(
-        q.apply(np.eye(n_free, dim_k, -n_edges)), dim_k,
-        np.zeros((n_edges, 0)), t_inv.T, q, "qr", float(sigma_min_bound / cutoff),
+        q @ np.eye(n_free, dim_k, -n_edges), dim_k,
+        np.zeros((n_edges, 0)), t_inv[row_rank].T, q, "qr",
+        float(sigma_min_bound / cutoff),
     )
 
 

@@ -14,8 +14,12 @@ a quantity by a slower or more direct route:
 - edge_m_jets and classify_flex: the squared edge-length jets of a
   trajectory, per edge, and the (j, k) flex type they give;
 - principal_angles and kernel_of_hessian_equals_K: the energy Hessian's
-  numerical kernel against the first-order flex space K.
+  numerical kernel against the first-order flex space K;
+- render_json_per_item: the canonical JSON text, rendered one Python
+  object at a time.
 """
+
+import json
 
 import numpy as np
 
@@ -142,3 +146,35 @@ def kernel_of_hessian_equals_K(spec, pf, kd, tol: float = 1e-8, angle_tol: float
         return True
     ang = principal_angles(ker, kd.K_basis)
     return bool(np.max(ang) < angle_tol)
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON, one object at a time
+# ---------------------------------------------------------------------------
+
+def render_json_per_item(obj, indent: int = 0) -> str:
+    """cli.render_json's text, recursing into every item of every list."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad} "{key}": {render_json_per_item(obj[key], indent + 1).lstrip()}' for key in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = [f"{pad} {render_json_per_item(v, indent + 1).lstrip()}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return render_json_per_item(obj.tolist(), indent)
+    raise TypeError(f"cannot render {type(obj)}")

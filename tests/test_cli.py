@@ -17,6 +17,7 @@ from rigidkit.cli import (
     main,
     render_json,
 )
+from oracles import render_json_per_item
 
 
 @pytest.fixture()
@@ -188,6 +189,47 @@ def test_render_json_floats_17_digits():
     text = render_json({"x": 0.1})
     assert text == '{\n "x": 0.10000000000000001\n}'
     assert json.loads(text)["x"] == 0.1
+
+
+CORPUS_HASHES = {
+    "asym_flipped_prism": "d53d12f14001df2f929ad479d4f6dd6af6b68b5a53f799b7f1babaa839ebb29a",
+    "coned_prism": "f7af953dac7bc560c924ab933addc6f8d1a94cb0abe997384d1ae66389d0168e",
+    "flipped_prism": "ef430cb57aa49d7c7bf3968f7d16cc2d0d586704b50102f9db17a3891c3c50fd",
+    "half_flat_prism": "e9ac4f3a6ac62cc098267d9778577efaf7beaa76ad00cd41432cb492d8bfce97",
+    "k33": "61e97e073c0e3f4a12298b4bbe704a3cda13b6cb7d1c72079d11e8b80c935957",
+    "leonardo3": "0db98ee9353fca74c14badce4f28be9ebeea5b7c8dc3a9817d402ba8d6d64bd6",
+    "sphere_packing_1": "13f1cd930340f2c6e0669da9609a8dfbb3c70c74b6333deb16ae419f5ce06500",
+    "sphere_packing_2": "0998dab83d51ea591605efc871c3752f49f6b58e164f53f82cc2d21cceb178f3",
+}
+
+
+def test_framework_hashes_are_pinned(tmp_path, capsys):
+    for name, digest in CORPUS_HASHES.items():
+        path = tmp_path / f"{name}.json"
+        save_framework(load_corpus(name), path)
+        assert main(["analyze", str(path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["hash"] == digest, name
+
+
+def test_analyze_json_bytes_match_the_per_item_rendering(tmp_path, capsys):
+    # a 30-vertex strip minus one diagonal: long lists of ints and floats
+    rng = np.random.default_rng(30)
+    x = np.repeat(np.arange(15, dtype=float), 2)
+    x[0::2] += 0.5
+    pts = np.column_stack([x, np.tile([1.0, 0.0], 15)]) + rng.uniform(-0.02, 0.02, size=(30, 2))
+    edges = [(i, i + 1) for i in range(29)] + [(i, i + 2) for i in range(28)]
+    edges.remove((15, 16))
+    path = tmp_path / "strip.json"
+    save_framework(Framework(2, pts, edges), path)
+    assert main(["analyze", str(path), "--json"]) == EXIT_OK
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["hash"] == "d86c3a5830a73ab8408f165912f9288fc5dfcaa48a7767083ba87fef9e5af1ac"
+    assert len(report["pinning_permutation"]) == 30 and len(report["verdict"]["residuals"]) > 1
+    assert text == render_json_per_item(report) + "\n"
+    fw = Framework(2, pts, edges)
+    nested = {"vertices": fw.vertices, "edges": fw.edges, "flags": [True, None, 1, 2.5, "a"], "empty": []}
+    assert render_json(nested) == render_json_per_item(nested)
 
 
 def test_analyze_with_growth_summary(tmp_path, capsys):

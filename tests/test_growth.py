@@ -82,6 +82,20 @@ def test_dim_k_two_mechanism_fit_degenerates():
         fit_growth_order(EnergySpec.for_framework(fw, "harmonic"), pf, n_radii=4, seed=0)
 
 
+def test_floor_note_is_independent_of_the_unit_of_length(corpus_analysis):
+    # the note compares m(r) with lambda_max r^2, not with a fixed 1e-24:
+    # k33 (s = 6) never gets it, asym_flipped_prism (s = 12) always does
+    for name, noted in (("k33", False), ("asym_flipped_prism", True)):
+        base = corpus_analysis[name]["pf"].base
+        for scale in (1e-3, 1.0, 1e3):
+            fw = Framework(base.dimension, base.vertices * scale, base.edges)
+            pf, _ = pin(fw)
+            fit = fit_growth_order(
+                EnergySpec.for_framework(fw, "harmonic"), pf, r_min=1e-3 * scale, r_max=1e-1 * scale
+            )
+            assert any("floating-point floor" in n for n in fit.notes) == noted, (name, scale)
+
+
 def test_leonardo3_fits_with_its_reliability_note(corpus_analysis):
     # s = 16 is past the double-precision limit, but m(r_max) is 2e-16 or
     # more of lambda_max r_max^2, far above the degeneracy floor

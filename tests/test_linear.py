@@ -13,7 +13,7 @@ from rigidkit import (
     rigidity_matrix,
     solve_ladder,
 )
-from rigidkit.linear import DEFAULT_KERNEL_TOL, _CompactWY, _svd_split
+from rigidkit.linear import _BLOCK_ORDER, DEFAULT_KERNEL_TOL, _CompactWY, _qr_split, _svd_split
 
 
 def exact_rank(matrix) -> int:
@@ -227,8 +227,9 @@ def test_qr_split_matches_svd_referee_at_dim_k_two(n):
 
 
 def test_qr_split_never_forms_q(monkeypatch):
-    # only the Householder factor is computed, on an accepted split and a
-    # declined one alike, and the dim K = 1 ladder never needs K-bar itself
+    # only Householder factors are computed, one raw factor per panel, on an
+    # accepted split and a declined one alike, and the dim K = 1 ladder
+    # never needs K-bar itself
     modes, formed = [], []
     qr, leading_columns = np.linalg.qr, _CompactWY.leading_columns
 
@@ -248,7 +249,83 @@ def test_qr_split_never_forms_q(monkeypatch):
     assert solve_ladder(strip, kd).verdict == "flex-found"
     assert kd.method == "qr" and not formed
     assert kernel_decomposition(rigidity_matrix(k33)).method == "svd"
-    assert modes == ["raw", "raw"]
+    assert modes and set(modes) == {"raw"}
+
+
+def _relabelled(pf, rng):
+    """pf's framework with vertices 2.. relabelled at random, pinned again;
+    vertices 0 and 1 keep the pinned frame, so the pinned coordinates are
+    the same up to order.  Returns the new pinned framework and, per free
+    column of it, the matching free column of pf."""
+    perm = np.concatenate([[0, 1], 2 + rng.permutation(pf.base.n_vertices - 2)])
+    new = pin(permute_framework(pf.base, perm))[0]
+    column = {fc: i for i, fc in enumerate(pf.free_coords)}
+    return new, np.array([column[(int(perm[v]), a)] for v, a in new.free_coords])
+
+
+@pytest.mark.parametrize("make, n, dim_k", [(strip_minus_edge, 600, 1), (strip_minus_two_diagonals, 200, 2)])
+def test_qr_split_is_independent_of_vertex_labels(make, n, dim_k):
+    pf = make(n, seed=n)
+    kd = kernel_decomposition(rigidity_matrix(pf))
+    new, cols = _relabelled(pf, np.random.default_rng(n + 1))
+    kd_new = kernel_decomposition(rigidity_matrix(new))
+    assert (kd.method, kd.dim_K) == (kd_new.method, kd_new.dim_K) == ("qr", dim_k)
+    cosines = np.linalg.svd(kd.K_basis[cols].T @ kd_new.K_basis, compute_uv=False)
+    assert np.min(cosines) >= 1 - 1e-12
+    if dim_k == 1:
+        rep, rep_new = solve_ladder(pf, kd), solve_ladder(new, kd_new)
+        assert rep.verdict == rep_new.verdict == "flex-found"
+        norms = np.linalg.norm(rep.witness.coeffs, axis=1)
+        norms_new = np.linalg.norm(rep_new.witness.coeffs, axis=1)
+        assert np.allclose(norms_new, norms, rtol=1e-9, atol=0)
+
+
+def test_qr_split_windows_follow_the_band():
+    # a count, not a timing: on a strip, in its own labels or in random
+    # ones, every compact-WY block acts on a window of about one panel's
+    # height, not on all the coordinates below it
+    pf = strip_minus_edge(600, seed=600)
+    for strip in (pf, _relabelled(pf, np.random.default_rng(601))[0]):
+        kd = kernel_decomposition(rigidity_matrix(strip))
+        assert kd.method == "qr"
+        windows = [vt.shape[1] for _, vt, _ in kd._range.blocks]
+        assert len(windows) == -(-kd.rank // _BLOCK_ORDER)
+        assert max(windows) <= _BLOCK_ORDER + 8
+
+
+def test_compact_wy_block_is_the_product_of_its_reflectors():
+    # the first 10 columns are already triangular, so their reflectors are
+    # the identity (tau = 0); S must still give H_0 ... H_63 = I - V S V'
+    a = np.random.default_rng(4).standard_normal((70, 64))
+    a[:, :10] = np.triu(a[:, :10])
+    h, tau = np.linalg.qr(a, mode="raw")
+    assert np.all(tau[:10] == 0) and np.all(tau[10:] != 0)
+    vt, s = _CompactWY(np.arange(70), 64).add_panel(0, h, tau)
+    product = np.eye(70)
+    for v, t in zip(vt, tau):
+        product = product @ (np.eye(70) - t * np.outer(v, v))
+    assert np.allclose(np.eye(70) - vt.T @ s @ vt, product, rtol=0, atol=1e-13)
+    assert np.array_equal(np.triu(s), s)
+
+
+def test_qr_split_on_a_dense_envelope_matches_svd():
+    # every row is dense, so each panel's window runs to the last row: plain
+    # blocked QR, with E = 130 not a multiple of the panel width
+    mat = np.random.default_rng(5).standard_normal((130, 140))
+    kd = _qr_split(mat, DEFAULT_KERNEL_TOL)
+    ref = _svd_split(mat, DEFAULT_KERNEL_TOL)
+    assert kd.method == "qr" and kd.dim_K == ref.dim_K == 10
+    assert [vt.shape[1] for _, vt, _ in kd._range.blocks] == [140, 76, 12]
+    assert 1 < kd.rank_margin <= ref.rank_margin
+    cosines = np.linalg.svd(kd.K_basis.T @ ref.K_basis, compute_uv=False)
+    assert np.min(cosines) >= 1 - 1e-12
+    proj = kd.K_basis @ kd.K_basis.T + kd.Kbar_basis @ kd.Kbar_basis.T
+    assert np.max(np.abs(proj - np.eye(140))) <= 1e-12
+    rhs = np.random.default_rng(6).standard_normal((130, 3))
+    x, residual = kd.solve_min_norm(rhs)
+    x_ref, _ = ref.solve_min_norm(rhs)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert residual == 0.0
 
 
 @pytest.mark.parametrize("eps, diagonal_clears", [(1e-11, False), (8e-10, True), (9e-10, True)])
