@@ -66,10 +66,13 @@ class KernelDecomposition:
 
     R factors through K-bar as R = F Kbar' with F (n_edges, rank) of full
     column rank, so the minimum-norm solution of R x = rhs is
-    Kbar (F^+ rhs).  _pinv stores F^+: T^-T with its columns put back in
-    edge order when P R' E = Q [T; 0] came from QR, P and E the coordinate
-    and edge orders (method "qr", Kbar = P' Q[:, :E]), diag(1/sigma_r) U_r'
-    when R = U_r diag(sigma_r) Kbar' came from the SVD (method "svd").
+    Kbar (F^+ rhs).  _pinv applies F^+.  When P R' E = Q [T; 0] came from
+    QR, P and E the coordinate and edge orders (method "qr",
+    Kbar = P' Q[:, :E]), F^+ is T^-T after E, and _pinv is T itself, kept by
+    its panels' diagonal blocks and coupling rectangles, which applies T^-T
+    by block substitution; no E x E array is formed.  When
+    R = U_r diag(sigma_r) Kbar' came from the SVD (method "svd"), _pinv is
+    the matrix diag(1/sigma_r) U_r'.
     _range maps F^+ rhs into pinned coordinates: it is Kbar itself on the
     SVD path and the Householder reflectors of Q, with P, on the QR path,
     where Q is never formed and Kbar_basis is built from the reflectors on
@@ -84,7 +87,7 @@ class KernelDecomposition:
     K_basis: np.ndarray           # (n_free, dim_K)
     dim_K: int
     stresses: np.ndarray          # (n_edges, n_edges - rank)
-    _pinv: np.ndarray             # (rank, n_edges)
+    _pinv: np.ndarray | _PanelTriangular  # (rank, n_edges), or T by panels
     _range: np.ndarray | _CompactWY  # Kbar (n_free, rank), or Q's reflectors
     method: str                   # "qr" or "svd"
     rank_margin: float | None
@@ -125,31 +128,90 @@ class KernelDecomposition:
         return x, float(np.linalg.norm(self.stresses.T @ rhs))
 
 
-# Block order of the recursive triangular inverse's LAPACK leaves and of the
-# panels of the Householder factor.
+# Block order of the panels of the Householder factor, and of the leaves of
+# the triangular inverse.
 _BLOCK_ORDER = 64
+_LEAF_ORDER = 16
 
 
-def _invert_upper_triangular(t: np.ndarray) -> np.ndarray:
-    """Invert a nonsingular upper-triangular matrix in place by block
-    recursion, [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so
-    all work above the leaves is matmuls (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 14).  Only the rectangle of B that
-    holds its nonzeros enters the products: all of B when T is dense, a
-    corner of it when T is banded."""
-    n = t.shape[0]
-    if n <= _BLOCK_ORDER:
-        t[...] = np.linalg.inv(t)
-        return t
+def _triangular_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular matrix by block recursion,
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], down to leaves
+    of order _LEAF_ORDER, so most of the work is matmuls (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 14).  numpy has no
+    triangular inverse, and its general inverse of a whole panel is an LU
+    with as many right-hand sides, slower than these leaves and matmuls."""
+    n = len(t)
+    if n <= _LEAF_ORDER:
+        return np.linalg.inv(t)
     h = n // 2
-    b = t[:h, h:]
-    rows, cols = np.flatnonzero(b.any(axis=1)), np.flatnonzero(b.any(axis=0))
-    a_inv = _invert_upper_triangular(t[:h, :h])
-    d_inv = _invert_upper_triangular(t[h:, h:])
-    if rows.size:
-        r0, c1 = rows[0], cols[-1] + 1
-        np.matmul(-(a_inv[:, r0:] @ b[r0:, :c1]), d_inv[:c1], out=b)
-    return t
+    out = np.zeros_like(t)
+    a_inv = out[:h, :h] = _triangular_inverse(t[:h, :h])
+    d_inv = out[h:, h:] = _triangular_inverse(t[h:, h:])
+    out[:h, h:] = -(a_inv @ t[:h, h:]) @ d_inv
+    return out
+
+
+class _PanelTriangular:
+    """The upper-triangular factor T of a panel QR, kept by panels: for
+    panel j0..j1-1 its diagonal block A^-1 = T[j0:j1, j0:j1]^-1 and its
+    coupling rectangle U = T[j0:j1, j1:c1], beyond which the panel's row
+    of T is zero.  On a strip that is O(E b) numbers where T^-1 would be
+    E x E.  row_order is the edge at each position of T's columns, so
+    ``t @ rhs`` is T^-T applied to rhs in edge order."""
+
+    def __init__(self, row_order: np.ndarray):
+        self.row_order = row_order
+        self.shape = (len(row_order), len(row_order))
+        self.panels = []
+
+    def add_panel(self, j0: int, a: np.ndarray, u: np.ndarray) -> None:
+        """Append the panel whose rows of T start at j0: its diagonal
+        block a and its coupling rectangle u, copied so that it does not
+        keep the factor's whole work array alive."""
+        self.panels.append((j0, _triangular_inverse(a), u.copy()))
+
+    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
+        """T^-T rhs[row_order] for rhs of shape (E,) or (E, m), by block
+        forward substitution on T' = [[A', 0], [U', W']]."""
+        y = np.asarray(rhs, dtype=float)[self.row_order]
+        for j0, a_inv, u in self.panels:
+            j1 = j0 + len(a_inv)
+            y[j0:j1] = a_inv.T @ y[j0:j1]
+            y[j1:j1 + u.shape[1]] -= u.T @ y[j0:j1]
+        return y
+
+    def inverse_frobenius_sq(self) -> float:
+        """||T^-1||_F^2 = tr(Z), Z = (T'T)^-1 = T^-1 T^-T, by the block form
+        of the selected-inversion recurrence (Takahashi, Fagan & Chen 1973;
+        Erisman & Tinney, Comm. ACM 18, 1975).  Backward over the panels,
+        with W the trailing block of T, Z_WW = W^-1 W^-T already known and
+        G = A^-1 U, a panel's block row of Z is
+            Z_12 = -G Z_WW,   Z_11 = A^-1 A^-T - Z_12 G',
+        so tr(Z_11) = ||A^-1||_F^2 - <Z_12, G>, and U reaches only Z_WW's
+        leading (c1 - j1)-square.  The panels' ends c1 are nondecreasing,
+        so of each block row only the rows and columns up to the previous
+        panel's end are ever read again, and only those are formed: a few
+        rows per panel on a strip, all of Z on a dense envelope."""
+        ends = [j0 + len(a_inv) + u.shape[1] for j0, a_inv, u in self.panels]
+        total = 0.0
+        rows = []                 # (k0, Z[k0:k0+p, k0:c0]) of the later panels
+        for (j0, a_inv, u), c0 in zip(reversed(self.panels), ([0] + ends[:-1])[::-1]):
+            j1 = j0 + len(a_inv)
+            c1 = j1 + u.shape[1]
+            z_ww = np.empty((c1 - j1, c1 - j1))
+            for k0, z in rows:
+                k1 = min(k0 + len(z), c1)
+                z_ww[k0 - j1:, k0 - j1:k1 - j1] = z[:k1 - k0, :c1 - k0].T
+                z_ww[k0 - j1:k1 - j1, k0 - j1:] = z[:k1 - k0, :c1 - k0]
+            g = a_inv @ u
+            z_12 = -(g @ z_ww)
+            total += float(np.vdot(a_inv, a_inv) - np.vdot(z_12, g))
+            p = min(c0, j1) - j0
+            z_11 = a_inv[:p] @ a_inv[:p].T - z_12[:p] @ g[:p].T
+            rows = [(k0, z) for k0, z in rows if k0 < c0]
+            rows.insert(0, (j0, np.hstack([z_11, z_12[:p, :max(c0 - j1, 0)]])))
+        return total
 
 
 class _CompactWY:
@@ -182,7 +244,7 @@ class _CompactWY:
         # S^-1 = diag(1/tau) + striu(V'V) (Puglisi, SIAM J. Sci. Stat.
         # Comput. 13, 1992), taken as S = (I + diag(tau) striu(V'V))^-1 diag(tau)
         # so that a reflector with tau = 0 (H_j = I) needs no special case
-        s = np.linalg.inv(np.eye(b) + tau[:, None] * np.triu(vt @ vt.T, 1)) * tau
+        s = _triangular_inverse(np.eye(b) + tau[:, None] * np.triu(vt @ vt.T, 1)) * tau
         self.blocks.append((j0, vt, s))
         return vt, s
 
@@ -255,7 +317,7 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     sigma_max <= ||R||_F, so 1 / ||T^-1||_F > tol ||R||_F implies the SVD's
     rule s > tol * s_max keeps all E singular values.  Since
     sigma_min <= min |T_jj|, a diagonal at or below tol ||R||_F rules the
-    certificate out before T is inverted.
+    certificate out before ||T^-1||_F is computed.
 
     The factor works on R's envelope.  R's columns (the coordinates) are
     put in reverse Cuthill-McKee order and its rows (the edges) by their
@@ -270,10 +332,13 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     dense envelope it is ordinary blocked QR at the dense cost.  An edge j
     with l_j < j proves the rows dependent, and a panel whose diagonal
     fails the cutoff stops the factorization, so a declined attempt ends
-    early.  An accepted one keeps Q as its blocks: K = Q [0; I], the
-    solves apply Q to [T^-T rhs; 0], and K-bar is formed only if
-    Kbar_basis is read; the two orders fold into _pinv's columns and into
-    Q's rows.
+    early.  T is never inverted: each panel hands its diagonal block and
+    the rectangle of later columns its update reached to a _PanelTriangular,
+    which gives ||T^-1||_F by block selected inversion and T^-T rhs by block
+    substitution, O(E b) work per solve on a strip.  An accepted split keeps Q as
+    its blocks: K = Q [0; I], the solves apply Q to [T^-T rhs; 0], and
+    K-bar is formed only if Kbar_basis is read; the two orders fold into
+    _pinv's row_order and into Q's rows.
     """
     n_edges, n_free = mat.shape
     rows, cols = np.unravel_index(np.flatnonzero(mat != 0), mat.shape)
@@ -293,30 +358,30 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
         return None
     row_rank = np.empty(n_edges, dtype=np.intp)
     row_rank[row_order] = np.arange(n_edges)
-    # R' in the two orders; the loop leaves T in its first E rows
+    # R' in the two orders; the loop leaves T's coupling rectangles in its first E rows
     work = np.zeros((n_free, n_edges))
     work[col_rank[cols], row_rank[rows]] = vals
     # the edges from k on all start at or after reach[k]
     reach = np.minimum.accumulate(first[::-1])[::-1]
     q = _CompactWY(col_order, n_edges)
+    t = _PanelTriangular(row_order)
     for j0 in range(0, n_edges, _BLOCK_ORDER):
         j1 = min(j0 + _BLOCK_ORDER, n_edges)
         r1 = last[j1 - 1] + 1
         h, tau = np.linalg.qr(work[j0:r1, j0:j1], mode="raw")
         if not np.min(np.abs(np.diagonal(h))) > cutoff:   # T's diagonal
             return None
-        work[j0:r1, j0:j1] = np.triu(h.T)
         vt, s = q.add_panel(j0, h, tau)
         trail = work[j0:r1, j1:np.searchsorted(reach, r1)]
         trail -= vt.T @ (s.T @ (vt @ trail))
-    t_inv = _invert_upper_triangular(work[:n_edges])
-    sigma_min_bound = 1.0 / np.linalg.norm(t_inv)
+        t.add_panel(j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0])
+    sigma_min_bound = 1.0 / np.sqrt(t.inverse_frobenius_sq())
     if not sigma_min_bound > cutoff:
         return None
     dim_k = n_free - n_edges
     return KernelDecomposition(
         q @ np.eye(n_free, dim_k, -n_edges), dim_k,
-        np.zeros((n_edges, 0)), t_inv[row_rank].T, q, "qr",
+        np.zeros((n_edges, 0)), t, q, "qr",
         float(sigma_min_bound / cutoff),
     )
 

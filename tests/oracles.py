@@ -16,7 +16,10 @@ a quantity by a slower or more direct route:
 - principal_angles and kernel_of_hessian_equals_K: the energy Hessian's
   numerical kernel against the first-order flex space K;
 - render_json_per_item: the canonical JSON text, rendered one Python
-  object at a time.
+  object at a time;
+- dense_triangular and inverse_frobenius_sq: the QR split's T assembled
+  as one dense array from the panel blocks it records, and ||T^-1||_F^2
+  from np.linalg.inv.
 """
 
 import json
@@ -178,3 +181,24 @@ def render_json_per_item(obj, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         return render_json_per_item(obj.tolist(), indent)
     raise TypeError(f"cannot render {type(obj)}")
+
+
+# ---------------------------------------------------------------------------
+# the QR split's triangular factor, dense
+# ---------------------------------------------------------------------------
+
+def dense_triangular(panels, n: int) -> np.ndarray:
+    """The (n, n) upper-triangular T whose panel starting at row j0 has
+    diagonal block a and coupling rectangle u right of it, for each
+    (j0, a, u) in panels."""
+    t = np.zeros((n, n))
+    for j0, a, u in panels:
+        j1 = j0 + len(a)
+        t[j0:j1, j0:j1] = a
+        t[j0:j1, j1:j1 + u.shape[1]] = u
+    return t
+
+
+def inverse_frobenius_sq(t: np.ndarray) -> float:
+    """||T^-1||_F^2 from the dense inverse."""
+    return float(np.linalg.norm(np.linalg.inv(t)) ** 2)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import rigidkit
-from rigidkit import Framework, load_corpus, save_framework
+from rigidkit import Framework, load_corpus, load_framework, pin_with_permutation, rigidity_order, save_framework
 from rigidkit.cli import (
     EXIT_MISMATCH,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     render_json,
 )
@@ -230,6 +231,67 @@ def test_analyze_json_bytes_match_the_per_item_rendering(tmp_path, capsys):
     fw = Framework(2, pts, edges)
     nested = {"vertices": fw.vertices, "edges": fw.edges, "flags": [True, None, 1, 2.5, "a"], "empty": []}
     assert render_json(nested) == render_json_per_item(nested)
+
+
+def _strip_file(tmp_path, n: int) -> str:
+    """A jittered triangulated strip on n vertices minus one diagonal, saved
+    as a framework file: dim K = 1, 2n - 4 independent rows."""
+    rng = np.random.default_rng(n)
+    x = np.repeat(np.arange(n // 2, dtype=float), 2)
+    x[0::2] += 0.5
+    pts = np.column_stack([x, np.tile([1.0, 0.0], n // 2)]) + rng.uniform(-0.02, 0.02, size=(n, 2))
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    edges.remove((n // 2, n // 2 + 1))
+    path = tmp_path / f"strip{n}.json"
+    save_framework(Framework(2, pts, edges), path)
+    return str(path)
+
+
+def test_analyze_json_witness_summary_matches_the_list_round_trip(tmp_path, capsys):
+    # analyze summarizes the witness from its array; the text must be byte
+    # for byte what the norms of the witness's tolist() round trip print
+    path = _strip_file(tmp_path, 60)
+    assert main(["analyze", path, "--json"]) == EXIT_OK
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["kernel"]["method"] == "qr" and report["verdict"]["verdict"] == "flex-found"
+    rep = rigidity_order(pin_with_permutation(load_framework(path))[0])
+    coeffs = np.asarray(rep.witness.coeffs.tolist())
+    report["verdict"]["witness_degree"] = int(coeffs.shape[0])
+    report["verdict"]["witness_coeff_norms"] = np.linalg.norm(coeffs, axis=1).tolist()
+    assert text == render_json(report) + "\n"
+    assert "witness" not in report["verdict"]
+
+
+def _run_main(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_in_a_process(k33_file, square_file, tmp_path, capsys):
+    # the parser is built once; a run of mixed calls, usage errors among
+    # them, gives what the same calls give with a parser built for each
+    calls = [
+        ["order", k33_file, "--json"],
+        ["analyze", square_file],
+        ["analyze", k33_file, "--max-k", "1"],
+        ["no-such-command"],
+        ["order", _strip_file(tmp_path, 20), "--json", "--max-k", "5"],
+        ["analyze", k33_file, "--family", "nonsense"],
+        ["analyze", k33_file],
+        ["order", square_file],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run_main(argv, capsys))
+    build_parser.cache_clear()
+    shared = [_run_main(argv, capsys) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                               EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
 
 
 def test_analyze_with_growth_summary(tmp_path, capsys):

@@ -13,7 +13,9 @@ from rigidkit import (
     rigidity_matrix,
     solve_ladder,
 )
-from rigidkit.linear import _BLOCK_ORDER, DEFAULT_KERNEL_TOL, _CompactWY, _qr_split, _svd_split
+from rigidkit.linear import _BLOCK_ORDER, DEFAULT_KERNEL_TOL, _CompactWY, _PanelTriangular, _qr_split, _svd_split
+
+from oracles import dense_triangular, inverse_frobenius_sq
 
 
 def exact_rank(matrix) -> int:
@@ -326,6 +328,126 @@ def test_qr_split_on_a_dense_envelope_matches_svd():
     x_ref, _ = ref.solve_min_norm(rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert residual == 0.0
+
+
+def tetrahedral_chain_minus_bar(n: int, seed: int):
+    """Pinned chain of n - 3 tetrahedra along a jittered helix, each vertex
+    from 3 on joined to the three before it, with one bar in the middle
+    removed: a 3D mechanism with dim K = 1 whose 3n - 7 rows are
+    independent."""
+    rng = np.random.default_rng(seed)
+    turn = 2 * np.pi / 3.3 * np.arange(n)
+    pts = np.column_stack([np.cos(turn), np.sin(turn), 0.35 * np.arange(n)])
+    pts += rng.uniform(-0.05, 0.05, size=pts.shape)
+    edges = [(0, 1), (0, 2), (1, 2)] + [(v - k, v) for v in range(3, n) for k in (1, 2, 3)]
+    edges.remove((n // 2 - 3, n // 2))
+    return pin(Framework(3, pts, edges))[0]
+
+
+def random_band(n_rows: int, n_cols: int, below: int, above: int, seed: int) -> np.ndarray:
+    """Gaussian matrix whose row i is nonzero in columns i - below .. i + above - 1."""
+    mat = np.random.default_rng(seed).standard_normal((n_rows, n_cols))
+    i, j = np.indices(mat.shape)
+    mat[(j < i - below) | (j >= i + above)] = 0.0
+    return mat
+
+
+SPLIT_INPUTS = {
+    "dense_envelope": lambda: np.random.default_rng(5).standard_normal((130, 140)),
+    "band": lambda: random_band(300, 310, 20, 150, seed=7),
+    "strip600": lambda: rigidity_matrix(strip_minus_edge(600, seed=600)).matrix,
+    "tetrahedra": lambda: rigidity_matrix(tetrahedral_chain_minus_bar(103, seed=0)).matrix,
+}
+
+
+def _split_recording_t(mat, monkeypatch):
+    """_qr_split(mat) and its T, assembled from the panels it recorded."""
+    panels, add_panel = [], _PanelTriangular.add_panel
+
+    def recording(self, j0, a, u):
+        panels.append((j0, a.copy(), u.copy()))
+        add_panel(self, j0, a, u)
+
+    monkeypatch.setattr(_PanelTriangular, "add_panel", recording)
+    kd = _qr_split(mat, DEFAULT_KERNEL_TOL)
+    monkeypatch.undo()
+    return kd, dense_triangular(panels, mat.shape[0])
+
+
+@pytest.mark.parametrize("name", ["dense_envelope", "band", "strip600"])
+def test_banded_inverse_frobenius_norm_matches_the_dense_inverse(name, monkeypatch):
+    mat = SPLIT_INPUTS[name]()
+    kd, t = _split_recording_t(mat, monkeypatch)
+    assert kd.method == "qr"
+    widths = [u.shape[1] for _, _, u in kd._pinv.panels]
+    if name == "band":
+        # some coupling rectangles reach past the next panel
+        assert max(widths) > 2 * _BLOCK_ORDER
+    assert kd._pinv.inverse_frobenius_sq() == pytest.approx(inverse_frobenius_sq(t), rel=1e-13)
+    # and T^-T by block substitution is the dense triangular solve
+    rhs = np.random.default_rng(8).standard_normal((mat.shape[0], 2))
+    y = np.linalg.solve(t.T, rhs[kd._pinv.row_order])
+    assert np.linalg.norm(kd._pinv @ rhs - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _arrays(item)
+
+
+def test_qr_split_keeps_no_edge_by_edge_array():
+    # a count: what an accepted split on the 600 strip keeps is O(E b),
+    # in arrays that own their data or view small ones
+    R = rigidity_matrix(strip_minus_edge(600, seed=600))
+    kd = kernel_decomposition(R)
+    assert kd.method == "qr" and "Kbar_basis" not in vars(kd)
+    kept = [a for name, value in vars(kd).items() if name != "K_basis" for a in _arrays(value)]
+    assert len(kept) > 2 * len(kd._range.blocks)
+    n_edges = R.shape[0]
+    for a in kept:
+        assert (a if a.base is None else a.base).size <= 2 * _BLOCK_ORDER * n_edges
+
+
+@pytest.mark.parametrize("name", ["band", "strip600", "tetrahedra"])
+def test_qr_solves_match_the_svd_referee(name):
+    mat = SPLIT_INPUTS[name]()
+    kd, ref = _qr_split(mat, DEFAULT_KERNEL_TOL), _svd_split(mat, DEFAULT_KERNEL_TOL)
+    assert kd.method == "qr" and kd.dim_K == ref.dim_K
+    rng = np.random.default_rng(9)
+    for shape in [(mat.shape[0],), (mat.shape[0], 3)]:
+        rhs = rng.standard_normal(shape)
+        x, residual = kd.solve_min_norm(rhs)
+        x_ref, _ = ref.solve_min_norm(rhs)
+        assert x.shape == x_ref.shape == (mat.shape[1],) + shape[1:]
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert residual == 0.0
+
+
+def test_qr_split_of_a_3d_mechanism_matches_svd():
+    # 302 rows: five panels, in 3D, where every other QR-path input is a 2D
+    # strip or a random matrix
+    pf = tetrahedral_chain_minus_bar(103, seed=0)
+    R = rigidity_matrix(pf)
+    kd = kernel_decomposition(R)
+    ref = _svd_split(R.matrix, DEFAULT_KERNEL_TOL)
+    assert R.shape == (302, 303) and len(kd._range.blocks) == 5
+    assert (kd.method, ref.method) == ("qr", "svd")
+    assert kd.dim_K == ref.dim_K == 1
+    assert abs(kd.K_basis[:, 0] @ ref.K_basis[:, 0]) >= 1 - 1e-12
+    assert 1 < kd.rank_margin <= ref.rank_margin
+    rep, rep_ref = solve_ladder(pf, kd), solve_ladder(pf, ref)
+    assert rep.verdict == rep_ref.verdict == "flex-found"
+    assert len(rep.residuals) == len(rep_ref.residuals)
+    # the odd coefficients are rounding noise 1e-18 below the first, so
+    # the witnesses are compared on the scale of their largest entry
+    coeffs, coeffs_ref = rep.witness.coeffs, rep_ref.witness.coeffs
+    assert np.max(np.abs(coeffs - coeffs_ref)) <= 1e-10 * np.max(np.abs(coeffs_ref))
 
 
 @pytest.mark.parametrize("eps, diagonal_clears", [(1e-11, False), (8e-10, True), (9e-10, True)])
