@@ -303,17 +303,19 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     flat = quart.reshape(m * m, m * m)
     b_flat = forms.B.reshape(m * m, m * m)
 
+    def outer(ys):   # the rows y (x) y, flattened
+        return (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
+
     def value_grad(ys):
-        yy = (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
-        cubic = np.einsum("bij,bj->bi", (yy @ flat).reshape(-1, m, m), ys)   # M(y, y, y, .)
+        cubic = np.einsum("bij,bj->bi", (outer(ys) @ flat).reshape(-1, m, m), ys)   # M(y, y, y, .)
         return np.sum(cubic * ys, axis=1), 4.0 * cubic
 
-    def hess(y):
-        return 12.0 * (np.outer(y, y).reshape(m * m) @ flat).reshape(m, m)
+    def hess(ys):
+        return 12.0 * (outer(ys) @ flat).reshape(-1, m, m)   # 12 M(y, y, ., .)
 
     def size(ys, vals):
         # max of |mu| (vals) and |B(y^4)| over the rows ys
-        yy = (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
+        yy = outer(ys)
         return max(float(np.max(np.abs(vals))), float(np.max(np.abs(np.sum((yy @ b_flat) * yy, axis=1)))))
 
     if 5 ** (m - 1) <= BOX_CAP:

@@ -11,10 +11,11 @@ formula gives the energy jets; on m + s it gives phi, phi' and phi''/2,
 hence with D = p_v - p_w the gradient 2 phi' D and the Hessian block
 2 phi' I + 4 phi'' D D' of edge vw, and, composed with m(t), the gradient
 jets 2 phi'(m(t)) D(t).  Gradients are summed into the free coordinates
-with the pinned framework's fixed gradient plan, Hessians with one
-bincount.  The algebraic family takes a square root of the constant term
-only, so that m - d^2 is exactly zero at rest; Lennard-Jones uses jet
-reciprocals, Morse uses jet exp.
+with the pinned framework's fixed gradient plan, and Hessians, of one point
+or a batch, with one bincount along its fixed Hessian plan.  The algebraic
+family takes a square root of the constant term only, so that m - d^2 is
+exactly zero at rest; Lennard-Jones uses jet reciprocals, Morse uses jet
+exp.
 """
 
 from __future__ import annotations
@@ -116,16 +117,17 @@ class EnergySpec:
 # ---------------------------------------------------------------------------
 
 def _check_positive(m_jet: Jet) -> None:
-    bad = np.flatnonzero(m_jet.c[:, 0] <= 0.0)
+    bad = np.nonzero(m_jet.c[..., 0] <= 0.0)[-1]
     if bad.size:
         raise ZeroLengthEdge(f"edge {bad[0]} has non-positive squared length along the trajectory")
 
 
 def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
-    """phi_ij(m) per edge as a jet, for an (E, M+1) Jet of squared lengths
-    m_ij: the one place each family's energy is written.  On the squared
-    lengths along a trajectory it gives the energy jets; on m_ij + s it
-    gives the Taylor series of phi_ij in m (see _taylor_in_m)."""
+    """phi_ij(m) per edge as a jet, for an (..., E, M+1) Jet of squared
+    lengths m_ij, leading axes batching configurations: the one place each
+    family's energy is written.  On the squared lengths along a trajectory
+    it gives the energy jets; on m_ij + s it gives the Taylor series of
+    phi_ij in m (see _taylor_in_m)."""
     d = spec.rest_lengths
     _check_positive(m_jet)
     if spec.family == "harmonic":
@@ -135,9 +137,9 @@ def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
         # m - d^2, with the constant term as (sqrt(m0) - d)(sqrt(m0) + d):
         # exactly zero at rest, as harmonic's sqrt(m) - d is
         gap = m_jet - d**2
-        root = np.sqrt(m_jet.c[:, 0])
+        root = np.sqrt(m_jet.c[..., 0])
         gap_c = gap.c.copy()
-        gap_c[:, 0] = (root - d) * (root + d)
+        gap_c[..., 0] = (root - d) * (root + d)
         gap = Jet(gap_c, gap.mag)
         return 0.5 * spec.stiffness * (gap * gap)
     if spec.family == "lj":
@@ -148,11 +150,12 @@ def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
 
 
 def _taylor_in_m(spec: EnergySpec, m0: np.ndarray, order: int) -> np.ndarray:
-    """(E, order+1) Taylor coefficients phi^(k)(m0) / k! of every edge's
-    energy about its squared length m0, from the jet formula on m0 + s."""
-    c = np.zeros((m0.size, order + 1))
-    c[:, 0] = m0
-    c[:, 1] = 1.0
+    """(..., E, order+1) Taylor coefficients phi^(k)(m0) / k! of every
+    edge's energy about its squared length m0, shape (..., E), from the jet
+    formula on m0 + s."""
+    c = np.zeros(m0.shape + (order + 1,))
+    c[..., 0] = m0
+    c[..., 1] = 1.0
     return _edge_energy_jet(spec, Jet(c)).c
 
 
@@ -205,34 +208,40 @@ def _check_binding(spec: EnergySpec, pf: PinnedFramework) -> None:
 
 def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.ndarray | None = None):
     """Energy value, analytic gradient and Hessian at the pinned-coordinate
-    point q (default: the rest configuration), all in free coordinates."""
+    point q (default: the rest configuration), all in free coordinates.
+
+    A single point (n_free,) gives (float, (n_free,), (n_free, n_free)); a
+    batch (B, n_free) gives ((B,), (B, n_free), (B, n_free, n_free)), row by
+    row equal to single calls up to rounding.  phi' and phi''/2 of all rows
+    come from one order-2 jet on the (B, E) squared lengths, and the
+    Hessians from one bincount along the framework's Hessian plan.
+    """
     _check_binding(spec, pf)
-    if q_free is None:
-        q_free = pf.free_vector()
-    pts = pf.embed_config(np.asarray(q_free, dtype=float))
-    n, d = pts.shape
+    q = pf.free_vector() if q_free is None else np.asarray(q_free, dtype=float)
+    pts = pf.embed_config(q if q.ndim == 2 else q[None, :])
+    n_batch, n_free = pts.shape[0], pf.n_free
     ev, ew = pf.base.edge_index_arrays()
-    diffs = pts[ev] - pts[ew]
-    m0 = np.sum(diffs * diffs, axis=1)
+    diffs = pts[:, ev] - pts[:, ew]
+    m0 = np.sum(diffs * diffs, axis=2)
     if np.any(m0 <= 0.0):
         raise ZeroLengthEdge("zero-length edge in the evaluated configuration")
-    phi, dphi, half_d2phi = _taylor_in_m(spec, m0, 2).T
+    phi, dphi, half_d2phi = _taylor_in_m(spec, m0, 2).transpose(2, 0, 1)
     # dm/dp_v = 2 D: gradient 2 phi' D, Hessian block 2 phi' I + 4 phi'' D D'
-    blocks = (8.0 * half_d2phi)[:, None, None] * (diffs[:, :, None] * diffs[:, None, :])
-    blocks += (2.0 * dphi)[:, None, None] * np.eye(d)
-    grad = _sum_onto_free(pf, (2.0 * dphi)[:, None] * diffs)
+    blocks = (8.0 * half_d2phi)[..., None, None] * (diffs[..., :, None] * diffs[..., None, :])
+    blocks += (2.0 * dphi)[..., None, None] * np.eye(pf.dimension)
+    grad = _sum_onto_free(pf, ((2.0 * dphi)[..., None] * diffs).transpose(1, 2, 0)).T
     # each edge adds its d x d block at (v, v) and (w, w) and subtracts it
-    # at (v, w) and (w, v): one bincount over flat Hessian entries, in edge
-    # order
-    axis = np.arange(d)
-    rows = np.stack([ev, ew, ev, ew], axis=1)[:, :, None, None] * d + axis[:, None]
-    cols = np.stack([ev, ew, ew, ev], axis=1)[:, :, None, None] * d + axis
-    signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, None]
-    hess_full = np.bincount((rows * n * d + cols).ravel(), signed.ravel(), minlength=(n * d) ** 2)
-    hess_full = hess_full.reshape(n * d, n * d)
-
-    free = pf.free_vertex * d + pf.free_axis
-    return float(np.sum(phi)), grad, hess_full[np.ix_(free, free)]
+    # at (v, w) and (w, v): one bincount over the free x free entries of
+    # every row, in edge order
+    entries, targets = pf.hessian_plan()
+    signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, :, None]
+    bins = (np.arange(n_batch)[:, None] * n_free**2 + targets).ravel()
+    weights = signed.reshape(n_batch, -1)[:, entries].ravel()
+    hess = np.bincount(bins, weights, minlength=n_batch * n_free**2).reshape(n_batch, n_free, n_free)
+    values = np.sum(phi, axis=1)
+    if q.ndim == 1:
+        return float(values[0]), grad[0], hess[0]
+    return values, grad, hess
 
 
 def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:

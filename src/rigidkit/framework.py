@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,9 @@ class PinnedFramework:
 
     The free column of every edge endpoint coordinate, and the order in which
     per-endpoint contributions are summed into those columns, are computed
-    once here (O(E d) each); see edge_free_columns and gradient_plan.
+    once here (O(E d) each); see edge_free_columns and gradient_plan.  The
+    free x free target of every Hessian block entry (O(E d^2)) is computed
+    once, on first use; see hessian_plan.
     """
 
     base: Framework
@@ -220,6 +223,29 @@ class PinnedFramework:
         begins in it.  A free column no edge touches has no run."""
         return self._plan
 
+    def hessian_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(entries, targets): a fixed plan for summing the 4 E d^2 entries
+        of the edges' Hessian blocks, laid out as (edge, block, a, b) with
+        blocks (v, v), (w, w), (v, w), (w, v) of edge vw, into the flat
+        n_free x n_free Hessian.  entries lists, in that order, the entries
+        whose row and column are both free; targets[i] is the flat free x
+        free index of entries[i].  Entries touching a pinned coordinate
+        are dropped.  Built on first use, since a verdict the ladder
+        decides takes no Hessian."""
+        return self._hessian_plan
+
+    @cached_property
+    def _hessian_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        n_free = self.n_free
+        ends = self._edge_columns
+        rows = ends[[0, 1, 0, 1]].transpose(1, 0, 2)[:, :, :, None]
+        cols = ends[[0, 1, 1, 0]].transpose(1, 0, 2)[:, :, None, :]
+        entries = np.flatnonzero((rows < n_free) & (cols < n_free))
+        targets = (rows * n_free + cols).ravel()[entries]
+        entries.setflags(write=False)
+        targets.setflags(write=False)
+        return entries, targets
+
     def free_vector(self, config: np.ndarray | None = None) -> np.ndarray:
         """Extract the free pinned coordinates from a full (n, d) configuration
         (defaults to the base configuration)."""
@@ -228,9 +254,11 @@ class PinnedFramework:
 
     def embed_config(self, x: np.ndarray) -> np.ndarray:
         """Full (n, d) configuration with free coordinates x and pinned
-        coordinates at their base values."""
-        pts = self.base.vertices.copy()
-        pts[self.free_vertex, self.free_axis] = x
+        coordinates at their base values; a (B, n_free) batch gives
+        (B, n, d)."""
+        pts = np.empty(np.shape(x)[:-1] + self.base.vertices.shape)
+        pts[...] = self.base.vertices
+        pts[..., self.free_vertex, self.free_axis] = x
         return pts
 
     def embed_tangent(self, x: np.ndarray) -> np.ndarray:

@@ -5,13 +5,15 @@ order s (rigidity order = s / 2).
 The minimum m(r) of E(q) - E(p) over the sphere |q - p| = r in pinned
 coordinates is found by minimize_on_sphere: Riemannian Newton steps on the
 sphere, with the gradient of the cancellation-free gap kernel and the
-energy Hessian at p + z.  Near a minimizer the sphere's tangent space is
-close to the complement of the flex space, where the Hessian is well
-conditioned (the block the order-4 test eliminates), so Newton settles in
-a few steps.  A radius sweep runs from the largest radius down and
-continues from +/- the last minimizer.  When dim K <= 1 it is seedless: the
-first radius starts from +/- the lowest eigenvector of the rest Hessian,
-and every radius is Newton alone.  When dim K > 1, and on a direct
+energy Hessian at p + z.  Each Newton round takes the Hessians of all rows
+that moved in one batched call and solves their bordered systems as one
+stack.  Near a minimizer the sphere's tangent space is close to the
+complement of the flex space, where the Hessian is well conditioned (the
+block the order-4 test eliminates), so Newton settles in a few steps.  A
+radius sweep runs from the largest radius down and continues from +/- the
+last minimizer.  When dim K <= 1 it is seedless: the first radius starts
+from +/- the lowest eigenvector of the rest Hessian, and every radius is
+Newton alone.  When dim K > 1, and on a direct
 min_energy_on_sphere call, a seeded multistart (the +/- first-order flex
 directions plus random unit vectors) first runs a few hundred
 Barzilai-Borwein projected-gradient rounds, and Newton polishes its best
@@ -100,13 +102,15 @@ def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds
     whole arrays; row by row this is the same arithmetic as updating just
     the accepted rows.  The growth fits' multistart uses this path.
 
-    hess maps one point (dim,) to the (dim, dim) Hessian of the function
-    there.  With it, each round takes a Riemannian Newton step per row
-    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008, ch. 6): the tangent step eta solves
-    [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with lam = g.z / r^2,
-    z + t eta is pulled back onto the sphere, and the move is kept by the
-    same Armijo test and np.where select as above; a rejected one halves t.
+    hess maps a (B, dim) batch of points to their (B, dim, dim) Hessians,
+    the batch contract of value_grad.  With it, each round takes a
+    Riemannian Newton step per row (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, ch. 6): the tangent step eta
+    solves [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with
+    lam = g.z / r^2.  The rows that moved since their last direction get
+    theirs from one hess call and one stacked solve.  z + t eta is pulled
+    back onto the sphere, and the move is kept by the same Armijo test and
+    np.where select as above; a rejected one halves t.
     Steps shorter than NEWTON_LOCAL r skip the test.  A row has converged
     once its step is shorter than NEWTON_XTOL r, or is such a local step
     no shorter than half the step before it: Newton converges
@@ -155,30 +159,41 @@ def _tangent(grads: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray, z: np.ndarray, g_tan: np.ndarray, r: float):
-    """Tangent Newton step at z from the bordered system, written with the
-    unit normal z / r.  Where the system is singular or its solution is not
-    a descent direction, the Cauchy step along -g_tan instead, or a step of
-    length r where the tangent curvature along it is not positive.  Capped
-    at length r."""
-    dim = z.size
+    """Tangent Newton steps at the rows of z from their bordered systems,
+    written with the unit normals z / r and solved as one stack; when the
+    stacked solve raises, row by row.  Where a row's system is singular or
+    its solution is not a descent direction, the Cauchy step along
+    -g_tan instead, or a step of length r where the tangent curvature along
+    it is not positive.  Capped at length r."""
+    n_rows, dim = z.shape
     zh = z / r
-    kkt = np.zeros((dim + 1, dim + 1))
-    kkt[:dim, :dim] = h - (g @ zh / r) * np.eye(dim)
-    kkt[:dim, dim] = zh
-    kkt[dim, :dim] = zh
+    kkt = np.zeros((n_rows, dim + 1, dim + 1))
+    kkt[:, :dim, :dim] = h - ((g * zh).sum(1) / r)[:, None, None] * np.eye(dim)
+    kkt[:, :dim, dim] = zh
+    kkt[:, dim, :dim] = zh
+    rhs = np.zeros((n_rows, dim + 1, 1))
+    rhs[:, :dim, 0] = -g
     try:
-        eta = np.linalg.solve(kkt, np.append(-g, 0.0))[:dim]
+        eta = np.linalg.solve(kkt, rhs)[:, :dim, 0]
     except np.linalg.LinAlgError:
-        eta = g_tan
-    if not np.all(np.isfinite(eta)) or eta @ g_tan >= 0.0:
-        gg = g_tan @ g_tan
-        curv = g_tan @ kkt[:dim, :dim] @ g_tan
+        # a row whose own solve raises keeps g_tan, an ascent direction,
+        # and so takes the fallback below
+        eta = g_tan.copy()
+        for i in range(n_rows):
+            try:
+                eta[i] = np.linalg.solve(kkt[i], rhs[i])[:dim, 0]
+            except np.linalg.LinAlgError:
+                pass
+    fallback = ~np.isfinite(eta).all(1) | ((eta * g_tan).sum(1) >= 0.0)
+    for i in np.flatnonzero(fallback):
+        gg = g_tan[i] @ g_tan[i]
+        curv = g_tan[i] @ kkt[i, :dim, :dim] @ g_tan[i]
         if curv > 0.0:
-            eta = -(gg / curv) * g_tan
+            eta[i] = -(gg / curv) * g_tan[i]
         else:
-            eta = -(r / np.sqrt(gg)) * g_tan if gg > 0.0 else np.zeros(dim)
-    size = float(np.sqrt(eta @ eta))
-    return eta * (r / size) if size > r else eta
+            eta[i] = -(r / np.sqrt(gg)) * g_tan[i] if gg > 0.0 else 0.0
+    size = np.sqrt((eta * eta).sum(1))
+    return eta * (r / np.maximum(size, r))[:, None]
 
 
 def _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds):
@@ -193,8 +208,9 @@ def _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds):
     for _ in range(rounds):
         g_tan = _tangent(grads, z, r)
         stalled |= ~converged & (t < NEWTON_TMIN)
-        for i in np.flatnonzero(fresh & ~converged & ~stalled):
-            eta[i] = _newton_direction(hess(z[i]), grads[i], z[i], g_tan[i], r)
+        rows = np.flatnonzero(fresh & ~converged & ~stalled)
+        if rows.size:
+            eta[rows] = _newton_direction(hess(z[rows]), grads[rows], z[rows], g_tan[rows], r)
         size = t * np.sqrt((eta * eta).sum(1))
         local = size <= NEWTON_LOCAL * r
         stagnant = local & (size >= 0.5 * last)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from rigidkit import FAMILIES, EnergySpec, Jet, PolyTrajectory, energy_along_trajectory
-from rigidkit.energy import gradient_along_trajectory
+from rigidkit.energy import _taylor_in_m, gradient_along_trajectory
+from rigidkit.errors import ZeroLengthEdge
 
 ORDERS = range(1, 17)
 RTOL = 1e-12
@@ -141,3 +142,20 @@ def test_energy_jet_is_one_series_with_magnitudes(corpus_analysis):
     jet = energy_along_trajectory(spec, item["pf"], item["report"].witness, 8)
     assert isinstance(jet, Jet) and jet.c.shape == jet.mag.shape == (9,)
     assert np.all(jet.mag + 1e-15 >= np.abs(jet.c))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_taylor_in_m_batches_leading_axes(corpus_analysis, family):
+    # a (B, E) batch of squared lengths gives B rows of the edge-batched
+    # series, and a non-positive length in a later row names its own edge
+    pf = corpus_analysis["coned_prism"]["pf"]
+    spec = EnergySpec.for_framework(pf.base, family)
+    rng = np.random.default_rng(7)
+    m0 = spec.rest_lengths**2 * (1.0 + 0.1 * rng.standard_normal((3, spec.n_edges)))
+    batch = _taylor_in_m(spec, m0, 4)
+    assert batch.shape == (3, spec.n_edges, 5)
+    for b in range(3):
+        np.testing.assert_allclose(batch[b], _taylor_in_m(spec, m0[b], 4), rtol=1e-15, atol=0.0)
+    m0[2, 5] = -m0[2, 5]
+    with pytest.raises(ZeroLengthEdge, match="edge 5 has"):
+        _taylor_in_m(spec, m0, 4)

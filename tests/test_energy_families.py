@@ -83,16 +83,22 @@ def test_value_grad_hess_matches_length_derivatives(corpus_analysis, family):
     # at rest the value (but for Lennard-Jones) and the gradient vanish, so
     # all three are measured against the Hessian's scale times the longest
     # edge: an energy and a force of a unit-relative displacement
+    # a (3, n_free) batch of displaced points is checked row by row too
     rng = np.random.default_rng(11)
+    batch_rng = np.random.default_rng(12)
     for name, item in corpus_analysis.items():
         pf = item["pf"]
         spec = EnergySpec.for_framework(pf.base, family)
         longest = float(np.max(pf.base.edge_lengths()))
         step = 0.05 * float(np.min(pf.base.edge_lengths()))
         rest = pf.free_vector()
-        for q in (rest, rest + step * rng.standard_normal(pf.n_free)):
+        points = [rest, rest + step * rng.standard_normal(pf.n_free)]
+        got = [energy_value_grad_hess(spec, pf, q) for q in points]
+        batch = rest + step * batch_rng.standard_normal((3, pf.n_free))
+        points += list(batch)
+        got += list(zip(*energy_value_grad_hess(spec, pf, batch)))
+        for q, (got_v, got_g, got_h) in zip(points, got):
             want_v, want_g, want_h = _reference_value_grad_hess(spec, pf, q)
-            got_v, got_g, got_h = energy_value_grad_hess(spec, pf, q)
             h_scale = np.max(np.abs(want_h))
             assert np.max(np.abs(got_h - want_h)) <= RTOL * h_scale, (name, family)
             g_scale = max(np.max(np.abs(want_g)), h_scale * longest)

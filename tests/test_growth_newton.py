@@ -117,20 +117,47 @@ def test_newton_on_a_quadratic_finds_the_lowest_eigenvalue():
     def value_grad(z):
         return np.einsum("bi,ij,bj->b", z, a, z), 2.0 * z @ a
 
+    def hess(z):
+        return np.broadcast_to(2.0 * a, (z.shape[0], 6, 6))
+
     starts = q[:, 0] + 0.1 * rng.standard_normal((3, 6))
-    vals, z, stats = minimize_on_sphere(value_grad, starts, r, rounds=50, hess=lambda z: 2.0 * a)
+    vals, z, stats = minimize_on_sphere(value_grad, starts, r, rounds=50, hess=hess)
     np.testing.assert_allclose(vals, lam[0] * r**2, rtol=1e-12)
     np.testing.assert_allclose(np.abs(z @ q[:, 0]), r, rtol=1e-12)
     assert stats.converged.all() and np.all(stats.steps <= 6)
     assert np.all(stats.tangent_ratio <= 1e-8)
 
 
+def test_singular_row_falls_back_alone():
+    # row 0's bordered system is singular (H - lam I = 0 on the tangent
+    # space), which makes the stacked solve raise for the whole stack: that
+    # row takes the capped step along -g_tan, and every other row gets the
+    # direction of its own single-row solve
+    rng = np.random.default_rng(5)
+    dim, r = 4, 1.0
+    z = rng.standard_normal((4, dim))
+    z[0] = np.eye(dim)[0]
+    z *= r / np.linalg.norm(z, axis=1, keepdims=True)
+    g = rng.standard_normal((4, dim))
+    g[0] = [2.0, 1.0, 0.0, 0.0]
+    a = rng.standard_normal((4, dim, dim))
+    h = a @ a.transpose(0, 2, 1) + dim * np.eye(dim)
+    h[0] = 2.0 * np.eye(dim)     # lam = g.z / r^2 = 2
+    g_tan = growth._tangent(g, z, r)
+    eta = growth._newton_direction(h, g, z, g_tan, r)
+    np.testing.assert_array_equal(eta[0], [0.0, -1.0, 0.0, 0.0])
+    for i in range(1, 4):
+        one = growth._newton_direction(h[i:i + 1], g[i:i + 1], z[i:i + 1], g_tan[i:i + 1], r)
+        np.testing.assert_array_equal(eta[i], one[0])
+        assert eta[i] @ g_tan[i] < 0.0
+
+
 def test_k33_fit_call_counts(corpus_analysis, monkeypatch):
     # dim K = 1: the sweep is Newton alone from the rest Hessian's softest
-    # mode, two rows per radius, a few Newton directions per row with one
-    # Hessian each (45 gap-kernel and 88 Hessian calls, the rest Hessian
-    # included); the multistart's Barzilai-Borwein rounds would multiply the
-    # gap-kernel calls
+    # mode, two rows per radius, a few Newton rounds per radius with one
+    # batched Hessian call each (45 gap-kernel and 46 Hessian calls, the
+    # rest Hessian included); the multistart's Barzilai-Borwein rounds would
+    # multiply the gap-kernel calls
     calls = Counter()
     for name in ("energy_gap_and_grad", "energy_value_grad_hess"):
         real = getattr(growth, name)
@@ -149,6 +176,9 @@ def test_k33_fit_call_counts(corpus_analysis, monkeypatch):
     assert not any("did not converge" in n for n in fit.notes), fit.notes
     assert calls["energy_gap_and_grad"] <= 100, calls
     assert 0 < calls["energy_value_grad_hess"] <= 5 * 2 * growth.DEFAULT_N_RADII, calls
+    # a Newton round takes the Hessians of its fresh rows in one call, and
+    # every round but a radius's last evaluates the gap once
+    assert calls["energy_value_grad_hess"] <= calls["energy_gap_and_grad"] + 1, calls
 
 
 def test_fit_records_newton_steps_and_tangent_ratio(corpus_analysis, monkeypatch):
