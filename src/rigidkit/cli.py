@@ -266,8 +266,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    if not 0.0 < args.rmin < args.rmax:
-        raise _UsageError("need 0 < --rmin < --rmax")
+    if not (np.isfinite(args.rmin) and np.isfinite(args.rmax) and 0.0 < args.rmin < args.rmax):
+        raise _UsageError("need finite 0 < --rmin < --rmax")
     fw, pf, _ = _load_and_pin(args.path)
     spec = EnergySpec.for_framework(pf.base, args.family)
     fit = fit_growth_order(

@@ -290,7 +290,7 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     below -tol_eff can still be a witness at any m.
 
     At m > 1 the least point is then polished by minimize_on_sphere's
-    Newton path, with Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
+    Newton path, its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
     scale, bound, note): x = -Hxx^-1 c(y) is the extremizing x-part, bound
     the certified lower bound on min mu (for sign = -1, the upper bound on
     max mu; an infinite one when no box was bounded), and note states the
@@ -306,12 +306,13 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     def outer(ys):   # the rows y (x) y, flattened
         return (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
 
-    def value_grad(ys):
-        cubic = np.einsum("bij,bj->bi", (outer(ys) @ flat).reshape(-1, m, m), ys)   # M(y, y, y, .)
-        return np.sum(cubic * ys, axis=1), 4.0 * cubic
+    def value_grad_hess(ys):
+        m_yy = (outer(ys) @ flat).reshape(-1, m, m)          # M(y, y, ., .)
+        cubic = np.einsum("bij,bj->bi", m_yy, ys)             # M(y, y, y, .)
+        return np.sum(cubic * ys, axis=1), 4.0 * cubic, 12.0 * m_yy
 
-    def hess(ys):
-        return 12.0 * (outer(ys) @ flat).reshape(-1, m, m)   # 12 M(y, y, ., .)
+    def value_grad(ys):
+        return value_grad_hess(ys)[:2]
 
     def size(ys, vals):
         # max of |mu| (vals) and |B(y^4)| over the rows ys
@@ -331,7 +332,7 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
                 f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
 
     if m > 1:   # the sphere of R^1 is {+1, -1}: no tangent step to polish
-        vals, zs, _ = minimize_on_sphere(value_grad, y_best[None, :], rounds=NEWTON_ROUNDS, hess=hess)
+        vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :], rounds=NEWTON_ROUNDS, newton=True)
         if vals[0] < least:
             least, y_best = float(vals[0]), zs[0]
     x_best = -hinv_c @ np.outer(y_best, y_best).reshape(m * m)

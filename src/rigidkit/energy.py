@@ -1,21 +1,26 @@
-"""Stiff-bar energy families and exact high-order differentiation of the
-energy along polynomial trajectories.
+"""Stiff-bar energy families: exact high-order differentiation of the
+energy along polynomial trajectories, and its gap, gradient and Hessian at
+points.
 
 Four per-edge energy families are provided, each analytic with a strict
 positive-curvature minimum at the edge rest length: harmonic springs,
 the algebraic (squared-length) energy, Lennard-Jones, and Morse.  Each is
-written as one jet formula phi(m) in the squared edge length m, run on all
-edges at once as an (E, M+1) Jet, and once more as the cancellation-free
-gap E(l) - E(d) of the growth probe.  On m(t) along a trajectory the jet
-formula gives the energy jets; on m + s it gives phi, phi' and phi''/2,
-hence with D = p_v - p_w the gradient 2 phi' D and the Hessian block
-2 phi' I + 4 phi'' D D' of edge vw, and, composed with m(t), the gradient
-jets 2 phi'(m(t)) D(t).  Gradients are summed into the free coordinates
-with the pinned framework's fixed gradient plan, and Hessians, of one point
-or a batch, with one bincount along its fixed Hessian plan.  The algebraic
-family takes a square root of the constant term only, so that m - d^2 is
-exactly zero at rest; Lennard-Jones uses jet reciprocals, Morse uses jet
-exp.
+written twice.  For trajectories it is one jet formula phi(m) in the
+squared edge length m, run on all edges at once as an (E, M+1) Jet: on
+m(t) it gives the energy jets, and on m + s, composed with m(t), the
+gradient jets 2 phi'(m(t)) D(t), D = p_v - p_w.  For points it is one
+pointwise formula in the length l: the cancellation-free gap
+E(l) - E(d), E' and E''.  The pointwise kernel takes these per edge in one
+pass over a batch of displacements and returns the gaps, the gradients
+and, when asked, the Hessians, with block (E'/l) I + ((E'' - E'/l)/l^2) D D'
+per edge; the energy's value at a point is the rest energy plus its gap,
+so no pointwise evaluation runs a jet, and the framework's own
+|D|^2 - d^2 enters each length change, so specs off rest stay exact.
+Gradients are summed into the free coordinates with the pinned framework's
+fixed gradient plan, and Hessians with one bincount along its fixed Hessian
+plan.  The algebraic jet takes a square root of the constant term only, so
+that m - d^2 is exactly zero at rest; Lennard-Jones uses jet reciprocals,
+Morse uses jet exp.
 """
 
 from __future__ import annotations
@@ -97,10 +102,11 @@ class EnergySpec:
         raise ValueError(f"unknown energy family {family!r}")
 
     def rest_energy(self) -> float:
-        """Total energy at the rest configuration: 0 except Lennard-Jones,
-        whose wells have depth epsilon each."""
+        """Total energy with every edge at its rest length: 0 except
+        Lennard-Jones, 4 eps u_d (u_d - 1) = 4 eps (c^2 - 1/4) per edge with
+        c = u_d - 1/2, which is -eps at sigma = d 2^(-1/6)."""
         if self.family == "lj":
-            return float(-np.sum(self.epsilon))
+            return float(np.sum(4.0 * self.epsilon * (self._lj_well_offset**2 - 0.25)))
         return 0.0
 
     @cached_property
@@ -113,7 +119,7 @@ class EnergySpec:
 
 
 # ---------------------------------------------------------------------------
-# the per-family formulas: a jet in the squared length, and the gap
+# the per-family formulas: a jet in the squared length, and E, E', E'' in l
 # ---------------------------------------------------------------------------
 
 def _check_positive(m_jet: Jet) -> None:
@@ -125,7 +131,8 @@ def _check_positive(m_jet: Jet) -> None:
 def _edge_energy_jet(spec: EnergySpec, m_jet: Jet) -> Jet:
     """phi_ij(m) per edge as a jet, for an (..., E, M+1) Jet of squared
     lengths m_ij, leading axes batching configurations: the one place each
-    family's energy is written.  On the squared lengths along a trajectory
+    family's energy is written as a jet (_gap_and_slope is the pointwise
+    one).  On the squared lengths along a trajectory
     it gives the energy jets; on m_ij + s it gives the Taylor series of
     phi_ij in m (see _taylor_in_m)."""
     d = spec.rest_lengths
@@ -160,35 +167,38 @@ def _taylor_in_m(spec: EnergySpec, m0: np.ndarray, order: int) -> np.ndarray:
 
 
 def _gap_and_slope(spec: EnergySpec, lengths: np.ndarray, dl: np.ndarray):
-    """Cancellation-free (E(l) - E(d), dE/dl) given (E, B) arrays of lengths
-    and dl = l - d, one column per displacement.
+    """Cancellation-free (E(l) - E(d), dE/dl, d2E/dl2) given (E, B) arrays
+    of lengths and dl = l - d, one column per displacement: the one place
+    each family's energy is written pointwise.
 
-    Used by the growth probe, where E - E(rest) must stay accurate down to
-    the square of the length perturbation.
+    E(l) - E(d) stays accurate down to the square of the length
+    perturbation, which the growth probe needs.
     """
     d = spec.rest_lengths[:, None]
     if spec.family == "harmonic":
         k = spec.stiffness[:, None]
-        return 0.5 * k * dl**2, k * dl
+        return 0.5 * k * dl**2, k * dl, k
     if spec.family == "algebraic":
         k = spec.stiffness[:, None]
         gap = dl * (lengths + d)
-        return 0.5 * k * gap**2, 2.0 * k * lengths * gap
+        return 0.5 * k * gap**2, 2.0 * k * lengths * gap, 2.0 * k * (gap + 2.0 * lengths**2)
     if spec.family == "lj":
         # E(l) - E(d) = 4 eps delta (delta + 2c) with delta = u_l - u_d from
         # log1p/expm1 and c = u_d - 1/2 exact, so no difference of rounded u
         eps, c = spec.epsilon[:, None], spec._lj_well_offset[:, None]
         u_d = c + 0.5
         delta = u_d * np.expm1(-6.0 * np.log1p(dl / d))
-        return 4.0 * eps * delta * (delta + 2.0 * c), (-48.0 * eps / lengths) * (u_d + delta) * (delta + c)
+        u = u_d + delta
+        return (4.0 * eps * delta * (delta + 2.0 * c), (-48.0 * eps / lengths) * u * (delta + c),
+                24.0 * eps * u * (26.0 * u - 7.0) / lengths**2)
     eps_d, a = spec.depth[:, None], spec.width[:, None]
     one_m = -np.expm1(-a * dl)
     ex = 1.0 - one_m
-    return eps_d * one_m**2, 2.0 * eps_d * a * ex * one_m
+    return eps_d * one_m**2, 2.0 * eps_d * a * ex * one_m, 2.0 * eps_d * a**2 * ex * (2.0 * ex - 1.0)
 
 
 # ---------------------------------------------------------------------------
-# value / gradient / Hessian in pinned coordinates
+# gap, value, gradient and Hessian at points, in pinned coordinates
 # ---------------------------------------------------------------------------
 
 def _check_binding(spec: EnergySpec, pf: PinnedFramework) -> None:
@@ -206,42 +216,83 @@ def _check_binding(spec: EnergySpec, pf: PinnedFramework) -> None:
         )
 
 
-def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.ndarray | None = None):
-    """Energy value, analytic gradient and Hessian at the pinned-coordinate
-    point q (default: the rest configuration), all in free coordinates.
+def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool):
+    """The pointwise energy kernel: one pass over the edges at a free
+    displacement delta from the rest configuration, (n_free,) or a
+    (B, n_free) batch.  Returns the cancellation-free gap
+    sum_ij E_ij(l_ij) - E_ij(d_ij) above the rest lengths d, its gradient
+    and, with hessian, its Hessian; a batch gives ((B,), (B, n_free),
+    (B, n_free, n_free)), row by row equal to single calls.  For a spec at
+    rest at the framework's own lengths (EnergySpec.for_framework) the gap
+    is E(p + delta) - E(p).
 
-    A single point (n_free,) gives (float, (n_free,), (n_free, n_free)); a
-    batch (B, n_free) gives ((B,), (B, n_free), (B, n_free, n_free)), row by
-    row equal to single calls up to rounding.  phi' and phi''/2 of all rows
-    come from one order-2 jet on the (B, E) squared lengths, and the
-    Hessians from one bincount along the framework's Hessian plan.
+    The squared-length change per edge is assembled as
+    2 (p_v - p_w).(delta_v - delta_w) + |delta_v - delta_w|^2 plus the
+    framework's own |p_v - p_w|^2 - d^2, formed as a product of a difference
+    and a sum, which is exactly zero for a spec at rest at the framework.
+    This keeps the gap accurate down to the floating-point floor even when
+    the displacement is many orders of magnitude smaller than the
+    coordinates.  An edge whose squared length is not above the rounding of
+    these terms is refused as collapsed.
+    The work is edge-major: the batch is transposed once into an
+    (n_free + 1, B) array whose last row (the pinned slot) is zero, endpoint
+    differences are row gathers through the pinned framework's edge column
+    map, and every per-edge quantity is an (E, B) array.  With
+    E', E'' = dE/dl, d2E/dl2 from _gap_and_slope and D = p_v - p_w displaced,
+    edge vw adds (E'/l) D to the gradient at v and the block
+    (E'/l) I + ((E'' - E'/l)/l^2) D D' to the Hessian at (v, v) and (w, w),
+    and subtracts them at w and at (v, w) and (w, v).  Gradients are summed
+    into the free columns with the framework's fixed gradient plan, and the
+    Hessians of all rows with one bincount along its fixed Hessian plan.
     """
     _check_binding(spec, pf)
-    q = pf.free_vector() if q_free is None else np.asarray(q_free, dtype=float)
-    pts = pf.embed_config(q if q.ndim == 2 else q[None, :])
-    n_batch, n_free = pts.shape[0], pf.n_free
-    ev, ew = pf.base.edge_index_arrays()
-    diffs = pts[:, ev] - pts[:, ew]
-    m0 = np.sum(diffs * diffs, axis=2)
-    if np.any(m0 <= 0.0):
-        raise ZeroLengthEdge("zero-length edge in the evaluated configuration")
-    phi, dphi, half_d2phi = _taylor_in_m(spec, m0, 2).transpose(2, 0, 1)
-    # dm/dp_v = 2 D: gradient 2 phi' D, Hessian block 2 phi' I + 4 phi'' D D'
-    blocks = (8.0 * half_d2phi)[..., None, None] * (diffs[..., :, None] * diffs[..., None, :])
-    blocks += (2.0 * dphi)[..., None, None] * np.eye(pf.dimension)
-    grad = _sum_onto_free(pf, ((2.0 * dphi)[..., None] * diffs).transpose(1, 2, 0)).T
+    delta = np.asarray(delta_free, dtype=float)
+    batch = delta if delta.ndim == 2 else delta[None, :]
+    n_batch, n_free = batch.shape[0], pf.n_free
+    zt = np.zeros((n_free + 1, n_batch))
+    zt[:-1] = batch.T
+    ends = np.take(zt, pf.edge_free_columns(), axis=0)
+    delta_diff = ends[0] - ends[1]
+    base_diff = pf.base.edge_vectors()
+    rest = spec.rest_lengths[:, None]
+    rest_sq = rest**2
+    base = pf.base.edge_lengths()[:, None]
+    # |p_v - p_w|^2 - d^2: exactly zero for a spec at rest at the framework
+    stretch = (base - rest) * (base + rest)
+    moved = np.einsum("edb,edb->eb", delta_diff, delta_diff)
+    m_gap = 2.0 * np.einsum("edb,ed->eb", delta_diff, base_diff)
+    m_gap += moved
+    m_gap += stretch
+    m_val = rest_sq + m_gap
+    # m_val carries rounding of order eps times its terms, so an edge whose
+    # endpoints meet can come out a few ulps positive: it counts as collapsed
+    collapsed = m_val <= 16.0 * np.finfo(float).eps * (rest_sq + np.abs(stretch) + moved)
+    if collapsed.any():
+        edge, row = np.argwhere(collapsed)[0]
+        at = f" at batch row {row}" if n_batch > 1 else ""
+        raise ZeroLengthEdge(f"edge {edge} has non-positive squared length{at} in the displaced configuration")
+    lengths = np.sqrt(m_val)
+    dl = m_gap / (lengths + rest)
+    gap, slope, curv = _gap_and_slope(spec, lengths, dl)
+    along = slope / lengths
+    diffs = base_diff[:, :, None] + delta_diff
+    grad = np.ascontiguousarray(_sum_onto_free(pf, along[:, None, :] * diffs).T)
+    out = (float(gap.sum()), grad[0]) if delta.ndim == 1 else (gap.sum(0), grad)
+    if not hessian:
+        return out
     # each edge adds its d x d block at (v, v) and (w, w) and subtracts it
     # at (v, w) and (w, v): one bincount over the free x free entries of
     # every row, in edge order
+    rows = diffs.transpose(2, 0, 1)
+    blocks = ((curv - along) / m_val).T[..., None, None] * (rows[..., :, None] * rows[..., None, :])
+    axis = np.arange(pf.dimension)
+    blocks[..., axis, axis] += along.T[..., None]
     entries, targets = pf.hessian_plan()
     signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, :, None]
     bins = (np.arange(n_batch)[:, None] * n_free**2 + targets).ravel()
     weights = signed.reshape(n_batch, -1)[:, entries].ravel()
     hess = np.bincount(bins, weights, minlength=n_batch * n_free**2).reshape(n_batch, n_free, n_free)
-    values = np.sum(phi, axis=1)
-    if q.ndim == 1:
-        return float(values[0]), grad[0], hess[0]
-    return values, grad, hess
+    return out + ((hess[0],) if delta.ndim == 1 else (hess,))
 
 
 def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
@@ -261,46 +312,38 @@ def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
 
 def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
     """E(p + delta) - E(p) and its gradient with respect to the free
-    displacement, evaluated in a cancellation-free form.
+    displacement, from the pointwise kernel (see _pointwise) without its
+    Hessians.  The gap is taken above the spec's rest lengths, which are the
+    framework's own for EnergySpec.for_framework.  A single displacement
+    (n_free,) gives (float, (n_free,) array); a batch (B, n_free) gives
+    ((B,) gaps, (B, n_free) gradients), row by row equal to single calls."""
+    return _pointwise(spec, pf, delta_free, hessian=False)
 
-    A single displacement (n_free,) gives (float, (n_free,) array); a batch
-    (B, n_free) gives ((B,) gaps, (B, n_free) gradients), row by row equal
-    to single calls.  The squared-length change per edge is assembled as
-    2 (p_v - p_w).(delta_v - delta_w) + |delta_v - delta_w|^2, which keeps
-    the energy gap accurate down to the floating-point floor even when the
-    displacement is many orders of magnitude smaller than the coordinates.
 
-    The work is edge-major: the batch is transposed once into an
-    (n_free + 1, B) array whose last row (the pinned slot) is zero, endpoint
-    differences are row gathers through the pinned framework's edge column
-    map, every per-edge quantity is an (E, B) array, and the forces are
-    summed into the free columns with the framework's fixed gradient plan.
-    No index array is built per call.
+def energy_gap_grad_hess(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
+    """energy_gap_and_grad together with the Hessians of the same points,
+    all from one pass of the pointwise kernel: (float, (n_free,),
+    (n_free, n_free)) for one displacement, ((B,), (B, n_free),
+    (B, n_free, n_free)) for a batch."""
+    return _pointwise(spec, pf, delta_free, hessian=True)
+
+
+def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.ndarray | None = None):
+    """Energy value, analytic gradient and Hessian at the pinned-coordinate
+    point q (default: the framework's configuration p), all in free
+    coordinates.
+
+    A single point (n_free,) gives (float, (n_free,), (n_free, n_free)); a
+    batch (B, n_free) gives ((B,), (B, n_free), (B, n_free, n_free)), row by
+    row equal to single calls.  The value is the rest energy (every edge at
+    its rest length) plus the pointwise kernel's gap above it at
+    delta = q - p, from the same pass as the gradient and the Hessian; it
+    is the full energy for any spec bound to the framework's edges.
     """
-    _check_binding(spec, pf)
-    delta = np.asarray(delta_free, dtype=float)
-    batch = delta if delta.ndim == 2 else delta[None, :]
-    n_batch = batch.shape[0]
-    zt = np.zeros((pf.n_free + 1, n_batch))
-    zt[:-1] = batch.T
-    ends = np.take(zt, pf.edge_free_columns(), axis=0)
-    delta_diff = ends[0] - ends[1]
-    base_diff = pf.base.edge_vectors()
-    rest = spec.rest_lengths[:, None]
-    m_gap = 2.0 * np.einsum("edb,ed->eb", delta_diff, base_diff)
-    m_gap += np.einsum("edb,edb->eb", delta_diff, delta_diff)
-    m_val = rest**2 + m_gap
-    if (m_val <= 0.0).any():
-        raise ZeroLengthEdge("zero-length edge in the displaced configuration")
-    lengths = np.sqrt(m_val)
-    dl = m_gap / (lengths + rest)
-    gap, slope = _gap_and_slope(spec, lengths, dl)
-
-    contrib = (slope / lengths)[:, None, :] * (base_diff[:, :, None] + delta_diff)
-    grad = _sum_onto_free(pf, contrib)
-    if delta.ndim == 1:
-        return float(gap.sum()), grad[:, 0]
-    return gap.sum(0), np.ascontiguousarray(grad.T)
+    rest = pf.free_vector()
+    delta = np.zeros_like(rest) if q_free is None else np.asarray(q_free, dtype=float) - rest
+    gap, grad, hess = _pointwise(spec, pf, delta, hessian=True)
+    return spec.rest_energy() + gap, grad, hess
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ order s (rigidity order = s / 2).
 
 The minimum m(r) of E(q) - E(p) over the sphere |q - p| = r in pinned
 coordinates is found by minimize_on_sphere: Riemannian Newton steps on the
-sphere, with the gradient of the cancellation-free gap kernel and the
-energy Hessian at p + z.  Each Newton round takes the Hessians of all rows
-that moved in one batched call and solves their bordered systems as one
-stack.  Near a minimizer the sphere's tangent space is close to the
+sphere, with the gap, gradient and Hessian at p + z all from one pass of
+the pointwise energy kernel.  Each Newton round evaluates the candidates
+of all rows still moving in one kernel call, keeps each row's Hessian with
+its gradient, and solves the bordered systems of the rows that moved as
+one stack.  Near a minimizer the sphere's tangent space is close to the
 complement of the flex space, where the Hessian is well conditioned (the
 block the order-4 test eliminates), so Newton settles in a few steps.  A
 radius sweep runs from the largest radius down and continues from +/- the
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, energy_gap_and_grad, energy_value_grad_hess
+from .energy import EnergySpec, energy_gap_and_grad, energy_gap_grad_hess, energy_value_grad_hess
 from .errors import DegenerateFit, ZeroLengthEdge
 from .framework import PinnedFramework
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
@@ -87,30 +88,33 @@ def _safe_radius(spec: EnergySpec) -> float:
     return 0.5 * float(np.min(spec.rest_lengths))
 
 
-def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds: int, hess=None):
+def minimize_on_sphere(fun, starts: np.ndarray, r: float = 1.0, *, rounds: int, newton: bool = False):
     """Minimize a function over the sphere |z| = r from a batch of start
     directions; returns the final values (B,) and points (B, dim), and with
-    hess a third item, the rows' NewtonStats.
+    newton a third item, the rows' NewtonStats.
 
-    value_grad maps a (B, dim) batch of points to (values (B,), gradients
-    (B, dim)).  Without hess, this is vectorized projected gradient with
-    per-start Barzilai-Borwein steps and a backtracking fallback: an
-    accepted move sets the next step from the last displacement/gradient-
-    change pair, a rejected one shrinks it.  Every round computes the
-    Barzilai-Borwein step of every row and keeps it, with the moved point,
-    value and gradient, only where the move was accepted, by np.where over
-    whole arrays; row by row this is the same arithmetic as updating just
-    the accepted rows.  The growth fits' multistart uses this path.
+    fun maps a (B, dim) batch of points to (values (B,), gradients
+    (B, dim)), and with newton to (values, gradients, Hessians
+    (B, dim, dim)), all from one call.  Without newton, this is vectorized
+    projected gradient with per-start Barzilai-Borwein steps and a
+    backtracking fallback: an accepted move sets the next step from the
+    last displacement/gradient-change pair, a rejected one shrinks it.
+    Every round computes the Barzilai-Borwein step of every row and keeps
+    it, with the moved point, value and gradient, only where the move was
+    accepted, by np.where over whole arrays; row by row this is the same
+    arithmetic as updating just the accepted rows.  The growth fits'
+    multistart uses this path.
 
-    hess maps a (B, dim) batch of points to their (B, dim, dim) Hessians,
-    the batch contract of value_grad.  With it, each round takes a
-    Riemannian Newton step per row (Absil, Mahony & Sepulchre, Optimization
-    Algorithms on Matrix Manifolds, 2008, ch. 6): the tangent step eta
-    solves [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with
-    lam = g.z / r^2.  The rows that moved since their last direction get
-    theirs from one hess call and one stacked solve.  z + t eta is pulled
-    back onto the sphere, and the move is kept by the same Armijo test and
-    np.where select as above; a rejected one halves t.
+    With newton, each round takes a Riemannian Newton step per row (Absil,
+    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+    ch. 6): the tangent step eta solves
+    [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with lam = g.z / r^2.
+    Each row keeps its Hessian next to its gradient, from the call that
+    evaluated its point, and the rows that moved since their last direction
+    get theirs from one stacked solve.  z + t eta is pulled back onto the
+    sphere, fun evaluates the candidates of the rows still moving in one
+    call, and an Armijo test keeps each move, with its value, gradient and
+    Hessian; a rejected one halves t.
     Steps shorter than NEWTON_LOCAL r skip the test.  A row has converged
     once its step is shorter than NEWTON_XTOL r, or is such a local step
     no shorter than half the step before it: Newton converges
@@ -119,9 +123,9 @@ def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds
     loop ends when no row is left to move, or after rounds rounds.
     """
     z = r * starts / np.sqrt((starts * starts).sum(1))[:, None]
-    vals, grads = value_grad(z)
-    if hess is not None:
-        return _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds)
+    if newton:
+        return _newton_on_sphere(fun, z, r, rounds)
+    vals, grads = fun(z)
     steps = np.full(z.shape[0], 1e-3 * r)
     last_z = z.copy()
     last_g = grads.copy()
@@ -131,7 +135,7 @@ def minimize_on_sphere(value_grad, starts: np.ndarray, r: float = 1.0, *, rounds
         gnorm2 = (g_tan * g_tan).sum(1)
         cand = z - steps[:, None] * g_tan
         cand *= r / np.sqrt((cand * cand).sum(1))[:, None]
-        c_vals, c_grads = value_grad(cand)
+        c_vals, c_grads = fun(cand)
         improve = c_vals < vals - 1e-4 * steps * gnorm2
         # the BB step of every row, kept only where the move is accepted
         dz = cand - last_z
@@ -196,7 +200,9 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, z: np.ndarray, g_tan: np.nda
     return eta * (r / np.maximum(size, r))[:, None]
 
 
-def _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds):
+def _newton_on_sphere(value_grad_hess, z, r, rounds):
+    # owned copies: accepted rows are written into them in place
+    vals, grads, hess = (np.array(a, dtype=float) for a in value_grad_hess(z))
     n_rows = z.shape[0]
     t = np.ones(n_rows)
     eta = np.zeros_like(z)
@@ -210,7 +216,7 @@ def _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds):
         stalled |= ~converged & (t < NEWTON_TMIN)
         rows = np.flatnonzero(fresh & ~converged & ~stalled)
         if rows.size:
-            eta[rows] = _newton_direction(hess(z[rows]), grads[rows], z[rows], g_tan[rows], r)
+            eta[rows] = _newton_direction(hess[rows], grads[rows], z[rows], g_tan[rows], r)
         size = t * np.sqrt((eta * eta).sum(1))
         local = size <= NEWTON_LOCAL * r
         stagnant = local & (size >= 0.5 * last)
@@ -218,18 +224,20 @@ def _newton_on_sphere(value_grad, hess, z, vals, grads, r, rounds):
         active = ~converged & ~stalled
         if not active.any():
             break
-        cand = z + t[:, None] * eta
+        moving = np.flatnonzero(active)
+        cand = z[moving] + t[moving, None] * eta[moving]
         cand *= r / np.sqrt((cand * cand).sum(1))[:, None]
-        c_vals, c_grads = value_grad(cand)
-        slope = (g_tan * eta).sum(1)
+        c_vals, c_grads, c_hess = value_grad_hess(cand)
+        slope = (g_tan[moving] * eta[moving]).sum(1)
         # a local step lies where Newton converges without a line search,
         # and the gap's change over it can sit below the kernel's rounding,
         # where the value test would refuse it at random
-        improve = active & (local | (c_vals < vals + 1e-4 * t * slope))
-        moved = improve[:, None]
-        z = np.where(moved, cand, z)
-        grads = np.where(moved, c_grads, grads)
-        vals = np.where(improve, c_vals, vals)
+        keep = local[moving] | (c_vals < vals[moving] + 1e-4 * t[moving] * slope)
+        improve = np.zeros(n_rows, dtype=bool)
+        improve[moving] = keep
+        moved = moving[keep]
+        z[moved], vals[moved] = cand[keep], c_vals[keep]
+        grads[moved], hess[moved] = c_grads[keep], c_hess[keep]
         steps += improve
         last = np.where(improve, size, last)
         t = np.where(improve, 1.0, 0.5 * t)
@@ -285,13 +293,12 @@ def min_energy_on_sphere_with_arg(
             f"radius {r} exceeds the safe radius {_safe_radius(spec):.6g} "
             "(half the shortest rest length)"
         )
-    rest = pf.free_vector()
 
     def gap(z):
         return energy_gap_and_grad(spec, pf, z)
 
-    def hess(z):
-        return energy_value_grad_hess(spec, pf, rest + z)[2]
+    def gap_grad_hess(z):
+        return energy_gap_grad_hess(spec, pf, z)
 
     if multistart:
         if kd is None:
@@ -310,7 +317,7 @@ def min_energy_on_sphere_with_arg(
         finalists = z[np.argsort(vals)[:N_FINALISTS]]
     else:
         finalists = np.atleast_2d(extra_starts)
-    f_vals, f_z, stats = minimize_on_sphere(gap, finalists, r, rounds=NEWTON_ROUNDS, hess=hess)
+    f_vals, f_z, stats = minimize_on_sphere(gap_grad_hess, finalists, r, rounds=NEWTON_ROUNDS, newton=True)
     best = int(np.argmin(f_vals))
     row = NewtonStats(stats.steps[best], stats.tangent_ratio[best], stats.converged[best])
     return float(f_vals[best]), f_z[best] / r, row
@@ -341,8 +348,10 @@ def fit_growth_order(
     values below the floating-point floor rather than a fittable growth
     order.  The rule is dimensionless, so it holds at any length scale.
     """
-    if not 0.0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
+    if not (np.isfinite(r_min) and np.isfinite(r_max) and 0.0 < r_min < r_max):
+        raise ValueError("need finite radii with 0 < r_min < r_max")
+    if n_radii < 2:
+        raise ValueError("need n_radii >= 2: a slope takes at least two radii")
     radii = np.geomspace(r_max, r_min, n_radii)
     m_vals = np.empty(n_radii)
     newton_steps = np.empty(n_radii, dtype=int)

@@ -13,6 +13,9 @@ a quantity by a slower or more direct route:
   these keep the full (x, y) form checkable against a4_eval;
 - edge_m_jets and classify_flex: the squared edge-length jets of a
   trajectory, per edge, and the (j, k) flex type they give;
+- jet_value_grad_hess: the energy's value, gradient and Hessian read
+  from the order-2 jet of each edge's energy in its squared length, the
+  route the library took before its pointwise kernel, assembled densely;
 - principal_angles and kernel_of_hessian_equals_K: the energy Hessian's
   numerical kernel against the first-order flex space K;
 - render_json_per_item: the canonical JSON text, rendered one Python
@@ -27,7 +30,7 @@ import json
 import numpy as np
 
 from rigidkit import FrameworkEnergyTarget, Jet, PolyTrajectory, energy_along_trajectory, energy_value_grad_hess
-from rigidkit.energy import _edge_diffs, _edge_m_jet
+from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,46 @@ def classify_flex(pf, traj: PolyTrajectory, k_check: int, tol: float = 1e-8):
         else:
             break
     return j_active, k_vanish
+
+
+# ---------------------------------------------------------------------------
+# value, gradient and Hessian from the order-2 jet
+# ---------------------------------------------------------------------------
+
+def jet_value_grad_hess(spec, pf, q_free=None):
+    """Value, gradient and Hessian at the pinned-coordinate point q
+    (default: the rest configuration), one point (n_free,) or a batch
+    (B, n_free), shaped as energy_value_grad_hess returns them.  phi, phi'
+    and phi''/2 of every edge come from the order-2 jet of its energy at
+    m0 = |D|^2, D = p_v - p_w; the edge adds 2 phi' D to the gradient and
+    the block 2 phi' I + 4 phi'' D D' to the Hessian, summed edge by edge
+    into the full (n d) x (n d) arrays before the free coordinates are
+    taken."""
+    q = pf.free_vector() if q_free is None else np.asarray(q_free, dtype=float)
+    pts = pf.embed_config(q if q.ndim == 2 else q[None, :])
+    n_batch, n, d = pts.shape
+    ev, ew = pf.base.edge_index_arrays()
+    diffs = pts[:, ev] - pts[:, ew]
+    phi, dphi, half_d2phi = _taylor_in_m(spec, np.sum(diffs * diffs, axis=2), 2).transpose(2, 0, 1)
+    force = (2.0 * dphi)[..., None] * diffs
+    blocks = (8.0 * half_d2phi)[..., None, None] * (diffs[..., :, None] * diffs[..., None, :])
+    blocks += (2.0 * dphi)[..., None, None] * np.eye(d)
+    grad = np.zeros((n_batch, n, d))
+    hess = np.zeros((n_batch, n, d, n, d))
+    for e, (v, w) in enumerate(zip(ev, ew)):
+        grad[:, v] += force[:, e]
+        grad[:, w] -= force[:, e]
+        hess[:, v, :, v] += blocks[:, e]
+        hess[:, w, :, w] += blocks[:, e]
+        hess[:, v, :, w] -= blocks[:, e]
+        hess[:, w, :, v] -= blocks[:, e]
+    free = pf.free_vertex * d + pf.free_axis
+    grad = grad.reshape(n_batch, n * d)[:, free]
+    hess = hess.reshape(n_batch, n * d, n * d)[:, free][:, :, free]
+    values = np.sum(phi, axis=1)
+    if q.ndim == 1:
+        return float(values[0]), grad[0], hess[0]
+    return values, grad, hess
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,7 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
     pytest.param(["analyze", "{k33}", "--max-k", "65"], "usage error: ", id="max-k-above-jet-cap"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
+    pytest.param(["growth", "{k33}", "--rmax", "inf"], "usage error: ", id="rmax-infinite"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
     pytest.param(["critpoint", "{k33}", "--order", "33"], "usage error: ", id="order-above-jet-cap"),
     pytest.param(["critpoint", "--poly", "{poly}", "--order", "3"], "usage error: ", id="poly-with-order"),

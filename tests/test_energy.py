@@ -93,7 +93,7 @@ def test_gap_and_grad_batch_matches_single_calls(square, square_pinned):
         collapse = deltas.copy()
         collapse[3] = 0.0
         collapse[3, 0] = -square_pinned.free_vector()[0]
-        with pytest.raises(ZeroLengthEdge):
+        with pytest.raises(ZeroLengthEdge, match="edge 0 has non-positive squared length at batch row 3"):
             energy_gap_and_grad(spec, square_pinned, collapse)
 
 
@@ -103,8 +103,26 @@ def test_zero_length_edge_raises(square, square_pinned):
     # collapse vertex 2 onto vertex 1 = (1, 0): free coords are
     # (v1,x), (v2,x), (v2,y), (v3,x), (v3,y)
     q[1], q[2] = q[0], 0.0
-    with pytest.raises(ZeroLengthEdge):
+    # edge (1, 2) is third in canonical order; one point names no batch row
+    with pytest.raises(ZeroLengthEdge, match="^edge 2 has non-positive squared length in the displaced"):
         energy_value_grad_hess(spec, square_pinned, q)
+
+
+def test_zero_length_edge_raises_at_non_integer_coordinates():
+    # the squared length rest^2 + 2 D.dd + |dd|^2 of a collapsed edge is zero
+    # only to rounding; at these coordinates it comes out positive on some
+    # draws, and the edge must still be refused
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        fw = Framework(2, 1.7 * rng.uniform(-1.0, 1.0, (4, 2)), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        pf, _ = pin(fw)
+        q = pf.free_vector().copy()
+        # free coordinates (v1,x), (v2,x), (v2,y), (v3,x), (v3,y): vertex 3
+        # onto vertex 2, edge (2, 3) is last in canonical order
+        q[3], q[4] = q[1], q[2]
+        for family in FAMILIES:
+            with pytest.raises(ZeroLengthEdge, match="^edge 4 has non-positive squared length"):
+                energy_value_grad_hess(EnergySpec.for_framework(pf.base, family), pf, q)
 
 
 def test_spec_bound_to_edge_order(square, square_pinned, triangle):

@@ -1,10 +1,15 @@
-"""Each energy family is written once, as a jet in the squared length m.
+"""Each energy family is written twice: as a jet in the squared length m,
+for trajectories, and pointwise in the length l (the gap E(l) - E(d),
+dE/dl and d2E/dl2), for the pointwise kernel behind energy_gap_and_grad,
+energy_gap_grad_hess and energy_value_grad_hess.
 
-energy_value_grad_hess reads phi, phi' and phi''/2 from that jet; here it
-is checked against the per-family length derivatives (E, dE/dl, d2E/dl2)
-it used to be assembled from, at rest and at a displaced configuration.
-The cancellation-free gap is checked against a 50-digit decimal sum, and
-its rounding floor along a minimizing flex direction is kept in view.
+The two are checked against each other per edge, and the kernel's value,
+gradient and Hessian against a direct per-family assembly in l and against
+the order-2 jet route of tests/oracles.py, at rest and displaced.  The
+energy verdicts and their a_min must not move when the jet route supplies
+the rest Hessian instead.  The cancellation-free gap is checked against a
+50-digit decimal sum, and its rounding floor along a minimizing flex
+direction is kept in view.
 """
 
 from decimal import Decimal, localcontext
@@ -12,6 +17,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import rigidkit.critpoint as critpoint
 from rigidkit import (
     FAMILIES,
     EnergySpec,
@@ -19,12 +25,23 @@ from rigidkit import (
     energy_gap_and_grad,
     energy_value_grad_hess,
     fourth_derivative_test,
+    kernel_decomposition,
+    order2k_family_test,
     pin_with_permutation,
+    rigidity_matrix,
+    second_order_rigidity_test,
 )
 from rigidkit.critpoint import FrameworkEnergyTarget
+from rigidkit.energy import _gap_and_slope, _taylor_in_m, energy_gap_grad_hess
 from rigidkit.growth import min_energy_on_sphere_with_arg
+from oracles import jet_value_grad_hess
+from test_quartic_assembly import midpoint_strip
 
 RTOL = 1e-12
+# the kernel against the jet route: both round a handful of operations per
+# edge and sum a few edges per entry, so 2^8 units of roundoff, relative to
+# each quantity's scale, leaves room for that and for nothing else
+KERNEL_RTOL = 2.0**8 * np.finfo(float).eps
 
 
 def _reference_derivs012(spec, lengths):
@@ -105,6 +122,158 @@ def test_value_grad_hess_matches_length_derivatives(corpus_analysis, family):
             assert np.max(np.abs(got_g - want_g)) <= RTOL * g_scale, (name, family)
             v_scale = max(abs(want_v), h_scale * longest**2)
             assert abs(got_v - want_v) <= RTOL * v_scale, (name, family)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_length_derivatives_match_the_jet_formula(corpus_analysis, family):
+    # E' = 2 l phi' and E'' = 2 phi' + 4 l^2 phi'' with phi', phi''/2 from
+    # the jet formula on m = l^2, per corpus edge at rest and at l/d in
+    # [0.5, 1.5], with the coordinates scaled by 1e-3, 1 and 1e3 (Morse's
+    # width scaled inversely, so a d keeps its value); each is compared at
+    # rtol 1e-12 to the magnitudes of the terms of its jet expression,
+    # E' also to E'' l, the change a one-ulp length error makes
+    ratios = np.concatenate([[1.0], np.linspace(0.5, 1.5, 11)])
+    for name, item in corpus_analysis.items():
+        fw = item["framework"]
+        for scale in (1e-3, 1.0, 1e3):
+            scaled = Framework(fw.dimension, scale * fw.vertices, fw.edges)
+            spec = EnergySpec.for_framework(scaled, family, width=1.0 / scale)
+            d = spec.rest_lengths[:, None]
+            lengths = d * ratios
+            _, slope, curv = _gap_and_slope(spec, lengths, lengths - d)
+            curv = np.broadcast_to(curv, lengths.shape)
+            taylor = _taylor_in_m(spec, (lengths**2).T, 2).transpose(1, 0, 2)
+            dphi, d2phi = taylor[..., 1], 2.0 * taylor[..., 2]
+            want_slope = 2.0 * lengths * dphi
+            want_curv = 2.0 * dphi + 4.0 * lengths**2 * d2phi
+            curv_scale = np.abs(2.0 * dphi) + np.abs(4.0 * lengths**2 * d2phi)
+            slope_scale = np.maximum(np.abs(want_slope), curv_scale * lengths)
+            assert np.all(np.abs(curv - want_curv) <= RTOL * curv_scale), (name, scale)
+            assert np.all(np.abs(slope - want_slope) <= RTOL * slope_scale), (name, scale)
+
+
+def _points(pf, rng):
+    """The framework (None), one displaced point, and a batch of three
+    whose middle row is the framework."""
+    step = 0.05 * float(np.min(pf.base.edge_lengths()))
+    here = pf.free_vector()
+    batch = here + step * rng.standard_normal((3, pf.n_free))
+    batch[1] = here
+    return None, batch[0], batch
+
+
+def _assert_matches_jet_reference(spec, pf, q, label):
+    """energy_value_grad_hess at q against the order-2 jet route at
+    KERNEL_RTOL, with the scales of
+    test_value_grad_hess_matches_length_derivatives; returns the kernel's
+    (value, gradient, Hessian)."""
+    longest = float(np.max(pf.base.edge_lengths()))
+    got = energy_value_grad_hess(spec, pf, q)
+    want = jet_value_grad_hess(spec, pf, q)
+    for (got_v, got_g, got_h), (want_v, want_g, want_h) in zip(_rows(got, q), _rows(want, q)):
+        h_scale = np.max(np.abs(want_h))
+        g_scale = max(np.max(np.abs(want_g)), h_scale * longest)
+        v_scale = max(abs(want_v), h_scale * longest**2)
+        assert np.max(np.abs(got_h - want_h)) <= KERNEL_RTOL * h_scale, label
+        assert np.max(np.abs(got_g - want_g)) <= KERNEL_RTOL * g_scale, label
+        assert abs(got_v - want_v) <= KERNEL_RTOL * v_scale, label
+    return got
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_value_grad_hess_matches_jet_reference(corpus_analysis, family):
+    # single points and a batch, each at rest and displaced, against the
+    # order-2 jet route; energy_gap_grad_hess gives the same gradient and
+    # Hessian, and the gap E(q) - E(p)
+    rng = np.random.default_rng(21)
+    for name, item in corpus_analysis.items():
+        pf = item["pf"]
+        spec = EnergySpec.for_framework(pf.base, family)
+        rest = pf.free_vector()
+        for q in _points(pf, rng):
+            got = _assert_matches_jet_reference(spec, pf, q, (name, family))
+            gap, grad, hess = energy_gap_grad_hess(spec, pf, (rest if q is None else q) - rest)
+            np.testing.assert_array_equal(grad, got[1])
+            np.testing.assert_array_equal(hess, got[2])
+            np.testing.assert_array_equal(spec.rest_energy() + gap, got[0])
+
+
+def _off_rest_specs(pf):
+    """Specs the framework is not at rest in, with the edge order bound: LJ
+    at sigma = 0.93 d (rest length off the well's minimum), and every
+    family with rest lengths 0.9 and 1.1 times the framework's."""
+    d = pf.base.edge_lengths()
+    edges = pf.base.edges
+    yield EnergySpec("lj", d, epsilon=1.3, sigma=0.93 * d, edges=edges)
+    for family in FAMILIES:
+        base = EnergySpec.for_framework(pf.base, family)
+        for scale in (0.9, 1.1):
+            fields = {name: getattr(base, name) for name in ("stiffness", "epsilon", "depth", "width")}
+            sigma = None if base.sigma is None else scale * base.sigma
+            yield EnergySpec(family, scale * d, sigma=sigma, edges=edges, **fields)
+
+
+def test_value_grad_hess_off_rest_matches_jet_reference(corpus_analysis):
+    # a spec whose rest lengths or Lennard-Jones wells differ from the
+    # framework's lengths: the value is the full energy and the gradient is
+    # nonzero at the framework; single points and a batch, at the framework
+    # and displaced, against the jet route
+    rng = np.random.default_rng(22)
+    for name in ("k33", "coned_prism"):
+        pf = corpus_analysis[name]["pf"]
+        points = _points(pf, rng)
+        for spec in _off_rest_specs(pf):
+            for q in points:
+                _assert_matches_jet_reference(spec, pf, q, (name, spec.family))
+            assert np.max(np.abs(energy_value_grad_hess(spec, pf)[1])) > 0.0, (name, spec.family)
+
+
+def test_lj_rest_energy_is_the_wells_at_the_rest_lengths(corpus_analysis):
+    # 4 eps u_d (u_d - 1) per edge: exactly -eps at sigma = d 2^(-1/6)
+    pf = corpus_analysis["k33"]["pf"]
+    spec = EnergySpec.for_framework(pf.base, "lj", epsilon=1.3)
+    assert spec.rest_energy() == -1.3 * pf.base.n_edges
+    d = pf.base.edge_lengths()
+    off = EnergySpec("lj", d, epsilon=1.3, sigma=0.93 * d, edges=pf.base.edges)
+    u_d = 0.93**6
+    assert off.rest_energy() == pytest.approx(4.0 * 1.3 * u_d * (u_d - 1.0) * d.size, rel=RTOL)
+
+
+def _rows(out, q):
+    """The (value, gradient, Hessian) of each point of q."""
+    return list(zip(*out)) if np.ndim(q) == 2 else [out]
+
+
+def _energy_verdicts(corpus_analysis):
+    """(case, CritReport) for the order-4, second-order and order-2k tests
+    on the corpus and the order-4 and second-order tests on midpoint
+    strips (dim K = 2 and 3), in all four families."""
+    cases = [(name, item["pf"], item["kd"], item["report"]) for name, item in corpus_analysis.items()]
+    for n_vertices, m in ((10, 2), (12, 3)):
+        pf, _, _ = pin_with_permutation(midpoint_strip(n_vertices, m))
+        cases.append((f"strip{n_vertices}-{m}", pf, kernel_decomposition(rigidity_matrix(pf)), None))
+    for name, pf, kd, ladder in cases:
+        for family in FAMILIES:
+            spec = EnergySpec.for_framework(pf.base, family)
+            yield (name, family, "order4"), fourth_derivative_test(FrameworkEnergyTarget(spec, pf))
+            yield (name, family, "second-order"), second_order_rigidity_test(pf, spec, kd=kd)
+            if ladder is not None:
+                yield (name, family, "order2k"), order2k_family_test(pf, spec, ladder.witness, ladder.order, kd=kd)
+
+
+def test_energy_verdicts_hold_on_the_jet_reference(corpus_analysis, monkeypatch):
+    # the same classification, and a_min within a thousandth of the
+    # decision threshold tol_eff = DEFAULT_CRIT_TOL (1 + scale), when the
+    # jet route supplies the energy's rest gradient and Hessian
+    got = dict(_energy_verdicts(corpus_analysis))
+    monkeypatch.setattr(critpoint, "energy_value_grad_hess", jet_value_grad_hess)
+    want = dict(_energy_verdicts(corpus_analysis))
+    assert got.keys() == want.keys()
+    for case, rep in got.items():
+        ref = want[case]
+        assert rep.classification == ref.classification, case
+        tol_eff = critpoint.DEFAULT_CRIT_TOL * (1.0 + ref.scale)
+        assert abs(rep.a_min - ref.a_min) <= 1e-3 * tol_eff, (case, rep.a_min, ref.a_min)
 
 
 @pytest.mark.parametrize("name", ["k33", "leonardo3", "flipped_prism"])

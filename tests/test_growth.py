@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_leonardo3_fits_with_its_reliability_note(corpus_analysis):
         fit = fit_growth_order(EnergySpec.for_framework(pf.base, family), pf)
         assert fit.fitted_s > growth.SLOPE_RELIABLE_LIMIT, family
         assert any("reliability" in n for n in fit.notes), (family, fit.notes)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_radii": 0}, {"n_radii": 1}, {"r_max": np.inf}, {"r_min": np.nan}, {"r_min": -np.inf},
+    {"r_min": 1e-1, "r_max": 1e-3},
+])
+def test_fit_rejects_a_radius_grid_that_fits_no_slope(triangle, triangle_pinned, kwargs):
+    # fewer than two radii fit no line, and a non-finite radius would reach
+    # np.geomspace; each is refused before any numerics, with no warning
+    spec = EnergySpec.for_framework(triangle, "harmonic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radii"):
+            fit_growth_order(spec, triangle_pinned, **kwargs)
 
 
 def test_radius_beyond_safe_raises(triangle, triangle_pinned):

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rigidkit.energy as energy
 import rigidkit.growth as growth
 from rigidkit import (
     EnergySpec,
@@ -114,14 +115,11 @@ def test_newton_on_a_quadratic_finds_the_lowest_eigenvalue():
     a = (q * lam) @ q.T
     r = 1e-2
 
-    def value_grad(z):
-        return np.einsum("bi,ij,bj->b", z, a, z), 2.0 * z @ a
-
-    def hess(z):
-        return np.broadcast_to(2.0 * a, (z.shape[0], 6, 6))
+    def value_grad_hess(z):
+        return np.einsum("bi,ij,bj->b", z, a, z), 2.0 * z @ a, np.broadcast_to(2.0 * a, (z.shape[0], 6, 6))
 
     starts = q[:, 0] + 0.1 * rng.standard_normal((3, 6))
-    vals, z, stats = minimize_on_sphere(value_grad, starts, r, rounds=50, hess=hess)
+    vals, z, stats = minimize_on_sphere(value_grad_hess, starts, r, rounds=50, newton=True)
     np.testing.assert_allclose(vals, lam[0] * r**2, rtol=1e-12)
     np.testing.assert_allclose(np.abs(z @ q[:, 0]), r, rtol=1e-12)
     assert stats.converged.all() and np.all(stats.steps <= 6)
@@ -154,19 +152,31 @@ def test_singular_row_falls_back_alone():
 
 def test_k33_fit_call_counts(corpus_analysis, monkeypatch):
     # dim K = 1: the sweep is Newton alone from the rest Hessian's softest
-    # mode, two rows per radius, a few Newton rounds per radius with one
-    # batched Hessian call each (45 gap-kernel and 46 Hessian calls, the
-    # rest Hessian included); the multistart's Barzilai-Borwein rounds would
-    # multiply the gap-kernel calls
+    # mode, two rows per radius.  Every evaluation is one pass of the
+    # pointwise kernel, which returns gap, gradient and Hessian together:
+    # one call for the rest Hessian, and per radius one for the starts and
+    # one per Newton round that still moves a row (46 in all).  No energy
+    # jet runs, and the multistart's Barzilai-Borwein rounds, which would
+    # multiply the calls, never start.
     calls = Counter()
-    for name in ("energy_gap_and_grad", "energy_value_grad_hess"):
-        real = getattr(growth, name)
+    for module, name in ((energy, "_pointwise"), (energy, "_edge_energy_jet"),
+                         (growth, "energy_gap_and_grad")):
+        real = getattr(module, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(growth, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    rounds = []
+    real_newton = growth._newton_on_sphere
+
+    def newton(value_grad_hess, z, r, n_rounds):
+        out = real_newton(value_grad_hess, z, r, n_rounds)
+        rounds.append(calls["_pointwise"])
+        return out
+
+    monkeypatch.setattr(growth, "_newton_on_sphere", newton)
     pf = corpus_analysis["k33"]["pf"]
     fit = fit_growth_order(EnergySpec.for_framework(pf.base, "algebraic"), pf, seed=0)
     assert fit.fitted_s == pytest.approx(6.0, abs=0.5)
@@ -174,11 +184,15 @@ def test_k33_fit_call_counts(corpus_analysis, monkeypatch):
     # Newton step can sit below the kernel's rounding, and such steps are
     # taken without the value test
     assert not any("did not converge" in n for n in fit.notes), fit.notes
-    assert calls["energy_gap_and_grad"] <= 100, calls
-    assert 0 < calls["energy_value_grad_hess"] <= 5 * 2 * growth.DEFAULT_N_RADII, calls
-    # a Newton round takes the Hessians of its fresh rows in one call, and
-    # every round but a radius's last evaluates the gap once
-    assert calls["energy_value_grad_hess"] <= calls["energy_gap_and_grad"] + 1, calls
+    assert 0 < calls["_pointwise"] <= 50, calls
+    assert calls["_edge_energy_jet"] == 0 and calls["energy_gap_and_grad"] == 0, calls
+    # after the rest Hessian's call, one kernel call per radius's starts and
+    # per Newton round that moves a row, the rounds being at least the
+    # accepted steps of that radius's minimizing row
+    per_radius = np.diff([1] + rounds)
+    assert len(per_radius) == growth.DEFAULT_N_RADII
+    assert np.all(per_radius >= 1 + fit.newton_steps[::-1]), (per_radius, fit.newton_steps)
+    assert np.all(per_radius <= 5), per_radius
 
 
 def test_fit_records_newton_steps_and_tangent_ratio(corpus_analysis, monkeypatch):
