@@ -8,7 +8,7 @@ cross-validation against empirical energy-growth probing over several
 stiff-bar energy families.
 """
 
-from .corpus import CORPUS_NAMES, EXPECTED_ORDERS, corpus_items, load_corpus
+from .corpus import CORPUS_NAMES, EXPECTED_ORDERS, load_corpus
 from .critpoint import (
     CritReport,
     FrameworkEnergyTarget,
@@ -68,7 +68,7 @@ from .linear import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CORPUS_NAMES", "EXPECTED_ORDERS", "corpus_items", "load_corpus",
+    "CORPUS_NAMES", "EXPECTED_ORDERS", "load_corpus",
     "CritReport", "FrameworkEnergyTarget", "PolynomialTarget",
     "fourth_derivative_test", "order2k_family_test",
     "polynomial_from_monomial_list", "second_order_rigidity_test",

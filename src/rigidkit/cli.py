@@ -4,10 +4,10 @@ Subcommands: analyze, order, growth, energy, critpoint, corpus-verify.
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch
 (corpus-verify), 3 numerical failure.  JSON output prints floats with 17
 significant digits so reports round-trip byte-for-byte.  Every command is
-deterministic: --seed (and growth --starts) act only on the growth fit's
-multistart, which runs when dim K > 1; at dim K <= 1 the fit is seedless,
-and the order-4 tests draw no random numbers.  A reader that closes the
-output pipe early (rigidkit ... | head) ends the command quietly with exit 0.
+deterministic: --seed acts only on the growth fit's multistart, which
+runs when dim K > 1; at dim K <= 1 the fit is seedless, and the order-4
+tests draw no random numbers.  A reader that closes the output pipe early
+(rigidkit ... | head) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -270,10 +270,7 @@ def cmd_growth(args) -> int:
         raise _UsageError("need finite 0 < --rmin < --rmax")
     fw, pf, _ = _load_and_pin(args.path)
     spec = EnergySpec.for_framework(pf.base, args.family)
-    fit = fit_growth_order(
-        spec, pf, r_min=args.rmin, r_max=args.rmax,
-        n_radii=args.n, n_starts=args.starts, seed=args.seed,
-    )
+    fit = fit_growth_order(spec, pf, r_min=args.rmin, r_max=args.rmax, n_radii=args.n, seed=args.seed)
     rows = [
         {"r": r, "m_r": m, "log_r": float(np.log(r)), "log_m": float(np.log(m))}
         for r, m in zip(fit.radii, fit.m_values)
@@ -453,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rmin", type=float, default=1e-3)
     g.add_argument("--rmax", type=float, default=1e-1)
     g.add_argument("--n", type=_int_at_least(2), default=12, help="number of radii")
-    g.add_argument("--starts", type=_int_at_least(1), default=64,
-                   help="random starts of the multistart, which runs at every radius when "
-                        "dim K > 1; at dim K <= 1 the fit starts from the rest Hessian's "
-                        "softest mode and draws none")
     g.add_argument("--csv")
     g.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed of the multistart's random starts (dim K > 1 only)")

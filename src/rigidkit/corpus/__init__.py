@@ -33,9 +33,3 @@ def load_corpus(name: str) -> Framework:
         raise KeyError(f"unknown corpus framework {name!r}; have {CORPUS_NAMES}")
     text = resources.files(__package__).joinpath(f"{name}.json").read_text("utf-8")
     return framework_from_dict(json.loads(text))
-
-
-def corpus_items():
-    """Yield (name, framework, expected_order) for the whole corpus."""
-    for name in CORPUS_NAMES:
-        yield name, load_corpus(name), EXPECTED_ORDERS[name]

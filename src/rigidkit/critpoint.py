@@ -6,8 +6,9 @@ The 4th-derivative test probes f along the trajectory family
 x(t) = x0 t^2, y(t) = y0 t with (x0, y0) on the unit parameter sphere, where
 the y-coordinates span the Hessian kernel.  The t^4 coefficient
 a4(x0, y0) decides the critical point when it has a uniform sign over the
-sphere; the cubic kernel form T is screened first, since any y_i y_j y_k
-term already forces a saddle.
+sphere; fourth_derivative_test screens the cubic kernel form T first,
+since any y_i y_j y_k term already forces a saddle (an edge-length
+energy's T vanishes, so the rigidity tests run no screen).
 
 a4 decomposes exactly as
     a4(x0, y0) = 1/2 x0' Hxx x0  +  sum_i x0_i Ci(y0, y0)  +  B(y0^4),
@@ -51,7 +52,7 @@ import numpy as np
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
 from .errors import DimKNotOne, NotACriticalPoint
 from .framework import PinnedFramework
-from .growth import NEWTON_ROUNDS, minimize_on_sphere
+from .growth import minimize_on_sphere
 from .jets import Jet
 from .ladder import PolyTrajectory
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
@@ -135,17 +136,16 @@ class PolynomialTarget:
         return out
 
 
-def polynomial_from_monomial_list(data, n_vars: int | None = None) -> PolynomialTarget:
-    """Build a PolynomialTarget from [{"exps": [...], "coef": r}, ...]."""
+def polynomial_from_monomial_list(data) -> PolynomialTarget:
+    """Build a PolynomialTarget from [{"exps": [...], "coef": r}, ...];
+    the first monomial's exponents fix the number of variables."""
     try:
         monos = [(tuple(item["exps"]), float(item["coef"])) for item in data]
     except (KeyError, TypeError) as exc:
         raise ValueError(f'each monomial needs "exps" and "coef" ({type(exc).__name__}: {exc})') from exc
-    if n_vars is None:
-        if not monos:
-            raise ValueError("empty monomial list")
-        n_vars = len(monos[0][0])
-    return PolynomialTarget(n_vars, tuple(monos))
+    if not monos:
+        raise ValueError("empty monomial list")
+    return PolynomialTarget(len(monos[0][0]), tuple(monos))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +290,7 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     below -tol_eff can still be a witness at any m.
 
     At m > 1 the least point is then polished by minimize_on_sphere's
-    Newton path, its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
+    Newton steps, its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
     scale, bound, note): x = -Hxx^-1 c(y) is the extremizing x-part, bound
     the certified lower bound on min mu (for sign = -1, the upper bound on
     max mu; an infinite one when no box was bounded), and note states the
@@ -332,7 +332,7 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
                 f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
 
     if m > 1:   # the sphere of R^1 is {+1, -1}: no tangent step to polish
-        vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :], rounds=NEWTON_ROUNDS, newton=True)
+        vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :])
         if vals[0] < least:
             least, y_best = float(vals[0]), zs[0]
     x_best = -hinv_c @ np.outer(y_best, y_best).reshape(m * m)
@@ -577,9 +577,9 @@ def second_order_rigidity_test(
     minimum carries a certified lower bound on min mu above tol_eff and
     certifies rigidity order 2 at any dim K; a saddle carries a sphere
     point where mu is below -tol_eff.  The argmin is reported as
-    (Y y, X x) / sqrt(1 + |x|^2).  The cubic kernel screen is retained
-    for generality although it vanishes identically for stiff-bar energies;
-    it reads T from the gradient jets that give C, so it costs no jet.
+    (Y y, X x) / sqrt(1 + |x|^2).  No cubic screen runs: an edge-length
+    energy is even in t along a first-order flex, so its cubic kernel form
+    vanishes.
     """
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))
@@ -588,9 +588,6 @@ def second_order_rigidity_test(
     target = FrameworkEnergyTarget(spec, pf)
     X, Y = kd.Kbar_basis, kd.K_basis
     forms = _assemble_quartic_forms(target, X, Y, target.hessian0())
-    cubic = _cubic_screen(forms.T, Y, DEFAULT_CRIT_TOL)
-    if cubic is not None:
-        return cubic
     return _kernel_verdict(forms, X, Y, "quartic", 4, "x-part minimized in closed form over K-bar")
 
 

@@ -74,10 +74,6 @@ class EnergySpec:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def n_edges(self) -> int:
-        return self.rest_lengths.size
-
     @classmethod
     def for_framework(
         cls,
@@ -352,16 +348,16 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
 def _edge_diffs(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
     """(E, d, order+1) object-free jet coefficient rows of p_v(t) - p_w(t)
     for every canonical edge vw, where p(t) = p + traj(t); pinned
-    coordinates are constants."""
-    base = pf.base.vertices
-    n, d = base.shape
-    coords = np.zeros((n, d, order + 1))
-    coords[:, :, 0] = base
+    coordinates are constants.  The trajectory's coefficient rows are
+    gathered through the pinned framework's edge column map, whose extra
+    column n_free (the pinned slot) is zero."""
     upto = min(traj.degree, order)
-    for l in range(1, upto + 1):
-        coords[:, :, l] = pf.embed_tangent(traj.coeffs[l - 1])
-    ev, ew = pf.base.edge_index_arrays()
-    return coords[ev] - coords[ew]
+    rows = np.zeros((pf.n_free + 1, order + 1))
+    rows[:-1, 1:upto + 1] = traj.coeffs[:upto].T
+    ends = np.take(rows, pf.edge_free_columns(), axis=0)
+    diffs = ends[0] - ends[1]
+    diffs[:, :, 0] = pf.base.edge_vectors()
+    return diffs
 
 
 def _edge_m_jet(diffs: np.ndarray) -> Jet:

@@ -147,10 +147,6 @@ class Isometry:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    @classmethod
-    def identity(cls, d: int) -> "Isometry":
-        return cls(np.eye(d), np.zeros(d))
-
 
 @dataclass(frozen=True, eq=False)
 class PinnedFramework:
@@ -252,22 +248,6 @@ class PinnedFramework:
         pts = self.base.vertices if config is None else np.asarray(config, dtype=float)
         return pts[self.free_vertex, self.free_axis]
 
-    def embed_config(self, x: np.ndarray) -> np.ndarray:
-        """Full (n, d) configuration with free coordinates x and pinned
-        coordinates at their base values; a (B, n_free) batch gives
-        (B, n, d)."""
-        pts = np.empty(np.shape(x)[:-1] + self.base.vertices.shape)
-        pts[...] = self.base.vertices
-        pts[..., self.free_vertex, self.free_axis] = x
-        return pts
-
-    def embed_tangent(self, x: np.ndarray) -> np.ndarray:
-        """Full (n, d) array with free coordinates x and zeros in pinned slots.
-        Use for directions / flex coefficients."""
-        pts = np.zeros((self.base.n_vertices, self.base.dimension))
-        pts[self.free_vertex, self.free_axis] = x
-        return pts
-
 
 def _free_layout(n: int, d: int, span_dim: int) -> np.ndarray:
     """(2, n_free) array of free (vertex, axis) pairs in vertex-major order:
@@ -276,18 +256,6 @@ def _free_layout(n: int, d: int, span_dim: int) -> np.ndarray:
     v = np.arange(n)[:, None]
     free = (np.arange(d)[None, :] < v) | (v > span_dim)
     return np.array(np.nonzero(free))
-
-
-def _is_pinned(verts: np.ndarray, span_dim: int, d: int) -> bool:
-    # exact pinned position with the positive-diagonal orientation convention
-    if np.any(verts[0] != 0.0):
-        return False
-    for i in range(1, span_dim + 1):
-        if np.any(verts[i, i:] != 0.0):
-            return False
-        if not verts[i, i - 1] > 0.0:
-            return False
-    return True
 
 
 def pin(framework: Framework) -> tuple[PinnedFramework, Isometry]:
@@ -312,9 +280,6 @@ def pin(framework: Framework) -> tuple[PinnedFramework, Isometry]:
         raise DegenerateLeadingVertices(
             f"the first {ell + 1} vertices are affinely dependent"
         )
-
-    if _is_pinned(verts, ell, d):
-        return PinnedFramework(framework, ell), Isometry.identity(d)
 
     if ell == 0:
         q_mat = np.eye(d)

@@ -17,13 +17,13 @@ radius sweep is seedless and one Newton batch: every radius starts from
 between radii.  When dim K > 1 the sweep runs from the largest radius
 down, and at every radius a seeded multistart (the +/- first-order flex
 directions, +/- the last radius's minimizer and random unit vectors)
-first runs a few hundred Barzilai-Borwein projected-gradient rounds, and
-Newton polishes its best rows; the seed and the number of starts act
+first runs a few hundred Barzilai-Borwein projected-gradient rounds
+(bb_minimize_on_sphere), and Newton polishes its best rows; the seed acts
 only there.  The order-4 critical-point tests decide the sign of mu,
 their quartic with the curvature block eliminated in closed form, by a
-Bernstein branch and bound, and use the Newton path of the same
-minimizer, with mu's Hessian, only to polish the reported minimum from
-the point that decided.
+Bernstein branch and bound, and use the same Newton minimizer, with mu's
+Hessian, only to polish the reported minimum from the point that
+decided.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits
@@ -46,10 +46,10 @@ from .framework import PinnedFramework
 from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
 
 DEFAULT_N_RADII = 12
-DEFAULT_N_STARTS = 64
+N_STARTS = 64             # starts of the multistart, flex directions included
 MULTISTART_ROUNDS = 250   # Barzilai-Borwein rounds of the multistart
 N_FINALISTS = 6           # multistart rows polished by Newton
-NEWTON_ROUNDS = 50        # round limit of the Newton polish
+NEWTON_ROUNDS = 50        # round limit of minimize_on_sphere
 NEWTON_LOCAL = 1e-6       # steps shorter than NEWTON_LOCAL r skip the value test
 NEWTON_XTOL = 1e-15       # converged: Newton step shorter than NEWTON_XTOL r
 NEWTON_TMIN = 1e-3        # stalled: backtracked below this share of the step
@@ -100,46 +100,21 @@ def _per_row(r, n_rows: int) -> np.ndarray:
     return np.full(n_rows, r, dtype=float)
 
 
-def minimize_on_sphere(fun, starts: np.ndarray, r=1.0, *, rounds: int, newton: bool = False):
-    """Minimize a function over the sphere |z| = r from a batch of start
-    directions; returns the final values (B,) and points (B, dim), and with
-    newton a third item, the rows' NewtonStats.  r is one radius for all
-    rows or a (B,) array of one per row; the minimizer never mixes rows.
-
-    fun maps a (B, dim) batch of points to (values (B,), gradients
-    (B, dim)), and with newton to (values, gradients, Hessians
-    (B, dim, dim)), all from one call.  Without newton, this is vectorized
-    projected gradient with per-start Barzilai-Borwein steps and a
-    backtracking fallback: an accepted move sets the next step from the
-    last displacement/gradient-change pair, a rejected one shrinks it.
-    Every round computes the Barzilai-Borwein step of every row and keeps
-    it, with the moved point, value and gradient, only where the move was
-    accepted, by np.where over whole arrays; row by row this is the same
-    arithmetic as updating just the accepted rows.  The growth fits'
-    multistart uses this path.
-
-    With newton, each round takes a Riemannian Newton step per row (Absil,
-    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-    ch. 6): the tangent step eta solves
-    [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with lam = g.z / r^2.
-    Each row keeps its Hessian next to its gradient, from the call that
-    evaluated its point, and the rows that moved since their last direction
-    get theirs from one stacked solve.  z + t eta is pulled back onto the
-    sphere, fun evaluates the candidates of the rows still moving in one
-    call, and an Armijo test keeps each move, with its value, gradient and
-    Hessian; a rejected one halves t.
-    Steps shorter than NEWTON_LOCAL r skip the test.  A row has converged
-    once its step is shorter than NEWTON_XTOL r, or is such a local step
-    no shorter than half the step before it: Newton converges
-    quadratically, so a step that stops shrinking is driven by rounding,
-    not curvature.  A row has stalled once t drops below NEWTON_TMIN.  The
-    loop ends when no row is left to move, or after rounds rounds.
+def bb_minimize_on_sphere(value_grad, starts: np.ndarray, r=1.0, *, rounds: int):
+    """minimize_on_sphere's problem for a function without Hessians:
+    value_grad maps a (B, dim) batch to (values (B,), gradients (B, dim)),
+    and the final values and points are returned.  Vectorized projected
+    gradient with per-row Barzilai-Borwein steps and a backtracking
+    fallback: an accepted move sets the next step from the last
+    displacement/gradient-change pair, a rejected one shrinks it.  Every
+    round computes every row's step and keeps it, with the moved point,
+    value and gradient, only where the move was accepted, by np.where over
+    whole arrays; row by row this is the same arithmetic as updating just
+    the accepted rows.  The dim K > 1 multistart runs rounds rounds of it.
     """
     r = _per_row(r, starts.shape[0])
     z = r[:, None] * starts / np.sqrt((starts * starts).sum(1))[:, None]
-    if newton:
-        return _newton_on_sphere(fun, z, r, rounds)
-    vals, grads = fun(z)
+    vals, grads = value_grad(z)
     steps = 1e-3 * r
     last_z = z.copy()
     last_g = grads.copy()
@@ -148,7 +123,7 @@ def minimize_on_sphere(fun, starts: np.ndarray, r=1.0, *, rounds: int, newton: b
         gnorm2 = (g_tan * g_tan).sum(1)
         cand = z - steps[:, None] * g_tan
         cand *= r[:, None] / np.sqrt((cand * cand).sum(1))[:, None]
-        c_vals, c_grads = fun(cand)
+        c_vals, c_grads = value_grad(cand)
         improve = c_vals < vals - 1e-4 * steps * gnorm2
         # the BB step of every row, kept only where the move is accepted
         dz = cand - last_z
@@ -169,23 +144,21 @@ def minimize_on_sphere(fun, starts: np.ndarray, r=1.0, *, rounds: int, newton: b
     return vals, z
 
 
-def _tangent(grads: np.ndarray, z: np.ndarray, r) -> np.ndarray:
-    """The tangent part of each gradient row at z on the sphere of radius r,
-    one for all rows or one per row."""
-    zh = z / _per_row(r, z.shape[0])[:, None]
+def _tangent(grads: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The tangent part of each gradient row z[i] on the sphere of radius
+    r[i]."""
+    zh = z / r[:, None]
     return grads - (grads * zh).sum(1)[:, None] * zh
 
 
-def _newton_direction(h: np.ndarray, g: np.ndarray, z: np.ndarray, g_tan: np.ndarray, r):
+def _newton_direction(h: np.ndarray, g: np.ndarray, z: np.ndarray, g_tan: np.ndarray, r: np.ndarray):
     """Tangent Newton steps at the rows of z from their bordered systems,
     written with the unit normals z / r and solved as one stack; when the
     stacked solve raises, row by row.  Where a row's system is singular or
     its solution is not a descent direction, the Cauchy step along
     -g_tan instead, or a step of length r where the tangent curvature along
-    it is not positive.  Capped at length r, one for all rows or one per
-    row."""
+    it is not positive.  Capped at length r[i] per row."""
     n_rows, dim = z.shape
-    r = _per_row(r, n_rows)
     zh = z / r[:, None]
     kkt = np.zeros((n_rows, dim + 1, dim + 1))
     kkt[:, :dim, :dim] = h - ((g * zh).sum(1) / r)[:, None, None] * np.eye(dim)
@@ -216,11 +189,36 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, z: np.ndarray, g_tan: np.nda
     return eta * (r / np.maximum(size, r))[:, None]
 
 
-def _newton_on_sphere(value_grad_hess, z, r, rounds):
+def minimize_on_sphere(value_grad_hess, starts: np.ndarray, r=1.0):
+    """Minimize a function over the sphere |z| = r by Riemannian Newton
+    steps from a batch of start directions; returns the final values (B,),
+    points (B, dim) and the rows' NewtonStats.  r is one radius for all
+    rows or a (B,) array of one per row; the minimizer never mixes rows.
+    value_grad_hess maps a (B, dim) batch of points to (values (B,),
+    gradients (B, dim), Hessians (B, dim, dim)), all from one call.
+
+    Each round takes a Riemannian Newton step per row (Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 6):
+    the tangent step eta solves
+    [[H - lam I, z], [z', 0]] [eta; mu] = [-g; 0] with lam = g.z / r^2.
+    Each row keeps its Hessian next to its gradient, from the call that
+    evaluated its point, and the rows that moved since their last direction
+    get theirs from one stacked solve.  z + t eta is pulled back onto the
+    sphere, value_grad_hess evaluates the candidates of the rows still
+    moving in one call, and an Armijo test keeps each move, with its value,
+    gradient and Hessian; a rejected one halves t.
+    Steps shorter than NEWTON_LOCAL r skip the test.  A row has converged
+    once its step is shorter than NEWTON_XTOL r, or is such a local step
+    no shorter than half the step before it: Newton converges
+    quadratically, so a step that stops shrinking is driven by rounding,
+    not curvature.  A row has stalled once t drops below NEWTON_TMIN.  The
+    loop ends when no row is left to move, or after NEWTON_ROUNDS rounds.
+    """
+    r = _per_row(r, starts.shape[0])
+    z = r[:, None] * starts / np.sqrt((starts * starts).sum(1))[:, None]
     # owned copies: accepted rows are written into them in place
     vals, grads, hess = (np.array(a, dtype=float) for a in value_grad_hess(z))
     n_rows = z.shape[0]
-    r = _per_row(r, n_rows)
     t = np.ones(n_rows)
     eta = np.zeros_like(z)
     steps = np.zeros(n_rows, dtype=int)
@@ -228,7 +226,7 @@ def _newton_on_sphere(value_grad_hess, z, r, rounds):
     last = np.full(n_rows, np.inf)            # length of the last accepted step
     converged = np.zeros(n_rows, dtype=bool)
     stalled = np.zeros(n_rows, dtype=bool)    # backtracked below NEWTON_TMIN
-    for _ in range(rounds):
+    for _ in range(NEWTON_ROUNDS):
         g_tan = _tangent(grads, z, r)
         stalled |= ~converged & (t < NEWTON_TMIN)
         rows = np.flatnonzero(fresh & ~converged & ~stalled)
@@ -269,7 +267,6 @@ def min_energy_on_sphere_with_arg(
     spec: EnergySpec,
     pf: PinnedFramework,
     r: float,
-    n_starts: int = DEFAULT_N_STARTS,
     seed: int = 0,
     extra_starts: np.ndarray | None = None,
     kd: KernelDecomposition | None = None,
@@ -279,10 +276,10 @@ def min_energy_on_sphere_with_arg(
     given, is the framework's kernel decomposition (computed here
     otherwise).
 
-    Starts are seeded along the +/- first-order flex directions plus random
-    unit vectors; extra_starts rows (unit directions) are appended, which
-    the dim K > 1 radius sweep uses to continue the minimizing valley
-    between radii.  MULTISTART_ROUNDS Barzilai-Borwein rounds run from all
+    N_STARTS starts are seeded along the +/- first-order flex directions
+    plus random unit vectors; extra_starts rows (unit directions) are
+    appended, which the dim K > 1 radius sweep uses to continue the
+    minimizing valley between radii.  MULTISTART_ROUNDS Barzilai-Borwein rounds run from all
     starts and the best N_FINALISTS rows are polished by Newton."""
     _check_radius(spec, r)
 
@@ -301,12 +298,12 @@ def min_energy_on_sphere_with_arg(
         rows.append(-kd.K_basis[:, j])
     if extra_starts is not None:
         rows.extend(np.atleast_2d(extra_starts))
-    need = max(n_starts - len(rows), 4)
+    need = max(N_STARTS - len(rows), 4)
     rand = rng.standard_normal((need, pf.n_free))
     rows.extend(rand / np.linalg.norm(rand, axis=1, keepdims=True))
-    vals, z = minimize_on_sphere(gap, np.array(rows), r, rounds=MULTISTART_ROUNDS)
+    vals, z = bb_minimize_on_sphere(gap, np.array(rows), r, rounds=MULTISTART_ROUNDS)
     finalists = z[np.argsort(vals)[:N_FINALISTS]]
-    f_vals, f_z, stats = minimize_on_sphere(gap_grad_hess, finalists, r, rounds=NEWTON_ROUNDS, newton=True)
+    f_vals, f_z, stats = minimize_on_sphere(gap_grad_hess, finalists, r)
     best = int(np.argmin(f_vals))
     row = NewtonStats(stats.steps[best], stats.tangent_ratio[best], stats.converged[best])
     return float(f_vals[best]), f_z[best] / r, row
@@ -318,7 +315,6 @@ def fit_growth_order(
     r_min: float = 1e-3,
     r_max: float = 1e-1,
     n_radii: int = DEFAULT_N_RADII,
-    n_starts: int = DEFAULT_N_STARTS,
     seed: int = 0,
 ) -> GrowthFit:
     """Fit log m(r) against log r on a geometric radius grid.
@@ -327,14 +323,16 @@ def fit_growth_order(
     starts from +/- the lowest eigenvector of the rest Hessian (the flex
     when dim K = 1, the softest mode when dim K = 0) and keeps its better
     row, with no continuation between radii, so the fit draws no random
-    numbers and n_starts and seed do nothing.  When dim K > 1, radii are
-    processed from largest to smallest, the seeded random multistart
-    (n_starts, seed + i at radius i) runs at every radius, and each radius
-    after the first also starts from +/- the minimizing direction of the
-    one before.  Raises ZeroLengthEdge, before any energy evaluation, when
-    r_max reaches the safe radius, half the shortest rest length.
+    numbers and seed does nothing.  When dim K > 1, radii are processed
+    from largest to smallest, the seeded random multistart (seed + i at
+    radius i) runs at every radius, and each radius after the first also
+    starts from +/- the minimizing direction of the one before.  Raises
+    ZeroLengthEdge, before any energy evaluation, when r_max reaches the
+    safe radius, half the shortest rest length.
 
-    Raises DegenerateFit when some m(r) <= 0, or when m(r_max) <=
+    Raises DegenerateFit, before any energy evaluation, when the spec has
+    no edges: the energy is then zero at every radius.  Raises it too when
+    some m(r) <= 0, or when m(r_max) <=
     u^2 lambda_max r_max^2 (u the machine epsilon, lambda_max the rest
     Hessian's largest eigenvalue), which signals a flexible framework or
     values below the floating-point floor rather than a fittable growth
@@ -344,6 +342,8 @@ def fit_growth_order(
         raise ValueError("need finite radii with 0 < r_min < r_max")
     if n_radii < 2:
         raise ValueError("need n_radii >= 2: a slope takes at least two radii")
+    if spec.rest_lengths.size == 0:
+        raise DegenerateFit("the framework has no edges: its energy is zero at every radius")
     _check_radius(spec, r_max)
     radii = np.geomspace(r_max, r_min, n_radii)
     kd = kernel_decomposition(rigidity_matrix(pf))
@@ -352,8 +352,7 @@ def fit_growth_order(
         # rows 2i and 2i + 1 start radius i from +/- the softest mode
         starts = np.tile([vecs[:, 0], -vecs[:, 0]], (n_radii, 1))
         vals, _, stats = minimize_on_sphere(
-            lambda z: energy_gap_grad_hess(spec, pf, z), starts, np.repeat(radii, 2),
-            rounds=NEWTON_ROUNDS, newton=True,
+            lambda z: energy_gap_grad_hess(spec, pf, z), starts, np.repeat(radii, 2)
         )
         best = 2 * np.arange(n_radii) + np.argmin(vals.reshape(n_radii, 2), axis=1)
         m_vals = vals[best]
@@ -362,7 +361,7 @@ def fit_growth_order(
         per_radius, carry = [], None
         for i, r in enumerate(radii):
             m, arg, row = min_energy_on_sphere_with_arg(
-                spec, pf, r, n_starts=n_starts, seed=seed + i, extra_starts=carry, kd=kd
+                spec, pf, r, seed=seed + i, extra_starts=carry, kd=kd
             )
             per_radius.append((m, row.steps, row.tangent_ratio, row.converged))
             carry = np.vstack([arg, -arg])

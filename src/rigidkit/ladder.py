@@ -47,15 +47,6 @@ class PolyTrajectory:
     def n_free(self) -> int:
         return self.coeffs.shape[1]
 
-    def displacement(self, t: float) -> np.ndarray:
-        """p(t) - p as a pinned-coordinate vector."""
-        out = np.zeros(self.n_free)
-        tp = 1.0
-        for row in self.coeffs:
-            tp *= t
-            out += tp * row
-        return out
-
     def prefix(self, degree: int) -> "PolyTrajectory":
         if not 1 <= degree <= self.degree:
             raise ValueError(f"prefix degree must be in 1..{self.degree}")

@@ -4,13 +4,13 @@ import pytest
 from rigidkit import (
     EnergySpec,
     Framework,
-    corpus_items,
     kernel_decomposition,
     pin,
     pin_with_permutation,
     rigidity_matrix,
     solve_ladder,
 )
+from oracles import corpus_items
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,10 @@ a quantity by a slower or more direct route:
   from np.linalg.inv;
 - faa_di_bruno_term: the n-th derivative of a composition by the
   partition sum of Faa di Bruno's formula, against which the jets'
-  series composition is checked.
+  series composition is checked;
+- embed_config, embed_tangent, displacement and corpus_items: full (n, d)
+  arrays from free coordinates, p(t) - p at one t, and the corpus with its
+  expected orders, which only tests need in these forms.
 """
 
 import json
@@ -33,7 +36,8 @@ import math
 
 import numpy as np
 
-from rigidkit import FrameworkEnergyTarget, Jet, PolyTrajectory, energy_along_trajectory, energy_value_grad_hess
+from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet, PolyTrajectory,
+                      energy_along_trajectory, energy_value_grad_hess, load_corpus)
 from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m
 
 
@@ -145,7 +149,7 @@ def jet_value_grad_hess(spec, pf, q_free=None):
     into the full (n d) x (n d) arrays before the free coordinates are
     taken."""
     q = pf.free_vector() if q_free is None else np.asarray(q_free, dtype=float)
-    pts = pf.embed_config(q if q.ndim == 2 else q[None, :])
+    pts = embed_config(pf, q if q.ndim == 2 else q[None, :])
     n_batch, n, d = pts.shape
     ev, ew = pf.base.edge_index_arrays()
     diffs = pts[:, ev] - pts[:, ew]
@@ -300,3 +304,34 @@ def faa_di_bruno_term(f_derivs, g_derivs, n: int) -> float:
             term *= g_derivs[i] ** ji
         total += (math.factorial(n) // denom) * term
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# full configurations, displacements and the corpus
+# ---------------------------------------------------------------------------
+
+def embed_config(pf, x: np.ndarray) -> np.ndarray:
+    """Full (n, d) configuration with free coordinates x and pinned
+    coordinates at their base values; a (B, n_free) batch gives (B, n, d)."""
+    pts = np.empty(np.shape(x)[:-1] + pf.base.vertices.shape)
+    pts[...] = pf.base.vertices
+    pts[..., pf.free_vertex, pf.free_axis] = x
+    return pts
+
+
+def embed_tangent(pf, x: np.ndarray) -> np.ndarray:
+    """Full (n, d) array with free coordinates x and zeros in pinned slots."""
+    pts = np.zeros(pf.base.vertices.shape)
+    pts[pf.free_vertex, pf.free_axis] = x
+    return pts
+
+
+def displacement(traj: PolyTrajectory, t: float) -> np.ndarray:
+    """p(t) - p = sum_l traj.coeffs[l-1] t^l as a pinned-coordinate vector."""
+    return sum(t**l * row for l, row in enumerate(traj.coeffs, start=1))
+
+
+def corpus_items():
+    """Yield (name, framework, expected_order) for the whole corpus."""
+    for name in CORPUS_NAMES:
+        yield name, load_corpus(name), EXPECTED_ORDERS[name]

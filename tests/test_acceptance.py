@@ -17,7 +17,6 @@ from rigidkit import (
     EnergySpec,
     Framework,
     PolynomialTarget,
-    corpus_items,
     energy_along_trajectory,
     fit_growth_order,
     fourth_derivative_test,
@@ -34,7 +33,7 @@ from rigidkit import (
 from rigidkit.energy import FAMILIES
 from rigidkit.growth import min_energy_on_sphere_with_arg
 from rigidkit.jets import Jet, compose_series
-from oracles import faa_di_bruno_term
+from oracles import corpus_items, faa_di_bruno_term
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -16,6 +16,7 @@ TEST_ONLY_NAMES = (
     "_a4_eval", "jet_along", "classify_flex", "_edge_m_jets", "principal_angles",
     "kernel_of_hessian_equals_K", "measure", "MeasurementVector", "first_order_rigid",
     "project_K", "min_energy_on_sphere", "faa_di_bruno_term", "_partition_multiplicities",
+    "embed_config", "embed_tangent", "displacement", "corpus_items",
 )
 
 

@@ -110,7 +110,7 @@ def test_growth_csv(k33_file, tmp_path, capsys):
     code = main([
         "growth", k33_file, "--family", "harmonic",
         "--rmin", "1e-2", "--rmax", "1e-1", "--n", "5",
-        "--starts", "16", "--seed", "0", "--csv", str(csv_path),
+        "--seed", "0", "--csv", str(csv_path),
     ])
     assert code == EXIT_OK
     lines = csv_path.read_text().strip().splitlines()
@@ -121,7 +121,7 @@ def test_growth_csv(k33_file, tmp_path, capsys):
 
 
 def test_growth_on_mechanism_is_numerical_failure(square_file, capsys):
-    code = main(["growth", square_file, "--n", "4", "--starts", "8"])
+    code = main(["growth", square_file, "--n", "4"])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
 
@@ -325,6 +325,43 @@ def test_analyze_json_off_dim_k_one(tmp_path, capsys):
         assert rep["verdict"]["method"] == method
 
 
+def test_analyze_growth_text_output(k33_file, tmp_path, capsys):
+    # the fit's line, then its notes (half_flat_prism's m(r) reach the
+    # floating-point floor), in analyze --growth and in growth
+    assert main(["analyze", k33_file, "--growth"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    fit = [ln for ln in lines if ln.startswith("growth fit [harmonic]: s = ")]
+    assert len(fit) == 1 and "(nu = " in fit[0] and ", r2 = " in fit[0]
+    assert not any(ln.startswith("  note: ") for ln in lines)
+    path = tmp_path / "half_flat_prism.json"
+    save_framework(load_corpus("half_flat_prism"), path)
+    assert main(["analyze", str(path), "--growth"]) == EXIT_OK
+    assert "\n  note: some m(r) sit at the floating-point floor" in capsys.readouterr().out
+    assert main(["growth", str(path)]) == EXIT_OK
+    assert "\nnote: some m(r) sit at the floating-point floor" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("vertices, edges, reason", [
+    pytest.param([[0, 0], [1, 0], [1, 1], [0, 1]], [[1, 2], [2, 3], [3, 4], [4, 1]], "flexible", id="square"),
+    pytest.param([[0, 0]], [], "no edges", id="edgeless-one-vertex"),
+    pytest.param([[0, 0], [1, 0.5]], [], "no edges", id="edgeless-two-vertices"),
+])
+def test_failed_growth_fit_is_reported(tmp_path, capsys, vertices, edges, reason):
+    # a flexible square and a framework with no edges have no growth
+    # order: growth exits 3, analyze --growth reports the failure
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": vertices, "edges": edges}))
+    assert main(["growth", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    message = err.removeprefix("numerical failure: ").strip()
+    assert reason in message
+    assert main(["analyze", str(path), "--growth", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["growth"] == {"error": message}
+    assert main(["analyze", str(path), "--growth"]) == EXIT_OK
+    assert f"growth fit: failed ({message})" in capsys.readouterr().out.splitlines()
+
+
 def test_growth_deterministic_given_seed(k33_file, tmp_path):
     # k33 has dim K = 1, where the fit draws no random numbers: any seed
     # gives the same bytes
@@ -332,7 +369,7 @@ def test_growth_deterministic_given_seed(k33_file, tmp_path):
     for p, seed in zip(paths, ("7", "7", "0")):
         assert main([
             "growth", k33_file, "--rmin", "1e-2", "--rmax", "1e-1",
-            "--n", "4", "--starts", "16", "--seed", seed, "--csv", str(p),
+            "--n", "4", "--seed", seed, "--csv", str(p),
         ]) == EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
@@ -440,7 +477,6 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["growth", "{k33}", "--n", "1"], "usage error: ", id="one-radius"),
     pytest.param(["growth", "{k33}", "--seed", "-1"], "usage error: ", id="growth-negative-seed"),
     pytest.param(["analyze", "{k33}", "--growth", "--seed", "-3"], "usage error: ", id="analyze-negative-seed"),
-    pytest.param(["growth", "{k33}", "--starts", "-3"], "usage error: ", id="negative-starts"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "0"],
                  "usage error: ", id="energy-order-0"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "70"],
@@ -491,3 +527,17 @@ def test_closed_output_pipe_ends_quietly(k33_file, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
+def test_readme_command_lines_parse():
+    # every `rigidkit ...` line of README's "Command line" block, with its
+    # optional [ ] groups included, \ continuations joined and # comments
+    # dropped, must parse: a removed option cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].replace("[", " ").replace("]", " ").split()
+             for ln in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "rigidkit"]
+    assert len(commands) == 8
+    for argv in commands:
+        build_parser().parse_args(argv)

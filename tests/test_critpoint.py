@@ -479,6 +479,17 @@ def test_order2k_rejects_unnormalized_witness(corpus_analysis):
         order2k_family_test(item["pf"], spec, bad, 3, kd=item["kd"])
 
 
+def test_order2k_refuses_k_below_two_and_a_short_witness(corpus_analysis):
+    item = corpus_analysis["k33"]
+    spec = EnergySpec.for_framework(item["pf"].base, "harmonic")
+    witness = item["report"].witness
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        order2k_family_test(item["pf"], spec, witness, 1, kd=item["kd"])
+    short = witness.prefix(1)
+    with pytest.raises(ValueError, match=r"witness must supply coefficients through t\^2"):
+        order2k_family_test(item["pf"], spec, short, 3, kd=item["kd"])
+
+
 def test_collinear_chain_is_second_order_rigid_with_dimk2():
     # a bar chain 1-2-3-4 on a line with the spanning bar (1,4): every
     # interior vertex has an independent perpendicular first-order flex

@@ -2,7 +2,10 @@
 already give the mixed form C: Y'[t^2] grad f(Y y t) = 3 T(y, y, .).  It
 is checked against the polarization of order-3 energy jets it replaced,
 on targets whose only cubic kernel term makes a saddle, and the order-4
-rigidity test is checked to take each of its jets once."""
+rigidity test is checked to take each of its jets once.  An edge-length
+energy is even in t along a first-order flex, so its T vanishes and the
+rigidity tests run no screen; that T stays far below the screen's
+threshold is checked here instead."""
 
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -12,6 +15,7 @@ import pytest
 
 import rigidkit.critpoint as critpoint
 from rigidkit import (
+    FAMILIES,
     EnergySpec,
     PolynomialTarget,
     fourth_derivative_test,
@@ -20,9 +24,9 @@ from rigidkit import (
     rigidity_matrix,
     second_order_rigidity_test,
 )
-from rigidkit.critpoint import _assemble_quartic_forms, _cubic_screen
+from rigidkit.critpoint import DEFAULT_CRIT_TOL, FrameworkEnergyTarget, _assemble_quartic_forms, _cubic_screen
 from oracles import f_jet
-from test_quartic_assembly import _polynomial_case, midpoint_strip
+from test_quartic_assembly import _polynomial_case, collinear_chain, midpoint_strip
 
 RTOL = 1e-12
 
@@ -109,8 +113,7 @@ def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
 @pytest.mark.parametrize("m, gradient_jets", [(2, 4), (3, 10)])
 def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
     # C, T and B share the m(m+1)(m+2)/6 order-3 gradient jets, one per
-    # lattice point a in N^m with |a| = 3; no energy jet is taken, and the
-    # cubic screen evaluates no jet of its own
+    # lattice point a in N^m with |a| = 3; no energy jet is taken
     calls = Counter()
     for name in ("energy_along_trajectory", "gradient_along_trajectory"):
         def counted(*args, _name=name, _fn=getattr(critpoint, name), **kwargs):
@@ -118,15 +121,6 @@ def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(critpoint, name, counted)
-    screen = critpoint._cubic_screen
-
-    def guarded_screen(*args):
-        before = Counter(calls)
-        out = screen(*args)
-        assert calls == before
-        return out
-
-    monkeypatch.setattr(critpoint, "_cubic_screen", guarded_screen)
     for n_vertices in (20, 40):
         calls.clear()
         pf, _, _ = pin_with_permutation(midpoint_strip(n_vertices, m))
@@ -135,3 +129,25 @@ def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
         rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"), kd)
         assert rep.classification == "strict-min"
         assert dict(calls) == {"gradient_along_trajectory": gradient_jets}, n_vertices
+
+
+def test_energy_cubic_kernel_form_is_far_below_the_screen(corpus_analysis):
+    # along a first-order flex every squared edge length is
+    # d^2 + |Delta Y y|^2 t^2, so the energy's T vanishes up to rounding:
+    # it must stay below 1e-3 of the threshold fourth_derivative_test's
+    # screen would apply, with scale3 the screen's scale
+    cases = [(name, item["pf"], item["kd"]) for name, item in corpus_analysis.items()]
+    for name, fw in (("strip20-2", midpoint_strip(20, 2)), ("strip20-3", midpoint_strip(20, 3)),
+                     ("strip10-3", midpoint_strip(10, 3)), ("chain", collinear_chain())):
+        pf, _, _ = pin_with_permutation(fw)
+        cases.append((name, pf, kernel_decomposition(rigidity_matrix(pf))))
+    for name, pf, kd in cases:
+        m = kd.dim_K
+        eye = np.eye(m)
+        vecs = np.array([eye[list(ids)].sum(axis=0)
+                         for r in (1, 2, 3) for ids in combinations_with_replacement(range(m), r)])
+        for family in FAMILIES:
+            target = FrameworkEnergyTarget(EnergySpec.for_framework(pf.base, family), pf)
+            forms = _assemble_quartic_forms(target, kd.Kbar_basis, kd.K_basis, target.hessian0())
+            scale3 = np.max(np.abs(np.einsum("ijk,bi,bj,bk->b", forms.T, vecs, vecs, vecs)))
+            assert np.max(np.abs(forms.T)) <= 1e-3 * DEFAULT_CRIT_TOL * (1.0 + scale3), (name, family)

@@ -34,7 +34,7 @@ from rigidkit import (
 from rigidkit.critpoint import FrameworkEnergyTarget
 from rigidkit.energy import _gap_and_slope, _taylor_in_m, energy_gap_grad_hess
 from rigidkit.growth import min_energy_on_sphere_with_arg
-from oracles import jet_value_grad_hess
+from oracles import embed_config, embed_tangent, jet_value_grad_hess
 from test_quartic_assembly import midpoint_strip
 
 RTOL = 1e-12
@@ -74,7 +74,7 @@ def _reference_derivs012(spec, lengths):
 def _reference_value_grad_hess(spec, pf, q_free):
     """Value, gradient and Hessian from the length derivatives: per edge
     the gradient E' u and the block E'' u u' + E'/l (I - u u')."""
-    pts = pf.embed_config(q_free)
+    pts = embed_config(pf, q_free)
     n, d = pts.shape
     grad = np.zeros((n, d))
     hess = np.zeros((n, d, n, d))
@@ -298,7 +298,7 @@ def _decimal_gap(spec, pf, delta):
     dd = delta_v - delta_w, exactly as the kernel defines the rest state.
     Every family: Morse through Decimal.exp."""
     pts = pf.base.vertices
-    disp = pf.embed_tangent(delta)
+    disp = embed_tangent(pf, delta)
     with localcontext() as ctx:
         ctx.prec = 50
         total = Decimal(0)

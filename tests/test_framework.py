@@ -8,7 +8,6 @@ from rigidkit import (
     Framework,
     FrameworkValidationError,
     affine_span_dimension,
-    corpus_items,
     framework_from_dict,
     framework_to_dict,
     load_corpus,
@@ -18,6 +17,7 @@ from rigidkit import (
     pin_with_permutation,
     save_framework,
 )
+from oracles import corpus_items
 
 
 def test_validation_rejects_self_loop():
@@ -101,10 +101,13 @@ def test_pin_already_pinned_is_identity(triangle_pinned):
 
 
 def test_pin_idempotent(corpus_analysis):
-    for item in corpus_analysis.values():
+    # re-pinning a pinned framework runs the full map, which must leave
+    # every coordinate bit for bit, the sign of each zero included
+    for name, item in corpus_analysis.items():
         pf = item["pf"]
         again, iso = pin(pf.base)
-        assert np.array_equal(again.base.vertices, pf.base.vertices)
+        assert np.array_equal(again.base.vertices, pf.base.vertices), name
+        assert np.array_equal(np.signbit(again.base.vertices), np.signbit(pf.base.vertices)), name
 
 
 def test_pin_recovers_rotated_triangle():

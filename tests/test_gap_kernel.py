@@ -16,15 +16,14 @@ from rigidkit import (
     FAMILIES,
     EnergySpec,
     Framework,
-    corpus_items,
     energy_gap_and_grad,
     pin,
     pin_with_permutation,
     rigidity_matrix,
 )
 from rigidkit.critpoint import _QuarticForms
-from rigidkit.growth import minimize_on_sphere
-from oracles import grad_batch, value_batch
+from rigidkit.growth import bb_minimize_on_sphere
+from oracles import corpus_items, grad_batch, value_batch
 
 SCALES = (1e-1, 1e-3, 1e-6)
 BATCHES = (1, 6, 64)
@@ -195,7 +194,7 @@ def test_minimize_on_sphere_bit_identical_on_k33_gap(pinned_corpus):
 
     starts = np.random.default_rng(5).standard_normal((12, pf.n_free))
     for r, rounds in ((1e-1, 250), (1e-3, 400)):
-        vals, z = minimize_on_sphere(gap, starts, r, rounds=rounds)
+        vals, z = bb_minimize_on_sphere(gap, starts, r, rounds=rounds)
         ref_vals, ref_z = _reference_minimize(gap, starts, r, rounds=rounds)
         assert np.array_equal(vals, ref_vals) and np.array_equal(z, ref_z), r
 
@@ -217,7 +216,7 @@ def test_minimize_on_sphere_bit_identical_on_seeded_quartic():
             return sign * value_batch(forms, xs, ys), sign * grad_batch(forms, xs, ys)
 
         starts = rng.standard_normal((16, n + m))
-        vals, z = minimize_on_sphere(value_grad, starts, rounds=300)
+        vals, z = bb_minimize_on_sphere(value_grad, starts, rounds=300)
         ref_vals, ref_z = _reference_minimize(value_grad, starts, rounds=300)
         assert np.array_equal(vals, ref_vals) and np.array_equal(z, ref_z), sign
 

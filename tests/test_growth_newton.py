@@ -22,7 +22,7 @@ from rigidkit import (
     pin_with_permutation,
     rigidity_matrix,
 )
-from rigidkit.growth import min_energy_on_sphere_with_arg, minimize_on_sphere
+from rigidkit.growth import bb_minimize_on_sphere, min_energy_on_sphere_with_arg, minimize_on_sphere
 from test_energy_families import _decimal_gap
 
 RADII = (1e-1, 1e-2, 1e-3)
@@ -51,8 +51,8 @@ def _bb_minimizer(spec, pf, kd, r, seed=0, n_starts=64):
     def gap(z):
         return energy_gap_and_grad(spec, pf, z)
 
-    vals, z = minimize_on_sphere(gap, np.array(rows), r, rounds=250)
-    f_vals, f_z = minimize_on_sphere(gap, z[np.argsort(vals)[:6]] / r, r, rounds=1500)
+    vals, z = bb_minimize_on_sphere(gap, np.array(rows), r, rounds=250)
+    f_vals, f_z = bb_minimize_on_sphere(gap, z[np.argsort(vals)[:6]] / r, r, rounds=1500)
     return f_z[np.argmin(f_vals)]
 
 
@@ -92,8 +92,8 @@ def test_seedless_sweep_no_worse_than_multistart(corpus_analysis, monkeypatch, n
     spec = EnergySpec.for_framework(pf.base, family)
     found = []
 
-    def record(fun, starts, r=1.0, **kwargs):
-        out = minimize_on_sphere(fun, starts, r, **kwargs)
+    def record(fun, starts, r=1.0):
+        out = minimize_on_sphere(fun, starts, r)
         found.append((np.asarray(r), out[0], out[1]))
         return out
 
@@ -123,7 +123,7 @@ def test_newton_on_a_quadratic_finds_the_lowest_eigenvalue():
         return np.einsum("bi,ij,bj->b", z, a, z), 2.0 * z @ a, np.broadcast_to(2.0 * a, (z.shape[0], 6, 6))
 
     starts = q[:, 0] + 0.1 * rng.standard_normal((3, 6))
-    vals, z, stats = minimize_on_sphere(value_grad_hess, starts, r, rounds=50, newton=True)
+    vals, z, stats = minimize_on_sphere(value_grad_hess, starts, r)
     np.testing.assert_allclose(vals, lam[0] * r**2, rtol=1e-12)
     np.testing.assert_allclose(np.abs(z @ q[:, 0]), r, rtol=1e-12)
     assert stats.converged.all() and np.all(stats.steps <= 6)
@@ -137,11 +137,11 @@ def test_newton_on_a_quadratic_finds_the_lowest_eigenvalue():
         return tuple(np.concatenate(parts) for parts in zip(*outs))
 
     radii = np.array([1e-3, 1e-2, 1e-1])
-    vals, z, stats = minimize_on_sphere(by_row, starts, radii, rounds=50, newton=True)
+    vals, z, stats = minimize_on_sphere(by_row, starts, radii)
     np.testing.assert_allclose(vals, lam[0] * radii**2, rtol=1e-12)
     assert stats.converged.all()
     for i, r_i in enumerate(radii):
-        one_vals, one_z, one = minimize_on_sphere(by_row, starts[i:i + 1], r_i, rounds=50, newton=True)
+        one_vals, one_z, one = minimize_on_sphere(by_row, starts[i:i + 1], r_i)
         assert np.array_equal(one_vals, vals[i:i + 1]) and np.array_equal(one_z, z[i:i + 1]), r_i
         for got, alone in ((stats.steps, one.steps), (stats.tangent_ratio, one.tangent_ratio),
                            (stats.converged, one.converged)):
@@ -163,11 +163,12 @@ def test_singular_row_falls_back_alone():
     a = rng.standard_normal((4, dim, dim))
     h = a @ a.transpose(0, 2, 1) + dim * np.eye(dim)
     h[0] = 2.0 * np.eye(dim)     # lam = g.z / r^2 = 2
-    g_tan = growth._tangent(g, z, r)
-    eta = growth._newton_direction(h, g, z, g_tan, r)
+    radii = np.full(4, r)
+    g_tan = growth._tangent(g, z, radii)
+    eta = growth._newton_direction(h, g, z, g_tan, radii)
     np.testing.assert_array_equal(eta[0], [0.0, -1.0, 0.0, 0.0])
     for i in range(1, 4):
-        one = growth._newton_direction(h[i:i + 1], g[i:i + 1], z[i:i + 1], g_tan[i:i + 1], r)
+        one = growth._newton_direction(h[i:i + 1], g[i:i + 1], z[i:i + 1], g_tan[i:i + 1], radii[i:i + 1])
         np.testing.assert_array_equal(eta[i], one[0])
         assert eta[i] @ g_tan[i] < 0.0
 
@@ -191,15 +192,15 @@ def test_k33_fit_call_counts(corpus_analysis, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     newton_calls = []
-    real_newton = growth._newton_on_sphere
+    real_newton = growth.minimize_on_sphere
 
-    def newton(value_grad_hess, z, r, n_rounds):
+    def newton(value_grad_hess, starts, r=1.0):
         before = calls["_pointwise"]
-        out = real_newton(value_grad_hess, z, r, n_rounds)
+        out = real_newton(value_grad_hess, starts, r)
         newton_calls.append(calls["_pointwise"] - before)
         return out
 
-    monkeypatch.setattr(growth, "_newton_on_sphere", newton)
+    monkeypatch.setattr(growth, "minimize_on_sphere", newton)
     pf = corpus_analysis["k33"]["pf"]
     fit = fit_growth_order(EnergySpec.for_framework(pf.base, "algebraic"), pf, seed=0)
     assert fit.fitted_s == pytest.approx(6.0, abs=0.5)

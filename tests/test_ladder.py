@@ -16,7 +16,7 @@ from rigidkit import (
     rigidity_order,
     solve_ladder,
 )
-from oracles import classify_flex
+from oracles import classify_flex, embed_tangent
 
 
 def test_flex_rhs_level_one_is_zero(square_pinned):
@@ -29,7 +29,7 @@ def test_flex_rhs_level_two_matches_direct_form(square_pinned):
     rng = np.random.default_rng(5)
     p1 = rng.standard_normal(square_pinned.n_free)
     rhs = flex_rhs(square_pinned, [p1], 2)
-    full = square_pinned.embed_tangent(p1)
+    full = embed_tangent(square_pinned, p1)
     direct = np.array([
         -np.sum((full[v] - full[w]) ** 2) for v, w in square_pinned.base.edges
     ])
@@ -50,7 +50,7 @@ def flex_rhs_per_level(pf, derivs, l):
     ev, ew = pf.base.edge_index_arrays()
     diffs = []
     for v in derivs[: l - 1]:
-        full = pf.embed_tangent(np.asarray(v, dtype=float))
+        full = embed_tangent(pf, np.asarray(v, dtype=float))
         diffs.append(full[ev] - full[ew])
     rhs = np.zeros(pf.base.n_edges)
     for a in range(1, l):
@@ -210,6 +210,12 @@ def test_solve_ladder_requires_dimk_one(triangle_pinned):
     kd = kernel_decomposition(rigidity_matrix(triangle_pinned))
     with pytest.raises(DimKNotOne):
         solve_ladder(triangle_pinned, kd)
+
+
+def test_solve_ladder_refuses_max_k_below_two(corpus_analysis):
+    item = corpus_analysis["k33"]
+    with pytest.raises(ValueError, match="max_k must be >= 2"):
+        solve_ladder(item["pf"], item["kd"], max_k=1)
 
 
 def test_perturbed_asym_prism_loses_its_order():

@@ -15,7 +15,7 @@ from rigidkit import (
 )
 from rigidkit.linear import _BLOCK_ORDER, DEFAULT_KERNEL_TOL, _CompactWY, _PanelTriangular, _qr_split, _svd_split
 
-from oracles import dense_triangular, inverse_frobenius_sq
+from oracles import dense_triangular, embed_tangent, inverse_frobenius_sq
 
 
 def exact_rank(matrix) -> int:
@@ -67,7 +67,7 @@ def test_matrix_encodes_edge_bilinear_form(corpus_analysis):
         R = rigidity_matrix(pf).matrix
         for _ in range(3):
             x = rng.standard_normal(pf.n_free)
-            full = pf.embed_tangent(x)
+            full = embed_tangent(pf, x)
             verts = pf.base.vertices
             direct = np.array([
                 np.dot(verts[v] - verts[w], full[v] - full[w]) for v, w in pf.base.edges
