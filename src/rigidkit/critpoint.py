@@ -35,7 +35,9 @@ deterministic Bernstein branch and bound: a strict verdict carries a
 certified bound on min mu beyond tol_eff, a saddle a sphere point where mu
 is below -tol_eff, and an inconclusive one a certificate that min mu lies
 within +/- tol_eff, or the note that the box cap was reached.  At m = 1 the
-sphere is {+1, -1} and mu(e_1) is exact.
+sphere is {+1, -1} and mu(e_1) is exact, so the search decides it in closed
+form, with no box: the order-2k test and every one-dimensional kernel cost
+a few scalar operations past the jets.
 
 Targets provide grad0, hessian0 and gradient_jet_along (the Taylor
 coefficient rows of grad f along a polynomial trajectory).
@@ -284,13 +286,19 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     two terms, and tol_eff grows with the terms.  The search's own tol_eff
     also takes the caller's scale into account.
 
+    At m = 1 the sphere is {+1, -1} and mu is even, so mu(e_1) =
+    B - 1/2 c' Hxx^-1 c is exact: it is the bound and the least value, the
+    scale is max(|mu|, |B|), and the decision is taken in closed form with
+    no box and no symmetrization (its note counts the root point as box
+    count 1).
+
     One root box has 5^(m-1) Bernstein coefficients.  When that exceeds
     BOX_CAP, no box is bounded, min mu stays unbounded, and mu is evaluated
     only at the axes and the diagonals (e_i +/- e_j) / sqrt(2), so a point
     below -tol_eff can still be a witness at any m.
 
-    At m > 1 the least point is then polished by minimize_on_sphere's
-    Newton steps, its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
+    The least point is then polished by minimize_on_sphere's Newton steps,
+    its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
     scale, bound, note): x = -Hxx^-1 c(y) is the extremizing x-part, bound
     the certified lower bound on min mu (for sign = -1, the upper bound on
     max mu; an infinite one when no box was bounded), and note states the
@@ -298,6 +306,13 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     n, m = forms.C.shape[:2]
     c_flat = forms.C.reshape(n, m * m)
     hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
+    if m == 1:
+        # the sphere of R^1 is {+1, -1} and mu is even: mu(e_1) is exact
+        b = float(forms.B.reshape(-1)[0])
+        least = sign * (b - 0.5 * float((c_flat.T @ hinv_c)[0, 0]))
+        root_scale = max(abs(least), abs(b))
+        note = _search_note(least, least, tol * (1.0 + max(scale, root_scale)), sign, 1)
+        return sign * least, np.ones(1), -hinv_c[:, 0], root_scale, sign * least, note
     quart = forms.B - 0.5 * (c_flat.T @ hinv_c).reshape((m,) * 4)
     quart = sign * sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
     flat = quart.reshape(m * m, m * m)
@@ -331,10 +346,9 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
         note = (f"box cap of {BOX_CAP} reached before the first box: one face box at m = {m} "
                 f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
 
-    if m > 1:   # the sphere of R^1 is {+1, -1}: no tangent step to polish
-        vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :])
-        if vals[0] < least:
-            least, y_best = float(vals[0]), zs[0]
+    vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :])
+    if vals[0] < least:
+        least, y_best = float(vals[0]), zs[0]
     x_best = -hinv_c @ np.outer(y_best, y_best).reshape(m * m)
     scale = max(root_scale, size(y_best[None, :], np.array([least])))
     return sign * least, y_best, x_best, scale, sign * low, note
@@ -421,18 +435,21 @@ def _bernstein_bound(value_grad, size, m: int, tol: float, scale: float, sign: f
         boxes += face.size
         vals, ys = point_values(face, lo, hi)
 
+    return least, y_best, low, root_scale, _search_note(low, least, tol_eff, sign, boxes)
+
+
+def _search_note(low: float, least: float, tol_eff: float, sign: float, boxes: int) -> str:
+    """The kernel search's certificate for the bound low and the least
+    point value least of sign * mu, stated in mu's own sign."""
     lowest, relation = ("min mu", ">=") if sign > 0 else ("max mu", "<=")
     if low > tol_eff:
-        note = f"certified: {lowest} {relation} {sign * low:.6e} (tol_eff {tol_eff:.3e}, box count {boxes})"
-    elif least < -tol_eff:
-        note = f"witness: mu = {sign * least:.6e} on the kernel sphere (tol_eff {tol_eff:.3e}, box count {boxes})"
-    elif low >= -tol_eff and least <= tol_eff:
-        note = f"certified: {lowest} within +/-{tol_eff:.3e} (box count {boxes})"
-    else:
-        note = (f"box cap of {BOX_CAP} reached: {lowest} undecided between "
-                f"{sign * low:.6e} and {sign * least:.6e} (tol_eff {tol_eff:.3e})")
-
-    return least, y_best, low, root_scale, note
+        return f"certified: {lowest} {relation} {sign * low:.6e} (tol_eff {tol_eff:.3e}, box count {boxes})"
+    if least < -tol_eff:
+        return f"witness: mu = {sign * least:.6e} on the kernel sphere (tol_eff {tol_eff:.3e}, box count {boxes})"
+    if low >= -tol_eff and least <= tol_eff:
+        return f"certified: {lowest} within +/-{tol_eff:.3e} (box count {boxes})"
+    return (f"box cap of {BOX_CAP} reached: {lowest} undecided between "
+            f"{sign * low:.6e} and {sign * least:.6e} (tol_eff {tol_eff:.3e})")
 
 
 def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None:
@@ -641,7 +658,8 @@ def order2k_family_test(
     is positive (the y0 = 0 slice is covered by Hxx > 0).  That mu is the
     order-4 reduction's mu at m = 1 with B = F and c = G, so it is decided by
     the same certified search as second_order_rigidity_test, on the kernel
-    basis Y = p1, where it is exact: mu > tol_eff certifies rigidity order k,
+    basis Y = p1, where the search takes it in closed form, with no box:
+    mu > tol_eff certifies rigidity order k,
     matching the ladder verdict.  As there, the arg point is
     (p1, K-bar u*) / sqrt(1 + |u*|^2) with u* = -Hxx^-1 G, and the notes are
     the search's certificate, then the closed form.

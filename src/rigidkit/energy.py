@@ -26,14 +26,13 @@ Morse uses jet exp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ZeroLengthEdge
 from .framework import Framework, PinnedFramework
-from .jets import Jet, compose_series, series_mul
+from .jets import Jet, series_compose, series_mul
 from .ladder import PolyTrajectory
 
 FAMILIES = ("harmonic", "algebraic", "lj", "morse")
@@ -108,9 +107,17 @@ class EnergySpec:
     def _lj_well_offset(self) -> np.ndarray:
         """c = u_d - 1/2 per Lennard-Jones edge, u_d = (sigma/d)^6, rounded
         once from the exact rational value of the float sigma and d: at
-        sigma = d 2^(-1/6) it is a rounding residue that cancels in floats."""
-        return np.array([float((Fraction(s) / Fraction(d)) ** 6 - Fraction(1, 2))
-                         for s, d in zip(self.sigma, self.rest_lengths)])
+        sigma = d 2^(-1/6) it is a rounding residue that cancels in floats.
+        With sigma = s_n / s_d and d = d_n / d_d as integer ratios,
+        a = (s_n d_d)^6 and b = (s_d d_n)^6, c = (2a - b) / (2b) is one
+        correctly rounded integer division."""
+        out = np.empty(self.sigma.size)
+        for i, (s, d) in enumerate(zip(self.sigma.tolist(), self.rest_lengths.tolist())):
+            s_n, s_d = s.as_integer_ratio()
+            d_n, d_d = d.as_integer_ratio()
+            a, b = (s_n * d_d) ** 6, (s_d * d_n) ** 6
+            out[i] = (2 * a - b) / (2 * b)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +388,15 @@ def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTra
 
 def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
     """Jets of the free-coordinate gradient of E along the trajectory:
-    an (n_free, order+1) array of Taylor coefficient rows."""
+    an (n_free, order+1) array of Taylor coefficient rows.  Only
+    coefficients are returned, so the squared lengths m(t) and phi'(m(t))
+    are plain coefficient arrays, with no Jet and no magnitude twin."""
     _check_binding(spec, pf)
     diffs = _edge_diffs(pf, traj, order)
-    m_jet = _edge_m_jet(diffs)
-    taylor = _taylor_in_m(spec, m_jet.c[:, 0], order + 1)
+    m_series = series_mul(diffs, diffs).sum(axis=1)
+    taylor = _taylor_in_m(spec, m_series[:, 0], order + 1)
     # phi'(m(t)): phi^(k+1)(m0) = (k+1)! taylor[k+1], composed with m(t)
-    dphi = compose_series(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_jet)
+    dphi = series_compose(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_series)
     # dE/dp_v = 2 phi'(m) (p_v - p_w) per edge vw, and the negative for p_w
-    force = 2.0 * series_mul(dphi.c[:, None, :], diffs)
+    force = 2.0 * series_mul(dphi[:, None, :], diffs)
     return _sum_onto_free(pf, force)

@@ -87,9 +87,13 @@ class NewtonStats:
 
 def _check_radius(spec: EnergySpec, r: float) -> None:
     """Refuse a radius that is not finite and positive, or that reaches the
-    safe radius, half the shortest rest length, where an edge can collapse."""
+    safe radius, half the shortest rest length, where an edge can collapse;
+    raise DegenerateFit for a spec with no edges, whose energy is zero at
+    every radius."""
     if not (np.isfinite(r) and r > 0.0):
         raise ValueError(f"radius must be finite and positive, got {r}")
+    if spec.rest_lengths.size == 0:
+        raise DegenerateFit("the framework has no edges: its energy is zero at every radius")
     safe = 0.5 * float(np.min(spec.rest_lengths))
     if r >= safe:
         raise ZeroLengthEdge(f"radius {r} exceeds the safe radius {safe:.6g} (half the shortest rest length)")
@@ -342,8 +346,6 @@ def fit_growth_order(
         raise ValueError("need finite radii with 0 < r_min < r_max")
     if n_radii < 2:
         raise ValueError("need n_radii >= 2: a slope takes at least two radii")
-    if spec.rest_lengths.size == 0:
-        raise DegenerateFit("the framework has no edges: its energy is zero at every radius")
     _check_radius(spec, r_max)
     radii = np.geomspace(r_max, r_min, n_radii)
     kd = kernel_decomposition(rigidity_matrix(pf))

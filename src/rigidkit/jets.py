@@ -10,10 +10,12 @@ powers are exact on polynomial inputs up to the truncation order (up to
 rounding), which is what makes high-order differentiation of energies along
 polynomial trajectories exact.
 
-The recurrences themselves (Cauchy product, reciprocal, sqrt, exp) are
-plain functions on coefficient arrays, vectorized over the leading axes;
-Jet's methods call them, so each is written once.  compose_series batches
-the same way: (E, m+1) derivatives compose one function per row.
+The recurrences themselves (Cauchy product, composition, reciprocal,
+sqrt, exp) are plain functions on coefficient arrays, vectorized over the
+leading axes; Jet's methods and compose_series call them, so each is
+written once.  Composition is Horner's scheme on the shifted series, one
+Cauchy product per derivative; (E, m+1) derivatives compose one function
+per row, and code that needs no magnitudes calls series_compose directly.
 
 Every jet also carries a running magnitude vector: the same recurrences
 applied to absolute values.  The ratio mag[i] / |c[i]| estimates how much
@@ -52,6 +54,23 @@ def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so a row may differ from the same product taken alone by rounding."""
     idx, mask = _lag_gather(a.shape[-1])
     return (a[..., None, :] @ (b[..., idx] * mask))[..., 0, :]
+
+
+def series_compose(f_derivs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients of f(g(t)) given derivatives f(g0), ..., f^(m)(g0) along
+    the last axis of f_derivs, whose leading axes broadcast against g's.
+    Evaluates the Taylor polynomial of f around g0 at the shifted series
+    g - g0 by Horner's scheme, one series_mul per derivative."""
+    f_derivs = np.asarray(f_derivs, dtype=float)
+    shifted = np.array(g, dtype=float)
+    shifted[..., 0] = 0.0
+    coeffs = f_derivs / np.cumprod(np.concatenate(([1.0], np.arange(1.0, f_derivs.shape[-1]))))
+    h = np.zeros(coeffs.shape[:-1] + (g.shape[-1],))
+    h[..., 0] = coeffs[..., -1]
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        h = series_mul(h, shifted)
+        h[..., 0] += coeffs[..., k]
+    return h
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,17 +246,9 @@ def compose_series(f_derivs, g: Jet) -> Jet:
 
     The derivatives run along the last axis of f_derivs; leading axes match
     g's, so an (E, m+1) array composes one function per row of an (E, M+1)
-    Jet (a 1-D array acts on every row).  Evaluates the Taylor polynomial of
-    f around g0 at the shifted jet g - g0 by Horner's scheme; exact through
-    min(order, m).
+    Jet (a 1-D array acts on every row).  The coefficients are
+    series_compose(f_derivs, g.c) and the magnitudes
+    series_compose(|f_derivs|, g.mag); exact through min(order, m).
     """
     fd = np.asarray(f_derivs, dtype=float)
-    c, mag = g.c.copy(), g.mag.copy()
-    c[..., 0] = 0.0
-    mag[..., 0] = 0.0
-    shifted = Jet(c, mag)
-    coeffs = fd / np.cumprod(np.concatenate(([1.0], np.arange(1.0, fd.shape[-1]))))
-    out = Jet.constant(coeffs[..., -1], g.order)
-    for k in range(fd.shape[-1] - 2, -1, -1):
-        out = out * shifted + coeffs[..., k]
-    return out
+    return Jet(series_compose(fd, g.c), series_compose(np.abs(fd), g.mag))

@@ -26,6 +26,16 @@ a quantity by a slower or more direct route:
 - faa_di_bruno_term: the n-th derivative of a composition by the
   partition sum of Faa di Bruno's formula, against which the jets'
   series composition is checked;
+- compose_by_jets and gradient_by_jets: series composition by Horner's
+  scheme on Jet objects, and the energy gradient along a trajectory
+  through it, the Jet route the library took before it composed
+  coefficient arrays;
+- kernel_search_by_boxes: critpoint._kernel_search at dim K = 1 by the
+  general route, the symmetrized quartic decided by
+  critpoint._bernstein_bound on its one box, against which the closed
+  form is checked;
+- lj_well_offset_by_fractions: the Lennard-Jones well offset
+  (sigma/d)^6 - 1/2 from exact Fractions;
 - embed_config, embed_tangent, displacement and corpus_items: full (n, d)
   arrays from free coordinates, p(t) - p at one t, and the corpus with its
   expected orders, which only tests need in these forms.
@@ -33,12 +43,16 @@ a quantity by a slower or more direct route:
 
 import json
 import math
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
 from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet, PolyTrajectory,
                       energy_along_trajectory, energy_value_grad_hess, load_corpus)
-from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m
+from rigidkit.critpoint import _bernstein_bound
+from rigidkit.energy import _edge_diffs, _edge_m_jet, _sum_onto_free, _taylor_in_m
+from rigidkit.jets import series_mul
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,72 @@ def faa_di_bruno_term(f_derivs, g_derivs, n: int) -> float:
             term *= g_derivs[i] ** ji
         total += (math.factorial(n) // denom) * term
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# the Jet route of series composition and of the gradient jets
+# ---------------------------------------------------------------------------
+
+def compose_by_jets(f_derivs, g: Jet) -> Jet:
+    """f(g(t)) from f(g0), ..., f^(m)(g0) by Horner's scheme on Jet objects
+    at the shifted jet g - g0, coefficients and magnitudes together."""
+    fd = np.asarray(f_derivs, dtype=float)
+    c, mag = g.c.copy(), g.mag.copy()
+    c[..., 0] = 0.0
+    mag[..., 0] = 0.0
+    shifted = Jet(c, mag)
+    coeffs = fd / np.cumprod(np.concatenate(([1.0], np.arange(1.0, fd.shape[-1]))))
+    out = Jet.constant(coeffs[..., -1], g.order)
+    for k in range(fd.shape[-1] - 2, -1, -1):
+        out = out * shifted + coeffs[..., k]
+    return out
+
+
+def gradient_by_jets(spec, pf, traj: PolyTrajectory, order: int) -> np.ndarray:
+    """(n_free, order+1) gradient jets of the energy along traj, with the
+    squared lengths m(t) and phi'(m(t)) carried as Jets."""
+    diffs = _edge_diffs(pf, traj, order)
+    m_jet = _edge_m_jet(diffs)
+    taylor = _taylor_in_m(spec, m_jet.c[:, 0], order + 1)
+    dphi = compose_by_jets(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_jet)
+    return _sum_onto_free(pf, 2.0 * series_mul(dphi.c[:, None, :], diffs))
+
+
+# ---------------------------------------------------------------------------
+# the kernel search at dim K = 1 by the branch and bound
+# ---------------------------------------------------------------------------
+
+def kernel_search_by_boxes(forms, tol: float, sign: float = 1.0, scale: float = 0.0):
+    """critpoint._kernel_search's return value at m = 1, from the quartic
+    tensor symmetrized over its 24 axis permutations and decided by
+    critpoint._bernstein_bound, with the scale taken over the root points
+    and the reported one."""
+    n, m = forms.C.shape[:2]
+    if m != 1:
+        raise ValueError("the box oracle covers a one-dimensional kernel only")
+    c_flat = forms.C.reshape(n, 1)
+    hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, 1))
+    quart = forms.B - 0.5 * (c_flat.T @ hinv_c).reshape(1, 1, 1, 1)
+    quart = sign * sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
+    q, b = float(quart.reshape(-1)[0]), float(forms.B.reshape(-1)[0])
+
+    def value_grad(ys):
+        return q * ys[:, 0] ** 4, 4.0 * q * ys ** 3
+
+    def size(ys, vals):
+        return max(float(np.max(np.abs(vals))), float(np.max(np.abs(b * ys[:, 0] ** 4))))
+
+    least, y_best, low, root_scale, note = _bernstein_bound(value_grad, size, 1, tol, scale, sign)
+    x_best = -hinv_c @ np.outer(y_best, y_best).reshape(1)
+    scale = max(root_scale, size(y_best[None, :], np.array([least])))
+    return sign * least, y_best, x_best, scale, sign * low, note
+
+
+def lj_well_offset_by_fractions(sigma, rest_lengths) -> np.ndarray:
+    """(sigma/d)^6 - 1/2 per edge, exact in Fractions of the floats and
+    rounded once."""
+    return np.array([float((Fraction(s) / Fraction(d)) ** 6 - Fraction(1, 2))
+                     for s, d in zip(np.asarray(sigma).tolist(), np.asarray(rest_lengths).tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import rigidkit.critpoint as critpoint
 from rigidkit import (
     FAMILIES,
     DimKNotOne,
@@ -26,6 +27,7 @@ from rigidkit import (
     solve_ladder,
 )
 from rigidkit.critpoint import BOX_CAP
+from oracles import kernel_search_by_boxes
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -155,8 +157,6 @@ def test_near_square_minimum_is_certified_with_its_bound():
 def test_box_cap_leaves_the_verdict_inconclusive(monkeypatch, cap):
     # cap 2 is below the 5 Bernstein coefficients of one root box at m = 2,
     # so no box is bounded; cap 5 stops the splitting after the root
-    import rigidkit.critpoint as critpoint
-
     monkeypatch.setattr(critpoint, "BOX_CAP", cap)
     rep = fourth_derivative_test(_near_square(1e-6))
     assert rep.classification == "inconclusive"
@@ -510,3 +510,86 @@ def test_collinear_chain_is_second_order_rigid_with_dimk2():
     order_rep = rigidity_order(pf)
     assert (order_rep.verdict, order_rep.order) == ("order", 2)
     assert order_rep.method == "order4-energy"
+
+
+# ---------------------------------------------------------------------------
+# dim K = 1: the closed form against the branch and bound on its one box
+# ---------------------------------------------------------------------------
+
+def _poly(*monomials) -> PolynomialTarget:
+    return PolynomialTarget(len(monomials[0][0]), monomials)
+
+
+# (target, classification): the sign cases of mu on a one-dimensional
+# kernel, with a curvature direction and without one (n = 0, where both
+# extremes are searched)
+DIM_K_ONE_POLYS = {
+    "x2+y4": (_poly(((2, 0), 1.0), ((0, 4), 1.0)), "strict-min"),
+    "x2-y4": (_poly(((2, 0), 1.0), ((0, 4), -1.0)), "saddle"),
+    "-x2-y4": (_poly(((2, 0), -1.0), ((0, 4), -1.0)), "strict-max"),
+    "x2+y6": (_poly(((2, 0), 1.0), ((0, 6), 1.0)), "inconclusive"),
+    "y4": (_poly(((4,), 1.0),), "strict-min"),
+    "-y4": (_poly(((4,), -1.0),), "strict-max"),
+}
+
+
+def _assert_same_report(new, old, case):
+    assert (new.classification, new.notes) == (old.classification, old.notes), case
+    for a, b in ((new.a_min, old.a_min), (new.a_max, old.a_max), (new.scale, old.scale)):
+        if a is None or b is None:
+            assert a is b, case
+        else:
+            assert abs(a - b) <= 1e-14 * max(abs(a), abs(b)), case
+    for a, b in ((new.arg_min_velocity, old.arg_min_velocity), (new.arg_min_curvature, old.arg_min_curvature)):
+        if a is not None:
+            assert np.allclose(a, b, rtol=1e-14, atol=0.0), case
+
+
+def _with_box_search(monkeypatch, run):
+    """run() with critpoint._kernel_search replaced by the box oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(critpoint, "_kernel_search", kernel_search_by_boxes)
+        return run()
+
+
+def test_dim_k_one_energy_tests_match_the_box_search(corpus_analysis, monkeypatch):
+    decided = set()
+    for name, item in corpus_analysis.items():
+        pf, kd, ladder = item["pf"], item["kd"], item["report"]
+        assert kd.dim_K == 1, name
+        for family in FAMILIES:
+            spec = EnergySpec.for_framework(pf.base, family)
+            runs = [(k, lambda k=k: order2k_family_test(pf, spec, ladder.witness, k, kd=kd))
+                    for k in range(2, ladder.order + 1)]
+            runs.append(("second-order", lambda: second_order_rigidity_test(pf, spec, kd)))
+            for label, run in runs:
+                new = run()
+                _assert_same_report(new, _with_box_search(monkeypatch, run), (name, family, label))
+                decided.add(new.classification)
+    assert decided == {"strict-min", "inconclusive"}
+
+
+@pytest.mark.parametrize("case", DIM_K_ONE_POLYS)
+def test_dim_k_one_polynomials_match_the_box_search(case, monkeypatch):
+    target, expected = DIM_K_ONE_POLYS[case]
+    new = fourth_derivative_test(target)
+    assert (new.classification, new.resolved_by, new.nullity) == (expected, "quartic", 1)
+    _assert_same_report(new, _with_box_search(monkeypatch, lambda: fourth_derivative_test(target)), case)
+    assert all("box count 1" in note for note in new.notes if note.startswith(("certified", "witness")))
+
+
+def test_dim_k_one_never_reaches_the_branch_and_bound(corpus_analysis, monkeypatch):
+    calls = []
+    bound = critpoint._bernstein_bound
+    monkeypatch.setattr(critpoint, "_bernstein_bound", lambda *args: calls.append(args[2]) or bound(*args))
+    item = corpus_analysis["k33"]
+    pf, kd, ladder = item["pf"], item["kd"], item["report"]
+    spec = EnergySpec.for_framework(pf.base, "morse")
+    order2k_family_test(pf, spec, ladder.witness, ladder.order, kd=kd)
+    second_order_rigidity_test(pf, spec, kd)
+    for target, _ in DIM_K_ONE_POLYS.values():
+        fourth_derivative_test(target)
+    assert calls == []
+    # a two-dimensional kernel still runs it
+    fourth_derivative_test(_poly(((4, 0), 1.0), ((0, 4), 1.0)))
+    assert calls and set(calls) == {2}

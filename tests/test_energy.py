@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from rigidkit import (
     energy_along_trajectory,
     energy_gap_and_grad,
     energy_value_grad_hess,
+    gradient_along_trajectory,
     kernel_decomposition,
     pin,
+    pin_with_permutation,
     rigidity_matrix,
 )
-from oracles import classify_flex, edge_m_jets, embed_tangent, faa_di_bruno_term, kernel_of_hessian_equals_K
+from oracles import (classify_flex, edge_m_jets, embed_tangent, faa_di_bruno_term, gradient_by_jets,
+                     kernel_of_hessian_equals_K)
+from test_quartic_assembly import midpoint_strip
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +310,29 @@ def test_leading_coefficient_formula():
         comp = compose_series(f, Jet(g))
         expected = 0.5 * f[2] * g[k] ** 2
         assert comp.c[2 * k] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def test_gradient_jets_match_the_jet_route(corpus_analysis):
+    # m(t) and phi'(m(t)) as coefficient arrays give bit for bit the
+    # gradient jets of the Jet route, along the corpus witnesses (at the
+    # order-2k test's orders) and along the order-4 assembly's lattice
+    # lines Y a t on a midpoint strip with dim K = 3
+    cases = []
+    for name, item in corpus_analysis.items():
+        witness = item["report"].witness
+        for k in range(2, item["report"].order + 1):
+            cases += [(name, item["pf"], witness.prefix(k - 1), order) for order in (k, 2 * k)]
+    pf, _, _ = pin_with_permutation(midpoint_strip(20, 3))
+    y_basis = kernel_decomposition(rigidity_matrix(pf)).K_basis
+    assert y_basis.shape[1] == 3
+    for ids in combinations_with_replacement(range(3), 3):
+        a = np.eye(3)[list(ids)].sum(axis=0)
+        cases.append((f"strip{ids}", pf, PolyTrajectory((y_basis @ a)[None, :]), 3))
+    for name, pf, traj, order in cases:
+        for fam in FAMILIES:
+            spec = EnergySpec.for_framework(pf.base, fam)
+            got = gradient_along_trajectory(spec, pf, traj, order)
+            assert np.array_equal(got, gradient_by_jets(spec, pf, traj, order)), (name, fam, order)
 
 
 # ---------------------------------------------------------------------------

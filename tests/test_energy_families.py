@@ -34,7 +34,7 @@ from rigidkit import (
 from rigidkit.critpoint import FrameworkEnergyTarget
 from rigidkit.energy import _gap_and_slope, _taylor_in_m, energy_gap_grad_hess
 from rigidkit.growth import min_energy_on_sphere_with_arg
-from oracles import embed_config, embed_tangent, jet_value_grad_hess
+from oracles import embed_config, embed_tangent, jet_value_grad_hess, lj_well_offset_by_fractions
 from test_quartic_assembly import midpoint_strip
 
 RTOL = 1e-12
@@ -237,6 +237,21 @@ def test_lj_rest_energy_is_the_wells_at_the_rest_lengths(corpus_analysis):
     off = EnergySpec("lj", d, epsilon=1.3, sigma=0.93 * d, edges=pf.base.edges)
     u_d = 0.93**6
     assert off.rest_energy() == pytest.approx(4.0 * 1.3 * u_d * (u_d - 1.0) * d.size, rel=RTOL)
+
+
+def test_lj_well_offset_is_the_exact_rational_rounded_once(corpus_analysis):
+    # one correctly rounded integer division gives the Fraction value's
+    # bits, on the corpus edges and on sigma/d ratios across 60 decades
+    for name, item in corpus_analysis.items():
+        spec = EnergySpec.for_framework(item["pf"].base, "lj")
+        ref = lj_well_offset_by_fractions(spec.sigma, spec.rest_lengths)
+        assert np.array_equal(spec._lj_well_offset, ref), name
+    rng = np.random.default_rng(11)
+    ratio = 10.0 ** rng.uniform(-30.0, 30.0, 400)
+    ratio[:4] = (1e-30, 1e30, 2.0 ** (-1.0 / 6.0), 1.0)
+    rest = 10.0 ** rng.uniform(-3.0, 3.0, ratio.size)
+    spec = EnergySpec("lj", rest, epsilon=1.0, sigma=ratio * rest)
+    assert np.array_equal(spec._lj_well_offset, lj_well_offset_by_fractions(spec.sigma, spec.rest_lengths))
 
 
 def _rows(out, q):

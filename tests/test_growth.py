@@ -130,6 +130,14 @@ def test_radius_beyond_safe_raises(triangle, triangle_pinned):
         min_energy_on_sphere_with_arg(spec, triangle_pinned, 0.9 * float(np.min(spec.rest_lengths)))
 
 
+def test_edgeless_sphere_minimum_is_a_degenerate_fit():
+    # as in fit_growth_order: an energy with no edges is zero at every radius
+    pf, _ = pin(Framework(2, np.array([[0.0, 0.0], [1.0, 0.5]]), []))
+    spec = EnergySpec.for_framework(pf.base, "harmonic")
+    with pytest.raises(DegenerateFit, match="no edges"):
+        min_energy_on_sphere_with_arg(spec, pf, 0.01)
+
+
 @pytest.mark.parametrize("r", [np.nan, np.inf, 0.0, -1.0])
 def test_radius_not_finite_and_positive_raises(triangle, triangle_pinned, r):
     # a NaN radius would otherwise reach the kernel and give a NaN minimum

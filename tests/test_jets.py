@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rigidkit import Jet, compose_series
-from rigidkit.jets import MAX_ORDER
+from rigidkit.jets import MAX_ORDER, series_compose
+from oracles import compose_by_jets
 
 ORDER = 14
 
@@ -142,3 +143,27 @@ def test_compose_series_batch_matches_per_row_calls():
             single = compose_series(derivs[i], Jet(g.c[i], g.mag[i]))
             assert np.all(np.abs(batch.c[i] - single.c) <= 1e-14 * single.mag), (n_derivs, i)
             assert np.allclose(batch.mag[i], single.mag, rtol=1e-14, atol=0.0), (n_derivs, i)
+
+
+def _assert_composed_as_arrays(derivs, g: Jet):
+    # the Jet is the array recurrence run twice, on (f, g.c) and on
+    # (|f|, g.mag), and it is bit for bit the Horner scheme on Jet objects
+    out = compose_series(derivs, g)
+    assert np.array_equal(out.c, series_compose(derivs, g.c))
+    assert np.array_equal(out.mag, series_compose(np.abs(derivs), g.mag))
+    ref = compose_by_jets(derivs, g)
+    assert np.array_equal(out.c, ref.c) and np.array_equal(out.mag, ref.mag)
+
+
+def test_compose_series_is_the_array_recurrence():
+    rng = np.random.default_rng(7)
+    rows, order = 9, 6
+    for n_derivs in (1, 4, order + 1, order + 3):
+        derivs = rng.standard_normal((rows, n_derivs))
+        g = Jet(rng.standard_normal((rows, order + 1)))
+        _assert_composed_as_arrays(derivs, g)
+        for i in range(rows):
+            _assert_composed_as_arrays(derivs[i], Jet(g.c[i], g.mag[i]))
+    g = Jet.from_poly(0.7, rng.standard_normal(4), ORDER)
+    sin_derivs = np.array([(math.sin, math.cos)[k % 2](g.c[0]) * (-1.0) ** (k // 2) for k in range(ORDER + 1)])
+    _assert_composed_as_arrays(sin_derivs, g)
