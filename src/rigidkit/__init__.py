@@ -50,7 +50,7 @@ from .framework import (
     save_framework,
 )
 from .growth import GrowthFit, fit_growth_order
-from .jets import Jet, compose_series
+from .jets import Jet
 from .ladder import (
     OrderReport,
     PolyTrajectory,
@@ -60,7 +60,6 @@ from .ladder import (
 )
 from .linear import (
     KernelDecomposition,
-    RigidityMatrix,
     kernel_decomposition,
     rigidity_matrix,
 )
@@ -82,8 +81,7 @@ __all__ = [
     "load_framework", "permute_framework", "pin", "pin_with_permutation",
     "save_framework",
     "GrowthFit", "fit_growth_order",
-    "Jet", "compose_series",
+    "Jet",
     "OrderReport", "PolyTrajectory", "flex_rhs", "rigidity_order", "solve_ladder",
-    "KernelDecomposition", "RigidityMatrix", "kernel_decomposition",
-    "rigidity_matrix",
+    "KernelDecomposition", "kernel_decomposition", "rigidity_matrix",
 ]

@@ -53,7 +53,7 @@ import numpy as np
 
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
 from .errors import DimKNotOne, NotACriticalPoint
-from .framework import PinnedFramework
+from .framework import PinnedFramework, _as_int
 from .growth import minimize_on_sphere
 from .jets import Jet
 from .ladder import PolyTrajectory
@@ -82,10 +82,12 @@ class PolynomialTarget:
     def __post_init__(self):
         canon = []
         for exps, coef in self.monomials:
-            exps = tuple(int(e) for e in exps)
+            exps, coef = tuple(map(_as_int, exps)), float(coef)
             if len(exps) != self.n_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            canon.append((exps, float(coef)))
+            if not np.isfinite(coef):
+                raise ValueError(f"coefficient {coef} is not finite")
+            canon.append((exps, coef))
         object.__setattr__(self, "monomials", tuple(canon))
 
     @property

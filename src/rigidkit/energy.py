@@ -74,25 +74,18 @@ class EnergySpec:
             object.__setattr__(self, name, a)
 
     @classmethod
-    def for_framework(
-        cls,
-        framework: Framework,
-        family: str,
-        stiffness: float = 1.0,
-        epsilon: float = 1.0,
-        depth: float = 1.0,
-        width: float = 1.0,
-    ) -> "EnergySpec":
-        """Energy with each edge at rest at the framework's own lengths.
-        For Lennard-Jones this means sigma_ij = d_ij 2^(-1/6)."""
+    def for_framework(cls, framework: Framework, family: str) -> "EnergySpec":
+        """Energy with each edge at rest at the framework's own lengths and
+        every other parameter 1.  For Lennard-Jones this means
+        sigma_ij = d_ij 2^(-1/6); other values go through the constructor."""
         rest = framework.edge_lengths()
         edges = framework.edges
         if family in ("harmonic", "algebraic"):
-            return cls(family, rest, stiffness=stiffness, edges=edges)
+            return cls(family, rest, stiffness=1.0, edges=edges)
         if family == "lj":
-            return cls(family, rest, epsilon=epsilon, sigma=rest * _SIXTH_ROOT_HALF, edges=edges)
+            return cls(family, rest, epsilon=1.0, sigma=rest * _SIXTH_ROOT_HALF, edges=edges)
         if family == "morse":
-            return cls(family, rest, depth=depth, width=width, edges=edges)
+            return cls(family, rest, depth=1.0, width=1.0, edges=edges)
         raise ValueError(f"unknown energy family {family!r}")
 
     def rest_energy(self) -> float:
@@ -300,8 +293,11 @@ def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool)
 def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
     """(n_free, ...) sums of +rows[i] onto the free coordinates of edge i's
     first endpoint and -rows[i] onto its second's, for rows of shape
-    (E, d, ...).  The pinned framework's gradient plan fixes the order:
-    per column, canonical edge order, first endpoints before second ones.
+    (E, d, ...).  The pinned framework's gradient plan fixes the operands
+    of each column's sum and the order they are gathered in: canonical edge
+    order, first endpoints before second ones.  It does not fix how
+    np.add.reduceat associates them, so a sum can differ in the last bit
+    from a left-to-right one; the same rows always give the same sums.
     Free coordinates that no edge touches get zero."""
     tail = rows.shape[2:]
     flows = np.concatenate([rows, -rows]).reshape((-1,) + tail)

@@ -12,7 +12,7 @@ coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -152,12 +152,11 @@ class Isometry:
 class PinnedFramework:
     """A framework whose configuration is in pinned position.
 
-    free_coords, derived from the base's size and span_dim, lists the
-    (vertex, axis) pairs (0-based) that remain variable after pinning, in
-    vertex-major order.  That ordering fixes the column order of the
-    rigidity matrix and the layout of every pinned-coordinate vector used
-    downstream.  free_vertex and free_axis hold the same pairs as
-    two read-only index arrays, for scattering into (n, d) arrays.
+    free_vertex and free_axis, derived from the base's size and span_dim,
+    are read-only index arrays of the (vertex, axis) pairs (0-based) that
+    remain variable after pinning, in vertex-major order.  That ordering
+    fixes the column order of the rigidity matrix and the layout of every
+    pinned-coordinate vector used downstream.
 
     The free column of every edge endpoint coordinate, and the order in which
     per-endpoint contributions are summed into those columns, are computed
@@ -168,11 +167,9 @@ class PinnedFramework:
 
     base: Framework
     span_dim: int
-    free_coords: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         layout = _free_layout(self.base.n_vertices, self.base.dimension, self.span_dim)
-        object.__setattr__(self, "free_coords", tuple(zip(*layout.tolist())))
         layout.setflags(write=False)
         object.__setattr__(self, "free_vertex", layout[0])
         object.__setattr__(self, "free_axis", layout[1])
@@ -199,7 +196,7 @@ class PinnedFramework:
 
     @property
     def n_free(self) -> int:
-        return len(self.free_coords)
+        return self.free_vertex.size
 
     @property
     def dimension(self) -> int:
@@ -242,11 +239,9 @@ class PinnedFramework:
         targets.setflags(write=False)
         return entries, targets
 
-    def free_vector(self, config: np.ndarray | None = None) -> np.ndarray:
-        """Extract the free pinned coordinates from a full (n, d) configuration
-        (defaults to the base configuration)."""
-        pts = self.base.vertices if config is None else np.asarray(config, dtype=float)
-        return pts[self.free_vertex, self.free_axis]
+    def free_vector(self) -> np.ndarray:
+        """The free pinned coordinates of the base configuration."""
+        return self.base.vertices[self.free_vertex, self.free_axis]
 
 
 def _free_layout(n: int, d: int, span_dim: int) -> np.ndarray:
@@ -361,15 +356,25 @@ def pin_with_permutation(
 #                    "edges": [[i, j], ...] (1-based), "labels": optional}
 # ---------------------------------------------------------------------------
 
+def _as_int(x) -> int:
+    """x as an int when it is an integer or an integral float such as 4.0;
+    a bool (JSON's true and false), a fraction or a non-number raises
+    ValueError rather than being truncated."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
 def framework_from_dict(data: dict) -> Framework:
     try:
-        dim = int(data["dimension"])
-        verts = data["vertices"]
-        edges = [(int(i) - 1, int(j) - 1) for i, j in data["edges"]]
+        dim = _as_int(data["dimension"])
+        verts = np.asarray(data["vertices"], dtype=float)
+        edges = [(_as_int(i) - 1, _as_int(j) - 1) for i, j in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameworkValidationError(f"malformed framework data: {exc}") from exc
-    labels = data.get("labels")
-    return Framework(dim, np.asarray(verts, dtype=float), edges, labels)
+    return Framework(dim, verts, edges, data.get("labels"))
 
 
 def framework_to_dict(framework: Framework) -> dict:

@@ -12,10 +12,11 @@ polynomial trajectories exact.
 
 The recurrences themselves (Cauchy product, composition, reciprocal,
 sqrt, exp) are plain functions on coefficient arrays, vectorized over the
-leading axes; Jet's methods and compose_series call them, so each is
-written once.  Composition is Horner's scheme on the shifted series, one
+leading axes; Jet's methods call them, so each is written once.
+Composition, series_compose, is Horner's scheme on the shifted series, one
 Cauchy product per derivative; (E, m+1) derivatives compose one function
-per row, and code that needs no magnitudes calls series_compose directly.
+per row.  The energy gradient calls it on plain coefficient arrays, since it
+needs no magnitudes.
 
 Every jet also carries a running magnitude vector: the same recurrences
 applied to absolute values.  The ratio mag[i] / |c[i]| estimates how much
@@ -240,15 +241,3 @@ class Jet:
     def __repr__(self):
         return f"Jet({self.c.tolist()})"
 
-
-def compose_series(f_derivs, g: Jet) -> Jet:
-    """Jet of f(g(t)) given derivatives f(g0), f'(g0), ..., f^(m)(g0).
-
-    The derivatives run along the last axis of f_derivs; leading axes match
-    g's, so an (E, m+1) array composes one function per row of an (E, M+1)
-    Jet (a 1-D array acts on every row).  The coefficients are
-    series_compose(f_derivs, g.c) and the magnitudes
-    series_compose(|f_derivs|, g.mag); exact through min(order, m).
-    """
-    fd = np.asarray(f_derivs, dtype=float)
-    return Jet(series_compose(fd, g.c), series_compose(np.abs(fd), g.mag))

@@ -36,6 +36,8 @@ class PolyTrajectory:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 2:
             raise ValueError("coeffs must be a (degree, n_free) array")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coeffs must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -131,7 +133,6 @@ def solve_ladder(
     kd: KernelDecomposition,
     max_k: int = DEFAULT_MAX_K,
     tol: float = DEFAULT_LADDER_TOL,
-    p1: np.ndarray | None = None,
 ) -> OrderReport:
     """Run the flex ladder (requires dim K = 1).
 
@@ -145,9 +146,6 @@ def solve_ladder(
     flex-found with the degree-max_k witness.  A level whose rhs norm or
     residual is not finite (the coefficients grow with the level and can
     overflow) raises RigidkitError naming that level.
-
-    p1 overrides the initial flex direction (used to exercise scale
-    equivariance); it must lie in K.
     """
     if kd.dim_K != 1:
         raise DimKNotOne(
@@ -156,8 +154,7 @@ def solve_ladder(
         )
     if max_k < 2:
         raise ValueError("max_k must be >= 2")
-    start = _sign_fixed_unit(kd.K_basis[:, 0]) if p1 is None else np.asarray(p1, dtype=float)
-    derivs = [start]
+    derivs = [_sign_fixed_unit(kd.K_basis[:, 0])]
     records = []
     for level in range(2, max_k + 1):
         rhs = flex_rhs(pf, derivs, level)

@@ -28,27 +28,11 @@ from .framework import PinnedFramework
 DEFAULT_KERNEL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class RigidityMatrix:
-    """Pinned rigidity matrix: rows follow canonical edge order, columns
-    follow the pinned framework's free-coordinate order."""
-
-    matrix: np.ndarray            # (n_edges, n_free)
-    pf: PinnedFramework
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def rigidity_matrix(pf: PinnedFramework) -> RigidityMatrix:
-    """Assemble R(p): for edge vw, (p_v - p_w) lands in vertex v's free
-    columns and (p_w - p_v) in vertex w's, with pinned columns deleted."""
+def rigidity_matrix(pf: PinnedFramework) -> np.ndarray:
+    """Assemble R(p), a read-only (n_edges, n_free) array whose rows follow
+    canonical edge order and columns the pinned framework's free-coordinate
+    order: for edge vw, (p_v - p_w) lands in vertex v's free columns and
+    (p_w - p_v) in vertex w's, with pinned columns deleted."""
     diff = pf.base.edge_vectors()
     # pinned endpoints land in the extra column n_free, which is dropped
     mat = np.zeros((pf.base.n_edges, pf.n_free + 1))
@@ -56,7 +40,9 @@ def rigidity_matrix(pf: PinnedFramework) -> RigidityMatrix:
     cv, cw = pf.edge_free_columns()
     mat[rows, cv] = diff
     mat[rows, cw] = -diff
-    return RigidityMatrix(mat[:, :-1], pf)
+    mat = np.ascontiguousarray(mat[:, :-1])
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +96,6 @@ class KernelDecomposition:
         kbar.setflags(write=False)
         return kbar
 
-    @property
-    def rank(self) -> int:
-        return self._pinv.shape[0]
-
-    @property
-    def n_free(self) -> int:
-        return self.K_basis.shape[0]
-
     def solve_min_norm(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """Minimum-norm least-squares solution of R x = rhs, together with the
         residual norm ||R x - rhs|| = ||W' rhs||, W the stress basis.
@@ -162,7 +140,6 @@ class _PanelTriangular:
 
     def __init__(self, row_order: np.ndarray):
         self.row_order = row_order
-        self.shape = (len(row_order), len(row_order))
         self.panels = []
 
     def add_panel(self, j0: int, a: np.ndarray, u: np.ndarray) -> None:
@@ -399,7 +376,7 @@ def _svd_split(mat: np.ndarray, tol: float) -> KernelDecomposition:
     )
 
 
-def kernel_decomposition(R: RigidityMatrix) -> KernelDecomposition:
+def kernel_decomposition(R: np.ndarray) -> KernelDecomposition:
     """Split pinned coordinate space into K = ker R and K-bar.
 
     A matrix with no more rows than columns first tries the QR path, which
@@ -409,10 +386,9 @@ def kernel_decomposition(R: RigidityMatrix) -> KernelDecomposition:
     K-bar, tol = DEFAULT_KERNEL_TOL.  The QR path accepts only the rank that
     rule would give.
     """
-    mat = R.matrix
-    if 0 < mat.shape[0] <= mat.shape[1]:
-        kd = _qr_split(mat, DEFAULT_KERNEL_TOL)
+    if 0 < R.shape[0] <= R.shape[1]:
+        kd = _qr_split(R, DEFAULT_KERNEL_TOL)
         if kd is not None:
             return kd
-    return _svd_split(mat, DEFAULT_KERNEL_TOL)
+    return _svd_split(R, DEFAULT_KERNEL_TOL)
 

@@ -26,6 +26,8 @@ a quantity by a slower or more direct route:
 - faa_di_bruno_term: the n-th derivative of a composition by the
   partition sum of Faa di Bruno's formula, against which the jets'
   series composition is checked;
+- compose_series: a Jet of f(g(t)) with its magnitudes, from
+  jets.series_compose run on the coefficients and on the magnitudes;
 - compose_by_jets and gradient_by_jets: series composition by Horner's
   scheme on Jet objects, and the energy gradient along a trajectory
   through it, the Jet route the library took before it composed
@@ -52,7 +54,7 @@ from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet,
                       energy_along_trajectory, energy_value_grad_hess, load_corpus)
 from rigidkit.critpoint import _bernstein_bound
 from rigidkit.energy import _edge_diffs, _edge_m_jet, _sum_onto_free, _taylor_in_m
-from rigidkit.jets import series_mul
+from rigidkit.jets import series_compose, series_mul
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +325,19 @@ def faa_di_bruno_term(f_derivs, g_derivs, n: int) -> float:
 # ---------------------------------------------------------------------------
 # the Jet route of series composition and of the gradient jets
 # ---------------------------------------------------------------------------
+
+def compose_series(f_derivs, g: Jet) -> Jet:
+    """Jet of f(g(t)) given derivatives f(g0), f'(g0), ..., f^(m)(g0).
+
+    The derivatives run along the last axis of f_derivs; leading axes match
+    g's, so an (E, m+1) array composes one function per row of an (E, M+1)
+    Jet (a 1-D array acts on every row).  The coefficients are
+    series_compose(f_derivs, g.c) and the magnitudes
+    series_compose(|f_derivs|, g.mag); exact through min(order, m).
+    """
+    fd = np.asarray(f_derivs, dtype=float)
+    return Jet(series_compose(fd, g.c), series_compose(np.abs(fd), g.mag))
+
 
 def compose_by_jets(f_derivs, g: Jet) -> Jet:
     """f(g(t)) from f(g0), ..., f^(m)(g0) by Horner's scheme on Jet objects

@@ -32,8 +32,8 @@ from rigidkit import (
 )
 from rigidkit.energy import FAMILIES
 from rigidkit.growth import min_energy_on_sphere_with_arg
-from rigidkit.jets import Jet, compose_series
-from oracles import corpus_items, faa_di_bruno_term
+from rigidkit.jets import Jet
+from oracles import compose_series, corpus_items, faa_di_bruno_term
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 

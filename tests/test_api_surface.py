@@ -5,6 +5,7 @@ names may resolve on rigidkit, on any of its modules or on their classes.
 No module of the library or of the tests imports a name it never reads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -17,6 +18,7 @@ TEST_ONLY_NAMES = (
     "kernel_of_hessian_equals_K", "measure", "MeasurementVector", "first_order_rigid",
     "project_K", "min_energy_on_sphere", "faa_di_bruno_term", "_partition_multiplicities",
     "embed_config", "embed_tangent", "displacement", "corpus_items",
+    "RigidityMatrix", "compose_series", "free_coords",
 )
 
 
@@ -29,9 +31,13 @@ def _namespaces():
                     if isinstance(obj, type) and obj.__module__ == mod.__name__)
 
 
+def _has(ns, name: str) -> bool:
+    # a dataclass field without a default is no class attribute
+    return hasattr(ns, name) or dataclasses.is_dataclass(ns) and name in {f.name for f in dataclasses.fields(ns)}
+
+
 def test_test_only_names_stay_out_of_the_library():
-    found = [f"{ns.__name__}.{name}" for ns in _namespaces() for name in TEST_ONLY_NAMES
-             if hasattr(ns, name)]
+    found = [f"{ns.__name__}.{name}" for ns in _namespaces() for name in TEST_ONLY_NAMES if _has(ns, name)]
     assert not found
     assert not set(TEST_ONLY_NAMES) & set(rigidkit.__all__)
 
@@ -56,6 +62,22 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {str(path): names for root in roots for path in sorted(root.rglob("*.py"))
              if path.name != "__init__.py" and (names := _unread_imports(path))}
     assert not found
+
+
+def _loaded_names(path: Path) -> set[str]:
+    """Every name and attribute a file reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_exported_name_has_a_library_or_benchmark_reader():
+    # a public name only tests read belongs in tests/oracles.py
+    package = Path(rigidkit.__file__).parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    readers = [path for path in package.rglob("*.py") if path != package / "__init__.py"]
+    read = set().union(*map(_loaded_names, readers + sorted(bench.glob("*.py"))))
+    assert sorted(set(rigidkit.__all__) - read) == []
 
 
 FIXED_TOLERANCE = (

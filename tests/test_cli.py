@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import rigidkit
-from rigidkit import Framework, load_corpus, load_framework, pin_with_permutation, rigidity_order, save_framework
+from rigidkit import (Framework, framework_to_dict, load_corpus, load_framework, pin_with_permutation, rigidity_order,
+                      save_framework)
 from rigidkit.cli import (
     EXIT_MISMATCH,
     EXIT_NUMERICAL,
@@ -435,12 +436,28 @@ def test_growth_reports_newton_steps_and_tangent_ratio(k33_file, capsys):
 
 @pytest.fixture()
 def bad_input_files(tmp_path, k33_file):
+    k33 = framework_to_dict(load_corpus("k33"))
+    square = {"dimension": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+              "edges": [[True, 2], [2, 3], [3, 4], [4, 1]]}
+    nan_witness = rigidity_order(pin_with_permutation(load_corpus("k33"))[0]).witness.coeffs.tolist()
+    nan_witness[0][0] = float("nan")
     contents = {
         "self_loop": {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "edges": [[1, 1], [2, 3]]},
         "no_edges": {"dimension": 2, "vertices": [[0, 0], [1, 0]]},
+        "ragged": {"dimension": 2, "vertices": [[0, 0], [1, 0, 0], [0, 1]], "edges": [[1, 2]]},
+        "text_vertex": {"dimension": 2, "vertices": [[0, 0], ["one", 0]], "edges": [[1, 2]]},
+        "fraction_edge": {**k33, "edges": [[i + 0.7, j] for i, j in k33["edges"]]},
+        "bool_edge": square,
+        "fraction_dim": {**square, "dimension": 2.5, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+        "bool_dim": {"dimension": True, "vertices": [[0], [1]], "edges": [[1, 2]]},
         "short_traj": {"coeffs": [[1.0, 0.0, 0.0]]},
+        "nan_traj": {"coeffs": nan_witness},
         "empty_poly": [],
         "poly_no_coef": [{"exps": [2, 0]}],
+        "fraction_exp": [{"exps": [2.5], "coef": 1.0}],
+        "bool_exp": [{"exps": [2, 0], "coef": 1.0}, {"exps": [0, 2], "coef": 1.0}, {"exps": [True, 1], "coef": 0.5}],
+        "nan_coef": [{"exps": [2], "coef": float("nan")}],
+        "inf_coef": [{"exps": [2], "coef": 1.0}, {"exps": [4], "coef": float("inf")}],
         "poly": [{"exps": [2, 0], "coef": 1.0}, {"exps": [0, 4], "coef": 1.0}],
     }
     paths = {"k33": k33_file}
@@ -454,12 +471,24 @@ def bad_input_files(tmp_path, k33_file):
 @pytest.mark.parametrize("argv, prefix", [
     pytest.param(["analyze", "{self_loop}"], "input error: ", id="self-loop-edge"),
     pytest.param(["analyze", "{no_edges}"], "input error: ", id="missing-edges-key"),
+    pytest.param(["analyze", "{ragged}"], "input error: ", id="ragged-vertices"),
+    pytest.param(["analyze", "{text_vertex}"], "input error: ", id="non-numeric-vertex"),
+    pytest.param(["analyze", "{fraction_edge}"], "input error: ", id="fractional-edge-index"),
+    pytest.param(["analyze", "{bool_edge}"], "input error: ", id="boolean-edge-index"),
+    pytest.param(["analyze", "{fraction_dim}"], "input error: ", id="fractional-dimension"),
+    pytest.param(["analyze", "{bool_dim}"], "input error: ", id="boolean-dimension"),
+    pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{nan_traj}", "--order", "6"],
+                 "input error: ", id="traj-nan-coefficient"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "4"],
                  "input error: ", id="traj-coordinate-count"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{k33}", "--order", "4"],
                  "input error: ", id="traj-without-coeffs"),
     pytest.param(["critpoint", "--poly", "{empty_poly}"], "input error: ", id="empty-poly"),
     pytest.param(["critpoint", "--poly", "{poly_no_coef}"], "input error: ", id="monomial-without-coef"),
+    pytest.param(["critpoint", "--poly", "{fraction_exp}"], "input error: ", id="fractional-exponent"),
+    pytest.param(["critpoint", "--poly", "{bool_exp}"], "input error: ", id="boolean-exponent"),
+    pytest.param(["critpoint", "--poly", "{nan_coef}"], "input error: ", id="nan-coefficient"),
+    pytest.param(["critpoint", "--poly", "{inf_coef}"], "input error: ", id="infinite-coefficient"),
     pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
     pytest.param(["analyze", "{k33}", "--max-k", "65"], "usage error: ", id="max-k-above-jet-cap"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
@@ -489,6 +518,18 @@ def test_bad_input_exits_with_input_or_usage_error(bad_input_files, capsys, argv
     assert main([arg.format(**bad_input_files) for arg in argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+def test_integral_floats_are_read_as_integers(k33_file, tmp_path, capsys):
+    # 3.0 and 4.0 in a framework file are the integers 3 and 4
+    data = framework_to_dict(load_corpus("k33"))
+    data = {**data, "dimension": float(data["dimension"]), "edges": [[float(i), j] for i, j in data["edges"]]}
+    path = tmp_path / "k33_floats.json"
+    path.write_text(json.dumps(data))
+    assert main(["order", k33_file, "--json"]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main(["order", str(path), "--json"]) == EXIT_OK
+    assert capsys.readouterr().out.replace(str(path), k33_file) == want
 
 
 TRIANGLE = ([[0, 0], [1, 0], [0, 1]], [[1, 2], [2, 3], [1, 3]])

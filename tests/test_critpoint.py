@@ -410,7 +410,7 @@ def test_order2k_closed_form_matches_direct_jets(corpus_analysis):
         _, _, hess = energy_value_grad_hess(spec, pf)
         hxx = kd.Kbar_basis.T @ hess @ kd.Kbar_basis
         for _ in range(4):
-            z = rng.standard_normal(1 + kd.rank)
+            z = rng.standard_normal(1 + kd.Kbar_basis.shape[1])
             z /= np.linalg.norm(z)
             y0, w = z[0], z[1:]
             closed = y0 ** (2 * k) * f2k + y0**k * (g_vec @ w) + 0.5 * w @ hxx @ w

@@ -137,7 +137,9 @@ def test_length_derivatives_match_the_jet_formula(corpus_analysis, family):
         fw = item["framework"]
         for scale in (1e-3, 1.0, 1e3):
             scaled = Framework(fw.dimension, scale * fw.vertices, fw.edges)
-            spec = EnergySpec.for_framework(scaled, family, width=1.0 / scale)
+            spec = EnergySpec.for_framework(scaled, family)
+            if family == "morse":
+                spec = EnergySpec("morse", spec.rest_lengths, depth=1.0, width=1.0 / scale, edges=scaled.edges)
             d = spec.rest_lengths[:, None]
             lengths = d * ratios
             _, slope, curv = _gap_and_slope(spec, lengths, lengths - d)
@@ -231,9 +233,9 @@ def test_value_grad_hess_off_rest_matches_jet_reference(corpus_analysis):
 def test_lj_rest_energy_is_the_wells_at_the_rest_lengths(corpus_analysis):
     # 4 eps u_d (u_d - 1) per edge: exactly -eps at sigma = d 2^(-1/6)
     pf = corpus_analysis["k33"]["pf"]
-    spec = EnergySpec.for_framework(pf.base, "lj", epsilon=1.3)
-    assert spec.rest_energy() == -1.3 * pf.base.n_edges
     d = pf.base.edge_lengths()
+    spec = EnergySpec("lj", d, epsilon=1.3, sigma=d * 2.0 ** (-1.0 / 6.0), edges=pf.base.edges)
+    assert spec.rest_energy() == -1.3 * pf.base.n_edges
     off = EnergySpec("lj", d, epsilon=1.3, sigma=0.93 * d, edges=pf.base.edges)
     u_d = 0.93**6
     assert off.rest_energy() == pytest.approx(4.0 * 1.3 * u_d * (u_d - 1.0) * d.size, rel=RTOL)

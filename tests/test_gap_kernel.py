@@ -223,7 +223,7 @@ def test_minimize_on_sphere_bit_identical_on_seeded_quartic():
 
 def test_rigidity_matrix_bit_identical(pinned_corpus):
     for name, pf in pinned_corpus.items():
-        mat = rigidity_matrix(pf).matrix
+        mat = rigidity_matrix(pf)
         ref = _reference_rigidity_matrix(pf)
         assert mat.shape == ref.shape and np.array_equal(mat, ref), name
         assert np.array_equal(np.signbit(mat), np.signbit(ref)), name

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rigidkit import Jet, compose_series
+from rigidkit import Jet
 from rigidkit.jets import MAX_ORDER, series_compose
-from oracles import compose_by_jets
+from oracles import compose_by_jets, compose_series
 
 ORDER = 14
 

@@ -16,6 +16,7 @@ from rigidkit import (
     rigidity_order,
     solve_ladder,
 )
+from rigidkit.ladder import DEFAULT_LADDER_TOL
 from oracles import classify_flex, embed_tangent
 
 
@@ -147,13 +148,19 @@ def test_ladder_scale_equivariance(corpus_analysis):
     pf, kd = item["pf"], item["kd"]
     base = item["report"]
     alpha = 1.7
-    scaled = solve_ladder(pf, kd, max_k=16, p1=alpha * base.witness.coeffs[0])
-    assert scaled.verdict == "order" and scaled.order == base.order
-    for l in range(scaled.witness.degree):
-        assert np.allclose(
-            scaled.witness.coeffs[l], alpha ** (l + 1) * base.witness.coeffs[l],
-            atol=1e-10,
-        )
+    # the ladder's recursion from alpha p_1: level l's solution scales as
+    # alpha^l, and level base.order is still unsolvable
+    derivs = [alpha * base.witness.coeffs[0]]
+    for level in range(2, base.order + 1):
+        rhs = flex_rhs(pf, derivs, level)
+        x, residual = kd.solve_min_norm(rhs)
+        if residual > DEFAULT_LADDER_TOL * (1.0 + np.linalg.norm(rhs)):
+            break
+        derivs.append(x)
+    assert level == base.order and len(derivs) == base.witness.degree
+    for l, x in enumerate(derivs):
+        taylor = x / math.factorial(l + 1)
+        assert np.allclose(taylor, alpha ** (l + 1) * base.witness.coeffs[l], atol=1e-10)
 
 
 def test_relabel_invariance_of_order():
