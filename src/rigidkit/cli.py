@@ -33,6 +33,7 @@ from .energy import FAMILIES, EnergySpec, energy_along_trajectory
 from .errors import FrameworkValidationError, RigidkitError
 from .framework import (
     Framework,
+    _as_float_rows,
     framework_to_dict,
     load_framework,
     pin_with_permutation,
@@ -299,7 +300,7 @@ def _load_trajectory(path: str) -> PolyTrajectory:
     try:
         if "witness" in data:
             data = data["witness"]
-        return PolyTrajectory(np.asarray(data["coeffs"], dtype=float))
+        return PolyTrajectory(_as_float_rows(data["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path}: not a trajectory ({type(exc).__name__}: {exc})") from exc
 

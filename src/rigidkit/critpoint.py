@@ -53,7 +53,7 @@ import numpy as np
 
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
 from .errors import DimKNotOne, NotACriticalPoint
-from .framework import PinnedFramework, _as_int
+from .framework import PinnedFramework, _as_float, _as_int
 from .growth import minimize_on_sphere
 from .jets import Jet
 from .ladder import PolyTrajectory
@@ -82,7 +82,7 @@ class PolynomialTarget:
     def __post_init__(self):
         canon = []
         for exps, coef in self.monomials:
-            exps, coef = tuple(map(_as_int, exps)), float(coef)
+            exps, coef = tuple(map(_as_int, exps)), _as_float(coef)
             if len(exps) != self.n_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             if not np.isfinite(coef):
@@ -144,7 +144,7 @@ def polynomial_from_monomial_list(data) -> PolynomialTarget:
     """Build a PolynomialTarget from [{"exps": [...], "coef": r}, ...];
     the first monomial's exponents fix the number of variables."""
     try:
-        monos = [(tuple(item["exps"]), float(item["coef"])) for item in data]
+        monos = [(tuple(item["exps"]), item["coef"]) for item in data]
     except (KeyError, TypeError) as exc:
         raise ValueError(f'each monomial needs "exps" and "coef" ({type(exc).__name__}: {exc})') from exc
     if not monos:

@@ -367,10 +367,37 @@ def _as_int(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
+def _as_float(x) -> float:
+    """x as a float when it is an int or a float; a bool (JSON's true and
+    false), a numeric string or any other value raises ValueError rather
+    than being read as a number, and so does an int beyond a float's
+    range."""
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError("an integer is beyond a float's range") from None
+    raise ValueError(f"{x!r} is not a number")
+
+
+def _as_float_rows(rows) -> np.ndarray:
+    """A list of rows of numbers as a float array.  As in _as_float, an
+    entry that is not an int or a float, or an int beyond a float's range,
+    raises ValueError, and so do ragged rows."""
+    bad = {t for t in {type(x) for row in rows for x in row}
+           if t is bool or not issubclass(t, (int, float, np.integer, np.floating))}
+    if bad:
+        raise ValueError(f"entries of type {', '.join(sorted(t.__name__ for t in bad))} are not numbers")
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        raise ValueError("an integer is beyond a float's range") from None
+
+
 def framework_from_dict(data: dict) -> Framework:
     try:
         dim = _as_int(data["dimension"])
-        verts = np.asarray(data["vertices"], dtype=float)
+        verts = _as_float_rows(data["vertices"])
         edges = [(_as_int(i) - 1, _as_int(j) - 1) for i, j in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameworkValidationError(f"malformed framework data: {exc}") from exc

@@ -13,7 +13,12 @@ that works on R's envelope (_qr_split): the coordinates go in reverse
 Cuthill-McKee order, the edges by their last coordinate in it, and each
 panel of _BLOCK_ORDER edges is factored over the window of coordinates it
 reaches, so a banded R, such as a strip's, costs O(E b^2) for the factor
-instead of O(N^3).  Everything else goes to the dense SVD.
+instead of O(N^3).  The factor works in one window of R' at a time and
+keeps O(E b) numbers.  The one O(E N) array left on this path is R
+itself: every caller passes kernel_decomposition the dense R that
+rigidity_matrix assembles, and the benchmark's tracer (bench/tracing.py)
+times the two at those bindings.  Reading R's nonzeros straight from the
+pinned framework would remove it.  Everything else goes to the dense SVD.
 """
 
 from __future__ import annotations
@@ -34,13 +39,13 @@ def rigidity_matrix(pf: PinnedFramework) -> np.ndarray:
     order: for edge vw, (p_v - p_w) lands in vertex v's free columns and
     (p_w - p_v) in vertex w's, with pinned columns deleted."""
     diff = pf.base.edge_vectors()
-    # pinned endpoints land in the extra column n_free, which is dropped
-    mat = np.zeros((pf.base.n_edges, pf.n_free + 1))
-    rows = np.arange(pf.base.n_edges)[:, None]
-    cv, cw = pf.edge_free_columns()
-    mat[rows, cv] = diff
-    mat[rows, cw] = -diff
-    mat = np.ascontiguousarray(mat[:, :-1])
+    n_edges, n_free = pf.base.n_edges, pf.n_free
+    ends = pf.edge_free_columns()
+    # flat targets in R; a pinned endpoint goes to one spare entry past R
+    at = np.where(ends < n_free, np.arange(n_edges)[:, None] * n_free + ends, n_edges * n_free)
+    flat = np.zeros(n_edges * n_free + 1)
+    flat[at] = (diff, -diff)
+    mat = flat[:-1].reshape(n_edges, n_free)
     mat.setflags(write=False)
     return mat
 
@@ -145,7 +150,7 @@ class _PanelTriangular:
     def add_panel(self, j0: int, a: np.ndarray, u: np.ndarray) -> None:
         """Append the panel whose rows of T start at j0: its diagonal
         block a and its coupling rectangle u, copied so that it does not
-        keep the factor's whole work array alive."""
+        keep the factor's window alive."""
         self.panels.append((j0, _triangular_inverse(a), u.copy()))
 
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
@@ -286,6 +291,33 @@ def _envelope_order(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarr
     return np.array(order[::-1], dtype=np.intp)
 
 
+def _envelope_layout(mat: np.ndarray) -> tuple | None:
+    """The layout in which _qr_split factors R', or None when it proves R's
+    rows dependent.  R's columns (the coordinates) go in reverse
+    Cuthill-McKee order, unless R fits in one panel, which is one dense
+    factor whatever the order; its rows (the edges) go by their last, then
+    first, nonzero column in that order.  An edge whose last coordinate
+    comes before its own position proves the rows dependent.
+
+    Returns (vals, col_order, row_order, first, last): R's nonzeros; the
+    coordinate and the edge at each position; and the first and last
+    coordinate position of the edge at each position."""
+    n_edges, n_free = mat.shape
+    rows, cols = np.unravel_index(np.flatnonzero(mat != 0), mat.shape)
+    col_order = _envelope_order(rows, cols, n_free) if n_edges > _BLOCK_ORDER else np.arange(n_free)
+    col_rank = np.empty(n_free, dtype=np.intp)
+    col_rank[col_order] = np.arange(n_free)
+    first = np.full(n_edges, n_free)
+    last = np.full(n_edges, -1)
+    np.minimum.at(first, rows, col_rank[cols])
+    np.maximum.at(last, rows, col_rank[cols])
+    row_order = np.lexsort((first, last))
+    first, last = first[row_order], last[row_order]
+    if np.any(last < np.arange(n_edges)):
+        return None
+    return mat[rows, cols], col_order, row_order, first, last
+
+
 def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     """Splitting for a matrix with certified independent rows, or None.
 
@@ -306,7 +338,22 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     later edges whose first nonzero lies in it (sparse QR: George & Heath,
     Linear Algebra Appl. 34, 1980).  On a banded R,
     such as a strip's, this touches O(E b) entries for window width b; on a
-    dense envelope it is ordinary blocked QR at the dense cost.  An edge j
+    dense envelope it is ordinary blocked QR at the dense cost.
+
+    Only the current panel's window is held, as one dense array over
+    coordinates j0..r1-1 and edges j0..c1-1, c1 the first edge that starts
+    at or after r1 (the frontal matrix of multifrontal QR; Davis, ACM TOMS
+    38, 2011).  The windows' ends r1 and c1 never decrease, so the
+    previous window's trailing block, past its panel, is this window's
+    top-left block and holds every update an earlier panel made to it.
+    The coordinates from the previous r1 on are R' untouched, read from
+    mat, and the new edges are zero above them, since they start at or
+    after it.
+    When r1 stays put, as on a dense envelope, so does c1, and the
+    trailing block is the window itself, with no copy.  The numbers and
+    the operations on them are those of one (N, E) work array of R', so
+    the factor is the same to the bit, without that array; the one (E, N)
+    array left is mat itself (see the module docstring).  An edge j
     with l_j < j proves the rows dependent, and a panel whose diagonal
     fails the cutoff stops the factorization, so a declined attempt ends
     early.  T is never inverted: each panel hands its diagonal block and
@@ -317,41 +364,38 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     K-bar is formed only if Kbar_basis is read; the two orders fold into
     _pinv's row_order and into Q's rows.
     """
-    n_edges, n_free = mat.shape
-    rows, cols = np.unravel_index(np.flatnonzero(mat != 0), mat.shape)
-    vals = mat[rows, cols]
-    cutoff = tol * np.linalg.norm(vals)
-    # one panel is one dense factor, whatever the order
-    col_order = _envelope_order(rows, cols, n_free) if n_edges > _BLOCK_ORDER else np.arange(n_free)
-    col_rank = np.empty(n_free, dtype=np.intp)
-    col_rank[col_order] = np.arange(n_free)
-    first = np.full(n_edges, n_free)
-    last = np.full(n_edges, -1)
-    np.minimum.at(first, rows, col_rank[cols])
-    np.maximum.at(last, rows, col_rank[cols])
-    row_order = np.lexsort((first, last))
-    first, last = first[row_order], last[row_order]
-    if np.any(last < np.arange(n_edges)):
+    layout = _envelope_layout(mat)
+    if layout is None:
         return None
-    row_rank = np.empty(n_edges, dtype=np.intp)
-    row_rank[row_order] = np.arange(n_edges)
-    # R' in the two orders; the loop leaves T's coupling rectangles in its first E rows
-    work = np.zeros((n_free, n_edges))
-    work[col_rank[cols], row_rank[rows]] = vals
+    vals, col_order, row_order, first, last = layout
+    n_edges, n_free = mat.shape
+    cutoff = tol * np.linalg.norm(vals)
     # the edges from k on all start at or after reach[k]
     reach = np.minimum.accumulate(first[::-1])[::-1]
     q = _CompactWY(col_order, n_edges)
     t = _PanelTriangular(row_order)
+    # the previous window's trailing block, over coordinates j0..r0-1
+    window, r0 = np.zeros((0, 0)), 0
     for j0 in range(0, n_edges, _BLOCK_ORDER):
         j1 = min(j0 + _BLOCK_ORDER, n_edges)
         r1 = last[j1 - 1] + 1
-        h, tau = np.linalg.qr(work[j0:r1, j0:j1], mode="raw")
+        if r1 > r0:
+            # R' over coordinates j0..r1-1 and edges j0..c1-1: the trailing
+            # block, zeros where the new edges start at or after r0, and
+            # the coordinates r0..r1-1, which no panel has reached, from R
+            c1 = reach.searchsorted(r1)
+            grown = np.zeros((r1 - j0, c1 - j0))
+            grown[:r0 - j0, :window.shape[1]] = window
+            grown[r0 - j0:] = mat[row_order[j0:c1, None], col_order[r0:r1]].T
+            window, r0 = grown, r1
+        h, tau = np.linalg.qr(window[:, :j1 - j0], mode="raw")
         if not np.min(np.abs(np.diagonal(h))) > cutoff:   # T's diagonal
             return None
         vt, s = q.add_panel(j0, h, tau)
-        trail = work[j0:r1, j1:np.searchsorted(reach, r1)]
+        trail = window[:, j1 - j0:]
         trail -= vt.T @ (s.T @ (vt @ trail))
         t.add_panel(j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0])
+        window = trail[j1 - j0:]
     sigma_min_bound = 1.0 / np.sqrt(t.inverse_frobenius_sq())
     if not sigma_min_bound > cutoff:
         return None

@@ -23,6 +23,9 @@ a quantity by a slower or more direct route:
 - dense_triangular and inverse_frobenius_sq: the QR split's T assembled
   as one dense array from the panel blocks it records, and ||T^-1||_F^2
   from np.linalg.inv;
+- qr_split_by_dense_workspace: the QR split's panel loop on one dense
+  (N, E) array holding all of R', the route the library took before its
+  rolling window;
 - faa_di_bruno_term: the n-th derivative of a composition by the
   partition sum of Faa di Bruno's formula, against which the jets'
   series composition is checked;
@@ -55,6 +58,7 @@ from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet,
 from rigidkit.critpoint import _bernstein_bound
 from rigidkit.energy import _edge_diffs, _edge_m_jet, _sum_onto_free, _taylor_in_m
 from rigidkit.jets import series_compose, series_mul
+from rigidkit.linear import _BLOCK_ORDER, KernelDecomposition, _CompactWY, _envelope_layout, _PanelTriangular
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +273,37 @@ def dense_triangular(panels, n: int) -> np.ndarray:
 def inverse_frobenius_sq(t: np.ndarray) -> float:
     """||T^-1||_F^2 from the dense inverse."""
     return float(np.linalg.norm(np.linalg.inv(t)) ** 2)
+
+
+def qr_split_by_dense_workspace(mat: np.ndarray, tol: float):
+    """linear._qr_split with every panel's window read from, and updated
+    in, one dense array of R' in the split's two orders."""
+    layout = _envelope_layout(mat)
+    if layout is None:
+        return None
+    vals, col_order, row_order, first, last = layout
+    n_edges, n_free = mat.shape
+    cutoff = tol * np.linalg.norm(vals)
+    work = np.zeros((n_free, n_edges))
+    work[:] = mat[np.ix_(row_order, col_order)].T
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    q, t = _CompactWY(col_order, n_edges), _PanelTriangular(row_order)
+    for j0 in range(0, n_edges, _BLOCK_ORDER):
+        j1 = min(j0 + _BLOCK_ORDER, n_edges)
+        r1 = last[j1 - 1] + 1
+        h, tau = np.linalg.qr(work[j0:r1, j0:j1], mode="raw")
+        if not np.min(np.abs(np.diagonal(h))) > cutoff:
+            return None
+        vt, s = q.add_panel(j0, h, tau)
+        trail = work[j0:r1, j1:np.searchsorted(reach, r1)]
+        trail -= vt.T @ (s.T @ (vt @ trail))
+        t.add_panel(j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0])
+    sigma_min_bound = 1.0 / np.sqrt(t.inverse_frobenius_sq())
+    if not sigma_min_bound > cutoff:
+        return None
+    dim_k = n_free - n_edges
+    return KernelDecomposition(q @ np.eye(n_free, dim_k, -n_edges), dim_k, np.zeros((n_edges, 0)), t, q, "qr",
+                               float(sigma_min_bound / cutoff))
 
 
 # ---------------------------------------------------------------------------

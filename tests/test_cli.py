@@ -532,6 +532,45 @@ def test_integral_floats_are_read_as_integers(k33_file, tmp_path, capsys):
     assert capsys.readouterr().out.replace(str(path), k33_file) == want
 
 
+@pytest.mark.parametrize("vertices", [
+    pytest.param([[0, 0], [True, 0], [1, 1], [0, 1]], id="boolean-coordinate"),
+    pytest.param([[0, 0], [1, 0], ["1", "1"], [0, 1]], id="numeric-string-coordinate"),
+    pytest.param([[0, 0], [1, 0], [10**400, 1], [0, 1]], id="integer-beyond-float-range"),
+])
+def test_vertex_coordinates_must_be_numbers(tmp_path, capsys, vertices):
+    # JSON true and "1" would read as the number 1, and this square would
+    # get a verdict; an integer no float can hold would escape as an
+    # OverflowError
+    data = {"dimension": 2, "vertices": vertices, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("input error: ") and "rigidity order" not in out
+
+
+@pytest.mark.parametrize("kind, bad", [
+    pytest.param("coef", True, id="boolean-coefficient"),
+    pytest.param("coef", "1", id="numeric-string-coefficient"),
+    pytest.param("traj", True, id="boolean-trajectory-entry"),
+    pytest.param("traj", "0", id="numeric-string-trajectory-entry"),
+])
+def test_polynomial_and_trajectory_numbers_must_be_numbers(k33_file, tmp_path, capsys, kind, bad):
+    # the polynomial and trajectory readers refuse what the framework reader does
+    if kind == "coef":
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps([{"exps": [2, 0], "coef": bad}, {"exps": [0, 4], "coef": 1.0}]))
+        argv = ["critpoint", "--poly", str(path)]
+    else:
+        coeffs = rigidity_order(pin_with_permutation(load_corpus("k33"))[0]).witness.coeffs.tolist()
+        coeffs[0][0] = bad
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({"coeffs": coeffs}))
+        argv = ["energy", k33_file, "--family", "harmonic", "--traj", str(path), "--order", "6"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 TRIANGLE = ([[0, 0], [1, 0], [0, 1]], [[1, 2], [2, 3], [1, 3]])
 COLLINEAR_CHAIN = ([[0, 0], [1, 0], [2, 0], [3, 0]], [[1, 2], [2, 3], [3, 4], [1, 4]])
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from rigidkit import (
 )
 from rigidkit.linear import _BLOCK_ORDER, DEFAULT_KERNEL_TOL, _CompactWY, _PanelTriangular, _qr_split, _svd_split
 
-from oracles import dense_triangular, embed_tangent, inverse_frobenius_sq
+from oracles import dense_triangular, embed_tangent, inverse_frobenius_sq, qr_split_by_dense_workspace
 
 
 def exact_rank(matrix) -> int:
@@ -495,3 +496,75 @@ def test_kernel_decomposition_svd_count(monkeypatch):
     # k33 has a self-stress, so the QR path declines and the SVD decides
     kd = kernel_decomposition(k33)
     assert (kd.method, kd.dim_K, len(calls)) == ("svd", 1, 1)
+
+
+def random_anchor_henneberg(d: int, n: int, drop: int, seed: int):
+    """Pinned framework grown from a d-simplex by Henneberg-1 steps, each new
+    vertex joined to d existing vertices drawn at random, with drop bars
+    off the simplex removed: dim K = drop, the rows independent, and an
+    envelope far wider than a panel even in reverse Cuthill-McKee order."""
+    rng = np.random.default_rng(seed)
+    pts = list(rng.standard_normal((d + 1, d)))
+    edges = [(a, b) for a in range(d + 1) for b in range(a + 1, d + 1)]
+    while len(pts) < n:
+        edges += [(int(a), len(pts)) for a in rng.choice(len(pts), size=d, replace=False)]
+        pts.append(3 * rng.standard_normal(d))
+    for _ in range(drop):
+        edges.pop(int(rng.integers(d * (d + 1) // 2, len(edges))))
+    return pin(Framework(d, np.array(pts), edges))[0]
+
+
+REFEREE_INPUTS = {
+    "strip600": lambda: strip_minus_edge(600, seed=600),
+    "wide_henneberg": lambda: random_anchor_henneberg(2, 200, 2, seed=0),
+    "one_panel": lambda: strip_minus_edge(20, seed=20),
+}
+
+
+@pytest.mark.parametrize("name", list(REFEREE_INPUTS))
+def test_windowed_factor_is_the_dense_workspace_factor(name):
+    # the rolling window does the same arithmetic on the same numbers as
+    # one dense work array of R', so the split is the same to the bit.  The
+    # two loops hand BLAS the same sizes through different strides, so the
+    # equality holds on a BLAS whose summation order does not depend on
+    # strides or on its thread count, as OpenBLAS's here does with 1 or 2
+    # threads; another BLAS build may differ in the last bit
+    R = rigidity_matrix(REFEREE_INPUTS[name]())
+    kd, ref = _qr_split(R, DEFAULT_KERNEL_TOL), qr_split_by_dense_workspace(R, DEFAULT_KERNEL_TOL)
+    assert kd.method == ref.method == "qr"
+    windows = [vt.shape[1] for _, vt, _ in kd._range.blocks]
+    assert len(windows) == (1 if name == "one_panel" else -(-R.shape[0] // _BLOCK_ORDER))
+    if name == "wide_henneberg":
+        assert max(windows) > 2 * _BLOCK_ORDER
+    assert np.array_equal(kd.K_basis, ref.K_basis)
+    assert kd.rank_margin == ref.rank_margin
+    rhs = np.random.default_rng(11).standard_normal((R.shape[0], 2))
+    (x, residual), (x_ref, residual_ref) = kd.solve_min_norm(rhs), ref.solve_min_norm(rhs)
+    assert np.array_equal(x, x_ref) and residual == residual_ref
+
+
+def _traced_peak(func, *args):
+    """func(*args) and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = func(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_split_of_a_strip_needs_a_fraction_of_r():
+    # a strip's split works on windows about one panel square and keeps
+    # O(E b) numbers; no (N, E) work array of R' is formed
+    R = rigidity_matrix(strip_minus_edge(600, seed=600))
+    kd, peak = _traced_peak(kernel_decomposition, R)
+    assert kd.method == "qr"
+    assert peak <= 0.35 * R.nbytes
+
+
+def test_rigidity_matrix_is_assembled_in_place():
+    # one (E, n_free) array, and no scratch copy of it
+    pf = strip_minus_edge(600, seed=600)
+    R, peak = _traced_peak(rigidity_matrix, pf)
+    assert R.flags.c_contiguous and not R.flags.writeable
+    assert peak <= 1.1 * R.nbytes
