@@ -13,6 +13,7 @@ tests draw no random numbers.  A reader that closes the output pipe early
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -113,46 +114,15 @@ def _framework_hash(fw: Framework) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _fields(report, omit=()) -> dict:
+    """A report dataclass's fields by name, less those named in omit."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name not in omit}
+
+
 def _order_report_dict(rep: OrderReport) -> dict:
-    out = {
-        "verdict": rep.verdict,
-        "order": rep.order,
-        "max_k": rep.max_k,
-        "method": rep.method,
-        "reason": rep.reason,
-        "dim_K": rep.dim_K,
-        "residuals": [
-            {
-                "level": r.level,
-                "residual": r.residual,
-                "threshold": r.threshold,
-                "rhs_norm": r.rhs_norm,
-            }
-            for r in rep.residuals
-        ],
-    }
+    out = _fields(rep, omit=("witness", "kernel_method", "rank_margin"))
+    out["residuals"] = [dataclasses.asdict(r) for r in rep.residuals]
     return out
-
-
-def _crit_report_dict(rep) -> dict:
-    def arr(a):
-        return None if a is None else a.tolist()
-
-    return {
-        "classification": rep.classification,
-        "resolved_by": rep.resolved_by,
-        "order": rep.order,
-        "nullity": rep.nullity,
-        "a_min": rep.a_min,
-        "a_max": rep.a_max,
-        "arg_min_velocity": arr(rep.arg_min_velocity),
-        "arg_min_curvature": arr(rep.arg_min_curvature),
-        "arg_max_velocity": arr(rep.arg_max_velocity),
-        "arg_max_curvature": arr(rep.arg_max_curvature),
-        "a3_witness": arr(rep.a3_witness),
-        "scale": rep.scale,
-        "notes": list(rep.notes),
-    }
 
 
 def _print_residuals(rep: OrderReport) -> None:
@@ -209,17 +179,8 @@ def cmd_analyze(args) -> int:
         if isinstance(growth, Exception):
             report["growth"] = {"error": str(growth)}
         else:
-            report["growth"] = {
-                "family": growth.family,
-                "fitted_s": growth.fitted_s,
-                "nu_hat": growth.nu_hat,
-                "r2": growth.r2,
-                "monotone": growth.monotone,
-                "radii": growth.radii.tolist(),
-                "newton_steps": growth.newton_steps.tolist(),
-                "tangent_grad_ratio": growth.tangent_ratio.tolist(),
-                "notes": list(growth.notes),
-            }
+            report["growth"] = (_fields(growth, omit=("m_values", "tangent_ratio"))
+                                | {"tangent_grad_ratio": growth.tangent_ratio})
     # witness coefficients are bulky; analyze keeps a summary only
     if rep.witness is not None:
         report["verdict"]["witness_degree"] = rep.witness.degree
@@ -342,7 +303,7 @@ def cmd_critpoint(args) -> int:
         except ValueError as exc:
             raise _InputError(f"{args.poly}: {exc}") from exc
         rep = fourth_derivative_test(target)
-        _emit_json(_crit_report_dict(rep))
+        _emit_json(_fields(rep))
         return EXIT_OK
     if not args.path:
         raise _UsageError("critpoint needs --poly or a framework file")
@@ -353,7 +314,7 @@ def cmd_critpoint(args) -> int:
         return _inapplicable("dim K = 0: the framework is first-order rigid")
     if args.order is None:
         rep = second_order_rigidity_test(pf, spec, kd)
-        _emit_json(_crit_report_dict(rep))
+        _emit_json(_fields(rep))
         return EXIT_OK
     k = args.order
     if kd.dim_K > 1:
@@ -362,7 +323,7 @@ def cmd_critpoint(args) -> int:
     if ladder.verdict == "order" and ladder.order is not None and ladder.order < k:
         return _inapplicable(f"no (1,{k - 1})-flex exists: ladder certifies order {ladder.order}")
     rep = order2k_family_test(pf, spec, ladder.witness, k, kd=kd)
-    _emit_json(_crit_report_dict(rep))
+    _emit_json(_fields(rep))
     return EXIT_OK
 
 
@@ -413,8 +374,8 @@ def _int_at_least(low: int, high: int | None = None):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 

@@ -229,14 +229,13 @@ def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool)
     the displacement is many orders of magnitude smaller than the
     coordinates.  An edge whose squared length is not above the rounding of
     these terms is refused as collapsed.
-    The work is edge-major: the batch is transposed once into an
-    (n_free + 1, B) array whose last row (the pinned slot) is zero, endpoint
-    differences are row gathers through the pinned framework's edge column
-    map, and every per-edge quantity is an (E, B) array.  With
-    E', E'' = dE/dl, d2E/dl2 from _gap_and_slope and D = p_v - p_w displaced,
-    edge vw adds (E'/l) D to the gradient at v and the block
-    (E'/l) I + ((E'' - E'/l)/l^2) D D' to the Hessian at (v, v) and (w, w),
-    and subtracts them at w and at (v, w) and (w, v).  Gradients are summed
+    The work is edge-major: the batch is transposed once, the pinned
+    framework's edge_differences gives the (E, d, B) endpoint differences
+    (pinned coordinates do not move), and every per-edge quantity is an
+    (E, B) array.  With E', E'' = dE/dl, d2E/dl2 from _gap_and_slope and
+    D = p_v - p_w displaced, edge vw adds (E'/l) D to the gradient at v
+    and the block (E'/l) I + ((E'' - E'/l)/l^2) D D' to the Hessian at
+    (v, v) and (w, w), and subtracts them at w and at (v, w) and (w, v).  Gradients are summed
     into the free columns with the framework's fixed gradient plan, and the
     Hessians of all rows with one bincount along its fixed Hessian plan.
     """
@@ -244,10 +243,7 @@ def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool)
     delta = np.asarray(delta_free, dtype=float)
     batch = delta if delta.ndim == 2 else delta[None, :]
     n_batch, n_free = batch.shape[0], pf.n_free
-    zt = np.zeros((n_free + 1, n_batch))
-    zt[:-1] = batch.T
-    ends = np.take(zt, pf.edge_free_columns(), axis=0)
-    delta_diff = ends[0] - ends[1]
+    delta_diff = pf.edge_differences(batch.T)
     base_diff = pf.base.edge_vectors()
     rest = spec.rest_lengths[:, None]
     rest_sq = rest**2
@@ -351,15 +347,13 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
 def _edge_diffs(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
     """(E, d, order+1) object-free jet coefficient rows of p_v(t) - p_w(t)
     for every canonical edge vw, where p(t) = p + traj(t); pinned
-    coordinates are constants.  The trajectory's coefficient rows are
-    gathered through the pinned framework's edge column map, whose extra
-    column n_free (the pinned slot) is zero."""
+    coordinates are constants.  The constant rows are the framework's edge
+    vectors and the others the pinned framework's edge_differences of the
+    trajectory's coefficient rows."""
     upto = min(traj.degree, order)
-    rows = np.zeros((pf.n_free + 1, order + 1))
-    rows[:-1, 1:upto + 1] = traj.coeffs[:upto].T
-    ends = np.take(rows, pf.edge_free_columns(), axis=0)
-    diffs = ends[0] - ends[1]
+    diffs = np.zeros((pf.base.n_edges, pf.dimension, order + 1))
     diffs[:, :, 0] = pf.base.edge_vectors()
+    diffs[:, :, 1:upto + 1] = pf.edge_differences(traj.coeffs[:upto].T)
     return diffs
 
 

@@ -34,6 +34,7 @@ class Framework:
     """A graph with a point configuration.
 
     Vertices are indexed from 0 internally; the JSON file format is 1-based.
+    labels, if given, is a list or tuple of strings, one per vertex.
     Edges are canonicalized to sorted pairs in lexicographic order, so
     per-edge arrays such as edge_lengths() are reproducible bit-for-bit
     across runs.
@@ -75,8 +76,11 @@ class Framework:
         if coincident.size:
             i, j = canon[coincident[0]]
             raise FrameworkValidationError(f"edge ({i},{j}) connects coincident points")
-        if self.labels is not None and len(self.labels) != n:
-            raise FrameworkValidationError("labels length must match vertex count")
+        if self.labels is not None and not (
+            isinstance(self.labels, (list, tuple)) and len(self.labels) == n
+            and all(isinstance(s, str) for s in self.labels)
+        ):
+            raise FrameworkValidationError(f"labels must be a list of {n} strings, one per vertex")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
         ends.setflags(write=False)
@@ -84,7 +88,7 @@ class Framework:
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_vectors", vectors)
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def n_vertices(self) -> int:
@@ -160,9 +164,11 @@ class PinnedFramework:
 
     The free column of every edge endpoint coordinate, and the order in which
     per-endpoint contributions are summed into those columns, are computed
-    once here (O(E d) each); see edge_free_columns and gradient_plan.  The
-    free x free target of every Hessian block entry (O(E d^2)) is computed
-    once, on first use; see hessian_plan.
+    once here (O(E d) each); see edge_free_columns and gradient_plan.
+    edge_differences gathers through the former, so other modules take
+    endpoint differences without knowing the pinned slot.  The free x free
+    target of every Hessian block entry (O(E d^2)) is computed once, on
+    first use; see hessian_plan.
     """
 
     base: Framework
@@ -207,6 +213,18 @@ class PinnedFramework:
         edge's first and second endpoint coordinates, in canonical edge
         order; pinned coordinates map to the extra column n_free."""
         return self._edge_columns
+
+    def edge_differences(self, x) -> np.ndarray:
+        """(n_edges, dimension, ...) differences x_v - x_w over every
+        canonical edge vw of an (n_free, ...) array x of free-coordinate
+        values, with pinned coordinates read as 0: one row gather through
+        edge_free_columns from a copy of x padded with a zero row for the
+        pinned slot."""
+        x = np.asarray(x, dtype=float)
+        padded = np.zeros((self.n_free + 1,) + x.shape[1:])
+        padded[:-1] = x
+        ends = np.take(padded, self._edge_columns, axis=0)
+        return ends[0] - ends[1]
 
     def gradient_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, starts, columns): a fixed plan for summing 2 E d endpoint

@@ -19,9 +19,15 @@ per row.  The energy gradient calls it on plain coefficient arrays, since it
 needs no magnitudes.
 
 Every jet also carries a running magnitude vector: the same recurrences
-applied to absolute values.  The ratio mag[i] / |c[i]| estimates how much
-cancellation went into coefficient i, i.e. how many digits of it can be
-trusted; it is reported, not asserted against.
+applied to absolute values.  For the ring operations these are the
+operations on the magnitudes themselves.  For reciprocal, sqrt and exp the
+value recurrence runs once more, in the same call, on the magnitudes with
+the signs set so that every term of the recurrence adds in absolute value:
+1/g on (|g0|, -mag_1, -mag_2, ...), sqrt(g) on (g0, -mag_1, ...) with the
+tail of the result negated, and exp(g) on (g0, mag_1, ...).  The ratio
+mag[i] / |c[i]| estimates how much cancellation went into coefficient i,
+i.e. how many digits of it can be trusted; it is reported, not asserted
+against.
 """
 
 from __future__ import annotations
@@ -78,47 +84,38 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def series_reciprocal(g: np.ndarray, g_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of 1/g and their magnitude twin."""
+def series_reciprocal(g: np.ndarray) -> np.ndarray:
+    """Coefficients of 1/g."""
     g0 = g[..., 0]
     if np.any(g0 == 0.0):
         raise ZeroDivisionError("jet reciprocal with zero constant term")
     h = np.zeros(g.shape)
-    hm = np.zeros(g.shape)
     h[..., 0] = 1.0 / g0
-    hm[..., 0] = np.abs(h[..., 0])
     for k in range(1, g.shape[-1]):
         h[..., k] = -_dot(g[..., 1 : k + 1], h[..., k - 1 :: -1]) / g0
-        hm[..., k] = _dot(g_mag[..., 1 : k + 1], hm[..., k - 1 :: -1]) / np.abs(g0)
-    return h, hm
+    return h
 
 
-def series_sqrt(g: np.ndarray, g_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of sqrt(g) and their magnitude twin."""
+def series_sqrt(g: np.ndarray) -> np.ndarray:
+    """Coefficients of sqrt(g)."""
     if np.any(g[..., 0] <= 0.0):
         raise ValueError("jet sqrt needs a positive constant term")
     h = np.zeros(g.shape)
-    hm = np.zeros(g.shape)
     h0 = np.sqrt(g[..., 0])
     h[..., 0] = h0
-    hm[..., 0] = h0
     for k in range(1, g.shape[-1]):
         h[..., k] = (g[..., k] - _dot(h[..., 1:k], h[..., k - 1 : 0 : -1])) / (2.0 * h0)
-        hm[..., k] = (g_mag[..., k] + _dot(hm[..., 1:k], hm[..., k - 1 : 0 : -1])) / (2.0 * h0)
-    return h, hm
+    return h
 
 
-def series_exp(g: np.ndarray, g_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of exp(g) and their magnitude twin."""
+def series_exp(g: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(g)."""
     h = np.zeros(g.shape)
-    hm = np.zeros(g.shape)
     h[..., 0] = np.exp(g[..., 0])
-    hm[..., 0] = h[..., 0]
     ks = np.arange(g.shape[-1], dtype=float)
     for k in range(1, g.shape[-1]):
         h[..., k] = _dot(ks[1 : k + 1] * g[..., 1 : k + 1], h[..., k - 1 :: -1]) / k
-        hm[..., k] = _dot(ks[1 : k + 1] * g_mag[..., 1 : k + 1], hm[..., k - 1 :: -1]) / k
-    return h, hm
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +227,21 @@ class Jet:
     # -- composition helpers ------------------------------------------------
 
     def reciprocal(self) -> "Jet":
-        return Jet(*series_reciprocal(self.c, self.mag))
+        twin = -self.mag
+        twin[..., 0] = np.abs(self.c[..., 0])
+        return Jet(*series_reciprocal(np.stack([self.c, twin])))
 
     def sqrt(self) -> "Jet":
-        return Jet(*series_sqrt(self.c, self.mag))
+        twin = -self.mag
+        twin[..., 0] = self.c[..., 0]
+        h, hm = series_sqrt(np.stack([self.c, twin]))
+        hm[..., 1:] *= -1.0
+        return Jet(h, hm)
 
     def exp(self) -> "Jet":
-        return Jet(*series_exp(self.c, self.mag))
+        twin = self.mag.copy()
+        twin[..., 0] = self.c[..., 0]
+        return Jet(*series_exp(np.stack([self.c, twin])))
 
     def __repr__(self):
         return f"Jet({self.c.tolist()})"

@@ -107,12 +107,10 @@ def flex_rhs(pf: PinnedFramework, derivs, l: int) -> np.ndarray:
     """
     if l < 1:
         raise ValueError("level must be >= 1")
-    coeffs = np.zeros((l - 1, pf.n_free + 1))   # pinned slots read column n_free
-    coeffs[:, :-1] = np.asarray(derivs[: l - 1], dtype=float).reshape(l - 1, pf.n_free)
-    ends = coeffs[:, pf.edge_free_columns()]      # (l - 1, 2, E, d)
-    diffs = ends[:, 0] - ends[:, 1]
+    # (E, d, l - 1) endpoint differences of p_1 .. p_{l-1}; pinned slots read 0
+    diffs = pf.edge_differences(np.asarray(derivs[: l - 1], dtype=float).reshape(l - 1, pf.n_free).T)
     weights = np.array([-0.5 * math.comb(l, a) for a in range(1, l)])
-    return np.einsum("a,aed,aed->e", weights, diffs, diffs[::-1])
+    return np.einsum("a,eda,eda->e", weights, diffs, diffs[..., ::-1])
 
 
 def _sign_fixed_unit(v: np.ndarray) -> np.ndarray:
@@ -145,7 +143,9 @@ def solve_ladder(
     (1, l-1)-flex).  If every level up to max_k solves, the report is
     flex-found with the degree-max_k witness.  A level whose rhs norm or
     residual is not finite (the coefficients grow with the level and can
-    overflow) raises RigidkitError naming that level.
+    overflow) raises RigidkitError naming that level.  tol must be finite
+    and positive (ValueError otherwise): tol = inf accepts every level and
+    tol <= 0 rejects level 2 on rounding alone.
     """
     if kd.dim_K != 1:
         raise DimKNotOne(
@@ -154,8 +154,11 @@ def solve_ladder(
         )
     if max_k < 2:
         raise ValueError("max_k must be >= 2")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     derivs = [_sign_fixed_unit(kd.K_basis[:, 0])]
     records = []
+    order = None
     for level in range(2, max_k + 1):
         rhs = flex_rhs(pf, derivs, level)
         rhs_norm = float(np.linalg.norm(rhs))
@@ -168,20 +171,13 @@ def solve_ladder(
         threshold = tol * (1.0 + rhs_norm)
         records.append(LevelResidual(level, residual, threshold, rhs_norm))
         if residual > threshold:
-            return OrderReport(
-                verdict="order",
-                order=level,
-                max_k=max_k,
-                method="ladder",
-                witness=_taylor_witness(derivs),
-                residuals=tuple(records),
-                dim_K=1,
-            )
+            order = level
+            break
         derivs.append(x)
     return OrderReport(
-        verdict="flex-found",
+        verdict="flex-found" if order is None else "order",
+        order=order,
         max_k=max_k,
-        method="ladder",
         witness=_taylor_witness(derivs),
         residuals=tuple(records),
         dim_K=1,

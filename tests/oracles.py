@@ -29,6 +29,10 @@ a quantity by a slower or more direct route:
 - faa_di_bruno_term: the n-th derivative of a composition by the
   partition sum of Faa di Bruno's formula, against which the jets'
   series composition is checked;
+- reciprocal_twin, sqrt_twin and exp_twin: the magnitudes of 1/g,
+  sqrt(g) and exp(g) by a second loop beside the value recurrence, on the
+  absolute values, the route the library took before it ran the value
+  recurrence on sign-adjusted magnitudes;
 - compose_series: a Jet of f(g(t)) with its magnitudes, from
   jets.series_compose run on the coefficients and on the magnitudes;
 - compose_by_jets and gradient_by_jets: series composition by Horner's
@@ -355,6 +359,46 @@ def faa_di_bruno_term(f_derivs, g_derivs, n: int) -> float:
             term *= g_derivs[i] ** ji
         total += (math.factorial(n) // denom) * term
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# the magnitude twins of the composition recurrences, as loops of their own
+# ---------------------------------------------------------------------------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def reciprocal_twin(g: np.ndarray, g_mag: np.ndarray) -> np.ndarray:
+    """Magnitudes of 1/g: the reciprocal recurrence on |g0| with every term
+    added."""
+    hm = np.zeros(g.shape)
+    hm[..., 0] = np.abs(1.0 / g[..., 0])
+    for k in range(1, g.shape[-1]):
+        hm[..., k] = _dot(g_mag[..., 1 : k + 1], hm[..., k - 1 :: -1]) / np.abs(g[..., 0])
+    return hm
+
+
+def sqrt_twin(g: np.ndarray, g_mag: np.ndarray) -> np.ndarray:
+    """Magnitudes of sqrt(g): the square-root recurrence with every term
+    added."""
+    hm = np.zeros(g.shape)
+    h0 = np.sqrt(g[..., 0])
+    hm[..., 0] = h0
+    for k in range(1, g.shape[-1]):
+        hm[..., k] = (g_mag[..., k] + _dot(hm[..., 1:k], hm[..., k - 1 : 0 : -1])) / (2.0 * h0)
+    return hm
+
+
+def exp_twin(g: np.ndarray, g_mag: np.ndarray) -> np.ndarray:
+    """Magnitudes of exp(g): the exponential recurrence on the magnitudes
+    of g's tail."""
+    hm = np.zeros(g.shape)
+    hm[..., 0] = np.exp(g[..., 0])
+    ks = np.arange(g.shape[-1], dtype=float)
+    for k in range(1, g.shape[-1]):
+        hm[..., k] = _dot(ks[1 : k + 1] * g_mag[..., 1 : k + 1], hm[..., k - 1 :: -1]) / k
+    return hm
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,12 @@ def test_fixed_tolerances_are_module_constants():
     assert not found
     assert "tol" in inspect.signature(rigidkit.solve_ladder).parameters
     assert "tol" in inspect.signature(rigidkit.rigidity_order).parameters
+
+
+def test_only_the_framework_and_the_rigidity_matrix_read_the_pinned_slot_column():
+    # every other module takes edge differences from
+    # PinnedFramework.edge_differences rather than gathering through the
+    # column map, whose extra column n_free stands for the pinned slots
+    package = Path(rigidkit.__file__).parent
+    readers = {path.name for path in package.rglob("*.py") if "edge_free_columns" in _loaded_names(path)}
+    assert readers <= {"framework.py", "linear.py"}

@@ -502,6 +502,7 @@ def bad_input_files(tmp_path, k33_file):
                  id="poly-with-default-family"),
     pytest.param(["analyze", "{k33}", "--tol", "-1"], "usage error: ", id="negative-tol"),
     pytest.param(["order", "{k33}", "--tol", "0"], "usage error: ", id="zero-tol"),
+    pytest.param(["analyze", "{k33}", "--tol", "inf"], "usage error: ", id="infinite-tol"),
     pytest.param(["growth", "{k33}", "--n", "0"], "usage error: ", id="no-radii"),
     pytest.param(["growth", "{k33}", "--n", "1"], "usage error: ", id="one-radius"),
     pytest.param(["growth", "{k33}", "--seed", "-1"], "usage error: ", id="growth-negative-seed"),
@@ -547,6 +548,23 @@ def test_vertex_coordinates_must_be_numbers(tmp_path, capsys, vertices):
     assert main(["analyze", str(path)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert err.startswith("input error: ") and "rigidity order" not in out
+
+
+@pytest.mark.parametrize("labels", [
+    pytest.param(5, id="number-labels"),
+    pytest.param("abc", id="string-labels"),
+    pytest.param([1, True, None], id="non-string-labels"),
+])
+def test_vertex_labels_must_be_a_list_of_strings(tmp_path, capsys, labels):
+    # a number escaped as a TypeError, and a string or non-string entries
+    # were read as the labels "a", "b", "c" or "1", "True", "None"
+    data = {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "edges": [[1, 2], [2, 3], [1, 3]],
+            "labels": labels}
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("input error: ") and "Traceback" not in err and "rigidity order" not in out
 
 
 @pytest.mark.parametrize("kind, bad", [

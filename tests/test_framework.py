@@ -15,9 +15,10 @@ from rigidkit import (
     permute_framework,
     pin,
     pin_with_permutation,
+    rigidity_matrix,
     save_framework,
 )
-from oracles import corpus_items
+from oracles import corpus_items, embed_tangent
 
 
 def test_validation_rejects_self_loop():
@@ -223,3 +224,33 @@ def test_planar_framework_in_three_dimensions():
     assert kd.dim_K == 0
     rep = rigidity_order(pf)
     assert (rep.verdict, rep.order) == ("order", 1)
+
+
+def _pinned_3d():
+    # K6 in general position in R^3: vertex 0 has all three coordinates
+    # pinned, vertex 1 two and vertex 2 one
+    pts = np.random.default_rng(3).standard_normal((6, 3))
+    pf, _ = pin(Framework(3, pts, [(i, j) for i in range(6) for j in range(i + 1, 6)]))
+    assert pf.span_dim == 3 and pf.n_free == 18 - 6
+    return pf
+
+
+def test_edge_differences_give_the_rigidity_matrix_product(corpus_analysis):
+    # row vw of R holds p_v - p_w at v's free coordinates and its negative
+    # at w's, so R x is each edge vector dotted with x_v - x_w, to rounding;
+    # the differences read 0 at pinned coordinates, and a batch of columns
+    # is the columns taken one at a time
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for pf in [item["pf"] for item in corpus_analysis.values()] + [_pinned_3d()]:
+        x = rng.standard_normal((pf.n_free, 3))
+        diffs = pf.edge_differences(x)
+        assert diffs.shape == (pf.base.n_edges, pf.dimension, 3)
+        mat = rigidity_matrix(pf)
+        got = np.einsum("ed,edb->eb", pf.base.edge_vectors(), diffs)
+        assert np.all(np.abs(got - mat @ x) <= 8 * eps * (np.abs(mat) @ np.abs(x)))
+        ev, ew = pf.base.edge_index_arrays()
+        for b in range(3):
+            full = embed_tangent(pf, x[:, b])
+            assert np.array_equal(pf.edge_differences(x[:, b]), full[ev] - full[ew])
+            assert np.array_equal(diffs[..., b], full[ev] - full[ew])

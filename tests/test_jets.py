@@ -5,7 +5,7 @@ import pytest
 
 from rigidkit import Jet
 from rigidkit.jets import MAX_ORDER, series_compose
-from oracles import compose_by_jets, compose_series
+from oracles import compose_by_jets, compose_series, exp_twin, reciprocal_twin, sqrt_twin
 
 ORDER = 14
 
@@ -167,3 +167,24 @@ def test_compose_series_is_the_array_recurrence():
     g = Jet.from_poly(0.7, rng.standard_normal(4), ORDER)
     sin_derivs = np.array([(math.sin, math.cos)[k % 2](g.c[0]) * (-1.0) ** (k // 2) for k in range(ORDER + 1)])
     _assert_composed_as_arrays(sin_derivs, g)
+
+
+def test_composition_magnitudes_are_the_twin_recurrences():
+    # the magnitudes of 1/g, sqrt(g) and exp(g) come from the value
+    # recurrence run on sign-adjusted magnitudes; bit for bit the separate
+    # twin loops, on batched rows with constant terms of both signs for the
+    # reciprocal and with magnitudes handed in as non-contiguous views
+    rng = np.random.default_rng(12)
+    for shape in ((1,), (7,), (3, 5)):
+        for order in (0, 1, 2, 5, ORDER):
+            c = rng.standard_normal(shape + (order + 1,))
+            wide = np.abs(rng.standard_normal(shape + (2 * order + 2,))) + np.abs(c).repeat(2, axis=-1)
+            mag = wide[..., ::2]
+            assert order == 0 or not mag.flags.c_contiguous
+            pos = c.copy()
+            pos[..., 0] = np.abs(pos[..., 0]) + 0.5
+            for g, method, twin in ((c, Jet.reciprocal, reciprocal_twin), (pos, Jet.sqrt, sqrt_twin),
+                                    (c, Jet.exp, exp_twin)):
+                got = method(Jet(g, mag)).mag
+                want = twin(g, mag)
+                assert got.tobytes() == want.tobytes(), (shape, order, method.__name__)

@@ -225,6 +225,15 @@ def test_solve_ladder_refuses_max_k_below_two(corpus_analysis):
         solve_ladder(item["pf"], item["kd"], max_k=1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solve_ladder_refuses_a_tolerance_that_is_not_finite_and_positive(corpus_analysis, tol):
+    # nan and inf would accept every level and report k33 (order 3) as
+    # flex-found; 0 and -1 would reject level 2 on rounding alone
+    item = corpus_analysis["k33"]
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_ladder(item["pf"], item["kd"], tol=tol)
+
+
 def test_perturbed_asym_prism_loses_its_order():
     fw = load_corpus("asym_flipped_prism")
     # generic vertex perturbations destroy dim K = 1 entirely: order 1
