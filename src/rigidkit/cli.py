@@ -35,7 +35,6 @@ from .errors import FrameworkValidationError, RigidkitError
 from .framework import (
     Framework,
     _as_float_rows,
-    framework_to_dict,
     load_framework,
     pin_with_permutation,
 )
@@ -107,11 +106,13 @@ def _emit_json(obj) -> None:
 
 
 def _framework_hash(fw: Framework) -> str:
-    # framework_to_dict's text, with the vertices and edges rendered from
-    # arrays in one pass each
-    arrays = {"vertices": fw.vertices, "edges": np.column_stack(fw.edge_index_arrays()) + 1}
-    canon = render_json(framework_to_dict(fw) | arrays)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    # the text of framework_to_dict(fw), with the vertices and edges
+    # rendered from arrays in one pass each, not built as lists first
+    canon = {"dimension": fw.dimension, "vertices": fw.vertices,
+             "edges": np.column_stack(fw.edge_index_arrays()) + 1}
+    if fw.labels is not None:
+        canon["labels"] = list(fw.labels)
+    return hashlib.sha256(render_json(canon).encode("utf-8")).hexdigest()
 
 
 def _fields(report, omit=()) -> dict:
@@ -121,7 +122,7 @@ def _fields(report, omit=()) -> dict:
 
 def _order_report_dict(rep: OrderReport) -> dict:
     out = _fields(rep, omit=("witness", "kernel_method", "rank_margin"))
-    out["residuals"] = [dataclasses.asdict(r) for r in rep.residuals]
+    out["residuals"] = [_fields(r) for r in rep.residuals]
     return out
 
 

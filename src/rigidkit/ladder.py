@@ -96,21 +96,33 @@ class OrderReport:
         return f"inconclusive: {self.reason}"
 
 
-def flex_rhs(pf: PinnedFramework, derivs, l: int) -> np.ndarray:
+def flex_rhs(diffs: np.ndarray, l: int) -> np.ndarray:
     """Right-hand side of the level-l flex equation R p_l = rhs_l.
 
-    derivs supplies the derivative-convention coefficients p_1 .. p_{l-1}
-    (pinned-coordinate vectors).  The edge-vw entry is
+    diffs is a (k, n_edges, dimension) array, k >= l - 1, whose entry a - 1
+    holds the edge differences p_a,v - p_a,w of the derivative-convention
+    coefficient p_a (PinnedFramework.edge_differences of p_a); entries from
+    l - 1 on are not read.  The edge-vw entry is
         -1/2 sum_{a=1}^{l-1} C(l,a) (p_a,v - p_a,w) . (p_{l-a},v - p_{l-a},w),
     the bilinear part of the l-th derivative of the squared edge lengths.
-    For l = 1 the sum is empty and the rhs is zero.
+    The terms a and l - a are equal, so it sums the pairs a <= l/2 with weight
+    C(l,a), the middle term of an even l with half that: O(l E d) work on
+    differences gathered once per coefficient.  For l = 1 the sum is empty
+    and the rhs is zero.
     """
     if l < 1:
         raise ValueError("level must be >= 1")
-    # (E, d, l - 1) endpoint differences of p_1 .. p_{l-1}; pinned slots read 0
-    diffs = pf.edge_differences(np.asarray(derivs[: l - 1], dtype=float).reshape(l - 1, pf.n_free).T)
-    weights = np.array([-0.5 * math.comb(l, a) for a in range(1, l)])
-    return np.einsum("a,eda,eda->e", weights, diffs, diffs[..., ::-1])
+    k, n_edges, dim = np.shape(diffs)
+    if k < l - 1:
+        raise ValueError(f"level {l} needs the differences of {l - 1} coefficients, got {k}")
+    half = l // 2
+    weights = np.array([-float(math.comb(l, a)) for a in range(1, half + 1)])
+    if l % 2 == 0:
+        weights[-1] *= 0.5
+    # (k, E d): row a - 1 is p_a's differences; pair row a - 1 with row l - a - 1
+    flat = np.reshape(diffs, (k, n_edges * dim))
+    pairs = flat[:half] * flat[l - half - 1:l - 1][::-1]
+    return (weights @ pairs).reshape(n_edges, dim) @ np.ones(dim)
 
 
 def _sign_fixed_unit(v: np.ndarray) -> np.ndarray:
@@ -136,7 +148,11 @@ def solve_ladder(
 
     Sets p_1 to the unit kernel vector (first nonzero entry positive), then
     for l = 2..max_k solves min ||R x - rhs_l|| by the minimum-norm
-    pseudoinverse, which lands in K-bar automatically.  A level whose
+    pseudoinverse, which lands in K-bar automatically.  Each coefficient's
+    edge differences are gathered once, into one (max_k - 1, E, d) buffer
+    that every later level's flex_rhs reads, so a ladder of k levels costs
+    O(k E d) gathers plus k solves (and O(k^2 E d) multiply-adds over
+    contiguous rows in flex_rhs).  A level whose
     residual exceeds tol * (1 + ||rhs_l||) has no solution: the report is
     Order(l) and the witness collects the coefficients through l - 1
     (converted to Taylor coefficients, so the witness polynomial is itself a
@@ -157,10 +173,13 @@ def solve_ladder(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     derivs = [_sign_fixed_unit(kd.K_basis[:, 0])]
+    # entry a - 1: the edge differences of p_a, gathered once when p_a is found
+    diffs = np.empty((max_k - 1, pf.base.n_edges, pf.base.dimension))
+    diffs[0] = pf.edge_differences(derivs[0])
     records = []
     order = None
     for level in range(2, max_k + 1):
-        rhs = flex_rhs(pf, derivs, level)
+        rhs = flex_rhs(diffs, level)
         rhs_norm = float(np.linalg.norm(rhs))
         x, residual = kd.solve_min_norm(rhs)
         if not (math.isfinite(rhs_norm) and math.isfinite(residual)):
@@ -174,6 +193,8 @@ def solve_ladder(
             order = level
             break
         derivs.append(x)
+        if level < max_k:
+            diffs[level - 1] = pf.edge_differences(x)
     return OrderReport(
         verdict="flex-found" if order is None else "order",
         order=order,

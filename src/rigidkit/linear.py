@@ -14,11 +14,15 @@ Cuthill-McKee order, the edges by their last coordinate in it, and each
 panel of _BLOCK_ORDER edges is factored over the window of coordinates it
 reaches, so a banded R, such as a strip's, costs O(E b^2) for the factor
 instead of O(N^3).  The factor works in one window of R' at a time and
-keeps O(E b) numbers.  The one O(E N) array left on this path is R
-itself: every caller passes kernel_decomposition the dense R that
-rigidity_matrix assembles, and the benchmark's tracer (bench/tracing.py)
-times the two at those bindings.  Reading R's nonzeros straight from the
-pinned framework would remove it.  Everything else goes to the dense SVD.
+keeps O(E b) numbers: Q as compact-WY blocks, T as each panel's inverse
+diagonal block A^-1 and G = A^-1 U beside it (_PanelTriangular), the
+inverses formed in one batch on first use.  A solve is then one matmul
+per panel for T^-T and three per block for Q.  The one O(E N) array left
+on this path is R itself: every caller passes kernel_decomposition the
+dense R that rigidity_matrix assembles, and the benchmark's tracer
+(bench/tracing.py) times the two at those bindings.  Reading R's nonzeros
+straight from the pinned framework would remove it.  Everything else goes
+to the dense SVD.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class KernelDecomposition:
     Kbar (F^+ rhs).  _pinv applies F^+.  When P R' E = Q [T; 0] came from
     QR, P and E the coordinate and edge orders (method "qr",
     Kbar = P' Q[:, :E]), F^+ is T^-T after E, and _pinv is T itself, kept by
-    its panels' diagonal blocks and coupling rectangles, which applies T^-T
-    by block substitution; no E x E array is formed.  When
+    its panels as A^-1 and A^-1 U for diagonal block A and coupling
+    rectangle U, which applies T^-T by block substitution; no E x E array
+    is formed.  When
     R = U_r diag(sigma_r) Kbar' came from the SVD (method "svd"), _pinv is
     the matrix diag(1/sigma_r) U_r'.
     _range maps F^+ rhs into pinned coordinates: it is Kbar itself on the
@@ -118,49 +123,85 @@ _LEAF_ORDER = 16
 
 
 def _triangular_inverse(t: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular upper-triangular matrix by block recursion,
+    """Inverse of a nonsingular upper-triangular matrix, or of each of a
+    stack of them (shape (..., n, n)), by block recursion,
     [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], down to leaves
     of order _LEAF_ORDER, so most of the work is matmuls (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., ch. 14).  numpy has no
+    and Stability of Numerical Algorithms, 2nd ed., ch. 14).  A stack takes
+    one pass of the recursion, each step one batched call.  numpy has no
     triangular inverse, and its general inverse of a whole panel is an LU
     with as many right-hand sides, slower than these leaves and matmuls."""
-    n = len(t)
+    n = t.shape[-1]
     if n <= _LEAF_ORDER:
         return np.linalg.inv(t)
     h = n // 2
     out = np.zeros_like(t)
-    a_inv = out[:h, :h] = _triangular_inverse(t[:h, :h])
-    d_inv = out[h:, h:] = _triangular_inverse(t[h:, h:])
-    out[:h, h:] = -(a_inv @ t[:h, h:]) @ d_inv
+    a_inv = out[..., :h, :h] = _triangular_inverse(t[..., :h, :h])
+    d_inv = out[..., h:, h:] = _triangular_inverse(t[..., h:, h:])
+    out[..., :h, h:] = -(a_inv @ t[..., :h, h:]) @ d_inv
     return out
 
 
 class _PanelTriangular:
-    """The upper-triangular factor T of a panel QR, kept by panels: for
-    panel j0..j1-1 its diagonal block A^-1 = T[j0:j1, j0:j1]^-1 and its
-    coupling rectangle U = T[j0:j1, j1:c1], beyond which the panel's row
-    of T is zero.  On a strip that is O(E b) numbers where T^-1 would be
+    """The upper-triangular factor T of a panel QR, kept by panels.  Panel
+    j0..j1-1 has the diagonal block A = T[j0:j1, j0:j1] and the coupling
+    rectangle U = T[j0:j1, j1:c1], beyond which its row of T is zero; it
+    keeps A^-1 and G = A^-1 U side by side, as one (b, c1 - j0) array
+    [A^-1, G].  On a strip that is O(E b) numbers where T^-1 would be
     E x E.  row_order is the edge at each position of T's columns, so
-    ``t @ rhs`` is T^-T applied to rhs in edge order."""
+    ``t @ rhs`` is T^-T applied to rhs in edge order.
+
+    The factorization hands over A and U panel by panel (add_panel); the
+    inverses are formed on first use, in one batched _triangular_inverse
+    of the stacked (P, b, b) diagonal blocks, a short last panel apart,
+    so a split that declines before its last panel inverts none."""
 
     def __init__(self, row_order: np.ndarray):
         self.row_order = row_order
-        self.panels = []
+        self._factor = []         # (j0, A, U) of each panel, until first use
 
     def add_panel(self, j0: int, a: np.ndarray, u: np.ndarray) -> None:
         """Append the panel whose rows of T start at j0: its diagonal
-        block a and its coupling rectangle u, copied so that it does not
-        keep the factor's window alive."""
-        self.panels.append((j0, _triangular_inverse(a), u.copy()))
+        block a and its coupling rectangle u, copied so that they do not
+        keep the factor's window alive.  The panels are all of one order
+        but the last, which may be shorter, and every panel is added
+        before the first solve or norm."""
+        self._factor.append((j0, a.copy(), u.copy()))
+
+    @cached_property
+    def _joint(self) -> list:
+        """(j0, [A^-1, G]) of each panel."""
+        blocks = [a for _, a, _ in self._factor]
+        full = len(blocks) - (len(blocks[-1]) < len(blocks[0]))
+        a_inv = list(_triangular_inverse(np.stack(blocks[:full])))
+        a_inv += [_triangular_inverse(a) for a in blocks[full:]]
+        joint = []
+        for (j0, a, u), inv in zip(self._factor, a_inv):
+            b = len(a)
+            m = np.empty((b, b + u.shape[1]))
+            m[:, :b] = inv
+            np.matmul(inv, u, out=m[:, b:])
+            joint.append((j0, m))
+        self._factor = None
+        return joint
+
+    @property
+    def panels(self) -> list:
+        """(j0, A^-1, G) of each panel, views of its [A^-1, G]."""
+        return [(j0, m[:, :len(m)], m[:, len(m):]) for j0, m in self._joint]
 
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
         """T^-T rhs[row_order] for rhs of shape (E,) or (E, m), by block
-        forward substitution on T' = [[A', 0], [U', W']]."""
+        forward substitution on T' = [[A', 0], [U', W']]: with y1 a
+        panel's rows of y, [A^-T; G'] y1 is one matmul that gives the new
+        y1 = A^-T y1 and the update U' A^-T y1 = G' y1 of the rows after
+        it."""
         y = np.asarray(rhs, dtype=float)[self.row_order]
-        for j0, a_inv, u in self.panels:
-            j1 = j0 + len(a_inv)
-            y[j0:j1] = a_inv.T @ y[j0:j1]
-            y[j1:j1 + u.shape[1]] -= u.T @ y[j0:j1]
+        for j0, m in self._joint:
+            j1 = j0 + len(m)
+            out = m.T @ y[j0:j1]
+            y[j0:j1] = out[:len(m)]
+            y[j1:j0 + len(out)] -= out[len(m):]
         return y
 
     def inverse_frobenius_sq(self) -> float:
@@ -168,25 +209,25 @@ class _PanelTriangular:
         of the selected-inversion recurrence (Takahashi, Fagan & Chen 1973;
         Erisman & Tinney, Comm. ACM 18, 1975).  Backward over the panels,
         with W the trailing block of T, Z_WW = W^-1 W^-T already known and
-        G = A^-1 U, a panel's block row of Z is
+        G = A^-1 U as the panel keeps it, a panel's block row of Z is
             Z_12 = -G Z_WW,   Z_11 = A^-1 A^-T - Z_12 G',
         so tr(Z_11) = ||A^-1||_F^2 - <Z_12, G>, and U reaches only Z_WW's
         leading (c1 - j1)-square.  The panels' ends c1 are nondecreasing,
         so of each block row only the rows and columns up to the previous
         panel's end are ever read again, and only those are formed: a few
         rows per panel on a strip, all of Z on a dense envelope."""
-        ends = [j0 + len(a_inv) + u.shape[1] for j0, a_inv, u in self.panels]
+        panels = self.panels
+        ends = [j0 + g.shape[1] + len(g) for j0, _, g in panels]
         total = 0.0
         rows = []                 # (k0, Z[k0:k0+p, k0:c0]) of the later panels
-        for (j0, a_inv, u), c0 in zip(reversed(self.panels), ([0] + ends[:-1])[::-1]):
+        for (j0, a_inv, g), c0 in zip(reversed(panels), ([0] + ends[:-1])[::-1]):
             j1 = j0 + len(a_inv)
-            c1 = j1 + u.shape[1]
+            c1 = j1 + g.shape[1]
             z_ww = np.empty((c1 - j1, c1 - j1))
             for k0, z in rows:
                 k1 = min(k0 + len(z), c1)
                 z_ww[k0 - j1:, k0 - j1:k1 - j1] = z[:k1 - k0, :c1 - k0].T
                 z_ww[k0 - j1:k1 - j1, k0 - j1:] = z[:k1 - k0, :c1 - k0]
-            g = a_inv @ u
             z_12 = -(g @ z_ww)
             total += float(np.vdot(a_inv, a_inv) - np.vdot(z_12, g))
             p = min(c0, j1) - j0
@@ -257,7 +298,12 @@ def _envelope_order(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarr
     nonzeros in both.  Each connected component is searched breadth-first
     from its column of fewest nonzeros, each column's new neighbours taken
     in order of ascending nonzero count.  Returns the column at each
-    position."""
+    position.  Rows out of ascending order raise ValueError: each row's
+    columns are read as one run of cols, and nonzeros listed in another
+    order (endpoint-major, say) would give a valid but far worse order
+    with no other sign."""
+    if np.any(np.diff(rows) < 0):
+        raise ValueError("_envelope_order needs the nonzeros listed with rows ascending")
     n_rows = int(rows[-1]) + 1 if rows.size else 0
     by_col = np.argsort(cols, kind="stable")
     col_ptr = np.searchsorted(cols[by_col], np.arange(n_cols + 1)).tolist()
@@ -358,8 +404,9 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     fails the cutoff stops the factorization, so a declined attempt ends
     early.  T is never inverted: each panel hands its diagonal block and
     the rectangle of later columns its update reached to a _PanelTriangular,
-    which gives ||T^-1||_F by block selected inversion and T^-T rhs by block
-    substitution, O(E b) work per solve on a strip.  An accepted split keeps Q as
+    which inverts the diagonal blocks in one batch once the last panel is
+    in, and gives ||T^-1||_F by block selected inversion and T^-T rhs by
+    block substitution, O(E b) work per solve on a strip.  An accepted split keeps Q as
     its blocks: K = Q [0; I], the solves apply Q to [T^-T rhs; 0], and
     K-bar is formed only if Kbar_basis is read; the two orders fold into
     _pinv's row_order and into Q's rows.

@@ -16,12 +16,20 @@ from rigidkit import (
     rigidity_order,
     solve_ladder,
 )
-from rigidkit.ladder import DEFAULT_LADDER_TOL
+from rigidkit import ladder
+from rigidkit.framework import PinnedFramework
+from rigidkit.ladder import DEFAULT_LADDER_TOL, DEFAULT_MAX_K
 from oracles import classify_flex, embed_tangent
+from test_linear import strip_minus_edge
+
+
+def edge_diffs(pf, derivs):
+    """flex_rhs's input: the edge differences of derivs, entry a - 1 for p_a."""
+    return np.moveaxis(pf.edge_differences(np.array(derivs).T), -1, 0)
 
 
 def test_flex_rhs_level_one_is_zero(square_pinned):
-    rhs = flex_rhs(square_pinned, [], 1)
+    rhs = flex_rhs(np.zeros((0, square_pinned.base.n_edges, 2)), 1)
     assert np.array_equal(rhs, np.zeros(square_pinned.base.n_edges))
 
 
@@ -29,19 +37,21 @@ def test_flex_rhs_level_two_matches_direct_form(square_pinned):
     # level-2 condition: (p_v - p_w).(p''_v - p''_w) = -|p'_v - p'_w|^2
     rng = np.random.default_rng(5)
     p1 = rng.standard_normal(square_pinned.n_free)
-    rhs = flex_rhs(square_pinned, [p1], 2)
+    rhs = flex_rhs(edge_diffs(square_pinned, [p1]), 2)
     full = embed_tangent(square_pinned, p1)
     direct = np.array([
         -np.sum((full[v] - full[w]) ** 2) for v, w in square_pinned.base.edges
     ])
     assert np.allclose(rhs, direct, atol=1e-14)
+    with pytest.raises(ValueError, match="needs the differences of 2"):
+        flex_rhs(edge_diffs(square_pinned, [p1]), 3)
 
 
 def test_flex_rhs_level_three_vanishing_factor(square_pinned):
     rng = np.random.default_rng(6)
     p1 = rng.standard_normal(square_pinned.n_free)
     p2 = np.zeros(square_pinned.n_free)
-    rhs = flex_rhs(square_pinned, [p1, p2], 3)
+    rhs = flex_rhs(edge_diffs(square_pinned, [p1, p2]), 3)
     assert np.allclose(rhs, 0.0, atol=1e-15)
 
 
@@ -64,10 +74,39 @@ def test_flex_rhs_matches_per_level_gathers(corpus_analysis):
     for name, item in corpus_analysis.items():
         pf = item["pf"]
         derivs = list(rng.standard_normal((31, pf.n_free)))
+        diffs = edge_diffs(pf, derivs)
         for l in range(1, 33):
             want = flex_rhs_per_level(pf, derivs, l)
-            got = flex_rhs(pf, derivs, l)
+            got = flex_rhs(diffs, l)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (name, l)
+
+
+def test_ladder_gathers_each_coefficient_once(monkeypatch):
+    # one flex_rhs per level, through the module global the benchmark's
+    # tracer wraps, and one gathered column per coefficient: O(k E d)
+    # gathers for k levels, where re-gathering p_1..p_{l-1} at every level
+    # would take k^2 / 2 columns
+    pf = strip_minus_edge(150, seed=150)
+    kd = kernel_decomposition(rigidity_matrix(pf))
+    calls, columns = [], []
+    rhs_fn, gather = ladder.flex_rhs, PinnedFramework.edge_differences
+
+    def counted_rhs(diffs, l):
+        calls.append(l)
+        return rhs_fn(diffs, l)
+
+    def counted_gather(self, x):
+        columns.append(1 if np.ndim(x) == 1 else np.shape(x)[1])
+        return gather(self, x)
+
+    monkeypatch.setattr(ladder, "flex_rhs", counted_rhs)
+    monkeypatch.setattr(PinnedFramework, "edge_differences", counted_gather)
+    rep = solve_ladder(pf, kd)
+    monkeypatch.undo()
+    assert rep.verdict == "flex-found" and len(rep.residuals) == DEFAULT_MAX_K - 1
+    assert calls == list(range(2, DEFAULT_MAX_K + 1))
+    # p_1 and each solved level's x but the last, which no level reads
+    assert sum(columns) == len(columns) == len(rep.residuals)
 
 
 def test_corpus_orders(corpus_analysis):
@@ -152,7 +191,7 @@ def test_ladder_scale_equivariance(corpus_analysis):
     # alpha^l, and level base.order is still unsolvable
     derivs = [alpha * base.witness.coeffs[0]]
     for level in range(2, base.order + 1):
-        rhs = flex_rhs(pf, derivs, level)
+        rhs = flex_rhs(edge_diffs(pf, derivs), level)
         x, residual = kd.solve_min_norm(rhs)
         if residual > DEFAULT_LADDER_TOL * (1.0 + np.linalg.norm(rhs)):
             break

@@ -14,7 +14,15 @@ from rigidkit import (
     rigidity_matrix,
     solve_ladder,
 )
-from rigidkit.linear import _BLOCK_ORDER, DEFAULT_KERNEL_TOL, _CompactWY, _PanelTriangular, _qr_split, _svd_split
+from rigidkit.linear import (
+    _BLOCK_ORDER,
+    DEFAULT_KERNEL_TOL,
+    _CompactWY,
+    _envelope_order,
+    _PanelTriangular,
+    _qr_split,
+    _svd_split,
+)
 
 from oracles import dense_triangular, embed_tangent, inverse_frobenius_sq, qr_split_by_dense_workspace
 
@@ -295,6 +303,23 @@ def test_qr_split_windows_follow_the_band():
         windows = [vt.shape[1] for _, vt, _ in kd._range.blocks]
         assert len(windows) == -(-(kd.K_basis.shape[0] - kd.dim_K) // _BLOCK_ORDER)
         assert max(windows) <= _BLOCK_ORDER + 8
+
+
+def test_envelope_order_refuses_nonzeros_out_of_row_order():
+    # the order reads each row's nonzeros as one run; listed endpoint-major
+    # (all first endpoints, then all second ones) the runs are wrong, and
+    # the order that came out made the split 5-160x slower with no error
+    pf = strip_minus_edge(150, seed=150)
+    n_edges, n_free = pf.base.n_edges, pf.n_free
+    ends = pf.edge_free_columns()
+    rows = np.broadcast_to(np.arange(n_edges)[None, :, None], ends.shape).ravel()
+    cols = ends.ravel()
+    free = cols < n_free
+    with pytest.raises(ValueError, match="rows ascending"):
+        _envelope_order(rows[free], cols[free], n_free)
+    by_row = np.argsort(rows[free], kind="stable")
+    order = _envelope_order(rows[free][by_row], cols[free][by_row], n_free)
+    assert np.array_equal(np.sort(order), np.arange(n_free))
 
 
 def test_compact_wy_block_is_the_product_of_its_reflectors():
