@@ -162,11 +162,12 @@ class _PanelTriangular:
 
     def add_panel(self, j0: int, a: np.ndarray, u: np.ndarray) -> None:
         """Append the panel whose rows of T start at j0: its diagonal
-        block a and its coupling rectangle u, copied so that they do not
-        keep the factor's window alive.  The panels are all of one order
-        but the last, which may be shorter, and every panel is added
-        before the first solve or norm."""
-        self._factor.append((j0, a.copy(), u.copy()))
+        block a, an array of its own that is kept until first use, and its
+        coupling rectangle u, copied so that it does not keep the factor's
+        window alive.  The panels are all of one order but the last, which
+        may be shorter, and every panel is added before the first solve or
+        norm."""
+        self._factor.append((j0, a, u.copy()))
 
     @cached_property
     def _joint(self) -> list:

@@ -308,7 +308,8 @@ def test_qr_split_windows_follow_the_band():
 def test_envelope_order_refuses_nonzeros_out_of_row_order():
     # the order reads each row's nonzeros as one run; listed endpoint-major
     # (all first endpoints, then all second ones) the runs are wrong, and
-    # the order that came out made the split 5-160x slower with no error
+    # an order built from them can make the split 5-160x slower with no
+    # other sign
     pf = strip_minus_edge(150, seed=150)
     n_edges, n_free = pf.base.n_edges, pf.n_free
     ends = pf.edge_free_columns()
