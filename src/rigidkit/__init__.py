@@ -47,6 +47,7 @@ from .framework import (
     permute_framework,
     pin,
     pin_with_permutation,
+    rigidity_matrix,
     save_framework,
 )
 from .growth import GrowthFit, fit_growth_order
@@ -58,11 +59,7 @@ from .ladder import (
     rigidity_order,
     solve_ladder,
 )
-from .linear import (
-    KernelDecomposition,
-    kernel_decomposition,
-    rigidity_matrix,
-)
+from .linear import KernelDecomposition, kernel_decomposition
 
 __version__ = "0.1.0"
 
@@ -79,9 +76,9 @@ __all__ = [
     "Framework", "Isometry", "PinnedFramework", "affine_span_dimension",
     "find_pinnable_permutation", "framework_from_dict", "framework_to_dict",
     "load_framework", "permute_framework", "pin", "pin_with_permutation",
-    "save_framework",
+    "rigidity_matrix", "save_framework",
     "GrowthFit", "fit_growth_order",
     "Jet",
     "OrderReport", "PolyTrajectory", "flex_rhs", "rigidity_order", "solve_ladder",
-    "KernelDecomposition", "kernel_decomposition", "rigidity_matrix",
+    "KernelDecomposition", "kernel_decomposition",
 ]

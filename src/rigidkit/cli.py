@@ -37,11 +37,12 @@ from .framework import (
     _as_float_rows,
     load_framework,
     pin_with_permutation,
+    rigidity_matrix,
 )
 from .growth import fit_growth_order
 from .jets import MAX_ORDER
 from .ladder import DEFAULT_LADDER_TOL, DEFAULT_MAX_K, OrderReport, PolyTrajectory, rigidity_order, solve_ladder
-from .linear import kernel_decomposition, rigidity_matrix
+from .linear import kernel_decomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 1

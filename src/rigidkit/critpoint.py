@@ -53,11 +53,11 @@ import numpy as np
 
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
 from .errors import DimKNotOne, NotACriticalPoint
-from .framework import PinnedFramework, _as_float, _as_int
+from .framework import PinnedFramework, _as_float, _as_int, rigidity_matrix
 from .growth import minimize_on_sphere
 from .jets import Jet
 from .ladder import PolyTrajectory
-from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
+from .linear import KernelDecomposition, kernel_decomposition
 
 DEFAULT_CRIT_TOL = 1e-8
 BOX_CAP = 4096   # boxes the order-4 branch and bound may bound before it gives up
@@ -80,6 +80,8 @@ class PolynomialTarget:
     monomials: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
+        if self.n_vars < 1:
+            raise ValueError("a polynomial needs at least one variable")
         canon = []
         for exps, coef in self.monomials:
             exps, coef = tuple(map(_as_int, exps)), _as_float(coef)

@@ -16,11 +16,11 @@ and, when asked, the Hessians, with block (E'/l) I + ((E'' - E'/l)/l^2) D D'
 per edge; the energy's value at a point is the rest energy plus its gap,
 so no pointwise evaluation runs a jet, and the framework's own
 |D|^2 - d^2 enters each length change, so specs off rest stay exact.
-Gradients are summed into the free coordinates with the pinned framework's
-fixed gradient plan, and Hessians with one bincount along its fixed Hessian
-plan.  The algebraic jet takes a square root of the constant term only, so
-that m - d^2 is exactly zero at rest; Lennard-Jones uses jet reciprocals,
-Morse uses jet exp.
+The pinned framework takes the edge differences and sums the per-edge
+gradients and Hessian blocks back onto the free coordinates, so this module
+never sees the free-coordinate layout.  The algebraic jet takes a square
+root of the constant term only, so that m - d^2 is exactly zero at rest;
+Lennard-Jones uses jet reciprocals, Morse uses jet exp.
 """
 
 from __future__ import annotations
@@ -235,14 +235,14 @@ def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool)
     (E, B) array.  With E', E'' = dE/dl, d2E/dl2 from _gap_and_slope and
     D = p_v - p_w displaced, edge vw adds (E'/l) D to the gradient at v
     and the block (E'/l) I + ((E'' - E'/l)/l^2) D D' to the Hessian at
-    (v, v) and (w, w), and subtracts them at w and at (v, w) and (w, v).  Gradients are summed
-    into the free columns with the framework's fixed gradient plan, and the
-    Hessians of all rows with one bincount along its fixed Hessian plan.
+    (v, v) and (w, w), and subtracts them at w and at (v, w) and (w, v);
+    the pinned framework sums both onto the free coordinates
+    (sum_onto_free, sum_blocks_onto_free).
     """
     _check_binding(spec, pf)
     delta = np.asarray(delta_free, dtype=float)
     batch = delta if delta.ndim == 2 else delta[None, :]
-    n_batch, n_free = batch.shape[0], pf.n_free
+    n_batch = batch.shape[0]
     delta_diff = pf.edge_differences(batch.T)
     base_diff = pf.base.edge_vectors()
     rest = spec.rest_lengths[:, None]
@@ -267,41 +267,16 @@ def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool)
     gap, slope, curv = _gap_and_slope(spec, lengths, dl)
     along = slope / lengths
     diffs = base_diff[:, :, None] + delta_diff
-    grad = np.ascontiguousarray(_sum_onto_free(pf, along[:, None, :] * diffs).T)
+    grad = np.ascontiguousarray(pf.sum_onto_free(along[:, None, :] * diffs).T)
     out = (float(gap.sum()), grad[0]) if delta.ndim == 1 else (gap.sum(0), grad)
     if not hessian:
         return out
-    # each edge adds its d x d block at (v, v) and (w, w) and subtracts it
-    # at (v, w) and (w, v): one bincount over the free x free entries of
-    # every row, in edge order
     rows = diffs.transpose(2, 0, 1)
     blocks = ((curv - along) / m_val).T[..., None, None] * (rows[..., :, None] * rows[..., None, :])
     axis = np.arange(pf.dimension)
     blocks[..., axis, axis] += along.T[..., None]
-    entries, targets = pf.hessian_plan()
-    signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, :, None]
-    bins = (np.arange(n_batch)[:, None] * n_free**2 + targets).ravel()
-    weights = signed.reshape(n_batch, -1)[:, entries].ravel()
-    hess = np.bincount(bins, weights, minlength=n_batch * n_free**2).reshape(n_batch, n_free, n_free)
+    hess = pf.sum_blocks_onto_free(blocks)
     return out + ((hess[0],) if delta.ndim == 1 else (hess,))
-
-
-def _sum_onto_free(pf: PinnedFramework, rows: np.ndarray) -> np.ndarray:
-    """(n_free, ...) sums of +rows[i] onto the free coordinates of edge i's
-    first endpoint and -rows[i] onto its second's, for rows of shape
-    (E, d, ...).  The pinned framework's gradient plan fixes the operands
-    of each column's sum and the order they are gathered in: canonical edge
-    order, first endpoints before second ones.  It does not fix how
-    np.add.reduceat associates them, so a sum can differ in the last bit
-    from a left-to-right one; the same rows always give the same sums.
-    Free coordinates that no edge touches get zero."""
-    tail = rows.shape[2:]
-    flows = np.concatenate([rows, -rows]).reshape((-1,) + tail)
-    order, starts, columns = pf.gradient_plan()
-    out = np.zeros((pf.n_free,) + tail)
-    if starts.size:
-        out[columns] = np.add.reduceat(np.take(flows, order, axis=0), starts)
-    return out
 
 
 def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
@@ -389,4 +364,4 @@ def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyT
     dphi = series_compose(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_series)
     # dE/dp_v = 2 phi'(m) (p_v - p_w) per edge vw, and the negative for p_w
     force = 2.0 * series_mul(dphi[:, None, :], diffs)
-    return _sum_onto_free(pf, force)
+    return pf.sum_onto_free(force)

@@ -6,7 +6,8 @@ edges are rigid bars.  Pinning removes the rigid-motion degrees of freedom by
 translating vertex 1 to the origin and rotating so vertex i lies in the span
 of the first i-1 coordinate axes, for i up to one past the affine span
 dimension.  All downstream rigidity analysis operates on the free pinned
-coordinates.
+coordinates, and this module alone knows where each bar's two endpoints land
+among them: see rigidity_matrix and PinnedFramework.
 """
 
 from __future__ import annotations
@@ -164,11 +165,10 @@ class PinnedFramework:
 
     The free column of every edge endpoint coordinate, and the order in which
     per-endpoint contributions are summed into those columns, are computed
-    once here (O(E d) each); see edge_free_columns and gradient_plan.
-    edge_differences gathers through the former, so other modules take
-    endpoint differences without knowing the pinned slot.  The free x free
-    target of every Hessian block entry (O(E d^2)) is computed once, on
-    first use; see hessian_plan.
+    once here (O(E d) each): edge_differences gathers through the former,
+    sum_onto_free (its adjoint) sums through the latter, and rigidity_matrix
+    assembles R through the column map, so no other module knows the pinned
+    slot.  sum_blocks_onto_free's O(E d^2) plan is built on first use.
     """
 
     base: Framework
@@ -180,7 +180,7 @@ class PinnedFramework:
         object.__setattr__(self, "free_vertex", layout[0])
         object.__setattr__(self, "free_axis", layout[1])
 
-        # free column of each (edge, axis) endpoint; pinned slots share the
+        # free column of each (endpoint, edge, axis); pinned slots share the
         # extra column n_free
         n_free = layout.shape[1]
         col = np.full(self.base.vertices.shape, n_free)
@@ -208,45 +208,56 @@ class PinnedFramework:
     def dimension(self) -> int:
         return self.base.dimension
 
-    def edge_free_columns(self) -> np.ndarray:
-        """Read-only (2, n_edges, dimension) array: the free columns of each
-        edge's first and second endpoint coordinates, in canonical edge
-        order; pinned coordinates map to the extra column n_free."""
-        return self._edge_columns
-
     def edge_differences(self, x) -> np.ndarray:
         """(n_edges, dimension, ...) differences x_v - x_w over every
         canonical edge vw of an (n_free, ...) array x of free-coordinate
         values, with pinned coordinates read as 0: one row gather through
-        edge_free_columns from a copy of x padded with a zero row for the
-        pinned slot."""
+        the endpoints' free columns from a copy of x padded with a zero row
+        for the pinned slot."""
         x = np.asarray(x, dtype=float)
         padded = np.zeros((self.n_free + 1,) + x.shape[1:])
         padded[:-1] = x
         ends = np.take(padded, self._edge_columns, axis=0)
         return ends[0] - ends[1]
 
-    def gradient_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, columns): a fixed plan for summing 2 E d endpoint
-        contributions, laid out as (first/second endpoint, edge, axis), into
-        the free columns.  order lists the contributions to free columns,
-        stably sorted by column; starts[j] is where the run of columns[j]
-        begins in it.  A free column no edge touches has no run."""
-        return self._plan
+    def sum_onto_free(self, rows: np.ndarray) -> np.ndarray:
+        """(n_free, ...) sums of +rows[i] onto the free coordinates of edge
+        i's first endpoint and -rows[i] onto its second's, for rows of shape
+        (E, d, ...): the adjoint of edge_differences.  The fixed plan built
+        at pinning fixes the operands of each column's sum and the order
+        they are gathered in: canonical edge order, first endpoints before
+        second ones.  It does not fix how np.add.reduceat associates them,
+        so a sum can differ in the last bit from a left-to-right one; the
+        same rows always give the same sums.  Free coordinates that no edge
+        touches get zero."""
+        tail = rows.shape[2:]
+        flows = np.concatenate([rows, -rows]).reshape((-1,) + tail)
+        order, starts, columns = self._plan
+        out = np.zeros((self.n_free,) + tail)
+        if starts.size:
+            out[columns] = np.add.reduceat(np.take(flows, order, axis=0), starts)
+        return out
 
-    def hessian_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """(entries, targets): a fixed plan for summing the 4 E d^2 entries
-        of the edges' Hessian blocks, laid out as (edge, block, a, b) with
-        blocks (v, v), (w, w), (v, w), (w, v) of edge vw, into the flat
-        n_free x n_free Hessian.  entries lists, in that order, the entries
-        whose row and column are both free; targets[i] is the flat free x
-        free index of entries[i].  Entries touching a pinned coordinate
-        are dropped.  Built on first use, since a verdict the ladder
-        decides takes no Hessian."""
-        return self._hessian_plan
+    def sum_blocks_onto_free(self, blocks: np.ndarray) -> np.ndarray:
+        """(B, n_free, n_free) sums, for (B, E, d, d) blocks M_e, of +M_e
+        at (v, v) and (w, w) and -M_e at (v, w) and (w, v) of every
+        canonical edge vw: sum_e (e_v - e_w)(e_v - e_w)' (x) M_e with pinned
+        rows and columns deleted, so x' H x = sum_e X_e' M_e X_e for the
+        edge differences X of x.  One bincount over the free x free entries
+        of every row, in edge order."""
+        n_batch, n_free = blocks.shape[0], self.n_free
+        entries, targets = self._hessian_plan
+        signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, :, None]
+        bins = (np.arange(n_batch)[:, None] * n_free**2 + targets).ravel()
+        weights = signed.reshape(n_batch, -1)[:, entries].ravel()
+        return np.bincount(bins, weights, minlength=n_batch * n_free**2).reshape(n_batch, n_free, n_free)
 
     @cached_property
     def _hessian_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(entries, targets): the (edge, block, a, b) entries of blocks
+        (v, v), (w, w), (v, w), (w, v) of each edge vw whose row and column
+        are free, and their flat free x free indices; built on first use,
+        since a verdict the ladder decides takes no Hessian."""
         n_free = self.n_free
         ends = self._edge_columns
         rows = ends[[0, 1, 0, 1]].transpose(1, 0, 2)[:, :, :, None]
@@ -260,6 +271,23 @@ class PinnedFramework:
     def free_vector(self) -> np.ndarray:
         """The free pinned coordinates of the base configuration."""
         return self.base.vertices[self.free_vertex, self.free_axis]
+
+
+def rigidity_matrix(pf: PinnedFramework) -> np.ndarray:
+    """Assemble R(p), a read-only (n_edges, n_free) array whose rows follow
+    canonical edge order and columns the pinned framework's free-coordinate
+    order: for edge vw, (p_v - p_w) lands in vertex v's free columns and
+    (p_w - p_v) in vertex w's, with pinned columns deleted."""
+    diff = pf.base.edge_vectors()
+    n_edges, n_free = pf.base.n_edges, pf.n_free
+    ends = pf._edge_columns
+    # flat targets in R; a pinned endpoint goes to one spare entry past R
+    at = np.where(ends < n_free, np.arange(n_edges)[:, None] * n_free + ends, n_edges * n_free)
+    flat = np.zeros(n_edges * n_free + 1)
+    flat[at] = (diff, -diff)
+    mat = flat[:-1].reshape(n_edges, n_free)
+    mat.setflags(write=False)
+    return mat
 
 
 def _free_layout(n: int, d: int, span_dim: int) -> np.ndarray:

@@ -42,8 +42,8 @@ import numpy as np
 
 from .energy import EnergySpec, energy_gap_and_grad, energy_gap_grad_hess, energy_value_grad_hess
 from .errors import DegenerateFit, ZeroLengthEdge
-from .framework import PinnedFramework
-from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
+from .framework import PinnedFramework, rigidity_matrix
+from .linear import KernelDecomposition, kernel_decomposition
 
 DEFAULT_N_RADII = 12
 N_STARTS = 64             # starts of the multistart, flex directions included

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimKNotOne, RigidkitError
-from .framework import PinnedFramework
-from .linear import KernelDecomposition, kernel_decomposition, rigidity_matrix
+from .framework import PinnedFramework, rigidity_matrix
+from .linear import KernelDecomposition, kernel_decomposition
 
 DEFAULT_MAX_K = 32
 DEFAULT_LADDER_TOL = 1e-7

@@ -1,9 +1,10 @@
-"""Rigidity matrix, first-order flex space K, and the K / K-bar splitting of
-pinned coordinate space.
+"""First-order flex space K and the K / K-bar splitting of pinned
+coordinate space, from the rigidity matrix.
 
-The pinned rigidity matrix R has one row per edge; R x recovers, per edge vw,
-the quantity (p_v - p_w) . (x_v - x_w) for any pinned-coordinate vector x (the
-conventional factor of 2 from differentiating squared lengths is dropped).
+The pinned rigidity matrix R (framework.rigidity_matrix) has one row per
+edge; R x recovers, per edge vw, the quantity (p_v - p_w) . (x_v - x_w) for
+any pinned-coordinate vector x (the conventional factor of 2 from
+differentiating squared lengths is dropped).
 K = ker R holds the first-order flex coefficients; K-bar is chosen as its
 orthogonal complement, which makes the ladder's least-squares solutions
 canonical.
@@ -18,11 +19,11 @@ keeps O(E b) numbers: Q as compact-WY blocks, T as each panel's inverse
 diagonal block A^-1 and G = A^-1 U beside it (_PanelTriangular), the
 inverses formed in one batch on first use.  A solve is then one matmul
 per panel for T^-T and three per block for Q.  The one O(E N) array left
-on this path is R itself: every caller passes kernel_decomposition the
-dense R that rigidity_matrix assembles, and the benchmark's tracer
-(bench/tracing.py) times the two at those bindings.  Reading R's nonzeros
-straight from the pinned framework would remove it.  Everything else goes
-to the dense SVD.
+on this path is R itself, a plain array that every caller assembles with
+framework.rigidity_matrix and passes to kernel_decomposition; the
+benchmark's tracer (bench/tracing.py) times the two at those bindings.
+Reading R's nonzeros straight from the pinned framework would remove it.
+Everything else goes to the dense SVD.
 """
 
 from __future__ import annotations
@@ -32,26 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .framework import PinnedFramework
-
 DEFAULT_KERNEL_TOL = 1e-9
-
-
-def rigidity_matrix(pf: PinnedFramework) -> np.ndarray:
-    """Assemble R(p), a read-only (n_edges, n_free) array whose rows follow
-    canonical edge order and columns the pinned framework's free-coordinate
-    order: for edge vw, (p_v - p_w) lands in vertex v's free columns and
-    (p_w - p_v) in vertex w's, with pinned columns deleted."""
-    diff = pf.base.edge_vectors()
-    n_edges, n_free = pf.base.n_edges, pf.n_free
-    ends = pf.edge_free_columns()
-    # flat targets in R; a pinned endpoint goes to one spare entry past R
-    at = np.where(ends < n_free, np.arange(n_edges)[:, None] * n_free + ends, n_edges * n_free)
-    flat = np.zeros(n_edges * n_free + 1)
-    flat[at] = (diff, -diff)
-    mat = flat[:-1].reshape(n_edges, n_free)
-    mat.setflags(write=False)
-    return mat
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,7 +60,7 @@ import numpy as np
 from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet, PolyTrajectory,
                       energy_along_trajectory, energy_value_grad_hess, load_corpus)
 from rigidkit.critpoint import _bernstein_bound
-from rigidkit.energy import _edge_diffs, _edge_m_jet, _sum_onto_free, _taylor_in_m
+from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m
 from rigidkit.jets import series_compose, series_mul
 from rigidkit.linear import _BLOCK_ORDER, KernelDecomposition, _CompactWY, _envelope_layout, _PanelTriangular
 
@@ -440,7 +440,7 @@ def gradient_by_jets(spec, pf, traj: PolyTrajectory, order: int) -> np.ndarray:
     m_jet = _edge_m_jet(diffs)
     taylor = _taylor_in_m(spec, m_jet.c[:, 0], order + 1)
     dphi = compose_by_jets(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_jet)
-    return _sum_onto_free(pf, 2.0 * series_mul(dphi.c[:, None, :], diffs))
+    return pf.sum_onto_free(2.0 * series_mul(dphi.c[:, None, :], diffs))
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,19 @@ def test_fixed_tolerances_are_module_constants():
     assert "tol" in inspect.signature(rigidkit.rigidity_order).parameters
 
 
+LAYOUT_ATTRIBUTES = {"_edge_columns", "_plan", "_hessian_plan"}
+
+
 def test_only_the_framework_and_the_rigidity_matrix_read_the_pinned_slot_column():
-    # every other module takes edge differences from
-    # PinnedFramework.edge_differences rather than gathering through the
-    # column map, whose extra column n_free stands for the pinned slots
+    # the free-coordinate layout (the endpoint column map, whose extra
+    # column n_free stands for the pinned slots, and the two summation
+    # plans) is read in framework.py alone, where rigidity_matrix assembles
+    # R; every other module goes through edge_differences, sum_onto_free and
+    # sum_blocks_onto_free, and linear takes R as a plain array
     package = Path(rigidkit.__file__).parent
-    readers = {path.name for path in package.rglob("*.py") if "edge_free_columns" in _loaded_names(path)}
-    assert readers <= {"framework.py", "linear.py"}
+    readers = {path.name for path in package.rglob("*.py") if LAYOUT_ATTRIBUTES & _loaded_names(path)}
+    assert readers == {"framework.py"}
+    assert not [name for name in ("edge_free_columns", "gradient_plan", "hessian_plan")
+                if hasattr(rigidkit.PinnedFramework, name)]
+    linear = ast.parse((package / "linear.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(linear) if isinstance(node, ast.ImportFrom) and node.module == "framework"]

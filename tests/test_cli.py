@@ -459,6 +459,7 @@ def bad_input_files(tmp_path, k33_file):
         "nan_coef": [{"exps": [2], "coef": float("nan")}],
         "inf_coef": [{"exps": [2], "coef": 1.0}, {"exps": [4], "coef": float("inf")}],
         "poly": [{"exps": [2, 0], "coef": 1.0}, {"exps": [0, 4], "coef": 1.0}],
+        "no_vars": [{"exps": [], "coef": 1.0}],
     }
     paths = {"k33": k33_file}
     for name, data in contents.items():
@@ -489,10 +490,13 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["critpoint", "--poly", "{bool_exp}"], "input error: ", id="boolean-exponent"),
     pytest.param(["critpoint", "--poly", "{nan_coef}"], "input error: ", id="nan-coefficient"),
     pytest.param(["critpoint", "--poly", "{inf_coef}"], "input error: ", id="infinite-coefficient"),
+    pytest.param(["critpoint", "--poly", "{no_vars}"], "input error: ", id="polynomial-in-no-variables"),
     pytest.param(["analyze", "{k33}", "--max-k", "1"], "usage error: ", id="max-k-below-2"),
     pytest.param(["analyze", "{k33}", "--max-k", "65"], "usage error: ", id="max-k-above-jet-cap"),
     pytest.param(["growth", "{k33}", "--rmin", "0.2", "--rmax", "0.1"], "usage error: ", id="rmin-above-rmax"),
     pytest.param(["growth", "{k33}", "--rmax", "inf"], "usage error: ", id="rmax-infinite"),
+    pytest.param(["critpoint"], "usage error: critpoint needs --poly or a framework file",
+                 id="critpoint-without-target"),
     pytest.param(["critpoint", "{k33}", "--order", "1"], "usage error: ", id="order-below-2"),
     pytest.param(["critpoint", "{k33}", "--order", "33"], "usage error: ", id="order-above-jet-cap"),
     pytest.param(["critpoint", "--poly", "{poly}", "--order", "3"], "usage error: ", id="poly-with-order"),
@@ -606,6 +610,13 @@ def test_critpoint_without_an_applicable_test_is_inapplicable(tmp_path, capsys, 
     path.write_text(json.dumps({"dimension": 2, "vertices": vertices, "edges": edges}))
     assert main(["critpoint", str(path), *extra]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["classification"] == "inapplicable"
+
+
+def test_critpoint_order_past_the_ladder_certificate_is_inapplicable(k33_file, capsys):
+    # k33 has order 3, so it has no (1,3)-flex for the order-8 family test
+    assert main(["critpoint", k33_file, "--order", "4"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"classification": "inapplicable", "reason": "no (1,3)-flex exists: ladder certifies order 3"}
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -193,10 +193,36 @@ def test_hessian_resolved_cases():
     pd = PolynomialTarget(2, (((2, 0), 1.0), ((0, 2), 2.0)))
     nd = PolynomialTarget(2, (((2, 0), -1.0), ((0, 2), -2.0)))
     sad = PolynomialTarget(2, (((2, 0), 1.0), ((0, 2), -2.0)))
+    # xy + x^2 + y^4: the mixed monomial gives Hessian [[2, 1], [1, 0]]
+    mixed = PolynomialTarget(2, (((1, 1), 1.0), ((2, 0), 1.0), ((0, 4), 1.0)))
     assert fourth_derivative_test(pd).classification == "strict-min"
     assert fourth_derivative_test(pd).resolved_by == "hessian"
     assert fourth_derivative_test(nd).classification == "strict-max"
     assert fourth_derivative_test(sad).classification == "saddle"
+    np.testing.assert_array_equal(mixed.hessian0(), [[2.0, 1.0], [1.0, 0.0]])
+    rep = fourth_derivative_test(mixed)
+    assert (rep.classification, rep.resolved_by, rep.nullity) == ("saddle", "hessian", 0)
+
+
+def _coupled(quartic: float) -> PolynomialTarget:
+    # f = (x + y)^2 + quartic y^4, whose Hessian couples x and y
+    return PolynomialTarget(2, (((2, 0), 1.0), ((1, 1), 2.0), ((0, 2), 1.0), ((0, 4), quartic)))
+
+
+def test_mixed_monomial_hessian_with_a_kernel():
+    # the kernel of [[2, 2], [2, 2]] is (-1, 1)/sqrt 2, along which f is
+    # quartic y^4 = quartic / 4 on the unit kernel sphere
+    target = _coupled(1.0)
+    np.testing.assert_array_equal(target.hessian0(), [[2.0, 2.0], [2.0, 2.0]])
+    rep = fourth_derivative_test(target)
+    assert (rep.classification, rep.resolved_by, rep.nullity) == ("strict-min", "quartic", 1)
+    assert rep.a_min == pytest.approx(0.25, rel=1e-12)
+    assert rep.a_max == pytest.approx(2.0, rel=1e-12)
+    velocity = np.array([-1.0, 1.0]) / np.sqrt(2.0)
+    assert min(np.linalg.norm(rep.arg_min_velocity - s * velocity) for s in (1.0, -1.0)) < 1e-12
+    rep = fourth_derivative_test(_coupled(-1.0))
+    assert (rep.classification, rep.resolved_by) == ("saddle", "quartic")
+    assert rep.a_min == pytest.approx(-0.25, rel=1e-12)
 
 
 def test_nsd_degenerate_via_negation():

@@ -254,3 +254,59 @@ def test_edge_differences_give_the_rigidity_matrix_product(corpus_analysis):
             full = embed_tangent(pf, x[:, b])
             assert np.array_equal(pf.edge_differences(x[:, b]), full[ev] - full[ew])
             assert np.array_equal(diffs[..., b], full[ev] - full[ew])
+
+
+def _pinned_below_its_dimension():
+    # K5 and an isolated vertex on a tilted plane of R^3: span 2 < 3, so
+    # vertices past the third keep a free coordinate off the plane, and the
+    # isolated vertex's three coordinates are touched by no edge
+    rng = np.random.default_rng(5)
+    plane = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
+    pts = rng.standard_normal((6, 2)) @ plane.T + rng.standard_normal(3)
+    pf, _ = pin(Framework(3, pts, [(i, j) for i in range(5) for j in range(i + 1, 5)]))
+    assert pf.span_dim == 2 and pf.n_free == 18 - 6
+    return pf
+
+
+def _scatter_cases(corpus_analysis):
+    return [item["pf"] for item in corpus_analysis.values()] + [_pinned_3d(), _pinned_below_its_dimension()]
+
+
+def test_sum_onto_free_is_the_adjoint_of_edge_differences(corpus_analysis):
+    # <edge_differences(x), rows> = <x, sum_onto_free(rows)> to rounding,
+    # for one column and for a batch of them
+    rng = np.random.default_rng(9)
+    eps = np.finfo(float).eps
+    for pf in _scatter_cases(corpus_analysis):
+        for tail in ((), (4,)):
+            x = rng.standard_normal((pf.n_free,) + tail)
+            rows = rng.standard_normal((pf.base.n_edges, pf.dimension) + tail)
+            summed = pf.sum_onto_free(rows)
+            assert summed.shape == x.shape
+            diffs = pf.edge_differences(x)
+            lhs = np.einsum("ed...,ed...->...", diffs, rows)
+            rhs = np.einsum("i...,i...->...", x, summed)
+            scale = np.einsum("ed...,ed...->...", np.abs(diffs), np.abs(rows))
+            assert np.all(np.abs(lhs - rhs) <= 64 * eps * scale)
+
+
+def test_sum_blocks_onto_free_gives_the_edge_quadratic_form(corpus_analysis):
+    # x' H x = sum_e X_e' M_e X_e for H the sum of the blocks M_e and X the
+    # edge differences of x, with each row of a batch of blocks its own H;
+    # coordinates no edge touches get zero rows and columns
+    rng = np.random.default_rng(10)
+    eps = np.finfo(float).eps
+    for pf in _scatter_cases(corpus_analysis):
+        d = pf.dimension
+        blocks = rng.standard_normal((3, pf.base.n_edges, d, d))
+        hess = pf.sum_blocks_onto_free(blocks)
+        assert hess.shape == (3, pf.n_free, pf.n_free)
+        x = rng.standard_normal(pf.n_free)
+        diffs = pf.edge_differences(x)
+        want = np.einsum("ea,neab,eb->n", diffs, blocks, diffs)
+        scale = np.einsum("ea,neab,eb->n", np.abs(diffs), np.abs(blocks), np.abs(diffs))
+        got = np.einsum("i,nij,j->n", x, hess, x)
+        assert np.all(np.abs(got - want) <= 64 * eps * (scale + np.abs(x) @ np.abs(hess) @ np.abs(x)))
+        touched = np.isin(pf.free_vertex, pf.base.edge_index_arrays())
+        assert not hess[:, ~touched].any() and not hess[:, :, ~touched].any()
+

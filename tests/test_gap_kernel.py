@@ -178,8 +178,8 @@ def test_gap_kernel_isolated_vertex_has_zero_gradient():
 
 def test_gradient_plan_covers_every_touched_column(pinned_corpus):
     for name, pf in pinned_corpus.items():
-        order, starts, columns = pf.gradient_plan()
-        ends = pf.edge_free_columns().ravel()
+        order, starts, columns = pf._plan
+        ends = pf._edge_columns.ravel()
         assert np.array_equal(ends[order], np.sort(ends[ends < pf.n_free], kind="stable")), name
         assert np.array_equal(columns, np.unique(ends[ends < pf.n_free])), name
         assert starts[0] == 0 and np.all(np.diff(starts) > 0), name

@@ -312,7 +312,7 @@ def test_envelope_order_refuses_nonzeros_out_of_row_order():
     # other sign
     pf = strip_minus_edge(150, seed=150)
     n_edges, n_free = pf.base.n_edges, pf.n_free
-    ends = pf.edge_free_columns()
+    ends = pf._edge_columns
     rows = np.broadcast_to(np.arange(n_edges)[None, :, None], ends.shape).ravel()
     cols = ends.ravel()
     free = cols < n_free
