@@ -41,7 +41,15 @@ from .framework import (
 )
 from .growth import fit_growth_order
 from .jets import MAX_ORDER
-from .ladder import DEFAULT_LADDER_TOL, DEFAULT_MAX_K, OrderReport, PolyTrajectory, rigidity_order, solve_ladder
+from .ladder import (
+    DEFAULT_LADDER_TOL,
+    DEFAULT_MAX_K,
+    OrderReport,
+    PolyTrajectory,
+    _disconnected_reason,
+    rigidity_order,
+    solve_ladder,
+)
 from .linear import kernel_decomposition
 
 EXIT_OK = 0
@@ -310,6 +318,10 @@ def cmd_critpoint(args) -> int:
     if not args.path:
         raise _UsageError("critpoint needs --poly or a framework file")
     fw, pf, _ = _load_and_pin(args.path)
+    # a disconnected graph is flexible, as analyze decides by the graph check
+    disconnected = _disconnected_reason(pf.base)
+    if disconnected is not None:
+        return _inapplicable(disconnected)
     spec = EnergySpec.for_framework(pf.base, args.family or "harmonic")
     kd = kernel_decomposition(rigidity_matrix(pf))
     if kd.dim_K == 0:

@@ -15,12 +15,14 @@ a4 decomposes exactly as
 with Hxx definite on the non-kernel block.  The forms are assembled
 once from exact order-3 gradient jets along the lines Y a t, one per
 lattice point a in N^m with |a| = 3 (m = dim K; 1, 4 and 10 jets at
-m = 1, 2, 3).  Their t^2 rows give the (dim, m, m) tensor S with
+m = 1, 2, 3), all taken in one batched call.  Their t^2 rows give the
+(dim, m, m) tensor S with
     y' S y = [t^2] grad f(Y y t) = 1/2 D^3 f(Y y, Y y, .),
 so C = X'S and T = Y'S / 3, and Y' times their t^3 rows gives
-4 B(y, y, y, .).  The lattice determines every homogeneous cubic, so S and
-B each follow from one least-squares solve (Griewank, Utke & Walther,
-Math. Comp. 69 (2000)).  The number of jets thus depends on the kernel
+4 B(y, y, y, .).  The lattice determines every homogeneous cubic
+(Griewank, Utke & Walther, Math. Comp. 69 (2000)), and fixed polarization
+identities read S and B off it, with index arrays built once per m (see
+_assemble_quartic_forms).  The number of jets thus depends on the kernel
 dimension m only, not on the size of the non-kernel block.
 
 For fixed y0 the x0 part is a definite quadratic, extremized in closed form
@@ -39,13 +41,19 @@ sphere is {+1, -1} and mu(e_1) is exact, so the search decides it in closed
 form, with no box: the order-2k test and every one-dimensional kernel cost
 a few scalar operations past the jets.
 
-Targets provide grad0, hessian0 and gradient_jet_along (the Taylor
-coefficient rows of grad f along a polynomial trajectory).
+Targets provide dim, grad0, hessian0 and gradient_jet_along(rows, order),
+the Taylor coefficient rows of grad f along the polynomial trajectory
+v(t) = sum_l rows[l-1] t^l: (degree, dim) rows give a (dim, order+1)
+array, and a (B, degree, dim) batch of rows gives (B, dim, order+1), row by
+row the single calls' arrays up to rounding.  The order-4 assembly makes
+one batched call; the framework energy's target answers it with one
+gradient_along_trajectory call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
@@ -118,8 +126,13 @@ class PolynomialTarget:
         return h
 
     def _variable_jets(self, rows, order: int) -> list[Jet]:
+        """One Jet per variable of v(t) = sum_l rows[..., l-1, :] t^l, its
+        coefficients (..., order+1) for (..., degree, n_vars) rows."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return [Jet.from_poly(0.0, rows[:, i], order) for i in range(self.n_vars)]
+        upto = min(rows.shape[-2], order)
+        c = np.zeros(rows.shape[:-2] + (self.n_vars, order + 1))
+        c[..., 1:upto + 1] = np.swapaxes(rows[..., :upto, :], -1, -2)
+        return [Jet(c[..., i, :]) for i in range(self.n_vars)]
 
     @staticmethod
     def _monomial_jet(var_jets: list[Jet], coef: float, exps) -> Jet:
@@ -130,15 +143,17 @@ class PolynomialTarget:
         return term
 
     def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
-        """(n_vars, order+1) Taylor coefficient rows of grad f along v(t),
-        from the jets of the differentiated monomials."""
+        """(n_vars, order+1) Taylor coefficient rows of grad f along
+        v(t) = sum_l rows[l-1] t^l, from the jets of the differentiated
+        monomials; a (B, degree, n_vars) batch of rows gives
+        (B, n_vars, order+1)."""
         var_jets = self._variable_jets(rows, order)
-        out = np.zeros((self.n_vars, order + 1))
+        out = np.zeros(var_jets[0].c.shape[:-1] + (self.n_vars, order + 1))
         for exps, coef in self.monomials:
             for i, e in enumerate(exps):
                 if e:
                     lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                    out[i] += self._monomial_jet(var_jets, coef * e, lowered).c
+                    out[..., i, :] += self._monomial_jet(var_jets, coef * e, lowered).c
         return out
 
 
@@ -175,6 +190,9 @@ class FrameworkEnergyTarget:
         return h
 
     def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
+        """(n_free, order+1) gradient jets along the trajectory with
+        coefficient rows rows; a (B, degree, n_free) batch gives
+        (B, n_free, order+1) from one gradient_along_trajectory call."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         return gradient_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
 
@@ -234,23 +252,110 @@ class _QuarticForms:
     T: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))   # (m, m, m) symmetric
 
 
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The lattice points a in N^m with |a| = 3, one row each in the order
+    of their index triples i <= j <= k (combinations_with_replacement), and
+    the rows the polarization identities read: at[i, j, k] is the row of
+    e_i + e_j + e_k for any order of i, j, k; diag[i] that of 3 e_i; for
+    the pairs i < j = (upper, lower), iij and ijj those of 2 e_i + e_j and
+    e_i + 2 e_j; for the triples i < j < k = distinct, ijk those of
+    e_i + e_j + e_k, and mixed the six rows of 2 e_p + e_q over the pairs
+    p != q among them; pair[i, j] is the row that holds entry (i, j) of a
+    quadratic form (iij for i < j, diag for i = j)."""
+
+    points: np.ndarray     # (L, m), L = C(m + 2, 3)
+    at: np.ndarray         # (m, m, m)
+    diag: np.ndarray       # (m,)
+    upper: np.ndarray      # (P,), P = C(m, 2)
+    lower: np.ndarray
+    iij: np.ndarray
+    ijj: np.ndarray
+    distinct: np.ndarray   # (3, C(m, 3))
+    ijk: np.ndarray
+    mixed: np.ndarray      # (6, C(m, 3))
+    pair: np.ndarray       # (m, m)
+
+    def __post_init__(self):
+        # shared by every caller through _lattice's cache
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+
+@lru_cache(maxsize=32)
+def _lattice(m: int) -> _Lattice:
+    """The lattice of order-3 points for a kernel of dimension m and its
+    index arrays, built once per m."""
+    triples = np.array(list(combinations_with_replacement(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+    rows = np.arange(triples.shape[0])
+    points = np.zeros((rows.size, m))
+    np.add.at(points, (rows[:, None], triples), 1.0)
+    rank = np.zeros((m,) * 3, dtype=np.intp)
+    rank[tuple(triples.T)] = rows
+    at = rank[tuple(np.sort(np.indices((m,) * 3).reshape(3, -1), axis=0))].reshape((m,) * 3)
+    d = np.arange(m)
+    upper, lower = np.triu_indices(m, 1)
+    i, j, k = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
+    lo, hi = np.minimum.outer(d, d), np.maximum.outer(d, d)
+    return _Lattice(points, at, at[d, d, d], upper, lower, at[upper, upper, lower], at[upper, lower, lower],
+                    np.array([i, j, k]), at[i, j, k],
+                    np.array([at[i, i, j], at[i, j, j], at[i, i, k], at[i, k, k], at[j, j, k], at[j, k, k]]),
+                    at[lo, lo, hi])
+
+
+def _polarize_quadratic(q: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """The symmetric (m, m, ...) forms S with q[r] = a' S a at each lattice
+    point a = lat.points[r], from the points 3 e_i and 2 e_i + e_j only:
+    S_ii = q(3 e_i) / 9 and S_ij = (q(2 e_i + e_j) - 4 S_ii - S_jj) / 4.
+    Trailing axes of q are carried along."""
+    s = np.zeros_like(q)
+    s[lat.diag] = q[lat.diag] / 9.0
+    s_ii = s[lat.diag]
+    s[lat.iij] = (q[lat.iij] - 4.0 * s_ii[lat.upper] - s_ii[lat.lower]) / 4.0
+    return s[lat.pair]
+
+
+def _polarize_cubic(c: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """The symmetric (m, m, m, ...) forms T with c[r] = T(a, a, a) at each
+    lattice point a = lat.points[r]: T_iii = c(3 e_i) / 27; with
+    u = c(2 e_i + e_j) - 8 T_iii - T_jjj and v = c(e_i + 2 e_j) - T_iii - 8 T_jjj,
+    T_iij = (2u - v) / 18 and T_ijj = (2v - u) / 18; and for distinct
+    i, j, k, T_ijk = (c(e_i + e_j + e_k) - sum_p T_ppp - 3 sum_(p != q) T_ppq) / 6.
+    Trailing axes of c are carried along."""
+    t = np.zeros_like(c)
+    t[lat.diag] = c[lat.diag] / 27.0
+    t_i, t_j = t[lat.diag[lat.upper]], t[lat.diag[lat.lower]]
+    u = c[lat.iij] - 8.0 * t_i - t_j
+    v = c[lat.ijj] - t_i - 8.0 * t_j
+    t[lat.iij] = (2.0 * u - v) / 18.0
+    t[lat.ijj] = (2.0 * v - u) / 18.0
+    cubes = t[lat.diag[lat.distinct]].sum(axis=0)
+    t[lat.ijk] = (c[lat.ijk] - cubes - 3.0 * t[lat.mixed].sum(axis=0)) / 6.0
+    return t[lat.at]
+
+
 def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray) -> _QuarticForms:
-    """Hxx from the Hessian; C, T and B from one order-3 gradient jet of f
-    along Y a t per lattice point a in N^m with |a| = 3.  The t^2 rows give
-    S, a' S a = [t^2] grad f(Y a t), hence C = X'S and T = Y'S / 3; Y' times
-    the t^3 rows gives 4 B(a, a, a, .).  S and B are each one minimum-norm
-    least-squares solve against the rows a(x)a, resp. a(x)a(x)a: the
-    lattice determines every homogeneous cubic, and the minimum-norm
-    solution is the symmetric tensor."""
+    """Hxx from the Hessian; C, T and B from the order-3 gradient jets of f
+    along Y a t at every lattice point a in N^m with |a| = 3, taken in one
+    batched gradient_jet_along call.  The t^2 rows are q(a) = a' S a =
+    [t^2] grad f(Y a t), hence C = X'S and T = Y'S / 3; Y' times the t^3
+    rows is c(a) = 4 B(a, a, a, .).  Both are read off the lattice by fixed
+    polarization identities, which hold exactly for any quadratic resp.
+    cubic form (_polarize_quadratic, _polarize_cubic):
+        S_ii = q(3 e_i) / 9,   S_ij = (q(2 e_i + e_j) - 4 S_ii - S_jj) / 4,
+    and with T' the cubic form of c (B = T' / 4)
+        T'_iii = c(3 e_i) / 27,
+        T'_iij = (2u - v) / 18,   T'_ijj = (2v - u) / 18,
+    for u = c(2 e_i + e_j) - 8 T'_iii - T'_jjj, v = c(e_i + 2 e_j) - T'_iii - 8 T'_jjj,
+    and for distinct i, j, k
+        T'_ijk = (c(e_i + e_j + e_k) - sum_p T'_ppp - 3 sum_(p != q) T'_ppq) / 6.
+    The index arrays are built once per m (_lattice)."""
     n, m = X.shape[1], Y.shape[1]
     hxx = X.T @ hess @ X if n else np.zeros((0, 0))
-    eye_m = np.eye(m)
-    lattice = np.array([eye_m[list(ids)].sum(axis=0) for ids in combinations_with_replacement(range(m), 3)])
-    jets = np.stack([target.gradient_jet_along((Y @ a)[None, :], 3) for a in lattice])
-    aa = (lattice[:, :, None] * lattice[:, None, :]).reshape(-1, m * m)
-    aaa = (aa[:, :, None] * lattice[:, None, :]).reshape(-1, m**3)
-    s_flat = np.linalg.lstsq(aa, jets[:, :, 2], rcond=None)[0].T
-    b_tensor = np.linalg.lstsq(aaa, jets[:, :, 3] @ Y, rcond=None)[0].reshape((m,) * 4) / 4.0
+    lat = _lattice(m)
+    jets = target.gradient_jet_along((lat.points @ Y.T)[:, None, :], 3)
+    s_flat = _polarize_quadratic(jets[:, :, 2], lat).reshape(m * m, -1).T
+    b_tensor = _polarize_cubic(jets[:, :, 3] @ Y, lat) / 4.0
     c_forms = (X.T @ s_flat).reshape(n, m, m)
     t_form = (Y.T @ s_flat).reshape(m, m, m) / 3.0
     return _QuarticForms(hxx, c_forms, b_tensor, t_form)

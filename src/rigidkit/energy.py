@@ -320,48 +320,59 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
 # ---------------------------------------------------------------------------
 
 def _edge_diffs(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
-    """(E, d, order+1) object-free jet coefficient rows of p_v(t) - p_w(t)
-    for every canonical edge vw, where p(t) = p + traj(t); pinned
-    coordinates are constants.  The constant rows are the framework's edge
-    vectors and the others the pinned framework's edge_differences of the
-    trajectory's coefficient rows."""
+    """(..., E, d, order+1) object-free jet coefficient rows of
+    p_v(t) - p_w(t) for every canonical edge vw, where p(t) = p + traj(t);
+    pinned coordinates are constants and leading axes batch the
+    trajectories.  The constant rows are the framework's edge vectors and
+    the others the pinned framework's edge_differences of the trajectory's
+    coefficient rows, one gather for the whole batch."""
+    coeffs = traj.coeffs.reshape((-1,) + traj.coeffs.shape[-2:])     # (B, degree, n_free)
     upto = min(traj.degree, order)
-    diffs = np.zeros((pf.base.n_edges, pf.dimension, order + 1))
-    diffs[:, :, 0] = pf.base.edge_vectors()
-    diffs[:, :, 1:upto + 1] = pf.edge_differences(traj.coeffs[:upto].T)
-    return diffs
+    diffs = np.zeros((coeffs.shape[0], pf.base.n_edges, pf.dimension, order + 1))
+    diffs[..., 0] = pf.base.edge_vectors()
+    diffs[..., 1:upto + 1] = pf.edge_differences(coeffs[:, :upto].transpose(2, 0, 1)).transpose(2, 0, 1, 3)
+    return diffs.reshape(traj.coeffs.shape[:-2] + diffs.shape[1:])
 
 
 def _edge_m_jet(diffs: np.ndarray) -> Jet:
     """Squared-length jets m_ij(p(t)) of all edges as one Jet with an
-    (E, order+1) coefficient array, from their _edge_diffs rows."""
+    (..., E, order+1) coefficient array, from their _edge_diffs rows."""
     diff = Jet(diffs)
-    return (diff * diff).sum(axis=1)
+    return (diff * diff).sum(axis=diffs.ndim - 2)
 
 
 def energy_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTrajectory, order: int) -> Jet:
     """Exact Taylor coefficients of t -> E(p(t)) - E(p) through the given
-    order, where p(t) = p + sum_l traj.coeffs[l-1] t^l."""
+    order, where p(t) = p + sum_l traj.coeffs[l-1] t^l; a batch of
+    trajectories gives a Jet with one row per trajectory."""
     if order < 1:
         raise ValueError("order must be >= 1")
     _check_binding(spec, pf)
-    total = _edge_energy_jet(spec, _edge_m_jet(_edge_diffs(pf, traj, order))).sum()
+    per_edge = _edge_energy_jet(spec, _edge_m_jet(_edge_diffs(pf, traj, order)))
+    total = per_edge.sum(axis=per_edge.c.ndim - 2)
     c = total.c.copy()
-    c[0] -= spec.rest_energy()
+    c[..., 0] -= spec.rest_energy()
     return Jet(c, total.mag)
 
 
 def gradient_along_trajectory(spec: EnergySpec, pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
     """Jets of the free-coordinate gradient of E along the trajectory:
-    an (n_free, order+1) array of Taylor coefficient rows.  Only
-    coefficients are returned, so the squared lengths m(t) and phi'(m(t))
-    are plain coefficient arrays, with no Jet and no magnitude twin."""
+    an (n_free, order+1) array of Taylor coefficient rows, or
+    (B, n_free, order+1) for a batch of B trajectories, row by row the
+    single calls' arrays up to rounding.  A batch runs each step below once
+    over all its trajectories, so a caller that needs many gradient jets
+    (the order-4 assembly takes one per lattice point) makes one call.
+    Only coefficients are returned, so the squared lengths m(t) and
+    phi'(m(t)) are plain coefficient arrays, with no Jet and no magnitude
+    twin."""
     _check_binding(spec, pf)
     diffs = _edge_diffs(pf, traj, order)
-    m_series = series_mul(diffs, diffs).sum(axis=1)
-    taylor = _taylor_in_m(spec, m_series[:, 0], order + 1)
+    m_series = series_mul(diffs, diffs).sum(axis=-2)
+    taylor = _taylor_in_m(spec, m_series[..., 0], order + 1)
     # phi'(m(t)): phi^(k+1)(m0) = (k+1)! taylor[k+1], composed with m(t)
-    dphi = series_compose(taylor[:, 1:] * np.cumprod(np.arange(1.0, order + 2)), m_series)
+    dphi = series_compose(taylor[..., 1:] * np.cumprod(np.arange(1.0, order + 2)), m_series)
     # dE/dp_v = 2 phi'(m) (p_v - p_w) per edge vw, and the negative for p_w
-    force = 2.0 * series_mul(dphi[:, None, :], diffs)
-    return pf.sum_onto_free(force)
+    force = 2.0 * series_mul(dphi[..., None, :], diffs)
+    batch = force.shape[:-3]
+    grad = pf.sum_onto_free(force.reshape((-1,) + force.shape[-3:]).transpose(1, 2, 0, 3))
+    return grad.transpose(1, 0, 2).reshape(batch + (pf.n_free, order + 1))

@@ -36,9 +36,13 @@ class Framework:
 
     Vertices are indexed from 0 internally; the JSON file format is 1-based.
     labels, if given, is a list or tuple of strings, one per vertex.
-    Edges are canonicalized to sorted pairs in lexicographic order, so
-    per-edge arrays such as edge_lengths() are reproducible bit-for-bit
-    across runs.
+    Edges are pairs of vertex indices, given as a sequence of pairs or an
+    (E, 2) array; they are checked and canonicalized to sorted pairs in
+    lexicographic order with array operations, so per-edge arrays such as
+    edge_lengths() are reproducible bit-for-bit across runs.  The first
+    self-loop or out-of-range edge in input order is reported, then any
+    duplicate, then the first edge between coincident points in canonical
+    order.
     """
 
     dimension: int
@@ -60,36 +64,63 @@ class Framework:
             raise FrameworkValidationError(
                 f"vertex {int(bad[0])} has a non-finite coordinate"
             )
-        canon = []
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
+        pairs = np.asarray(self.edges)
+        if pairs.dtype.kind not in "iu" and pairs.size:
+            # floats, or integers beyond int64: each index as int() reads it
+            pairs = np.frompyfunc(int, 1, 1)(np.array(self.edges, dtype=object))
+        pairs = pairs.reshape(-1, 2) if pairs.size == 0 else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise FrameworkValidationError("edges must be pairs of vertex indices")
+        first, second = pairs.T
+        loop = first == second
+        if pairs.size and (loop.any() or pairs.min() < 0 or pairs.max() >= n):
+            at = np.flatnonzero(loop | np.any((pairs < 0) | (pairs >= n), axis=1))[0]
+            i, j = int(first[at]), int(second[at])
+            if loop[at]:
                 raise FrameworkValidationError(f"edge ({i},{j}) connects a vertex to itself")
-            if not (0 <= i < n and 0 <= j < n):
-                raise FrameworkValidationError(f"edge ({i},{j}) out of range for {n} vertices")
-            canon.append((min(i, j), max(i, j)))
-        if len(set(canon)) != len(canon):
+            raise FrameworkValidationError(f"edge ({i},{j}) out of range for {n} vertices")
+        # (min, max) per edge, sorted by min * n + max: lexicographic order
+        ends = np.array([np.minimum(first, second), np.maximum(first, second)], dtype=np.int64)
+        key = ends[0] * n + ends[1]
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        if (sorted_key[1:] == sorted_key[:-1]).any():
             raise FrameworkValidationError("duplicate edges")
-        canon.sort()
-        ends = np.array(canon, dtype=int).reshape(-1, 2).T.copy()
-        vectors = verts[ends[0]] - verts[ends[1]]
-        coincident = np.flatnonzero(~(np.linalg.norm(vectors, axis=1) > 0.0))
-        if coincident.size:
-            i, j = canon[coincident[0]]
-            raise FrameworkValidationError(f"edge ({i},{j}) connects coincident points")
+        ends = ends[:, order]
+        ends.setflags(write=False)
+        self._place(verts, ends)
         if self.labels is not None and not (
             isinstance(self.labels, (list, tuple)) and len(self.labels) == n
             and all(isinstance(s, str) for s in self.labels)
         ):
             raise FrameworkValidationError(f"labels must be a list of {n} strings, one per vertex")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(canon))
-        ends.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "edges", tuple(zip(*ends.tolist())))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+
+    def _place(self, verts: np.ndarray, ends: np.ndarray) -> None:
+        """Set the read-only vertices and (2, E) canonical endpoint arrays
+        and the edge vectors they give; an edge between coincident points
+        is refused, the first in canonical order named."""
+        vectors = verts[ends[0]] - verts[ends[1]]
+        coincident = np.flatnonzero(~(np.linalg.norm(vectors, axis=1) > 0.0))
+        if coincident.size:
+            i, j = ends[:, coincident[0]].tolist()
+            raise FrameworkValidationError(f"edge ({i},{j}) connects coincident points")
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_vectors", vectors)
+
+    def _moved(self, vertices: np.ndarray) -> "Framework":
+        """The same graph and labels at other finite vertex positions of the
+        same shape, such as pin's isometric image: the edges keep their
+        checked canonical form, so only coincident endpoints are checked
+        again."""
+        out = object.__new__(Framework)
+        out.__dict__.update(self.__dict__)
+        out._place(_as_readonly(vertices), self._ends)
+        return out
 
     @property
     def n_vertices(self) -> int:
@@ -341,7 +372,7 @@ def pin(framework: Framework) -> tuple[PinnedFramework, Isometry]:
     new_verts[0] = 0.0
     for i in range(1, ell + 1):
         new_verts[i, i:] = 0.0
-    pinned = Framework(framework.dimension, new_verts, framework.edges, framework.labels)
+    pinned = framework._moved(new_verts)
     return PinnedFramework(pinned, ell), iso
 
 
@@ -351,11 +382,9 @@ def permute_framework(framework: Framework, perm) -> Framework:
     n = framework.n_vertices
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
+    inv = np.argsort(perm)
     verts = framework.vertices[perm]
-    edges = [(inv[i], inv[j]) for i, j in framework.edges]
+    edges = inv[framework._ends.T]
     labels = tuple(framework.labels[v] for v in perm) if framework.labels else None
     return Framework(framework.dimension, verts, edges, labels)
 
@@ -440,11 +469,35 @@ def _as_float_rows(rows) -> np.ndarray:
         raise ValueError("an integer is beyond a float's range") from None
 
 
+def _as_index_pairs(rows) -> np.ndarray:
+    """A list of pairs of integers as an (E, 2) array.  The common case, ints
+    and integral floats up to 2^53, is read by one array conversion;
+    anything else goes through _as_int entry by entry in input order, so
+    the first entry that is not an integer (a bool, a fraction, a
+    non-number) or the first row that is not a pair raises its own error,
+    and integers beyond 2^53 stay exact (as Python ints in an object
+    array)."""
+    try:
+        numeric = all(t is not bool and issubclass(t, (int, float, np.integer, np.floating))
+                      for t in {type(x) for row in rows for x in row})
+    except TypeError:
+        numeric = False
+    if numeric:
+        try:
+            arr = np.array(rows)
+        except (ValueError, OverflowError):   # ragged rows
+            arr = np.zeros(0)
+        if arr.ndim == 2 and arr.shape[1] == 2 and (arr.dtype.kind in "iu" or arr.dtype.kind == "f" and np.all(
+                (np.abs(arr) <= 2.0**53) & (arr == np.trunc(arr)))):
+            return arr.astype(np.int64)
+    return np.array([(_as_int(i), _as_int(j)) for i, j in rows], dtype=object).reshape(-1, 2)
+
+
 def framework_from_dict(data: dict) -> Framework:
     try:
         dim = _as_int(data["dimension"])
         verts = _as_float_rows(data["vertices"])
-        edges = [(_as_int(i) - 1, _as_int(j) - 1) for i, j in data["edges"]]
+        edges = _as_index_pairs(data["edges"]) - 1
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameworkValidationError(f"malformed framework data: {exc}") from exc
     return Framework(dim, verts, edges, data.get("labels"))

@@ -28,14 +28,17 @@ DEFAULT_LADDER_TOL = 1e-7
 class PolyTrajectory:
     """Polynomial trajectory p(t) = p + sum_i coeffs[i-1] t^i in pinned
     coordinates; the base point is implicit.  coeffs[l-1] is the coefficient
-    of t^l (Taylor coefficient, i.e. the l-th derivative divided by l!)."""
+    of t^l (Taylor coefficient, i.e. the l-th derivative divided by l!).
+    A (B, degree, n_free) array holds a batch of B trajectories of one
+    degree, which the energy jets take in one call, row by row as single
+    trajectories."""
 
-    coeffs: np.ndarray            # (degree, n_free)
+    coeffs: np.ndarray            # (degree, n_free), or (B, degree, n_free)
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 2:
-            raise ValueError("coeffs must be a (degree, n_free) array")
+        if c.ndim not in (2, 3):
+            raise ValueError("coeffs must be a (degree, n_free) array or a (B, degree, n_free) batch")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
         c.setflags(write=False)
@@ -43,16 +46,16 @@ class PolyTrajectory:
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     @property
     def n_free(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def prefix(self, degree: int) -> "PolyTrajectory":
         if not 1 <= degree <= self.degree:
             raise ValueError(f"prefix degree must be in 1..{self.degree}")
-        return PolyTrajectory(self.coeffs[:degree])
+        return PolyTrajectory(self.coeffs[..., :degree, :])
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,13 @@ def _component_count(n_vertices: int, edges) -> int:
     return count
 
 
+def _disconnected_reason(framework) -> str | None:
+    """The graph check's reason when the framework's graph has two or more
+    connected components, else None."""
+    parts = _component_count(framework.n_vertices, framework.edges)
+    return f"the graph has {parts} connected components, which move apart freely" if parts > 1 else None
+
+
 def rigidity_order(
     pf: PinnedFramework,
     max_k: int = DEFAULT_MAX_K,
@@ -253,14 +263,9 @@ def _order_from_kernel(
     pf: PinnedFramework, kd: KernelDecomposition, max_k: int, tol: float,
     energy_family: str,
 ) -> OrderReport:
-    parts = _component_count(pf.base.n_vertices, pf.base.edges)
-    if parts > 1:
-        return OrderReport(
-            verdict="flex-found",
-            reason=f"the graph has {parts} connected components, which move apart freely",
-            method="graph",
-            dim_K=kd.dim_K,
-        )
+    reason = _disconnected_reason(pf.base)
+    if reason is not None:
+        return OrderReport(verdict="flex-found", reason=reason, method="graph", dim_K=kd.dim_K)
     if kd.dim_K == 0:
         return OrderReport(verdict="order", order=1, method="first-order", dim_K=0)
     if kd.dim_K == 1:

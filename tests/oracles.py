@@ -6,6 +6,10 @@ a quantity by a slower or more direct route:
 - f_jet and a4_eval: the exact jet of a critical-point target along a
   polynomial trajectory, and the t^4 coefficient a4(x0, y0) of
   f(X x0 t^2 + Y y0 t) read from it;
+- quartic_forms_by_lstsq: the order-4 forms S, C, T and B from one
+  single-trajectory gradient jet per lattice point and two minimum-norm
+  least-squares solves, the route critpoint._assemble_quartic_forms took
+  before its one batched jet call and polarization identities;
 - kernel_terms, value_batch and grad_batch: a4(x, y) = 1/2 x' Hxx x +
   sum_i x_i (y' C[i] y) + B(y, y, y, y) and its gradient, batched over
   rows, from the fields of a critpoint._QuarticForms.  The library decides
@@ -53,13 +57,13 @@ a quantity by a slower or more direct route:
 import json
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet, PolyTrajectory,
                       energy_along_trajectory, energy_value_grad_hess, load_corpus)
-from rigidkit.critpoint import _bernstein_bound
+from rigidkit.critpoint import _bernstein_bound, _QuarticForms
 from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m
 from rigidkit.jets import series_compose, series_mul
 from rigidkit.linear import _BLOCK_ORDER, KernelDecomposition, _CompactWY, _envelope_layout, _PanelTriangular
@@ -90,6 +94,26 @@ def a4_eval(target, X: np.ndarray, Y: np.ndarray, x0: np.ndarray, y0: np.ndarray
     row1 = Y @ y0 if Y.shape[1] else np.zeros(dim)
     row2 = X @ x0 if X.shape[1] else np.zeros(dim)
     return float(f_jet(target, np.vstack([row1, row2]), 4).c[4])
+
+
+def quartic_forms_by_lstsq(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarray):
+    """(S, forms): the (dim, m, m) tensor S with a' S a = [t^2] grad f(Y a t)
+    and the _QuarticForms, from one order-3 gradient jet along Y a t per
+    lattice point a in N^m with |a| = 3, each taken alone, and two
+    minimum-norm least-squares solves against the rows a(x)a and
+    a(x)a(x)a; the lattice determines every homogeneous cubic, and the
+    minimum-norm solution is the symmetric tensor."""
+    n, m = X.shape[1], Y.shape[1]
+    eye_m = np.eye(m)
+    lattice = np.array([eye_m[list(ids)].sum(axis=0) for ids in combinations_with_replacement(range(m), 3)])
+    jets = np.stack([target.gradient_jet_along((Y @ a)[None, :], 3) for a in lattice])
+    aa = (lattice[:, :, None] * lattice[:, None, :]).reshape(-1, m * m)
+    aaa = (aa[:, :, None] * lattice[:, None, :]).reshape(-1, m**3)
+    s_flat = np.linalg.lstsq(aa, jets[:, :, 2], rcond=None)[0].T
+    b_tensor = np.linalg.lstsq(aaa, jets[:, :, 3] @ Y, rcond=None)[0].reshape((m,) * 4) / 4.0
+    hxx = X.T @ hess @ X if n else np.zeros((0, 0))
+    forms = _QuarticForms(hxx, (X.T @ s_flat).reshape(n, m, m), b_tensor, (Y.T @ s_flat).reshape(m, m, m) / 3.0)
+    return s_flat.reshape(-1, m, m), forms
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,34 @@ def test_critpoint_without_an_applicable_test_is_inapplicable(tmp_path, capsys, 
     assert json.loads(capsys.readouterr().out)["classification"] == "inapplicable"
 
 
+@pytest.mark.parametrize("extra", [[], ["--order", "2"], ["--order", "3"]], ids=["order-4", "order-2", "order-3"])
+def test_critpoint_on_a_disconnected_graph_is_inapplicable(tmp_path, capsys, extra):
+    # a triangle plus an isolated vertex: analyze decides flex-found by the
+    # graph check, so critpoint has nothing to test either (it read
+    # inconclusive with a_min 0, the isolated vertex's free directions
+    # leaving mu identically zero)
+    path = tmp_path / "triangle_and_vertex.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": [[0, 0], [1, 0], [0.5, 1], [3, 2]],
+                                "edges": [[1, 2], [2, 3], [1, 3]]}))
+    assert main(["analyze", str(path), "--json"]) == EXIT_OK
+    reason = json.loads(capsys.readouterr().out)["verdict"]["reason"]
+    assert reason == "the graph has 2 connected components, which move apart freely"
+    assert main(["critpoint", str(path), *extra]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"classification": "inapplicable", "reason": reason}
+
+
+def test_energy_refuses_a_trajectory_nested_three_deep(k33_file, tmp_path, capsys):
+    # the library takes (B, degree, n_free) batches of trajectories; a
+    # trajectory file holds one, so a batch never reaches the energy command
+    coeffs = rigidity_order(pin_with_permutation(load_corpus("k33"))[0]).witness.coeffs.tolist()
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"coeffs": [coeffs, coeffs]}))
+    argv = ["energy", k33_file, "--family", "harmonic", "--traj", str(path), "--order", "6"]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("input error: ") and "not a trajectory" in err and out == ""
+
+
 def test_critpoint_order_past_the_ladder_certificate_is_inapplicable(k33_file, capsys):
     # k33 has order 3, so it has no (1,3)-flex for the order-8 family test
     assert main(["critpoint", k33_file, "--order", "4"]) == EXIT_OK

@@ -96,7 +96,7 @@ def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
     original = PolynomialTarget.gradient_jet_along
 
     def counted(self, rows, order):
-        calls[order] += 1
+        calls[order, np.shape(rows)[0]] += 1
         return original(self, rows, order)
 
     monkeypatch.setattr(PolynomialTarget, "gradient_jet_along", counted)
@@ -105,20 +105,21 @@ def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
     witness = rep.a3_witness
     assert np.linalg.norm(witness) == pytest.approx(1.0, rel=RTOL)
     assert abs(witness[0]) <= RTOL               # in span Y: no x part
-    # one order-3 gradient jet per lattice point a in N^m with |a| = 3,
-    # taken once for C, T and B
-    assert dict(calls) == {3: m * (m + 1) * (m + 2) // 6}
+    # the order-3 gradient jets of all lattice points a in N^m with |a| = 3,
+    # taken in one batched call (one trajectory per point) for C, T and B
+    assert dict(calls) == {(3, m * (m + 1) * (m + 2) // 6): 1}
 
 
 @pytest.mark.parametrize("m, gradient_jets", [(2, 4), (3, 10)])
 def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
     # C, T and B share the m(m+1)(m+2)/6 order-3 gradient jets, one per
-    # lattice point a in N^m with |a| = 3; no energy jet is taken
+    # lattice point a in N^m with |a| = 3, all taken in one batched call of
+    # that many trajectories; no energy jet is taken
     calls = Counter()
     for name in ("energy_along_trajectory", "gradient_along_trajectory"):
-        def counted(*args, _name=name, _fn=getattr(critpoint, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+        def counted(spec, pf, traj, order, _name=name, _fn=getattr(critpoint, name)):
+            calls[_name, traj.coeffs.shape[0]] += 1
+            return _fn(spec, pf, traj, order)
 
         monkeypatch.setattr(critpoint, name, counted)
     for n_vertices in (20, 40):
@@ -128,7 +129,7 @@ def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
         assert kd.dim_K == m
         rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"), kd)
         assert rep.classification == "strict-min"
-        assert dict(calls) == {"gradient_along_trajectory": gradient_jets}, n_vertices
+        assert dict(calls) == {("gradient_along_trajectory", gradient_jets): 1}, n_vertices
 
 
 def test_energy_cubic_kernel_form_is_far_below_the_screen(corpus_analysis):

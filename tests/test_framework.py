@@ -189,6 +189,60 @@ def test_malformed_json_raises(tmp_path):
         load_framework(path)
 
 
+# the first offender is named: a self-loop or an out-of-range index in
+# input order, then any duplicate, then coincident endpoints in canonical
+# order; entries that are no integers, and rows that are no pairs, are
+# malformed data, named in input order (vertices 4 and 5 coincide)
+_LOADER_CASES = [
+    ([[1, 2], [2, 9], [3, 3]], "edge (1,8) out of range for 5 vertices"),
+    ([[1, 2], [3, 3], [2, 9]], "edge (2,2) connects a vertex to itself"),
+    ([[0, 2]], "edge (-1,1) out of range for 5 vertices"),
+    ([[7, 7]], "edge (6,6) connects a vertex to itself"),
+    ([[4, 5], [1, 2], [2, 1]], "duplicate edges"),
+    ([[5, 4], [4, 5]], "duplicate edges"),
+    ([[2, 3], [5, 4], [1, 2]], "edge (3,4) connects coincident points"),
+    ([[1, 2], [2.5, 3]], "malformed framework data: 2.5 is not an integer"),
+    ([[1, 2.0], [2, 3.25]], "malformed framework data: 3.25 is not an integer"),
+    ([[1, 2], [True, 3]], "malformed framework data: True is not an integer"),
+    ([[1, 2], ["3", 1]], "malformed framework data: '3' is not an integer"),
+    ([[1, float("nan")]], "malformed framework data: nan is not an integer"),
+    ([[1, 2, 3]], "malformed framework data: too many values to unpack (expected 2)"),
+    ([[1], [2, 3]], "malformed framework data: not enough values to unpack (expected 2, got 1)"),
+    ([[1, 2], 3], "malformed framework data: cannot unpack non-iterable int object"),
+    (5, "malformed framework data: 'int' object is not iterable"),
+    ([[1, 2**70]], f"edge (0,{2**70 - 1}) out of range for 5 vertices"),
+    ([[1.0, 2**60 + 1]], f"edge (0,{2**60}) out of range for 5 vertices"),
+]
+
+
+@pytest.mark.parametrize("edges, message", _LOADER_CASES)
+def test_loader_names_the_first_offending_edge(edges, message):
+    data = {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [1, 1]], "edges": edges}
+    with pytest.raises(FrameworkValidationError) as info:
+        framework_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_edges_from_arrays_lists_and_integral_floats_agree():
+    pts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
+    pairs = [(3, 1), (0, 1), (2, 0), (1, 2)]
+    want = ((0, 1), (0, 2), (1, 2), (1, 3))
+    for edges in (pairs, np.array(pairs), np.array(pairs, dtype=float), np.array(pairs).astype(np.int32)):
+        fw = Framework(2, pts, edges)
+        assert fw.edges == want and all(type(i) is int for e in fw.edges for i in e)
+        assert [tuple(e) for e in np.column_stack(fw.edge_index_arrays()).tolist()] == list(want)
+    data = {"dimension": 2, "vertices": pts.tolist(), "edges": [[4.0, 2], [1, 2], [3, 1], [2, 3]]}
+    assert framework_from_dict(data).edges == want
+    assert framework_from_dict({**data, "edges": []}).edges == ()
+    # pinning and relabelling rebuild the framework from its endpoint arrays
+    pf, _ = pin(Framework(2, pts, pairs))
+    assert pf.base.edges == want
+    perm = [2, 0, 3, 1]
+    relabelled = permute_framework(Framework(2, pts, pairs), perm)
+    inv = np.argsort(perm)
+    assert relabelled.edges == tuple(sorted(tuple(sorted((int(inv[i]), int(inv[j])))) for i, j in want))
+
+
 def test_permute_framework_round_trip():
     fw = load_corpus("k33")
     perm = [3, 1, 5, 0, 2, 4]

@@ -174,9 +174,10 @@ def _count_order4_jets(monkeypatch, fw, family="harmonic"):
     originals = {name: getattr(critpoint, name)
                  for name in ("energy_along_trajectory", "gradient_along_trajectory")}
     for name, fn in originals.items():
-        def counted(*args, _name=name, _fn=fn, **kwargs):
+        def counted(spec, pf, traj, order, _name=name, _fn=fn):
             calls[_name] += 1
-            return _fn(*args, **kwargs)
+            calls[_name + " trajectories"] += traj.coeffs.shape[0]
+            return _fn(spec, pf, traj, order)
 
         monkeypatch.setattr(critpoint, name, counted)
     pf, _, _ = pin_with_permutation(fw)
@@ -191,14 +192,15 @@ def _count_order4_jets(monkeypatch, fw, family="harmonic"):
 def test_order4_jet_count_does_not_grow_with_the_framework(monkeypatch, family):
     # the jets the order-4 test evaluates depend on dim K only: doubling the
     # strip must not add any (the mixed form once took 2 n_Kbar m(m+1)/2).
-    # C, T and B all come from the m(m+1)(m+2)/6 order-3 gradient jets, so
-    # no energy jet is taken
+    # C, T and B all come from the m(m+1)(m+2)/6 order-3 gradient jets,
+    # taken in one batched call, so no energy jet is taken
     counts = []
     for n_vertices in (20, 40):
         rep, dim_k, calls = _count_order4_jets(monkeypatch, midpoint_strip(n_vertices, 2), family)
         assert dim_k == 2
         assert rep.classification == "strict-min"
-        assert calls["gradient_along_trajectory"] == 4      # m (m + 1) (m + 2) / 6
+        assert calls["gradient_along_trajectory"] == 1
+        assert calls["gradient_along_trajectory trajectories"] == 4      # m (m + 1) (m + 2) / 6
         assert "energy_along_trajectory" not in calls
         counts.append(dict(calls))
     assert counts[0] == counts[1]
