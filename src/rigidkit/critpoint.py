@@ -47,7 +47,9 @@ v(t) = sum_l rows[l-1] t^l: (degree, dim) rows give a (dim, order+1)
 array, and a (B, degree, dim) batch of rows gives (B, dim, order+1), row by
 row the single calls' arrays up to rounding.  The order-4 assembly makes
 one batched call; the framework energy's target answers it with one
-gradient_along_trajectory call.
+gradient_along_trajectory call.  PolynomialTarget differentiates in
+gradient_jet_along only: its grad0 and hessian0 are the order-0 and order-1
+rows of its jets along v = 0 and along the coordinate axes.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class PolynomialTarget:
 
     Any constant term is treated as f(0) and ignored (the analysis applies to
     f - f(0)).  The gradient at the origin must vanish for the tests to
-    apply.
+    apply.  Exponents are integers >= 0; a coefficient times its exponents is finite.
     """
 
     n_vars: int
@@ -97,6 +99,8 @@ class PolynomialTarget:
                 raise ValueError(f"bad exponent vector {exps}")
             if not np.isfinite(coef):
                 raise ValueError(f"coefficient {coef} is not finite")
+            if not np.isfinite(coef * max(exps, default=0)):   # inf * 0 would be NaN in the jets
+                raise ValueError(f"coefficient {coef} times exponent {max(exps)} is beyond a float's range")
             canon.append((exps, coef))
         object.__setattr__(self, "monomials", tuple(canon))
 
@@ -105,25 +109,13 @@ class PolynomialTarget:
         return self.n_vars
 
     def grad0(self) -> np.ndarray:
-        g = np.zeros(self.n_vars)
-        for exps, coef in self.monomials:
-            if sum(exps) == 1:
-                g[exps.index(1)] += coef
-        return g
+        """grad f(0), the order-0 row of the gradient jet along v(t) = 0."""
+        return self.gradient_jet_along(np.zeros((1, self.n_vars)), 0)[:, 0]
 
     def hessian0(self) -> np.ndarray:
-        h = np.zeros((self.n_vars, self.n_vars))
-        for exps, coef in self.monomials:
-            if sum(exps) != 2:
-                continue
-            nz = [i for i, e in enumerate(exps) if e]
-            if len(nz) == 1:
-                h[nz[0], nz[0]] += 2.0 * coef
-            else:
-                i, j = nz
-                h[i, j] += coef
-                h[j, i] += coef
-        return h
+        """The Hessian at 0, H[i, b] = [t^1] d_i f(e_b t): the order-1 rows
+        of one batched gradient jet along the coordinate axes e_b."""
+        return np.ascontiguousarray(self.gradient_jet_along(np.eye(self.n_vars)[:, None, :], 1)[:, :, 1].T)
 
     def _variable_jets(self, rows, order: int) -> list[Jet]:
         """One Jet per variable of v(t) = sum_l rows[..., l-1, :] t^l, its

@@ -42,7 +42,11 @@ class Framework:
     edge_lengths() are reproducible bit-for-bit across runs.  The first
     self-loop or out-of-range edge in input order is reported, then any
     duplicate, then the first edge between coincident points in canonical
-    order.
+    order.  Input is read as the file loader reads it: FrameworkValidationError
+    refuses a dimension that is not an integer >= 1 (2.0 reads as 2), vertex
+    entries that are not finite numbers (a bool, a string), an edge index
+    that is not an integer (1.7, True, '0') and a row that is not a pair; int
+    and float vertex arrays and int edge arrays are taken without an entry scan.
     """
 
     dimension: int
@@ -51,7 +55,19 @@ class Framework:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        verts = _as_readonly(self.vertices)
+        try:
+            object.__setattr__(self, "dimension", _as_int(self.dimension))
+        except ValueError:
+            raise FrameworkValidationError("dimension must be a positive integer") from None
+        verts = self.vertices
+        if not (isinstance(verts, np.ndarray) and verts.dtype.kind in "iuf"):
+            try:
+                entries = np.array(verts, dtype=object)
+                _check_numbers({type(x) for x in entries.flat})
+                verts = entries.astype(float)
+            except (ValueError, OverflowError) as exc:
+                raise FrameworkValidationError(f"malformed vertices: {exc}") from exc
+        verts = _as_readonly(verts)
         if verts.ndim != 2 or verts.shape[1] != self.dimension:
             raise FrameworkValidationError(
                 f"vertices must be (n, {self.dimension}), got {verts.shape}"
@@ -64,10 +80,12 @@ class Framework:
             raise FrameworkValidationError(
                 f"vertex {int(bad[0])} has a non-finite coordinate"
             )
-        pairs = np.asarray(self.edges)
-        if pairs.dtype.kind not in "iu" and pairs.size:
-            # floats, or integers beyond int64: each index as int() reads it
-            pairs = np.frompyfunc(int, 1, 1)(np.array(self.edges, dtype=object))
+        pairs = self.edges
+        if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"):
+            try:
+                pairs = _as_index_pairs(pairs)
+            except (TypeError, ValueError) as exc:
+                raise FrameworkValidationError(f"edges must be pairs of vertex indices: {exc}") from exc
         pairs = pairs.reshape(-1, 2) if pairs.size == 0 else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise FrameworkValidationError("edges must be pairs of vertex indices")
@@ -455,14 +473,18 @@ def _as_float(x) -> float:
     raise ValueError(f"{x!r} is not a number")
 
 
-def _as_float_rows(rows) -> np.ndarray:
-    """A list of rows of numbers as a float array.  As in _as_float, an
-    entry that is not an int or a float, or an int beyond a float's range,
-    raises ValueError, and so do ragged rows."""
-    bad = {t for t in {type(x) for row in rows for x in row}
-           if t is bool or not issubclass(t, (int, float, np.integer, np.floating))}
+def _check_numbers(types) -> None:
+    """Raise ValueError naming the entry types that, as in _as_float, are
+    not numbers: anything but an int or a float, and a bool."""
+    bad = {t for t in types if t is bool or not issubclass(t, (int, float, np.integer, np.floating))}
     if bad:
         raise ValueError(f"entries of type {', '.join(sorted(t.__name__ for t in bad))} are not numbers")
+
+
+def _as_float_rows(rows) -> np.ndarray:
+    """A list of rows of numbers as a float array; ValueError for an entry
+    that is no number (_check_numbers) or beyond a float's range, or ragged rows."""
+    _check_numbers({type(x) for row in rows for x in row})
     try:
         return np.array(rows, dtype=float)
     except OverflowError:

@@ -153,16 +153,6 @@ class Jet:
         c[..., 0] = value
         return cls(c)
 
-    @classmethod
-    def from_poly(cls, base: float, t_coeffs, order: int) -> "Jet":
-        """Jet of base + sum_l t_coeffs[l-1] t^l, truncated at the given order."""
-        c = np.zeros(order + 1)
-        c[0] = base
-        tc = np.asarray(t_coeffs, dtype=float)
-        n = min(tc.size, order)
-        c[1 : n + 1] = tc[:n]
-        return cls(c)
-
     def condition(self) -> np.ndarray:
         """Per-coefficient cancellation estimate mag[i] / |c[i]| (inf where
         the coefficient is an exact zero amid nonzero magnitude)."""

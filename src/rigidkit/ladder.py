@@ -248,11 +248,12 @@ def rigidity_order(
     verdict is flex-found by the graph check, with no numerics beyond the
     kernel split.  Otherwise dim K = 0 certifies order 1 outright and
     dim K = 1 runs the flex ladder.  For dim K > 1 the ladder does not
-    apply; the 4th-derivative energy test is attempted, which can certify
-    order 2 (absence of a second-order flex) but nothing beyond.  That test
-    draws no random numbers, so the verdict takes no seed (the CLI's --seed
-    seeds the growth fit only).  The report names the kernel split's method
-    and rank margin.
+    apply; the 4th-derivative energy test can certify order 2 (absence of a
+    second-order flex) but nothing beyond, and any other outcome is
+    inconclusive, with the test's classification and first note as reason.
+    The test draws no random numbers, so the verdict takes no seed (the
+    CLI's --seed seeds the growth fit only).  The report names the kernel
+    split's method and rank margin.
     """
     kd = kernel_decomposition(rigidity_matrix(pf))
     rep = _order_from_kernel(pf, kd, max_k, tol, energy_family)
@@ -276,13 +277,7 @@ def _order_from_kernel(
 
     spec = EnergySpec.for_framework(pf.base, energy_family)
     crit = second_order_rigidity_test(pf, spec, kd)
-    if crit.classification == "strict-min":
-        return OrderReport(
-            verdict="order", order=2, method="order4-energy", dim_K=kd.dim_K
-        )
-    return OrderReport(
-        verdict="inconclusive",
-        reason="dimK>1 beyond order 2 requires symbolic methods",
-        method="order4-energy",
-        dim_K=kd.dim_K,
-    )
+    strict = crit.classification == "strict-min"
+    reason = f"order-4 test {crit.classification}; {crit.notes[0]}; dimK>1 beyond order 2 requires symbolic methods"
+    return OrderReport(verdict="order" if strict else "inconclusive", order=2 if strict else None,
+                       reason=None if strict else reason, method="order4-energy", dim_K=kd.dim_K)

@@ -3,9 +3,13 @@
 None of this is on the library's decision path; each function recomputes
 a quantity by a slower or more direct route:
 
+- jet_from_poly: the Jet of a polynomial in t from its coefficients;
 - f_jet and a4_eval: the exact jet of a critical-point target along a
   polynomial trajectory, and the t^4 coefficient a4(x0, y0) of
   f(X x0 t^2 + Y y0 t) read from it;
+- grad0_by_monomials and hessian0_by_monomials: a polynomial's gradient
+  and Hessian at 0 summed from its degree-1 and degree-2 monomials, the
+  route PolynomialTarget took before it read them off its gradient jets;
 - quartic_forms_by_lstsq: the order-4 forms S, C, T and B from one
   single-trajectory gradient jet per lattice point and two minimum-norm
   least-squares solves, the route critpoint._assemble_quartic_forms took
@@ -73,6 +77,16 @@ from rigidkit.linear import _BLOCK_ORDER, KernelDecomposition, _CompactWY, _enve
 # exact jets of a critical-point target
 # ---------------------------------------------------------------------------
 
+def jet_from_poly(base: float, t_coeffs, order: int) -> Jet:
+    """Jet of base + sum_l t_coeffs[l-1] t^l, truncated at the given order."""
+    c = np.zeros(order + 1)
+    c[0] = base
+    tc = np.asarray(t_coeffs, dtype=float)
+    n = min(tc.size, order)
+    c[1 : n + 1] = tc[:n]
+    return Jet(c)
+
+
 def f_jet(target, rows, order: int) -> Jet:
     """Exact jet of f along v(t) = sum_l rows[l-1] t^l (constant term of f
     dropped): the energy jet for a framework target, the sum of monomial
@@ -86,6 +100,34 @@ def f_jet(target, rows, order: int) -> Jet:
         if sum(exps):
             total = total + target._monomial_jet(var_jets, coef, exps)
     return total
+
+
+def grad0_by_monomials(target) -> np.ndarray:
+    """grad f(0) of a PolynomialTarget: the coefficient of each degree-1
+    monomial, summed in monomial order."""
+    g = np.zeros(target.n_vars)
+    for exps, coef in target.monomials:
+        if sum(exps) == 1:
+            g[exps.index(1)] += coef
+    return g
+
+
+def hessian0_by_monomials(target) -> np.ndarray:
+    """The Hessian at 0 of a PolynomialTarget: 2c on the diagonal for each
+    c x_i^2 and c at (i, j) and (j, i) for each c x_i x_j, summed in
+    monomial order."""
+    h = np.zeros((target.n_vars, target.n_vars))
+    for exps, coef in target.monomials:
+        if sum(exps) != 2:
+            continue
+        nz = [i for i, e in enumerate(exps) if e]
+        if len(nz) == 1:
+            h[nz[0], nz[0]] += 2.0 * coef
+        else:
+            i, j = nz
+            h[i, j] += coef
+            h[j, i] += coef
+    return h
 
 
 def a4_eval(target, X: np.ndarray, Y: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> float:

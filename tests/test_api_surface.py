@@ -18,7 +18,7 @@ TEST_ONLY_NAMES = (
     "kernel_of_hessian_equals_K", "measure", "MeasurementVector", "first_order_rigid",
     "project_K", "min_energy_on_sphere", "faa_di_bruno_term", "_partition_multiplicities",
     "embed_config", "embed_tangent", "displacement", "corpus_items",
-    "RigidityMatrix", "compose_series", "free_coords",
+    "RigidityMatrix", "compose_series", "free_coords", "from_poly",
 )
 
 

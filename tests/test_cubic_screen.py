@@ -105,9 +105,11 @@ def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
     witness = rep.a3_witness
     assert np.linalg.norm(witness) == pytest.approx(1.0, rel=RTOL)
     assert abs(witness[0]) <= RTOL               # in span Y: no x part
-    # the order-3 gradient jets of all lattice points a in N^m with |a| = 3,
-    # taken in one batched call (one trajectory per point) for C, T and B
-    assert dict(calls) == {(3, m * (m + 1) * (m + 2) // 6): 1}
+    # grad0 from one order-0 jet along v = 0, hessian0 from one batched
+    # order-1 call along the m + 1 axes, and the order-3 gradient jets of
+    # all lattice points a in N^m with |a| = 3, taken in one batched call
+    # (one trajectory per point) for C, T and B
+    assert dict(calls) == {(0, 1): 1, (1, m + 1): 1, (3, m * (m + 1) * (m + 2) // 6): 1}
 
 
 @pytest.mark.parametrize("m, gradient_jets", [(2, 4), (3, 10)])

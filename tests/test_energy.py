@@ -134,6 +134,35 @@ def test_spec_bound_to_edge_order(square, square_pinned, triangle):
         energy_value_grad_hess(spec, square_pinned)
 
 
+_SQUARE = Framework(2, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [(0, 1), (1, 2), (2, 3), (0, 3)])
+_BRACED = Framework(2, _SQUARE.vertices, [(0, 1), (1, 2), (2, 3), (0, 2)])   # four edges, one of them other
+_SQUARE_PF = pin(_SQUARE)[0]
+
+# (build, exception type, message): refusals of the energy spec and of its
+# evaluation on a framework it is not bound to
+_REFUSALS = [
+    (lambda: EnergySpec("quadratic", [1.0]), ValueError,
+     f"unknown energy family 'quadratic'; have {FAMILIES}"),
+    (lambda: EnergySpec.for_framework(_SQUARE, "quadratic"), ValueError, "unknown energy family 'quadratic'"),
+    (lambda: EnergySpec("harmonic", [1.0, 0.0]), ValueError, "rest_lengths must be positive"),
+    (lambda: EnergySpec("harmonic", [1.0], stiffness=-1.0), ValueError, "stiffness must be positive"),
+    (lambda: EnergySpec("morse", [1.0], depth=1.0, width=math.nan), ValueError, "width must be positive"),
+    (lambda: energy_value_grad_hess(EnergySpec.for_framework(_BRACED, "harmonic"), _SQUARE_PF), ValueError,
+     "energy spec is bound to a different edge list than the framework; "
+     "build it with EnergySpec.for_framework(pf.base, ...)"),
+    (lambda: energy_along_trajectory(EnergySpec.for_framework(_SQUARE, "lj"), _SQUARE_PF,
+                                     PolyTrajectory(np.ones((1, _SQUARE_PF.n_free))), 0), ValueError,
+     "order must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", _REFUSALS)
+def test_energy_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Hessian kernel = K
 # ---------------------------------------------------------------------------

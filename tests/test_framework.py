@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import rigidkit.framework as framework_mod
 from rigidkit import (
     DegenerateLeadingVertices,
     Framework,
@@ -51,6 +53,78 @@ def test_validation_rejects_non_finite_coordinates():
     # no edge touches the vertex, so no edge check can catch it
     with pytest.raises(FrameworkValidationError, match="vertex 1 has a non-finite"):
         Framework(2, np.array([[0.0, 0], [np.nan, 0]]), [])
+
+
+_V = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+# (build, exception type, message): the constructor reads its input by the
+# file loader's rules, and permute_framework takes permutations only
+_REFUSALS = [
+    (lambda: Framework(2, _V, [(0, 1.7), (1, 2)]), FrameworkValidationError,
+     "edges must be pairs of vertex indices: 1.7 is not an integer"),
+    (lambda: Framework(2, _V, [(0, True)]), FrameworkValidationError,
+     "edges must be pairs of vertex indices: True is not an integer"),
+    (lambda: Framework(2, _V, [("0", "1")]), FrameworkValidationError,
+     "edges must be pairs of vertex indices: '0' is not an integer"),
+    (lambda: Framework(2, _V, [(0, 1, 2)]), FrameworkValidationError,
+     "edges must be pairs of vertex indices: too many values to unpack (expected 2)"),
+    (lambda: Framework(2, _V, [0, 1]), FrameworkValidationError,
+     "edges must be pairs of vertex indices: cannot unpack non-iterable int object"),
+    (lambda: Framework(2, _V, np.array([[0, 1, 2]])), FrameworkValidationError,
+     "edges must be pairs of vertex indices"),
+    (lambda: Framework(2, [[0, 0], ["1", 0], [0, 1]], []), FrameworkValidationError,
+     "malformed vertices: entries of type str are not numbers"),
+    (lambda: Framework(2, [[0, 0], [True, 0], [0, 1]], []), FrameworkValidationError,
+     "malformed vertices: entries of type bool are not numbers"),
+    (lambda: Framework(2, np.ones((3, 2), dtype=bool), []), FrameworkValidationError,
+     "malformed vertices: entries of type bool are not numbers"),
+    (lambda: Framework(2, [[0, 0], [1]], []), FrameworkValidationError,
+     "malformed vertices: entries of type list are not numbers"),
+    (lambda: Framework(2, [[0, 0], [10**400, 0]], []), FrameworkValidationError,
+     "malformed vertices: int too large to convert to float"),
+    (lambda: Framework(2, np.zeros((3, 3)), []), FrameworkValidationError, "vertices must be (n, 2), got (3, 3)"),
+    (lambda: Framework(2, [0.0, 1.0], []), FrameworkValidationError, "vertices must be (n, 2), got (2,)"),
+    (lambda: Framework(0, np.zeros((3, 0)), []), FrameworkValidationError, "dimension must be a positive integer"),
+    (lambda: Framework(2.5, _V, []), FrameworkValidationError, "dimension must be a positive integer"),
+    (lambda: Framework(True, _V, []), FrameworkValidationError, "dimension must be a positive integer"),
+    (lambda: Framework("2", _V, []), FrameworkValidationError, "dimension must be a positive integer"),
+    (lambda: permute_framework(Framework(2, _V, [(0, 1)]), [0, 0, 1]), ValueError,
+     "perm must be a permutation of 0..n-1"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", _REFUSALS)
+def test_framework_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_constructor_reads_what_the_loader_reads():
+    # an integral float is an integer, as in a file; a fraction in a float
+    # array of edges is refused like one in a list
+    fw = Framework(2.0, np.array(_V), np.array([[0.0, 2.0], [1.0, 0.0]]))
+    assert (fw.dimension, type(fw.dimension), fw.edges) == (2, int, ((0, 1), (0, 2)))
+    data = {"dimension": 2.0, "vertices": _V, "edges": [[1.0, 3.0], [2, 1]]}
+    assert framework_to_dict(framework_from_dict(data)) == framework_to_dict(fw)
+    with pytest.raises(FrameworkValidationError, match="^edges must be pairs of vertex indices: .*1.5.* is not an"):
+        Framework(2, _V, np.array([[0.0, 1.5]]))
+
+
+def test_loader_and_relabelling_arrays_are_not_scanned_again(monkeypatch):
+    # the loader's float vertices and integer edges, and permute_framework's
+    # arrays, go straight to the array checks: one entry scan per load
+    calls = Counter()
+    for name in ("_check_numbers", "_as_index_pairs"):
+        def counted(rows, _name=name, _fn=getattr(framework_mod, name)):
+            calls[_name] += 1
+            return _fn(rows)
+
+        monkeypatch.setattr(framework_mod, name, counted)
+    fw = load_corpus("k33")
+    assert dict(calls) == {"_check_numbers": 1, "_as_index_pairs": 1}
+    permute_framework(fw, [3, 1, 5, 0, 2, 4])
+    assert dict(calls) == {"_check_numbers": 1, "_as_index_pairs": 1}
 
 
 def test_coincident_nonadjacent_allowed():

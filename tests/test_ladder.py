@@ -5,7 +5,9 @@ import pytest
 
 from rigidkit import (
     DimKNotOne,
+    EnergySpec,
     Framework,
+    PolyTrajectory,
     RigidkitError,
     flex_rhs,
     kernel_decomposition,
@@ -14,6 +16,7 @@ from rigidkit import (
     pin_with_permutation,
     rigidity_matrix,
     rigidity_order,
+    second_order_rigidity_test,
     solve_ladder,
 )
 from rigidkit import ladder
@@ -21,6 +24,7 @@ from rigidkit.framework import PinnedFramework
 from rigidkit.ladder import DEFAULT_LADDER_TOL, DEFAULT_MAX_K
 from oracles import classify_flex, embed_tangent
 from test_linear import strip_minus_edge
+from test_quartic_assembly import midpoint_strip
 
 
 def edge_diffs(pf, derivs):
@@ -250,6 +254,45 @@ def test_rigidity_order_dispatch_dimk2():
     assert rep.method == "order4-energy"
     assert rep.verdict == "inconclusive"
     assert "symbolic" in rep.reason
+
+
+def test_rigidity_order_at_dim_k_two_or_more_gives_what_the_order4_test_found():
+    # a pentagon flexes (dim K = 2), and the test certifies min mu within
+    # +/- tol_eff; at m = 7 one face box has 5^6 Bernstein coefficients, so
+    # the box cap stops the search before its first box
+    angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
+    pentagon = Framework(2, np.c_[np.cos(angles), np.sin(angles)], [(i, (i + 1) % 5) for i in range(5)])
+    cases = ((pentagon, 2, "certified: min mu within +/-"),
+             (midpoint_strip(40, 7), 7, "box cap of 4096 reached before the first box"))
+    for fw, dim_k, note in cases:
+        pf, _, _ = pin_with_permutation(fw)
+        rep = rigidity_order(pf)
+        crit = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"))
+        assert (rep.verdict, rep.order, rep.method, rep.dim_K) == ("inconclusive", None, "order4-energy", dim_k)
+        assert (crit.classification, crit.notes[0][:len(note)]) == ("inconclusive", note)
+        assert rep.reason == (f"order-4 test inconclusive; {crit.notes[0]}; "
+                              "dimK>1 beyond order 2 requires symbolic methods")
+
+
+# (build, exception type, message): refusals of the trajectory type and of
+# the flex equation's right-hand side
+_REFUSALS = [
+    (lambda: PolyTrajectory(np.zeros(3)), ValueError,
+     "coeffs must be a (degree, n_free) array or a (B, degree, n_free) batch"),
+    (lambda: PolyTrajectory(np.zeros((1, 1, 1, 1))), ValueError,
+     "coeffs must be a (degree, n_free) array or a (B, degree, n_free) batch"),
+    (lambda: PolyTrajectory([[0.0, math.nan]]), ValueError, "coeffs must be finite"),
+    (lambda: PolyTrajectory(np.zeros((2, 3))).prefix(0), ValueError, "prefix degree must be in 1..2"),
+    (lambda: PolyTrajectory(np.zeros((4, 2, 3))).prefix(3), ValueError, "prefix degree must be in 1..2"),
+    (lambda: flex_rhs(np.zeros((1, 2, 2)), 0), ValueError, "level must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", _REFUSALS)
+def test_trajectory_and_flex_rhs_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_solve_ladder_requires_dimk_one(triangle_pinned):
