@@ -22,7 +22,6 @@ from .energy import (
     FAMILIES,
     EnergySpec,
     energy_along_trajectory,
-    energy_gap_and_grad,
     energy_value_grad_hess,
     gradient_along_trajectory,
 )
@@ -68,8 +67,8 @@ __all__ = [
     "CritReport", "FrameworkEnergyTarget", "PolynomialTarget",
     "fourth_derivative_test", "order2k_family_test",
     "polynomial_from_monomial_list", "second_order_rigidity_test",
-    "FAMILIES", "EnergySpec", "energy_along_trajectory", "energy_gap_and_grad",
-    "energy_value_grad_hess", "gradient_along_trajectory",
+    "FAMILIES", "EnergySpec", "energy_along_trajectory", "energy_value_grad_hess",
+    "gradient_along_trajectory",
     "DegenerateFit", "DegenerateLeadingVertices", "DimKNotOne",
     "FrameworkValidationError", "NotACriticalPoint", "RigidkitError",
     "ZeroLengthEdge",

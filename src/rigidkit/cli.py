@@ -4,10 +4,11 @@ Subcommands: analyze, order, growth, energy, critpoint, corpus-verify.
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch
 (corpus-verify), 3 numerical failure.  JSON output prints floats with 17
 significant digits so reports round-trip byte-for-byte.  Every command is
-deterministic: --seed acts only on the growth fit's multistart, which
-runs when dim K > 1; at dim K <= 1 the fit is seedless, and the order-4
-tests draw no random numbers.  A reader that closes the output pipe early
-(rigidkit ... | head) ends the command quietly with exit 0.
+deterministic and takes no seed: nothing draws random numbers.  The
+growth fit runs at dim K <= 1 only; at dim K > 1 it is a numerical
+failure, and critpoint's order-4 test is the check.  A reader that closes
+the output pipe early (rigidkit ... | head) ends the command quietly with
+exit 0.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def cmd_analyze(args) -> int:
     if args.growth:
         spec = EnergySpec.for_framework(pf.base, args.family)
         try:
-            growth = fit_growth_order(spec, pf, seed=args.seed)
+            growth = fit_growth_order(spec, pf)
         except RigidkitError as exc:
             growth = exc
     t_end = time.perf_counter()
@@ -242,7 +243,7 @@ def cmd_growth(args) -> int:
         raise _UsageError("need finite 0 < --rmin < --rmax")
     fw, pf, _ = _load_and_pin(args.path)
     spec = EnergySpec.for_framework(pf.base, args.family)
-    fit = fit_growth_order(spec, pf, r_min=args.rmin, r_max=args.rmax, n_radii=args.n, seed=args.seed)
+    fit = fit_growth_order(spec, pf, r_min=args.rmin, r_max=args.rmax, n_radii=args.n)
     rows = [
         {"r": r, "m_r": m, "log_r": float(np.log(r)), "log_m": float(np.log(m))}
         for r, m in zip(fit.radii, fit.m_values)
@@ -409,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--json", action="store_true")
     a.add_argument("--no-permute", action="store_true",
                    help="fail instead of permuting vertices when the leading set is degenerate")
-    a.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="seed of the growth fit's random starts, drawn only when dim K > 1")
     a.set_defaults(func=cmd_analyze)
 
     o = sub.add_parser("order", help="rigidity order with ladder residuals and witness")
@@ -427,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rmax", type=float, default=1e-1)
     g.add_argument("--n", type=_int_at_least(2), default=12, help="number of radii")
     g.add_argument("--csv")
-    g.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="seed of the multistart's random starts (dim K > 1 only)")
     g.set_defaults(func=cmd_growth)
 
     e = sub.add_parser("energy", help="energy jet coefficients along a trajectory (CSV)")

@@ -62,7 +62,7 @@ from math import comb
 import numpy as np
 
 from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
-from .errors import DimKNotOne, NotACriticalPoint
+from .errors import DimKNotOne, NotACriticalPoint, RigidkitError
 from .framework import PinnedFramework, _as_float, _as_int, rigidity_matrix
 from .growth import minimize_on_sphere
 from .jets import Jet
@@ -341,7 +341,8 @@ def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarr
     for u = c(2 e_i + e_j) - 8 T'_iii - T'_jjj, v = c(e_i + 2 e_j) - T'_iii - 8 T'_jjj,
     and for distinct i, j, k
         T'_ijk = (c(e_i + e_j + e_k) - sum_p T'_ppp - 3 sum_(p != q) T'_ppq) / 6.
-    The index arrays are built once per m (_lattice)."""
+    The index arrays are built once per m (_lattice).  Raises RigidkitError
+    when a form is not finite: a lattice jet overflowed a float."""
     n, m = X.shape[1], Y.shape[1]
     hxx = X.T @ hess @ X if n else np.zeros((0, 0))
     lat = _lattice(m)
@@ -350,6 +351,8 @@ def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarr
     b_tensor = _polarize_cubic(jets[:, :, 3] @ Y, lat) / 4.0
     c_forms = (X.T @ s_flat).reshape(n, m, m)
     t_form = (Y.T @ s_flat).reshape(m, m, m) / 3.0
+    if not all(np.isfinite(a).all() for a in (hxx, c_forms, b_tensor, t_form)):
+        raise RigidkitError("the order-4 forms overflow a float: a gradient jet along the kernel is not finite")
     return _QuarticForms(hxx, c_forms, b_tensor, t_form)
 
 

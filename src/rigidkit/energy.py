@@ -12,7 +12,7 @@ gradient jets 2 phi'(m(t)) D(t), D = p_v - p_w.  For points it is one
 pointwise formula in the length l: the cancellation-free gap
 E(l) - E(d), E' and E''.  The pointwise kernel takes these per edge in one
 pass over a batch of displacements and returns the gaps, the gradients
-and, when asked, the Hessians, with block (E'/l) I + ((E'' - E'/l)/l^2) D D'
+and the Hessians, with block (E'/l) I + ((E'' - E'/l)/l^2) D D'
 per edge; the energy's value at a point is the rest energy plus its gap,
 so no pointwise evaluation runs a jet, and the framework's own
 |D|^2 - d^2 enters each length change, so specs off rest stay exact.
@@ -211,12 +211,12 @@ def _check_binding(spec: EnergySpec, pf: PinnedFramework) -> None:
         )
 
 
-def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool):
+def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free):
     """The pointwise energy kernel: one pass over the edges at a free
     displacement delta from the rest configuration, (n_free,) or a
     (B, n_free) batch.  Returns the cancellation-free gap
     sum_ij E_ij(l_ij) - E_ij(d_ij) above the rest lengths d, its gradient
-    and, with hessian, its Hessian; a batch gives ((B,), (B, n_free),
+    and its Hessian; a batch gives ((B,), (B, n_free),
     (B, n_free, n_free)), row by row equal to single calls.  For a spec at
     rest at the framework's own lengths (EnergySpec.for_framework) the gap
     is E(p + delta) - E(p).
@@ -268,33 +268,25 @@ def _pointwise(spec: EnergySpec, pf: PinnedFramework, delta_free, hessian: bool)
     along = slope / lengths
     diffs = base_diff[:, :, None] + delta_diff
     grad = np.ascontiguousarray(pf.sum_onto_free(along[:, None, :] * diffs).T)
-    out = (float(gap.sum()), grad[0]) if delta.ndim == 1 else (gap.sum(0), grad)
-    if not hessian:
-        return out
     rows = diffs.transpose(2, 0, 1)
     blocks = ((curv - along) / m_val).T[..., None, None] * (rows[..., :, None] * rows[..., None, :])
     axis = np.arange(pf.dimension)
     blocks[..., axis, axis] += along.T[..., None]
     hess = pf.sum_blocks_onto_free(blocks)
-    return out + ((hess[0],) if delta.ndim == 1 else (hess,))
-
-
-def energy_gap_and_grad(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
-    """E(p + delta) - E(p) and its gradient with respect to the free
-    displacement, from the pointwise kernel (see _pointwise) without its
-    Hessians.  The gap is taken above the spec's rest lengths, which are the
-    framework's own for EnergySpec.for_framework.  A single displacement
-    (n_free,) gives (float, (n_free,) array); a batch (B, n_free) gives
-    ((B,) gaps, (B, n_free) gradients), row by row equal to single calls."""
-    return _pointwise(spec, pf, delta_free, hessian=False)
+    if delta.ndim == 1:
+        return float(gap.sum()), grad[0], hess[0]
+    return gap.sum(0), grad, hess
 
 
 def energy_gap_grad_hess(spec: EnergySpec, pf: PinnedFramework, delta_free: np.ndarray):
-    """energy_gap_and_grad together with the Hessians of the same points,
-    all from one pass of the pointwise kernel: (float, (n_free,),
-    (n_free, n_free)) for one displacement, ((B,), (B, n_free),
-    (B, n_free, n_free)) for a batch."""
-    return _pointwise(spec, pf, delta_free, hessian=True)
+    """E(p + delta) - E(p), its gradient and its Hessian with respect to the
+    free displacement, all from one pass of the pointwise kernel (see
+    _pointwise).  The gap is taken above the spec's rest lengths, which are
+    the framework's own for EnergySpec.for_framework.  A single displacement
+    (n_free,) gives (float, (n_free,), (n_free, n_free)); a batch
+    (B, n_free) gives ((B,), (B, n_free), (B, n_free, n_free)), row by row
+    equal to single calls."""
+    return _pointwise(spec, pf, delta_free)
 
 
 def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.ndarray | None = None):
@@ -311,7 +303,7 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
     """
     rest = pf.free_vector()
     delta = np.zeros_like(rest) if q_free is None else np.asarray(q_free, dtype=float) - rest
-    gap, grad, hess = _pointwise(spec, pf, delta, hessian=True)
+    gap, grad, hess = _pointwise(spec, pf, delta)
     return spec.rest_energy() + gap, grad, hess
 
 

@@ -32,5 +32,6 @@ class NotACriticalPoint(RigidkitError):
 
 
 class DegenerateFit(RigidkitError):
-    """A growth fit could not be performed because some sampled minimum energy
-    was non-positive (flexible framework, or below the floating-point floor)."""
+    """A growth fit could not be performed: dim K > 1, where the fit does not
+    apply, no edges, or some sampled minimum energy was non-positive or at
+    the floating-point floor (a flexible framework)."""

@@ -11,19 +11,16 @@ its gradient, and solves the bordered systems of the rows that moved as
 one stack.  Near a minimizer the sphere's tangent space is close to the
 complement of the flex space, where the Hessian is well conditioned (the
 block the order-4 test eliminates), so Newton settles in a few steps.
-Rows never mix, and the radius is a per-row column.  When dim K <= 1 the
-radius sweep is seedless and one Newton batch: every radius starts from
-+/- the lowest eigenvector of the rest Hessian, with no continuation
-between radii.  When dim K > 1 the sweep runs from the largest radius
-down, and at every radius a seeded multistart (the +/- first-order flex
-directions, +/- the last radius's minimizer and random unit vectors)
-first runs a few hundred Barzilai-Borwein projected-gradient rounds
-(bb_minimize_on_sphere), and Newton polishes its best rows; the seed acts
-only there.  The order-4 critical-point tests decide the sign of mu,
-their quartic with the curvature block eliminated in closed form, by a
-Bernstein branch and bound, and use the same Newton minimizer, with mu's
-Hessian, only to polish the reported minimum from the point that
-decided.
+Rows never mix, and the radius is a per-row column.  The radius sweep
+(min_energy_on_sphere_with_arg) is seedless and one Newton batch: every
+radius starts from +/- the lowest eigenvector of the rest Hessian, with no
+continuation between radii.  The fit runs at dim K <= 1 only, the regime
+of the flex ladder it cross-checks; at dim K > 1 it refuses, and the
+order-4 test (rigidkit critpoint) is the check there.  The order-4
+critical-point tests decide the sign of mu, their quartic with the
+curvature block eliminated in closed form, by a Bernstein branch and
+bound, and use the same Newton minimizer, with mu's Hessian, only to
+polish the reported minimum from the point that decided.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits
@@ -40,15 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, energy_gap_and_grad, energy_gap_grad_hess, energy_value_grad_hess
+from .energy import EnergySpec, energy_gap_grad_hess, energy_value_grad_hess
 from .errors import DegenerateFit, ZeroLengthEdge
 from .framework import PinnedFramework, rigidity_matrix
-from .linear import KernelDecomposition, kernel_decomposition
+from .linear import kernel_decomposition
 
 DEFAULT_N_RADII = 12
-N_STARTS = 64             # starts of the multistart, flex directions included
-MULTISTART_ROUNDS = 250   # Barzilai-Borwein rounds of the multistart
-N_FINALISTS = 6           # multistart rows polished by Newton
 NEWTON_ROUNDS = 50        # round limit of minimize_on_sphere
 NEWTON_LOCAL = 1e-6       # steps shorter than NEWTON_LOCAL r skip the value test
 NEWTON_XTOL = 1e-15       # converged: Newton step shorter than NEWTON_XTOL r
@@ -74,11 +68,11 @@ class GrowthFit:
 
 @dataclass(frozen=True, eq=False)
 class NewtonStats:
-    """How a Newton run of minimize_on_sphere ended, as arrays over its rows
-    (or scalars for one row): accepted Newton steps, the final
-    |tangent gradient| / |gradient|, and whether the row converged, that is
-    stopped once its Newton steps became negligible or no longer shrank,
-    rather than on a failed line search or the round limit."""
+    """How a Newton run of minimize_on_sphere ended, as arrays over its rows:
+    accepted Newton steps, the final |tangent gradient| / |gradient|, and
+    whether the row converged, that is stopped once its Newton steps became
+    negligible or no longer shrank, rather than on a failed line search or
+    the round limit."""
 
     steps: np.ndarray
     tangent_ratio: np.ndarray
@@ -97,55 +91,6 @@ def _check_radius(spec: EnergySpec, r: float) -> None:
     safe = 0.5 * float(np.min(spec.rest_lengths))
     if r >= safe:
         raise ZeroLengthEdge(f"radius {r} exceeds the safe radius {safe:.6g} (half the shortest rest length)")
-
-
-def _per_row(r, n_rows: int) -> np.ndarray:
-    """The radius r, one for all rows or one per row, as an (n_rows,) array."""
-    return np.full(n_rows, r, dtype=float)
-
-
-def bb_minimize_on_sphere(value_grad, starts: np.ndarray, r=1.0, *, rounds: int):
-    """minimize_on_sphere's problem for a function without Hessians:
-    value_grad maps a (B, dim) batch to (values (B,), gradients (B, dim)),
-    and the final values and points are returned.  Vectorized projected
-    gradient with per-row Barzilai-Borwein steps and a backtracking
-    fallback: an accepted move sets the next step from the last
-    displacement/gradient-change pair, a rejected one shrinks it.  Every
-    round computes every row's step and keeps it, with the moved point,
-    value and gradient, only where the move was accepted, by np.where over
-    whole arrays; row by row this is the same arithmetic as updating just
-    the accepted rows.  The dim K > 1 multistart runs rounds rounds of it.
-    """
-    r = _per_row(r, starts.shape[0])
-    z = r[:, None] * starts / np.sqrt((starts * starts).sum(1))[:, None]
-    vals, grads = value_grad(z)
-    steps = 1e-3 * r
-    last_z = z.copy()
-    last_g = grads.copy()
-    for _ in range(rounds):
-        g_tan = _tangent(grads, z, r)
-        gnorm2 = (g_tan * g_tan).sum(1)
-        cand = z - steps[:, None] * g_tan
-        cand *= r[:, None] / np.sqrt((cand * cand).sum(1))[:, None]
-        c_vals, c_grads = value_grad(cand)
-        improve = c_vals < vals - 1e-4 * steps * gnorm2
-        # the BB step of every row, kept only where the move is accepted
-        dz = cand - last_z
-        dg = c_grads - last_g
-        den = (dg * dg).sum(1)
-        bb = np.abs((dz * dg).sum(1)) / np.where(den > 0, den, 1.0)
-        bb = np.minimum(np.maximum(bb, 1e-17 * r), 1e3 * r)
-        bb = np.where(den == 0, steps * 2.0, bb)
-        steps = np.where(improve, bb, steps * 0.3)
-        moved = improve[:, None]
-        last_z = np.where(moved, z, last_z)
-        last_g = np.where(moved, grads, last_g)
-        z = np.where(moved, cand, z)
-        grads = np.where(moved, c_grads, grads)
-        vals = np.where(improve, c_vals, vals)
-        if (steps < 1e-16 * r).all():
-            break
-    return vals, z
 
 
 def _tangent(grads: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -218,7 +163,7 @@ def minimize_on_sphere(value_grad_hess, starts: np.ndarray, r=1.0):
     not curvature.  A row has stalled once t drops below NEWTON_TMIN.  The
     loop ends when no row is left to move, or after NEWTON_ROUNDS rounds.
     """
-    r = _per_row(r, starts.shape[0])
+    r = np.full(starts.shape[0], r, dtype=float)
     z = r[:, None] * starts / np.sqrt((starts * starts).sum(1))[:, None]
     # owned copies: accepted rows are written into them in place
     vals, grads, hess = (np.array(a, dtype=float) for a in value_grad_hess(z))
@@ -267,50 +212,30 @@ def minimize_on_sphere(value_grad_hess, starts: np.ndarray, r=1.0):
     return vals, z, NewtonStats(steps, ratio, converged)
 
 
-def min_energy_on_sphere_with_arg(
-    spec: EnergySpec,
-    pf: PinnedFramework,
-    r: float,
-    seed: int = 0,
-    extra_starts: np.ndarray | None = None,
-    kd: KernelDecomposition | None = None,
-):
-    """Best upper bound on m(r) = min E(q) - E(p) over |q - p| = r, with
-    the minimizing unit direction and the NewtonStats of its row; kd, when
-    given, is the framework's kernel decomposition (computed here
-    otherwise).
+def min_energy_on_sphere_with_arg(spec: EnergySpec, pf: PinnedFramework, radii):
+    """Best upper bounds on m(r) = min E(q) - E(p) over |q - p| = r at each
+    radius of radii (one radius or a 1-D array): returns the m values, the
+    minimizing unit directions, the NewtonStats of their rows and
+    lambda_max, the rest Hessian's largest eigenvalue.
 
-    N_STARTS starts are seeded along the +/- first-order flex directions
-    plus random unit vectors; extra_starts rows (unit directions) are
-    appended, which the dim K > 1 radius sweep uses to continue the
-    minimizing valley between radii.  MULTISTART_ROUNDS Barzilai-Borwein rounds run from all
-    starts and the best N_FINALISTS rows are polished by Newton."""
-    _check_radius(spec, r)
-
-    def gap(z):
-        return energy_gap_and_grad(spec, pf, z)
-
-    def gap_grad_hess(z):
-        return energy_gap_grad_hess(spec, pf, z)
-
-    if kd is None:
-        kd = kernel_decomposition(rigidity_matrix(pf))
-    rng = np.random.default_rng(seed)
-    rows = []
-    for j in range(kd.dim_K):
-        rows.append(kd.K_basis[:, j])
-        rows.append(-kd.K_basis[:, j])
-    if extra_starts is not None:
-        rows.extend(np.atleast_2d(extra_starts))
-    need = max(N_STARTS - len(rows), 4)
-    rand = rng.standard_normal((need, pf.n_free))
-    rows.extend(rand / np.linalg.norm(rand, axis=1, keepdims=True))
-    vals, z = bb_minimize_on_sphere(gap, np.array(rows), r, rounds=MULTISTART_ROUNDS)
-    finalists = z[np.argsort(vals)[:N_FINALISTS]]
-    f_vals, f_z, stats = minimize_on_sphere(gap_grad_hess, finalists, r)
-    best = int(np.argmin(f_vals))
-    row = NewtonStats(stats.steps[best], stats.tangent_ratio[best], stats.converged[best])
-    return float(f_vals[best]), f_z[best] / r, row
+    Every radius is checked first (_check_radius), before any energy
+    evaluation.  The radii are then one Newton batch: rows 2i and 2i + 1
+    start radius i from +/- the lowest eigenvector of the rest Hessian (the
+    flex when dim K = 1, the softest mode when dim K = 0), and radius i
+    keeps its better row.  Rows never mix, so there is no continuation
+    between radii, and no start is random."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    for r in radii:
+        _check_radius(spec, r)
+    lam, vecs = np.linalg.eigh(energy_value_grad_hess(spec, pf)[2])
+    n_radii = radii.size
+    starts = np.tile([vecs[:, 0], -vecs[:, 0]], (n_radii, 1))
+    vals, z, stats = minimize_on_sphere(
+        lambda z: energy_gap_grad_hess(spec, pf, z), starts, np.repeat(radii, 2)
+    )
+    best = 2 * np.arange(n_radii) + np.argmin(vals.reshape(n_radii, 2), axis=1)
+    rows = NewtonStats(stats.steps[best], stats.tangent_ratio[best], stats.converged[best])
+    return vals[best], z[best] / radii[:, None], rows, float(lam[-1])
 
 
 def fit_growth_order(
@@ -321,22 +246,19 @@ def fit_growth_order(
     n_radii: int = DEFAULT_N_RADII,
     seed: int = 0,
 ) -> GrowthFit:
-    """Fit log m(r) against log r on a geometric radius grid.
+    """Fit log m(r) against log r on a geometric radius grid, whose m(r)
+    come from one call of min_energy_on_sphere_with_arg.  The fit draws no
+    random numbers: seed does nothing, and is kept only because the
+    benchmark harness passes it; it goes when the harness stops passing it
+    (ROADMAP item 14).
 
-    When dim K <= 1, the whole grid is one Newton batch: every radius
-    starts from +/- the lowest eigenvector of the rest Hessian (the flex
-    when dim K = 1, the softest mode when dim K = 0) and keeps its better
-    row, with no continuation between radii, so the fit draws no random
-    numbers and seed does nothing.  When dim K > 1, radii are processed
-    from largest to smallest, the seeded random multistart (seed + i at
-    radius i) runs at every radius, and each radius after the first also
-    starts from +/- the minimizing direction of the one before.  Raises
+    Raises DegenerateFit, before any energy evaluation, when dim K > 1: the
+    fit cross-checks the flex ladder, whose regime is dim K <= 1, and the
+    order-4 test (rigidkit critpoint) is the check at dim K > 1.  Raises
     ZeroLengthEdge, before any energy evaluation, when r_max reaches the
-    safe radius, half the shortest rest length.
-
-    Raises DegenerateFit, before any energy evaluation, when the spec has
-    no edges: the energy is then zero at every radius.  Raises it too when
-    some m(r) <= 0, or when m(r_max) <=
+    safe radius, half the shortest rest length, and DegenerateFit when the
+    spec has no edges: the energy is then zero at every radius.  Raises
+    DegenerateFit too when some m(r) <= 0, or when m(r_max) <=
     u^2 lambda_max r_max^2 (u the machine epsilon, lambda_max the rest
     Hessian's largest eigenvalue), which signals a flexible framework or
     values below the floating-point floor rather than a fittable growth
@@ -346,33 +268,20 @@ def fit_growth_order(
         raise ValueError("need finite radii with 0 < r_min < r_max")
     if n_radii < 2:
         raise ValueError("need n_radii >= 2: a slope takes at least two radii")
-    _check_radius(spec, r_max)
-    radii = np.geomspace(r_max, r_min, n_radii)
     kd = kernel_decomposition(rigidity_matrix(pf))
-    lam, vecs = np.linalg.eigh(energy_value_grad_hess(spec, pf)[2])
-    if kd.dim_K <= 1:
-        # rows 2i and 2i + 1 start radius i from +/- the softest mode
-        starts = np.tile([vecs[:, 0], -vecs[:, 0]], (n_radii, 1))
-        vals, _, stats = minimize_on_sphere(
-            lambda z: energy_gap_grad_hess(spec, pf, z), starts, np.repeat(radii, 2)
+    if kd.dim_K > 1:
+        raise DegenerateFit(
+            f"the growth fit needs dim K <= 1, the flex ladder's regime, and dim K = {kd.dim_K}: "
+            "the order-4 test (rigidkit critpoint) is the check here"
         )
-        best = 2 * np.arange(n_radii) + np.argmin(vals.reshape(n_radii, 2), axis=1)
-        m_vals = vals[best]
-        steps, ratio, converged = stats.steps[best], stats.tangent_ratio[best], stats.converged[best]
-    else:
-        per_radius, carry = [], None
-        for i, r in enumerate(radii):
-            m, arg, row = min_energy_on_sphere_with_arg(
-                spec, pf, r, seed=seed + i, extra_starts=carry, kd=kd
-            )
-            per_radius.append((m, row.steps, row.tangent_ratio, row.converged))
-            carry = np.vstack([arg, -arg])
-        m_vals, steps, ratio, converged = (np.array(c) for c in zip(*per_radius))
+    radii = np.geomspace(r_max, r_min, n_radii)
+    m_vals, _, stats, lam_max = min_energy_on_sphere_with_arg(spec, pf, radii)
     radii, m_vals = radii[::-1], m_vals[::-1]
-    newton_steps, tangent_ratio, converged = steps[::-1], ratio[::-1], converged[::-1]
+    newton_steps, tangent_ratio = stats.steps[::-1], stats.tangent_ratio[::-1]
+    converged = stats.converged[::-1]
     # a mechanism's m(r) is rounding noise: the flexible square reads
     # m(r_max) <= 5e-35 lam_max r_max^2 at any scale, the corpus >= 2e-16
-    floor = np.finfo(float).eps ** 2 * lam[-1] * r_max**2
+    floor = np.finfo(float).eps ** 2 * lam_max * r_max**2
     if np.any(m_vals <= 0.0) or not np.all(np.isfinite(m_vals)) or m_vals[-1] <= floor:
         raise DegenerateFit(
             "minimal energy gap is non-positive at some radius, or at r_max "
@@ -393,7 +302,7 @@ def fit_growth_order(
     # relative like DegenerateFit's floor: on the corpus, min m(r) /
     # (lambda_max r^2) is <= 3.7e-21 where a growth order is past double
     # precision and >= 5.1e-19 elsewhere, at any length scale
-    if np.any(m_vals < 1e-20 * lam[-1] * radii**2):
+    if np.any(m_vals < 1e-20 * lam_max * radii**2):
         notes.append(
             "some m(r) sit at the floating-point floor: the framework is "
             "flexible or its growth order is beyond double precision"

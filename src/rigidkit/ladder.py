@@ -208,30 +208,29 @@ def solve_ladder(
     )
 
 
-def _component_count(n_vertices: int, edges) -> int:
-    """Connected components of a graph on n_vertices vertices (union-find
-    with path halving); an isolated vertex is a component of its own."""
-    root = list(range(n_vertices))
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    count = n_vertices
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            root[ri] = rj
-            count -= 1
-    return count
+def _component_count(framework) -> int:
+    """Connected components of the framework's graph; an isolated vertex is
+    a component of its own.  Min-label propagation with pointer jumping:
+    every vertex points at a lower-or-equal vertex, a root at itself.  Each
+    round hooks the larger root of every edge's two roots onto the smaller
+    one, then jumps pointers until each vertex points at its root.  Once no
+    edge joins two roots, the roots count the components."""
+    v, w = framework.edge_index_arrays()
+    parent = np.arange(framework.n_vertices)
+    while True:
+        root_v, root_w = parent[v], parent[w]
+        if np.array_equal(root_v, root_w):
+            return int(np.count_nonzero(parent == np.arange(parent.size)))
+        low = np.minimum(root_v, root_w)
+        np.minimum.at(parent, np.maximum(root_v, root_w), low)
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
 
 
 def _disconnected_reason(framework) -> str | None:
     """The graph check's reason when the framework's graph has two or more
     connected components, else None."""
-    parts = _component_count(framework.n_vertices, framework.edges)
+    parts = _component_count(framework)
     return f"the graph has {parts} connected components, which move apart freely" if parts > 1 else None
 
 
@@ -251,9 +250,7 @@ def rigidity_order(
     apply; the 4th-derivative energy test can certify order 2 (absence of a
     second-order flex) but nothing beyond, and any other outcome is
     inconclusive, with the test's classification and first note as reason.
-    The test draws no random numbers, so the verdict takes no seed (the
-    CLI's --seed seeds the growth fit only).  The report names the kernel
-    split's method and rank margin.
+    The report names the kernel split's method and rank margin.
     """
     kd = kernel_decomposition(rigidity_matrix(pf))
     rep = _order_from_kernel(pf, kd, max_k, tol, energy_family)

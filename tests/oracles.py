@@ -51,6 +51,13 @@ a quantity by a slower or more direct route:
   general route, the symmetrized quartic decided by
   critpoint._bernstein_bound on its one box, against which the closed
   form is checked;
+- bb_minimize_on_sphere and multistart_min_energy_on_sphere: the growth
+  fit's former sphere minimizer, a seeded multistart of Barzilai-Borwein
+  projected-gradient rounds with a Newton polish of its best rows, which
+  the fit used at every radius when dim K > 1;
+- component_count_by_union_find: a graph's connected components by
+  union-find with path halving, the route ladder._component_count took
+  before its array form;
 - lj_well_offset_by_fractions: the Lennard-Jones well offset
   (sigma/d)^6 - 1/2 from exact Fractions;
 - embed_config, embed_tangent, displacement and corpus_items: full (n, d)
@@ -68,9 +75,12 @@ import numpy as np
 from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet, PolyTrajectory,
                       energy_along_trajectory, energy_value_grad_hess, load_corpus)
 from rigidkit.critpoint import _bernstein_bound, _QuarticForms
-from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m
+from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m, energy_gap_grad_hess
+from rigidkit.framework import rigidity_matrix
+from rigidkit.growth import NewtonStats, _check_radius, _tangent, minimize_on_sphere
 from rigidkit.jets import series_compose, series_mul
-from rigidkit.linear import _BLOCK_ORDER, KernelDecomposition, _CompactWY, _envelope_layout, _PanelTriangular
+from rigidkit.linear import (_BLOCK_ORDER, KernelDecomposition, _CompactWY, _envelope_layout, _PanelTriangular,
+                             kernel_decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +547,123 @@ def kernel_search_by_boxes(forms, tol: float, sign: float = 1.0, scale: float = 
     x_best = -hinv_c @ np.outer(y_best, y_best).reshape(1)
     scale = max(root_scale, size(y_best[None, :], np.array([least])))
     return sign * least, y_best, x_best, scale, sign * low, note
+
+
+# ---------------------------------------------------------------------------
+# the seeded multistart on the sphere
+# ---------------------------------------------------------------------------
+
+N_STARTS = 64             # starts of the multistart, flex directions included
+MULTISTART_ROUNDS = 250   # Barzilai-Borwein rounds of the multistart
+N_FINALISTS = 6           # multistart rows polished by Newton
+
+
+def bb_minimize_on_sphere(value_grad, starts: np.ndarray, r=1.0, *, rounds: int):
+    """minimize_on_sphere's problem for a function without Hessians:
+    value_grad maps a (B, dim) batch to (values (B,), gradients (B, dim)),
+    and the final values and points are returned.  Vectorized projected
+    gradient with per-row Barzilai-Borwein steps and a backtracking
+    fallback: an accepted move sets the next step from the last
+    displacement/gradient-change pair, a rejected one shrinks it.  Every
+    round computes every row's step and keeps it, with the moved point,
+    value and gradient, only where the move was accepted, by np.where over
+    whole arrays; row by row this is the same arithmetic as updating just
+    the accepted rows.  The multistart runs rounds rounds of it.
+    """
+    r = np.full(starts.shape[0], r, dtype=float)
+    z = r[:, None] * starts / np.sqrt((starts * starts).sum(1))[:, None]
+    vals, grads = value_grad(z)
+    steps = 1e-3 * r
+    last_z = z.copy()
+    last_g = grads.copy()
+    for _ in range(rounds):
+        g_tan = _tangent(grads, z, r)
+        gnorm2 = (g_tan * g_tan).sum(1)
+        cand = z - steps[:, None] * g_tan
+        cand *= r[:, None] / np.sqrt((cand * cand).sum(1))[:, None]
+        c_vals, c_grads = value_grad(cand)
+        improve = c_vals < vals - 1e-4 * steps * gnorm2
+        # the BB step of every row, kept only where the move is accepted
+        dz = cand - last_z
+        dg = c_grads - last_g
+        den = (dg * dg).sum(1)
+        bb = np.abs((dz * dg).sum(1)) / np.where(den > 0, den, 1.0)
+        bb = np.minimum(np.maximum(bb, 1e-17 * r), 1e3 * r)
+        bb = np.where(den == 0, steps * 2.0, bb)
+        steps = np.where(improve, bb, steps * 0.3)
+        moved = improve[:, None]
+        last_z = np.where(moved, z, last_z)
+        last_g = np.where(moved, grads, last_g)
+        z = np.where(moved, cand, z)
+        grads = np.where(moved, c_grads, grads)
+        vals = np.where(improve, c_vals, vals)
+        if (steps < 1e-16 * r).all():
+            break
+    return vals, z
+
+
+def multistart_min_energy_on_sphere(spec, pf, r: float, seed: int = 0, extra_starts=None, kd=None):
+    """Best upper bound on m(r) = min E(q) - E(p) over |q - p| = r, with
+    the minimizing unit direction and the NewtonStats of its row; kd, when
+    given, is the framework's kernel decomposition (computed here
+    otherwise).
+
+    N_STARTS starts are seeded along the +/- first-order flex directions
+    plus random unit vectors; extra_starts rows (unit directions) are
+    appended, which the former dim K > 1 radius sweep used to continue the
+    minimizing valley between radii.  MULTISTART_ROUNDS Barzilai-Borwein
+    rounds run from all starts and the best N_FINALISTS rows are polished
+    by Newton."""
+    _check_radius(spec, r)
+
+    def gap(z):
+        return energy_gap_grad_hess(spec, pf, z)[:2]
+
+    def gap_grad_hess(z):
+        return energy_gap_grad_hess(spec, pf, z)
+
+    if kd is None:
+        kd = kernel_decomposition(rigidity_matrix(pf))
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j in range(kd.dim_K):
+        rows.append(kd.K_basis[:, j])
+        rows.append(-kd.K_basis[:, j])
+    if extra_starts is not None:
+        rows.extend(np.atleast_2d(extra_starts))
+    need = max(N_STARTS - len(rows), 4)
+    rand = rng.standard_normal((need, pf.n_free))
+    rows.extend(rand / np.linalg.norm(rand, axis=1, keepdims=True))
+    vals, z = bb_minimize_on_sphere(gap, np.array(rows), r, rounds=MULTISTART_ROUNDS)
+    finalists = z[np.argsort(vals)[:N_FINALISTS]]
+    f_vals, f_z, stats = minimize_on_sphere(gap_grad_hess, finalists, r)
+    best = int(np.argmin(f_vals))
+    row = NewtonStats(stats.steps[best], stats.tangent_ratio[best], stats.converged[best])
+    return float(f_vals[best]), f_z[best] / r, row
+
+
+# ---------------------------------------------------------------------------
+# connected components
+# ---------------------------------------------------------------------------
+
+def component_count_by_union_find(n_vertices: int, edges) -> int:
+    """Connected components of a graph on n_vertices vertices (union-find
+    with path halving); an isolated vertex is a component of its own."""
+    root = list(range(n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    count = n_vertices
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[ri] = rj
+            count -= 1
+    return count
 
 
 def lj_well_offset_by_fractions(sigma, rest_lengths) -> np.ndarray:

@@ -248,7 +248,7 @@ def test_criterion_9_negative_control_square():
     )
     spec = EnergySpec.for_framework(sq, "harmonic")
     radii = np.geomspace(1e-3, 1e-1, 12)
-    m_vals = [min_energy_on_sphere_with_arg(spec, pf, r, seed=0)[0] for r in radii]
+    m_vals = min_energy_on_sphere_with_arg(spec, pf, radii)[0]
     sphere_ok = all(m < 1e-14 for m in m_vals)
     ok = residual_ok and sphere_ok
     _report(9, "unit square: flex found up to max_k with residuals < 1e-10; m(r) < 1e-14 on all radii",

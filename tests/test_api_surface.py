@@ -2,7 +2,8 @@
 call.  Reference checks that only tests read live in tests/oracles.py, and
 thin views of a library call are gone in favour of that call; none of these
 names may resolve on rigidkit, on any of its modules or on their classes.
-No module of the library or of the tests imports a name it never reads."""
+No module of the library or of the tests imports a name it never reads,
+and no library module draws random numbers."""
 
 import ast
 import dataclasses
@@ -19,6 +20,7 @@ TEST_ONLY_NAMES = (
     "project_K", "min_energy_on_sphere", "faa_di_bruno_term", "_partition_multiplicities",
     "embed_config", "embed_tangent", "displacement", "corpus_items",
     "RigidityMatrix", "compose_series", "free_coords", "from_poly",
+    "bb_minimize_on_sphere", "energy_gap_and_grad", "N_STARTS", "MULTISTART_ROUNDS", "N_FINALISTS",
 )
 
 
@@ -78,6 +80,30 @@ def test_every_exported_name_has_a_library_or_benchmark_reader():
     readers = [path for path in package.rglob("*.py") if path != package / "__init__.py"]
     read = set().union(*map(_loaded_names, readers + sorted(bench.glob("*.py"))))
     assert sorted(set(rigidkit.__all__) - read) == []
+
+
+def _random_reads(path: Path) -> list[int]:
+    """Lines of a file that import or read random or numpy.random."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name in ("random", "numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module in ("random", "numpy.random") or any(a.name == "random" for a in node.names)
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   or isinstance(node, ast.Name) and node.id == "random")
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_library_module_draws_random_numbers():
+    # every verdict, fit and report is deterministic, and no option takes a seed
+    package = Path(rigidkit.__file__).parent
+    found = {path.name: lines for path in sorted(package.rglob("*.py")) if (lines := _random_reads(path))}
+    assert not found
 
 
 FIXED_TOLERANCE = (

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import rigidkit
-from rigidkit import (Framework, framework_to_dict, load_corpus, load_framework, pin_with_permutation, rigidity_order,
-                      save_framework)
+from rigidkit import (Framework, RigidkitError, fourth_derivative_test, framework_to_dict, load_corpus, load_framework,
+                      pin_with_permutation, polynomial_from_monomial_list, rigidity_order, save_framework)
 from rigidkit.cli import (
     EXIT_MISMATCH,
     EXIT_NUMERICAL,
@@ -111,7 +111,7 @@ def test_growth_csv(k33_file, tmp_path, capsys):
     code = main([
         "growth", k33_file, "--family", "harmonic",
         "--rmin", "1e-2", "--rmax", "1e-1", "--n", "5",
-        "--seed", "0", "--csv", str(csv_path),
+        "--csv", str(csv_path),
     ])
     assert code == EXIT_OK
     lines = csv_path.read_text().strip().splitlines()
@@ -139,6 +139,21 @@ def test_critpoint_poly(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["classification"] == "strict-min"
     assert rep["nullity"] == 1
+
+
+def test_critpoint_poly_refuses_overflowing_forms(tmp_path, capsys):
+    # x0^2 + 1e307 (y1^4 + y2^4) passes the reader, but its gradient jets
+    # along the kernel overflow a float: the order-4 test refuses, and the
+    # CLI reports a numerical failure
+    poly = [{"exps": [2, 0, 0], "coef": 1.0}, {"exps": [0, 4, 0], "coef": 1e307},
+            {"exps": [0, 0, 4], "coef": 1e307}]
+    with pytest.raises(RigidkitError, match="the order-4 forms overflow a float"):
+        fourth_derivative_test(polynomial_from_monomial_list(poly))
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(poly))
+    assert main(["critpoint", "--poly", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the order-4 forms overflow a float") and "Traceback" not in err
 
 
 def test_critpoint_framework_order(k33_file, capsys):
@@ -346,10 +361,14 @@ def test_analyze_growth_text_output(k33_file, tmp_path, capsys):
     pytest.param([[0, 0], [1, 0], [1, 1], [0, 1]], [[1, 2], [2, 3], [3, 4], [4, 1]], "flexible", id="square"),
     pytest.param([[0, 0]], [], "no edges", id="edgeless-one-vertex"),
     pytest.param([[0, 0], [1, 0.5]], [], "no edges", id="edgeless-two-vertices"),
+    pytest.param([[1.0, 0.0], [0.309017, 0.951057], [-0.809017, 0.587785], [-0.809017, -0.587785],
+                  [0.309017, -0.951057]], [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]],
+                 "the order-4 test (rigidkit critpoint)", id="pentagon-dim-k-2"),
 ])
 def test_failed_growth_fit_is_reported(tmp_path, capsys, vertices, edges, reason):
     # a flexible square and a framework with no edges have no growth
-    # order: growth exits 3, analyze --growth reports the failure
+    # order, and at dim K = 2 (the pentagon) the fit refuses: growth exits
+    # 3, analyze --growth reports the failure
     path = tmp_path / "fw.json"
     path.write_text(json.dumps({"dimension": 2, "vertices": vertices, "edges": edges}))
     assert main(["growth", str(path)]) == EXIT_NUMERICAL
@@ -361,18 +380,6 @@ def test_failed_growth_fit_is_reported(tmp_path, capsys, vertices, edges, reason
     assert json.loads(capsys.readouterr().out)["growth"] == {"error": message}
     assert main(["analyze", str(path), "--growth"]) == EXIT_OK
     assert f"growth fit: failed ({message})" in capsys.readouterr().out.splitlines()
-
-
-def test_growth_deterministic_given_seed(k33_file, tmp_path):
-    # k33 has dim K = 1, where the fit draws no random numbers: any seed
-    # gives the same bytes
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
-    for p, seed in zip(paths, ("7", "7", "0")):
-        assert main([
-            "growth", k33_file, "--rmin", "1e-2", "--rmax", "1e-1",
-            "--n", "4", "--seed", seed, "--csv", str(p),
-        ]) == EXIT_OK
-    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
 def test_analyze_corpus_examples(tmp_path, capsys):
@@ -509,8 +516,8 @@ def bad_input_files(tmp_path, k33_file):
     pytest.param(["analyze", "{k33}", "--tol", "inf"], "usage error: ", id="infinite-tol"),
     pytest.param(["growth", "{k33}", "--n", "0"], "usage error: ", id="no-radii"),
     pytest.param(["growth", "{k33}", "--n", "1"], "usage error: ", id="one-radius"),
-    pytest.param(["growth", "{k33}", "--seed", "-1"], "usage error: ", id="growth-negative-seed"),
-    pytest.param(["analyze", "{k33}", "--growth", "--seed", "-3"], "usage error: ", id="analyze-negative-seed"),
+    pytest.param(["growth", "{k33}", "--seed", "0"], "usage error: ", id="growth-seed"),
+    pytest.param(["analyze", "{k33}", "--growth", "--seed", "0"], "usage error: ", id="analyze-seed"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "0"],
                  "usage error: ", id="energy-order-0"),
     pytest.param(["energy", "{k33}", "--family", "harmonic", "--traj", "{short_traj}", "--order", "70"],

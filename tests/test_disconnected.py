@@ -8,6 +8,8 @@ import pytest
 
 from rigidkit import Framework, pin_with_permutation, rigidity_order, save_framework
 from rigidkit.cli import main
+from rigidkit.ladder import _component_count
+from oracles import component_count_by_union_find
 
 
 def _triangle_plus_isolated_vertex():
@@ -49,3 +51,24 @@ def test_analyze_json_reports_graph_verdict(tmp_path, capsys):
     assert (verdict["verdict"], verdict["method"], verdict["dim_K"]) == ("flex-found", "graph", 3)
     assert "2 connected components" in verdict["reason"]
     assert out["dim_K"] == 3
+
+
+def _random_graph(rng):
+    # up to 40 vertices, sparse enough that some stay isolated
+    n = int(rng.integers(2, 41))
+    pairs = {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(int(rng.integers(0, n + 1)))}
+    return Framework(2, rng.standard_normal((n, 2)), sorted(pairs))
+
+
+def test_component_count_matches_union_find():
+    rng = np.random.default_rng(21)
+    graphs = [_random_graph(rng) for _ in range(300)]
+    assert sum(fw.n_vertices - len({v for e in fw.edges for v in e}) > 0 for fw in graphs) >= 100
+    # a 600-vertex path, in order and with its vertices shuffled
+    perm = rng.permutation(600)
+    for order in (np.arange(600), perm):
+        graphs.append(Framework(2, rng.standard_normal((600, 2)), [(int(order[i]), int(order[i + 1]))
+                                                                 for i in range(599)]))
+    for fw in graphs:
+        assert _component_count(fw) == component_count_by_union_find(fw.n_vertices, fw.edges)
+    assert _component_count(graphs[-1]) == 1

@@ -12,7 +12,6 @@ from rigidkit import (
     PolyTrajectory,
     ZeroLengthEdge,
     energy_along_trajectory,
-    energy_gap_and_grad,
     energy_value_grad_hess,
     gradient_along_trajectory,
     kernel_decomposition,
@@ -20,6 +19,7 @@ from rigidkit import (
     pin_with_permutation,
     rigidity_matrix,
 )
+from rigidkit.energy import energy_gap_grad_hess
 from oracles import (classify_flex, compose_series, edge_m_jets, embed_tangent, faa_di_bruno_term,
                      gradient_by_jets, kernel_of_hessian_equals_K)
 from test_quartic_assembly import midpoint_strip
@@ -74,7 +74,7 @@ def test_gap_and_grad_matches_plain_energy(square, square_pinned):
     for fam in FAMILIES:
         spec = EnergySpec.for_framework(square, fam)
         delta = 0.03 * rng.standard_normal(square_pinned.n_free)
-        gap, grad = energy_gap_and_grad(spec, square_pinned, delta)
+        gap, grad = energy_gap_grad_hess(spec, square_pinned, delta)[:2]
         E, g_full, _ = energy_value_grad_hess(spec, square_pinned, square_pinned.free_vector() + delta)
         assert gap == pytest.approx(E - spec.rest_energy(), rel=1e-9, abs=1e-14)
         assert np.allclose(grad, g_full, atol=1e-9)
@@ -85,10 +85,10 @@ def test_gap_and_grad_batch_matches_single_calls(square, square_pinned):
     deltas = 0.03 * rng.standard_normal((5, square_pinned.n_free))
     for fam in FAMILIES:
         spec = EnergySpec.for_framework(square, fam)
-        gaps, grads = energy_gap_and_grad(spec, square_pinned, deltas)
+        gaps, grads = energy_gap_grad_hess(spec, square_pinned, deltas)[:2]
         assert gaps.shape == (5,) and grads.shape == deltas.shape
         for b, delta in enumerate(deltas):
-            gap, grad = energy_gap_and_grad(spec, square_pinned, delta)
+            gap, grad = energy_gap_grad_hess(spec, square_pinned, delta)[:2]
             assert isinstance(gap, float)
             assert gaps[b] == gap
             assert np.array_equal(grads[b], grad)
@@ -97,7 +97,7 @@ def test_gap_and_grad_batch_matches_single_calls(square, square_pinned):
         collapse[3] = 0.0
         collapse[3, 0] = -square_pinned.free_vector()[0]
         with pytest.raises(ZeroLengthEdge, match="edge 0 has non-positive squared length at batch row 3"):
-            energy_gap_and_grad(spec, square_pinned, collapse)
+            energy_gap_grad_hess(spec, square_pinned, collapse)
 
 
 def test_zero_length_edge_raises(square, square_pinned):

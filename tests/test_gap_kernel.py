@@ -2,9 +2,7 @@
 
 The gap kernel now works edge-major on (E, d, B) arrays and sums forces with
 a plan fixed at pinning time; the reference below is the (B, n, d) kernel
-that scattered with one bincount per call.  The sphere minimizer now selects
-with np.where instead of boolean-mask updates; the reference is the masked
-loop, which it must match bit for bit.
+that scattered with one bincount per call.
 """
 
 from fractions import Fraction
@@ -16,14 +14,12 @@ from rigidkit import (
     FAMILIES,
     EnergySpec,
     Framework,
-    energy_gap_and_grad,
     pin,
     pin_with_permutation,
     rigidity_matrix,
 )
-from rigidkit.critpoint import _QuarticForms
-from rigidkit.growth import bb_minimize_on_sphere
-from oracles import corpus_items, grad_batch, value_batch
+from rigidkit.energy import energy_gap_grad_hess
+from oracles import corpus_items
 
 SCALES = (1e-1, 1e-3, 1e-6)
 BATCHES = (1, 6, 64)
@@ -72,40 +68,6 @@ def _reference_gap_kernel(spec, pf, batch):
     return np.sum(gap, axis=1), grad
 
 
-def _reference_minimize(value_grad, starts, r=1.0, *, rounds):
-    """The boolean-mask Barzilai-Borwein loop."""
-    z = r * starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    vals, grads = value_grad(z)
-    steps = np.full(z.shape[0], 1e-3 * r)
-    last_z = z.copy()
-    last_g = grads.copy()
-    for _ in range(rounds):
-        zh = z / r
-        g_tan = grads - np.sum(grads * zh, axis=1, keepdims=True) * zh
-        gnorm2 = np.sum(g_tan**2, axis=1)
-        cand = z - steps[:, None] * g_tan
-        cand *= r / np.linalg.norm(cand, axis=1, keepdims=True)
-        c_vals, c_grads = value_grad(cand)
-        improve = c_vals < vals - 1e-4 * steps * gnorm2
-        if np.any(improve):
-            dz = cand[improve] - last_z[improve]
-            dg = c_grads[improve] - last_g[improve]
-            den = np.sum(dg * dg, axis=1)
-            bb = np.abs(np.sum(dz * dg, axis=1)) / np.where(den > 0, den, 1.0)
-            bb = np.clip(bb, 1e-17 * r, 1e3 * r)
-            bb[den == 0] = steps[improve][den == 0] * 2.0
-            last_z[improve] = z[improve]
-            last_g[improve] = grads[improve]
-            z[improve] = cand[improve]
-            vals[improve] = c_vals[improve]
-            grads[improve] = c_grads[improve]
-            steps[improve] = bb
-        steps[~improve] *= 0.3
-        if np.all(steps < 1e-16 * r):
-            break
-    return vals, z
-
-
 def _reference_rigidity_matrix(pf):
     base = pf.base
     ev, ew = base.edge_index_arrays()
@@ -139,7 +101,7 @@ def test_gap_kernel_matches_reference(pinned_corpus, family):
         for n_batch in BATCHES:
             for scale in SCALES:
                 batch = _unit_batch(rng, n_batch, pf.n_free, scale)
-                gaps, grads = energy_gap_and_grad(spec, pf, batch)
+                gaps, grads = energy_gap_grad_hess(spec, pf, batch)[:2]
                 ref_gaps, ref_grads = _reference_gap_kernel(spec, pf, batch)
                 key = (name, n_batch, scale)
                 assert gaps.shape == (n_batch,) and grads.shape == (n_batch, pf.n_free)
@@ -152,8 +114,8 @@ def test_gap_kernel_single_displacement_is_first_batch_row(pinned_corpus):
     pf = pinned_corpus["sphere_packing_2"]
     spec = EnergySpec.for_framework(pf.base, "morse")
     batch = _unit_batch(np.random.default_rng(2), 3, pf.n_free, 1e-2)
-    gaps, grads = energy_gap_and_grad(spec, pf, batch)
-    gap, grad = energy_gap_and_grad(spec, pf, batch[1])
+    gaps, grads = energy_gap_grad_hess(spec, pf, batch)[:2]
+    gap, grad = energy_gap_grad_hess(spec, pf, batch[1])[:2]
     assert isinstance(gap, float) and grad.shape == (pf.n_free,)
     assert gap == pytest.approx(gaps[1], rel=1e-14)
     np.testing.assert_allclose(grad, grads[1], rtol=1e-14, atol=1e-18)
@@ -168,7 +130,7 @@ def test_gap_kernel_isolated_vertex_has_zero_gradient():
     for family in FAMILIES:
         spec = EnergySpec.for_framework(pf.base, family)
         batch = _unit_batch(np.random.default_rng(4), 5, pf.n_free, 1e-2)
-        gaps, grads = energy_gap_and_grad(spec, pf, batch)
+        gaps, grads = energy_gap_grad_hess(spec, pf, batch)[:2]
         assert np.all(grads[:, isolated] == 0.0), family
         assert np.all(np.abs(grads[:, ~isolated]).max(axis=1) > 0.0), family
         ref_gaps, ref_grads = _reference_gap_kernel(spec, pf, batch)
@@ -185,42 +147,6 @@ def test_gradient_plan_covers_every_touched_column(pinned_corpus):
         assert starts[0] == 0 and np.all(np.diff(starts) > 0), name
 
 
-def test_minimize_on_sphere_bit_identical_on_k33_gap(pinned_corpus):
-    pf = pinned_corpus["k33"]
-    spec = EnergySpec.for_framework(pf.base, "algebraic")
-
-    def gap(z):
-        return energy_gap_and_grad(spec, pf, z)
-
-    starts = np.random.default_rng(5).standard_normal((12, pf.n_free))
-    for r, rounds in ((1e-1, 250), (1e-3, 400)):
-        vals, z = bb_minimize_on_sphere(gap, starts, r, rounds=rounds)
-        ref_vals, ref_z = _reference_minimize(gap, starts, r, rounds=rounds)
-        assert np.array_equal(vals, ref_vals) and np.array_equal(z, ref_z), r
-
-
-def test_minimize_on_sphere_bit_identical_on_seeded_quartic():
-    rng = np.random.default_rng(17)
-    n, m = 4, 3
-    a = rng.standard_normal((n, n))
-    c = rng.standard_normal((n, m, m))
-    b = rng.standard_normal((m,) * 4)
-    # symmetrize B over all index permutations
-    from itertools import permutations
-
-    b = sum(np.transpose(b, p) for p in permutations(range(4))) / 24.0
-    forms = _QuarticForms(a @ a.T + n * np.eye(n), c + c.transpose(0, 2, 1), b)
-    for sign in (1.0, -1.0):
-        def value_grad(z, sign=sign):
-            xs, ys = z[:, :n], z[:, n:]
-            return sign * value_batch(forms, xs, ys), sign * grad_batch(forms, xs, ys)
-
-        starts = rng.standard_normal((16, n + m))
-        vals, z = bb_minimize_on_sphere(value_grad, starts, rounds=300)
-        ref_vals, ref_z = _reference_minimize(value_grad, starts, rounds=300)
-        assert np.array_equal(vals, ref_vals) and np.array_equal(z, ref_z), sign
-
-
 def test_rigidity_matrix_bit_identical(pinned_corpus):
     for name, pf in pinned_corpus.items():
         mat = rigidity_matrix(pf)
@@ -231,7 +157,11 @@ def test_rigidity_matrix_bit_identical(pinned_corpus):
 
 def test_gap_kernel_builds_no_index_per_call(pinned_corpus, monkeypatch):
     """Index layout is built once per pinned framework: none of the index
-    builders runs inside the kernel, while pinning does call them."""
+    builders runs inside the kernel, while pinning does call them.  The
+    Hessian plan is built on first use, and its sum is one bincount per
+    kernel call."""
+    pf = pinned_corpus["sphere_packing_2"]
+    pf._hessian_plan
     counts = {}
     for name in ("argsort", "bincount", "unique", "flatnonzero", "nonzero", "lexsort"):
         real = getattr(np, name)
@@ -241,13 +171,12 @@ def test_gap_kernel_builds_no_index_per_call(pinned_corpus, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
-    pf = pinned_corpus["sphere_packing_2"]
     rng = np.random.default_rng(8)
     for family in FAMILIES:
         spec = EnergySpec.for_framework(pf.base, family)
         for n_batch in BATCHES:
-            energy_gap_and_grad(spec, pf, _unit_batch(rng, n_batch, pf.n_free, 1e-2))
-        energy_gap_and_grad(spec, pf, _unit_batch(rng, 1, pf.n_free, 1e-2)[0])
-    assert counts == {}
+            energy_gap_grad_hess(spec, pf, _unit_batch(rng, n_batch, pf.n_free, 1e-2))
+        energy_gap_grad_hess(spec, pf, _unit_batch(rng, 1, pf.n_free, 1e-2)[0])
+    assert counts == {"bincount": len(FAMILIES) * (len(BATCHES) + 1)}
     pin(pf.base)
     assert counts.get("argsort", 0) >= 1

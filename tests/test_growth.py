@@ -11,7 +11,6 @@ from rigidkit import (
     Framework,
     PolyTrajectory,
     ZeroLengthEdge,
-    energy_gap_and_grad,
     energy_value_grad_hess,
     fit_growth_order,
     kernel_decomposition,
@@ -19,7 +18,9 @@ from rigidkit import (
     rigidity_matrix,
 )
 from rigidkit.growth import min_energy_on_sphere_with_arg
+from rigidkit.energy import energy_gap_grad_hess
 from oracles import displacement
+from test_quartic_assembly import midpoint_strip
 
 
 def test_triangle_quadratic_model(triangle, triangle_pinned):
@@ -28,14 +29,14 @@ def test_triangle_quadratic_model(triangle, triangle_pinned):
     _, _, hess = energy_value_grad_hess(spec, triangle_pinned)
     lam_min = float(np.linalg.eigvalsh(hess)[0])
     for r in (1e-3, 1e-2):
-        m = min_energy_on_sphere_with_arg(spec, triangle_pinned, r, seed=0)[0]
+        m = min_energy_on_sphere_with_arg(spec, triangle_pinned, r)[0][0]
         assert m == pytest.approx(0.5 * lam_min * r**2, rel=0.1)
 
 
 def test_square_mechanism_keeps_energy_zero(square, square_pinned):
     spec = EnergySpec.for_framework(square, "harmonic")
     for r in np.geomspace(1e-3, 1e-1, 5):
-        m = min_energy_on_sphere_with_arg(spec, square_pinned, r, seed=0)[0]
+        m = min_energy_on_sphere_with_arg(spec, square_pinned, r)[0][0]
         assert m < 1e-14
 
 
@@ -75,14 +76,24 @@ def test_seedless_fit_at_dim_k_at_most_one(corpus_analysis, triangle, triangle_p
     assert fit.fitted_s == pytest.approx(2.0, abs=0.2)
 
 
-def test_dim_k_two_mechanism_fit_degenerates():
-    # a pentagon flexes two ways (dim K = 2); the multistart's m(r) reads
-    # 1e-40 to 1e-37, positive, and only the relative floor catches it
+def _pentagon():
     angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
-    fw = Framework(2, np.c_[np.cos(angles), np.sin(angles)], [(i, (i + 1) % 5) for i in range(5)])
+    return Framework(2, np.c_[np.cos(angles), np.sin(angles)], [(i, (i + 1) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("make", [_pentagon, lambda: midpoint_strip(8, 2)], ids=["pentagon", "midpoint_strip"])
+def test_fit_refuses_dim_k_above_one(make, monkeypatch):
+    # the pentagon flexes two ways and the midpoint strip is order 2, both
+    # at dim K = 2: the fit refuses before any energy evaluation and names
+    # the order-4 test, the check at dim K > 1
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the energy kernel ran")
+
+    fw = make()
     pf, _ = pin(fw)
     assert kernel_decomposition(rigidity_matrix(pf)).dim_K == 2
-    with pytest.raises(DegenerateFit):
+    monkeypatch.setattr(energy, "_pointwise", no_kernel)
+    with pytest.raises(DegenerateFit, match=r"dim K = 2: the order-4 test \(rigidkit critpoint\)"):
         fit_growth_order(EnergySpec.for_framework(fw, "harmonic"), pf, n_radii=4, seed=0)
 
 
@@ -147,9 +158,7 @@ def test_radius_not_finite_and_positive_raises(triangle, triangle_pinned, r):
 
 
 def test_fit_past_the_safe_radius_raises_before_any_kernel_call(triangle, triangle_pinned, monkeypatch):
-    # dim K = 0: the fit's one Newton batch never passes through the
-    # per-radius multistart, so it checks r_max itself, before the rest
-    # Hessian's kernel call
+    # every radius is checked before the rest Hessian's kernel call
     def no_kernel(*args, **kwargs):
         raise AssertionError("the energy kernel ran")
 
@@ -183,7 +192,7 @@ def test_witness_bound_sometimes_slow_growth(corpus_analysis):
         ratios = []
         for t in ts:
             delta = displacement(rep.witness, t)
-            gap, _ = energy_gap_and_grad(spec, pf, delta)
+            gap, _ = energy_gap_grad_hess(spec, pf, delta)[:2]
             ratios.append(gap / np.linalg.norm(delta) ** (2 * k))
         assert ratios[1] < 2.0 * ratios[0] + 1e-12, (name, ratios)
 
@@ -200,7 +209,7 @@ def test_reparameterized_flex_same_growth_exponent(square, square_pinned):
         gaps, dists = [], []
         for t in ts:
             delta = displacement(traj, t)
-            gap, _ = energy_gap_and_grad(spec, square_pinned, delta)
+            gap, _ = energy_gap_grad_hess(spec, square_pinned, delta)[:2]
             gaps.append(gap)
             dists.append(np.linalg.norm(delta))
         slope = np.polyfit(np.log(dists), np.log(gaps), 1)[0]

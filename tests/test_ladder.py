@@ -274,6 +274,24 @@ def test_rigidity_order_at_dim_k_two_or_more_gives_what_the_order4_test_found():
                               "dimK>1 beyond order 2 requires symbolic methods")
 
 
+def test_low_degree_vertices_keep_their_verdicts():
+    # a vertex of degree < d need not flex: in 3-D a degree-2 vertex at the
+    # midpoint of a tetrahedron's edge is order 2 (dim K = 2, decided by the
+    # order-4 test), so "degree < d means flexible" would be wrong there.
+    # A pendant vertex of a 2-D triangle does flex, and the ladder finds it.
+    tet = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.4, 0.3, 0.8]])
+    midpoint = Framework(3, np.vstack([tet, 0.5 * (tet[0] + tet[1])]),
+                         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
+    pf, _, _ = pin_with_permutation(midpoint)
+    rep = rigidity_order(pf)
+    assert (rep.verdict, rep.order, rep.dim_K, rep.method) == ("order", 2, 2, "order4-energy")
+    pendant = Framework(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [1.5, 1.2]]),
+                        [(0, 1), (1, 2), (0, 2), (1, 3)])
+    pf, _, _ = pin_with_permutation(pendant)
+    rep = rigidity_order(pf)
+    assert (rep.verdict, rep.order, rep.dim_K) == ("flex-found", None, 1)
+
+
 # (build, exception type, message): refusals of the trajectory type and of
 # the flex equation's right-hand side
 _REFUSALS = [
