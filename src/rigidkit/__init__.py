@@ -21,6 +21,7 @@ from .critpoint import (
 from .energy import (
     FAMILIES,
     EnergySpec,
+    PolyTrajectory,
     energy_along_trajectory,
     energy_value_grad_hess,
     gradient_along_trajectory,
@@ -53,7 +54,6 @@ from .growth import GrowthFit, fit_growth_order
 from .jets import Jet
 from .ladder import (
     OrderReport,
-    PolyTrajectory,
     flex_rhs,
     rigidity_order,
     solve_ladder,
@@ -67,7 +67,7 @@ __all__ = [
     "CritReport", "FrameworkEnergyTarget", "PolynomialTarget",
     "fourth_derivative_test", "order2k_family_test",
     "polynomial_from_monomial_list", "second_order_rigidity_test",
-    "FAMILIES", "EnergySpec", "energy_along_trajectory", "energy_value_grad_hess",
+    "FAMILIES", "EnergySpec", "PolyTrajectory", "energy_along_trajectory", "energy_value_grad_hess",
     "gradient_along_trajectory",
     "DegenerateFit", "DegenerateLeadingVertices", "DimKNotOne",
     "FrameworkValidationError", "NotACriticalPoint", "RigidkitError",
@@ -78,6 +78,6 @@ __all__ = [
     "rigidity_matrix", "save_framework",
     "GrowthFit", "fit_growth_order",
     "Jet",
-    "OrderReport", "PolyTrajectory", "flex_rhs", "rigidity_order", "solve_ladder",
+    "OrderReport", "flex_rhs", "rigidity_order", "solve_ladder",
     "KernelDecomposition", "kernel_decomposition",
 ]

@@ -31,7 +31,7 @@ from .critpoint import (
     polynomial_from_monomial_list,
     second_order_rigidity_test,
 )
-from .energy import FAMILIES, EnergySpec, energy_along_trajectory
+from .energy import FAMILIES, EnergySpec, PolyTrajectory, energy_along_trajectory
 from .errors import FrameworkValidationError, RigidkitError
 from .framework import (
     Framework,
@@ -46,7 +46,6 @@ from .ladder import (
     DEFAULT_LADDER_TOL,
     DEFAULT_MAX_K,
     OrderReport,
-    PolyTrajectory,
     _disconnected_reason,
     rigidity_order,
     solve_ladder,

@@ -36,10 +36,14 @@ reduction at m = 1, decide the sign of mu there with _kernel_search, a
 deterministic Bernstein branch and bound: a strict verdict carries a
 certified bound on min mu beyond tol_eff, a saddle a sphere point where mu
 is below -tol_eff, and an inconclusive one a certificate that min mu lies
-within +/- tol_eff, or the note that the box cap was reached.  At m = 1 the
-sphere is {+1, -1} and mu(e_1) is exact, so the search decides it in closed
-form, with no box: the order-2k test and every one-dimensional kernel cost
-a few scalar operations past the jets.
+within +/- tol_eff, or the note that the box cap was reached.  tol_eff =
+tol (1 + scale) is fixed from the forms before the search, with scale =
+max(||M||_F, ||B||_F) for M the symmetric 4-tensor of mu: by Cauchy-Schwarz
+it bounds |mu| and |B(y^4)| on the whole sphere, it is the same in every
+kernel basis, and no search path moves it.  At m = 1 the sphere is
+{+1, -1} and mu(e_1) is exact, so the search decides it in closed form,
+with no box: the order-2k test and every one-dimensional kernel cost a few
+scalar operations past the jets.
 
 Targets provide dim, grad0, hessian0 and gradient_jet_along(rows, order),
 the Taylor coefficient rows of grad f along the polynomial trajectory
@@ -55,18 +59,18 @@ rows of its jets along v = 0 and along the coordinate axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import numpy as np
 
-from .energy import EnergySpec, energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory
+from .energy import (EnergySpec, PolyTrajectory, energy_along_trajectory, energy_value_grad_hess,
+                     gradient_along_trajectory)
 from .errors import DimKNotOne, NotACriticalPoint, RigidkitError
 from .framework import PinnedFramework, _as_float, _as_int, rigidity_matrix
 from .growth import minimize_on_sphere
 from .jets import Jet
-from .ladder import PolyTrajectory
 from .linear import KernelDecomposition, kernel_decomposition
 
 DEFAULT_CRIT_TOL = 1e-8
@@ -203,14 +207,17 @@ class CritReport:
     order-4 family), or "order2k-family".  For "quartic" at a PSD Hessian,
     a_min is min mu on the unit kernel sphere, not a4 at the arg_min point
     (a4 is s^4 a_min there), and a_max is a4 at its point; at an NSD Hessian
-    a_max is max mu and a_min is a4 at its point (see
-    fourth_derivative_test).  Arg
-    points are reported in original coordinates as (velocity, curvature) =
+    a_max is max mu and a_min is a4 at its point (see fourth_derivative_test).
+    Arg points are reported in original coordinates as (velocity, curvature) =
     (t-part, t^2..t^k-part) of the extremizing trajectory.  The two
     rigidity tests, second_order_rigidity_test and order2k_family_test,
     report a_min = min mu and the arg point (Y y, X x) / sqrt(1 + |x|^2) of
     the kernel search's least point y and its closed-form x-part, and their
     notes start with the search's certificate, then name the closed form.
+    scale sets the threshold tol_eff = DEFAULT_CRIT_TOL (1 + scale): for
+    "hessian" it is max |lam|; for "cubic" the screen's sampled |T|; for
+    "quartic" and "order2k-family" the forms' max(||M||_F, ||B||_F) (module
+    docstring), with 1/2 |lam_top| added in fourth_derivative_test.
     """
 
     classification: str
@@ -236,12 +243,34 @@ class CritReport:
 class _QuarticForms:
     """Closed-form a4 over the parameter sphere:
     a4(x, y) = 1/2 x' Hxx x + sum_i x_i (y' C[i] y) + B(y,y,y,y),
-    and the cubic kernel form T(y,y,y), the t^3 coefficient of f(Y y t)."""
+    and the cubic kernel form T(y,y,y), the t^3 coefficient of f(Y y t);
+    their reduction to mu (hinv_c, M, scale) is formed once, on first use."""
 
     Hxx: np.ndarray        # (n, n)
     C: np.ndarray          # (n, m, m)
     B: np.ndarray          # (m, m, m, m) symmetric
     T: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))   # (m, m, m) symmetric
+
+    @cached_property
+    def hinv_c(self) -> np.ndarray:
+        """Hxx^-1 C_flat, (n, m^2): x = -hinv_c (y (x) y) extremizes a4 at y."""
+        n, m = self.C.shape[:2]
+        return np.linalg.solve(self.Hxx, self.C.reshape(n, m * m)) if n else np.zeros((0, m * m))
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """mu's symmetric 4-tensor Sym(B - 1/2 C_flat' Hxx^-1 C_flat): since
+        c(y) = C_flat (y (x) y), mu(y) = M(y, y, y, y), one solve for all y."""
+        n, m = self.C.shape[:2]
+        quart = self.B - 0.5 * (self.C.reshape(n, m * m).T @ self.hinv_c).reshape((m,) * 4)
+        return quart if m == 1 else sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
+
+    @cached_property
+    def scale(self) -> float:
+        """max(||M||_F, ||B||_F), by hypot so that no square overflows: by
+        Cauchy-Schwarz it bounds |mu| and |B(y^4)| on the whole unit sphere,
+        whatever the kernel basis; at m = 1 it is max(|mu|, |B|) exactly."""
+        return max(float(np.hypot.reduce(np.abs(t).ravel())) for t in (self.M, self.B))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,28 +360,27 @@ def _assemble_quartic_forms(target, X: np.ndarray, Y: np.ndarray, hess: np.ndarr
     along Y a t at every lattice point a in N^m with |a| = 3, taken in one
     batched gradient_jet_along call.  The t^2 rows are q(a) = a' S a =
     [t^2] grad f(Y a t), hence C = X'S and T = Y'S / 3; Y' times the t^3
-    rows is c(a) = 4 B(a, a, a, .).  Both are read off the lattice by fixed
-    polarization identities, which hold exactly for any quadratic resp.
-    cubic form (_polarize_quadratic, _polarize_cubic):
-        S_ii = q(3 e_i) / 9,   S_ij = (q(2 e_i + e_j) - 4 S_ii - S_jj) / 4,
-    and with T' the cubic form of c (B = T' / 4)
-        T'_iii = c(3 e_i) / 27,
-        T'_iij = (2u - v) / 18,   T'_ijj = (2v - u) / 18,
-    for u = c(2 e_i + e_j) - 8 T'_iii - T'_jjj, v = c(e_i + 2 e_j) - T'_iii - 8 T'_jjj,
-    and for distinct i, j, k
-        T'_ijk = (c(e_i + e_j + e_k) - sum_p T'_ppp - 3 sum_(p != q) T'_ppq) / 6.
-    The index arrays are built once per m (_lattice).  Raises RigidkitError
-    when a form is not finite: a lattice jet overflowed a float."""
+    rows is c(a) = 4 B(a, a, a, .).  S, and B as c's cubic form over 4, are
+    read off the lattice by the fixed polarization identities of
+    _polarize_quadratic and _polarize_cubic, which hold exactly for any
+    quadratic resp. cubic form, with index arrays built once per m
+    (_lattice).  Raises RigidkitError when a lattice jet or a form is not
+    finite: the jets are taken quietly and an overflowed one is refused
+    before it is polarized."""
     n, m = X.shape[1], Y.shape[1]
     hxx = X.T @ hess @ X if n else np.zeros((0, 0))
     lat = _lattice(m)
-    jets = target.gradient_jet_along((lat.points @ Y.T)[:, None, :], 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = target.gradient_jet_along((lat.points @ Y.T)[:, None, :], 3)
+    overflow = "the order-4 forms overflow a float: a gradient jet along the kernel is not finite"
+    if not np.isfinite(jets).all():
+        raise RigidkitError(overflow)
     s_flat = _polarize_quadratic(jets[:, :, 2], lat).reshape(m * m, -1).T
     b_tensor = _polarize_cubic(jets[:, :, 3] @ Y, lat) / 4.0
     c_forms = (X.T @ s_flat).reshape(n, m, m)
     t_form = (Y.T @ s_flat).reshape(m, m, m) / 3.0
     if not all(np.isfinite(a).all() for a in (hxx, c_forms, b_tensor, t_form)):
-        raise RigidkitError("the order-4 forms overflow a float: a gradient jet along the kernel is not finite")
+        raise RigidkitError(overflow)
     return _QuarticForms(hxx, c_forms, b_tensor, t_form)
 
 
@@ -378,23 +406,14 @@ def _along_axes(mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return flat.reshape(coef.shape)
 
 
-def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: float = 0.0):
-    """Certified minimum of sign * mu(y) = sign * (B(y^4) - 1/2 c(y)' Hxx^-1 c(y))
-    over the unit sphere of R^m.  Since c(y) = C_flat (y(x)y) is linear in
-    y(x)y, mu is the quartic form of the symmetric 4-tensor
-    M = Sym(B - 1/2 C_flat' Hxx^-1 C_flat), formed with one solve, so no
-    evaluation of mu touches the x dimension.  Its sign is decided by
-    _bernstein_bound.  The returned scale, which sets the callers' tol_eff =
-    tol (1 + scale), is the largest |mu| and |B(y^4)| over the root points
-    and the reported point: mu can be small through cancellation of its
-    two terms, and tol_eff grows with the terms.  The search's own tol_eff
-    also takes the caller's scale into account.
+def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
+    """Certified minimum of sign * mu(y) = sign * M(y, y, y, y) over the unit
+    sphere of R^m (no evaluation of mu touches the x dimension), decided by
+    _bernstein_bound against the tol_eff the caller fixed from the forms.
 
-    At m = 1 the sphere is {+1, -1} and mu is even, so mu(e_1) =
-    B - 1/2 c' Hxx^-1 c is exact: it is the bound and the least value, the
-    scale is max(|mu|, |B|), and the decision is taken in closed form with
-    no box and no symmetrization (its note counts the root point as box
-    count 1).
+    At m = 1 the sphere is {+1, -1} and mu is even, so mu(e_1) is exact: it
+    is the bound and the least value, decided in closed form with no box
+    (its note counts the root point as box count 1).
 
     One root box has 5^(m-1) Bernstein coefficients.  When that exceeds
     BOX_CAP, no box is bounded, min mu stays unbounded, and mu is evaluated
@@ -402,65 +421,46 @@ def _kernel_search(forms: _QuarticForms, tol: float, sign: float = 1.0, scale: f
     below -tol_eff can still be a witness at any m.
 
     The least point is then polished by minimize_on_sphere's Newton steps,
-    its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x,
-    scale, bound, note): x = -Hxx^-1 c(y) is the extremizing x-part, bound
-    the certified lower bound on min mu (for sign = -1, the upper bound on
-    max mu; an infinite one when no box was bounded), and note states the
-    decision and the boxes it took."""
-    n, m = forms.C.shape[:2]
-    c_flat = forms.C.reshape(n, m * m)
-    hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, m * m))
-    if m == 1:
-        # the sphere of R^1 is {+1, -1} and mu is even: mu(e_1) is exact
-        b = float(forms.B.reshape(-1)[0])
-        least = sign * (b - 0.5 * float((c_flat.T @ hinv_c)[0, 0]))
-        root_scale = max(abs(least), abs(b))
-        note = _search_note(least, least, tol * (1.0 + max(scale, root_scale)), sign, 1)
-        return sign * least, np.ones(1), -hinv_c[:, 0], root_scale, sign * least, note
-    quart = forms.B - 0.5 * (c_flat.T @ hinv_c).reshape((m,) * 4)
-    quart = sign * sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
-    flat = quart.reshape(m * m, m * m)
-    b_flat = forms.B.reshape(m * m, m * m)
-
-    def outer(ys):   # the rows y (x) y, flattened
-        return (ys[:, :, None] * ys[:, None, :]).reshape(ys.shape[0], m * m)
+    its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x, bound, note):
+    x = -Hxx^-1 c(y) is the extremizing x-part, bound the certified lower
+    bound on min mu (for sign = -1, the upper bound on max mu; an infinite
+    one when no box was bounded), and note states the decision and the
+    boxes it took."""
+    m = forms.B.shape[0]
+    flat = sign * forms.M.reshape(m * m, m * m)
+    if m == 1:   # mu(e_1) is exact
+        least = float(flat[0, 0])
+        return sign * least, np.ones(1), -forms.hinv_c[:, 0], sign * least, _search_note(
+            least, least, tol_eff, sign, 1)
 
     def value_grad_hess(ys):
-        m_yy = (outer(ys) @ flat).reshape(-1, m, m)          # M(y, y, ., .)
+        yy = (ys[:, :, None] * ys[:, None, :]).reshape(-1, m * m)
+        m_yy = (yy @ flat).reshape(-1, m, m)                  # M(y, y, ., .)
         cubic = np.einsum("bij,bj->bi", m_yy, ys)             # M(y, y, y, .)
         return np.sum(cubic * ys, axis=1), 4.0 * cubic, 12.0 * m_yy
 
-    def value_grad(ys):
-        return value_grad_hess(ys)[:2]
-
-    def size(ys, vals):
-        # max of |mu| (vals) and |B(y^4)| over the rows ys
-        yy = outer(ys)
-        return max(float(np.max(np.abs(vals))), float(np.max(np.abs(np.sum((yy @ b_flat) * yy, axis=1)))))
-
     if 5 ** (m - 1) <= BOX_CAP:
-        least, y_best, low, root_scale, note = _bernstein_bound(value_grad, size, m, tol, scale, sign)
+        least, y_best, low, note = _bernstein_bound(value_grad_hess, m, tol_eff, sign)
     else:
         eye = np.eye(m)
         ys = np.vstack([eye] + [(eye[i] + s * eye[j]) / np.sqrt(2.0)
                                 for i, j in combinations(range(m), 2) for s in (1.0, -1.0)])
-        vals = value_grad(ys)[0]
+        vals = value_grad_hess(ys)[0]
         at = int(np.argmin(vals))
-        least, y_best, low, root_scale = float(vals[at]), ys[at], -np.inf, size(ys, vals)
+        least, y_best, low = float(vals[at]), ys[at], -np.inf
         note = (f"box cap of {BOX_CAP} reached before the first box: one face box at m = {m} "
                 f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
 
     vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :])
     if vals[0] < least:
         least, y_best = float(vals[0]), zs[0]
-    x_best = -hinv_c @ np.outer(y_best, y_best).reshape(m * m)
-    scale = max(root_scale, size(y_best[None, :], np.array([least])))
-    return sign * least, y_best, x_best, scale, sign * low, note
+    x_best = -forms.hinv_c @ np.outer(y_best, y_best).reshape(m * m)
+    return sign * least, y_best, x_best, sign * low, note
 
 
-def _bernstein_bound(value_grad, size, m: int, tol: float, scale: float, sign: float):
-    """Branch and bound on the sign of the even quartic form of value_grad
-    (batched values and gradients, here sign * mu) on the unit sphere of R^m.
+def _bernstein_bound(value_grad, m: int, tol_eff: float, sign: float):
+    """Branch and bound on the sign of the even quartic form whose batched
+    values value_grad(ys)[0] gives (here sign * mu) on the unit sphere of R^m.
 
     The form is even, so it is positive on the sphere exactly when each face
     polynomial q_k(u) = mu(e_k + sum_{j != k} u_j e_j) is positive on the
@@ -471,13 +471,13 @@ def _bernstein_bound(value_grad, size, m: int, tol: float, scale: float, sign: f
     (1 + |u|^2)^2 at its largest (b >= 0) or smallest (b < 0) over the box
     bounds mu at the normalized points below.  Point values are mu at the
     normalized box centres and corners.  With L the least box bound, U the
-    least point value and tol_eff = tol (1 + max(scale, root scale)), the
-    root scale being size() over the root boxes' points, the search stops
-    at L > tol_eff (certified positive), U < -tol_eff (a witness), or
-    -tol_eff <= L, U <= tol_eff (min mu certified within +/- tol_eff);
-    otherwise it splits every box whose bound leaves that open at the
-    middle of its widest side, one round at a time, until BOX_CAP boxes
-    have been bounded.  Returns (U, its point, L, root scale, note)."""
+    least point value and tol_eff the caller's threshold, fixed from the
+    forms before the search, the search stops at L > tol_eff (certified
+    positive), U < -tol_eff (a witness), or -tol_eff <= L, U <= tol_eff
+    (min mu certified within +/- tol_eff); otherwise it splits every box
+    whose bound leaves that open at the middle of its widest side, one
+    round at a time, until BOX_CAP boxes have been bounded.  Returns
+    (U, its point, L, note)."""
     eye = np.eye(m)
     embed = eye[[[j for j in range(m) if j != k] for k in range(m)]].reshape(m, m - 1, m)
 
@@ -514,8 +514,6 @@ def _bernstein_bound(value_grad, size, m: int, tol: float, scale: float, sign: f
 
     face, lo, hi = faces, -np.ones((m, m - 1)), np.ones((m, m - 1))
     vals, ys = point_values(face, lo, hi)
-    root_scale = size(ys, vals)
-    tol_eff = tol * (1.0 + max(scale, root_scale))
     boxes, retired, least = m, np.inf, np.inf
     while True:
         bound = box_bounds(face, lo, hi)
@@ -539,7 +537,7 @@ def _bernstein_bound(value_grad, size, m: int, tol: float, scale: float, sign: f
         boxes += face.size
         vals, ys = point_values(face, lo, hi)
 
-    return least, y_best, low, root_scale, _search_note(low, least, tol_eff, sign, boxes)
+    return least, y_best, low, _search_note(low, least, tol_eff, sign, boxes)
 
 
 def _search_note(low: float, least: float, tol_eff: float, sign: float, boxes: int) -> str:
@@ -603,9 +601,10 @@ def fourth_derivative_test(target) -> CritReport:
 
     Every verdict is certified at any m: a strict one by the branch and
     bound's bound on an extreme beyond tol_eff, a saddle by a sphere point
-    where side * mu is below -tol_eff.  The notes state the bound or
-    witness in f's own sign and the boxes it took; a search stopped by
-    BOX_CAP is inconclusive.
+    where side * mu is below -tol_eff, for tol_eff fixed before either
+    search from the forms' scale and 1/2 |lam_top|.  The notes state the
+    bound or witness in f's own sign and the boxes it took; a search
+    stopped by BOX_CAP is inconclusive.
     """
     g0 = np.asarray(target.grad0(), dtype=float)
     if np.linalg.norm(g0) > DEFAULT_CRIT_TOL:
@@ -642,20 +641,17 @@ def fourth_derivative_test(target) -> CritReport:
         s2 = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * float(x @ x)))
         return Y @ (np.sqrt(s2) * y), X @ (s2 * x)
 
-    if n:
-        # a4(e, 0) = 1/2 lam at the curvature eigenvector e of largest |lam|
-        top = -1 if side > 0 else 0
-        far = far_bound = 0.5 * float(lam[top])
-        far_scale, far_arg = abs(far), (np.zeros(target.dim), vec[:, top])
-        notes = ()
-    else:
-        far, y_far, x_far, far_scale, far_bound, note = _kernel_search(forms, DEFAULT_CRIT_TOL, sign=-side)
-        far_arg = on_sphere(y_far, x_far)
-        notes = (note,)
-    near, y_near, x_near, scale, near_bound, note = _kernel_search(
-        forms, DEFAULT_CRIT_TOL, sign=side, scale=far_scale)
-    scale = max(scale, far_scale)
+    # a4(e, 0) = 1/2 lam at the curvature eigenvector e of largest |lam|
+    top = -1 if side > 0 else 0
+    far = far_bound = 0.5 * float(lam[top]) if n else 0.0
+    scale = max(forms.scale, abs(far))
     tol_eff = DEFAULT_CRIT_TOL * (1.0 + scale)
+    if n:
+        far_arg, notes = (np.zeros(target.dim), vec[:, top]), ()
+    else:
+        far, y_far, x_far, far_bound, note = _kernel_search(forms, tol_eff, sign=-side)
+        far_arg, notes = on_sphere(y_far, x_far), (note,)
+    near, y_near, x_near, near_bound, note = _kernel_search(forms, tol_eff, sign=side)
     notes = (note,) + notes
     if side * near_bound > tol_eff:
         cls = verdicts[0]
@@ -714,14 +710,14 @@ def second_order_rigidity_test(
 
 def _kernel_verdict(forms: _QuarticForms, X: np.ndarray, Y: np.ndarray,
                     resolved_by: str, order: int, closed_form_note: str) -> CritReport:
-    """The energy tests' verdict on mu over the unit sphere of R^m,
-    m = Y.shape[1]: strict-min when _kernel_search's certified bound on
-    min mu exceeds tol_eff = DEFAULT_CRIT_TOL (1 + scale), saddle when its
-    least mu is below -tol_eff, otherwise inconclusive.  The argmin (y, x)
-    is reported as (Y y, X x) / sqrt(1 + |x|^2); the notes are the search's
-    certificate, then closed_form_note."""
-    mu_min, y_best, x_best, scale, lower, note = _kernel_search(forms, DEFAULT_CRIT_TOL)
-    tol_eff = DEFAULT_CRIT_TOL * (1.0 + scale)
+    """The energy tests' verdict on mu over the unit sphere of R^m, m =
+    Y.shape[1], against the one tol_eff = DEFAULT_CRIT_TOL (1 + forms.scale)
+    that the search's note also states: strict-min when the certified bound
+    on min mu exceeds it, saddle when the least mu is below -tol_eff, else
+    inconclusive.  The argmin (y, x) is reported as (Y y, X x) / sqrt(1 +
+    |x|^2); the notes are the search's certificate, then closed_form_note."""
+    tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
+    mu_min, y_best, x_best, lower, note = _kernel_search(forms, tol_eff)
     if lower > tol_eff:
         cls = "strict-min"
     elif mu_min < -tol_eff:
@@ -732,7 +728,7 @@ def _kernel_verdict(forms: _QuarticForms, X: np.ndarray, Y: np.ndarray,
     return CritReport(
         cls, resolved_by, order, Y.shape[1], a_min=mu_min,
         arg_min_velocity=Y @ y_best / norm, arg_min_curvature=X @ x_best / norm,
-        scale=scale, notes=(note, closed_form_note),
+        scale=forms.scale, notes=(note, closed_form_note),
     )
 
 
@@ -763,10 +759,9 @@ def order2k_family_test(
     order-4 reduction's mu at m = 1 with B = F and c = G, so it is decided by
     the same certified search as second_order_rigidity_test, on the kernel
     basis Y = p1, where the search takes it in closed form, with no box:
-    mu > tol_eff certifies rigidity order k,
-    matching the ladder verdict.  As there, the arg point is
-    (p1, K-bar u*) / sqrt(1 + |u*|^2) with u* = -Hxx^-1 G, and the notes are
-    the search's certificate, then the closed form.
+    mu > tol_eff certifies rigidity order k, matching the ladder verdict.  As
+    there, the arg point is (p1, K-bar u*) / sqrt(1 + |u*|^2), u* = -Hxx^-1 G,
+    and the notes are the search's certificate, then the closed form.
     """
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))

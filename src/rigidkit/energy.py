@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ZeroLengthEdge
 from .framework import Framework, PinnedFramework
 from .jets import Jet, series_compose, series_mul
-from .ladder import PolyTrajectory
 
 FAMILIES = ("harmonic", "algebraic", "lj", "morse")
 
@@ -310,6 +309,40 @@ def energy_value_grad_hess(spec: EnergySpec, pf: PinnedFramework, q_free: np.nda
 # ---------------------------------------------------------------------------
 # jets along polynomial trajectories
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class PolyTrajectory:
+    """Polynomial trajectory p(t) = p + sum_i coeffs[i-1] t^i in pinned
+    coordinates; the base point is implicit.  coeffs[l-1] is the coefficient
+    of t^l (Taylor coefficient, i.e. the l-th derivative divided by l!).
+    A (B, degree, n_free) array holds a batch of B trajectories of one
+    degree, which the energy jets take in one call, row by row as single
+    trajectories."""
+
+    coeffs: np.ndarray            # (degree, n_free), or (B, degree, n_free)
+
+    def __post_init__(self):
+        c = np.array(self.coeffs, dtype=float)
+        if c.ndim not in (2, 3):
+            raise ValueError("coeffs must be a (degree, n_free) array or a (B, degree, n_free) batch")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coeffs must be finite")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[-2]
+
+    @property
+    def n_free(self) -> int:
+        return self.coeffs.shape[-1]
+
+    def prefix(self, degree: int) -> "PolyTrajectory":
+        if not 1 <= degree <= self.degree:
+            raise ValueError(f"prefix degree must be in 1..{self.degree}")
+        return PolyTrajectory(self.coeffs[..., :degree, :])
+
 
 def _edge_diffs(pf: PinnedFramework, traj: PolyTrajectory, order: int) -> np.ndarray:
     """(..., E, d, order+1) object-free jet coefficient rows of

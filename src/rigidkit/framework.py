@@ -13,7 +13,7 @@ among them: see rigidity_matrix and PinnedFramework.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -35,6 +35,8 @@ class Framework:
     """A graph with a point configuration.
 
     Vertices are indexed from 0 internally; the JSON file format is 1-based.
+    Refusals name a vertex or an edge by its 0-based indices plus index_base,
+    so the file loader, which passes 1, names them as the file numbers them.
     labels, if given, is a list or tuple of strings, one per vertex.
     Edges are pairs of vertex indices, given as a sequence of pairs or an
     (E, 2) array; they are checked and canonicalized to sorted pairs in
@@ -53,8 +55,9 @@ class Framework:
     vertices: np.ndarray                      # (n, dimension)
     edges: tuple[tuple[int, int], ...]        # canonical 0-based pairs
     labels: tuple[str, ...] | None = None
+    index_base: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, index_base: int):
         try:
             object.__setattr__(self, "dimension", _as_int(self.dimension))
         except ValueError:
@@ -78,7 +81,7 @@ class Framework:
         bad = np.flatnonzero(~np.all(np.isfinite(verts), axis=1))
         if bad.size:
             raise FrameworkValidationError(
-                f"vertex {int(bad[0])} has a non-finite coordinate"
+                f"vertex {int(bad[0]) + index_base} has a non-finite coordinate"
             )
         pairs = self.edges
         if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"):
@@ -93,7 +96,7 @@ class Framework:
         loop = first == second
         if pairs.size and (loop.any() or pairs.min() < 0 or pairs.max() >= n):
             at = np.flatnonzero(loop | np.any((pairs < 0) | (pairs >= n), axis=1))[0]
-            i, j = int(first[at]), int(second[at])
+            i, j = int(first[at]) + index_base, int(second[at]) + index_base
             if loop[at]:
                 raise FrameworkValidationError(f"edge ({i},{j}) connects a vertex to itself")
             raise FrameworkValidationError(f"edge ({i},{j}) out of range for {n} vertices")
@@ -106,7 +109,7 @@ class Framework:
             raise FrameworkValidationError("duplicate edges")
         ends = ends[:, order]
         ends.setflags(write=False)
-        self._place(verts, ends)
+        self._place(verts, ends, index_base)
         if self.labels is not None and not (
             isinstance(self.labels, (list, tuple)) and len(self.labels) == n
             and all(isinstance(s, str) for s in self.labels)
@@ -116,14 +119,14 @@ class Framework:
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
 
-    def _place(self, verts: np.ndarray, ends: np.ndarray) -> None:
+    def _place(self, verts: np.ndarray, ends: np.ndarray, index_base: int = 0) -> None:
         """Set the read-only vertices and (2, E) canonical endpoint arrays
         and the edge vectors they give; an edge between coincident points
         is refused, the first in canonical order named."""
         vectors = verts[ends[0]] - verts[ends[1]]
         coincident = np.flatnonzero(~(np.linalg.norm(vectors, axis=1) > 0.0))
         if coincident.size:
-            i, j = ends[:, coincident[0]].tolist()
+            i, j = (ends[:, coincident[0]] + index_base).tolist()
             raise FrameworkValidationError(f"edge ({i},{j}) connects coincident points")
         vectors.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
@@ -522,7 +525,7 @@ def framework_from_dict(data: dict) -> Framework:
         edges = _as_index_pairs(data["edges"]) - 1
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameworkValidationError(f"malformed framework data: {exc}") from exc
-    return Framework(dim, verts, edges, data.get("labels"))
+    return Framework(dim, verts, edges, data.get("labels"), index_base=1)
 
 
 def framework_to_dict(framework: Framework) -> dict:

@@ -16,46 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import critpoint
+from .energy import EnergySpec, PolyTrajectory
 from .errors import DimKNotOne, RigidkitError
 from .framework import PinnedFramework, rigidity_matrix
 from .linear import KernelDecomposition, kernel_decomposition
 
 DEFAULT_MAX_K = 32
 DEFAULT_LADDER_TOL = 1e-7
-
-
-@dataclass(frozen=True, eq=False)
-class PolyTrajectory:
-    """Polynomial trajectory p(t) = p + sum_i coeffs[i-1] t^i in pinned
-    coordinates; the base point is implicit.  coeffs[l-1] is the coefficient
-    of t^l (Taylor coefficient, i.e. the l-th derivative divided by l!).
-    A (B, degree, n_free) array holds a batch of B trajectories of one
-    degree, which the energy jets take in one call, row by row as single
-    trajectories."""
-
-    coeffs: np.ndarray            # (degree, n_free), or (B, degree, n_free)
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim not in (2, 3):
-            raise ValueError("coeffs must be a (degree, n_free) array or a (B, degree, n_free) batch")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[-2]
-
-    @property
-    def n_free(self) -> int:
-        return self.coeffs.shape[-1]
-
-    def prefix(self, degree: int) -> "PolyTrajectory":
-        if not 1 <= degree <= self.degree:
-            raise ValueError(f"prefix degree must be in 1..{self.degree}")
-        return PolyTrajectory(self.coeffs[..., :degree, :])
 
 
 @dataclass(frozen=True)
@@ -269,11 +237,8 @@ def _order_from_kernel(
     if kd.dim_K == 1:
         return solve_ladder(pf, kd, max_k=max_k, tol=tol)
 
-    from .critpoint import second_order_rigidity_test  # deferred: avoids an import cycle
-    from .energy import EnergySpec
-
     spec = EnergySpec.for_framework(pf.base, energy_family)
-    crit = second_order_rigidity_test(pf, spec, kd)
+    crit = critpoint.second_order_rigidity_test(pf, spec, kd)
     strict = crit.classification == "strict-min"
     reason = f"order-4 test {crit.classification}; {crit.notes[0]}; dimK>1 beyond order 2 requires symbolic methods"
     return OrderReport(verdict="order" if strict else "inconclusive", order=2 if strict else None,

@@ -523,11 +523,10 @@ def gradient_by_jets(spec, pf, traj: PolyTrajectory, order: int) -> np.ndarray:
 # the kernel search at dim K = 1 by the branch and bound
 # ---------------------------------------------------------------------------
 
-def kernel_search_by_boxes(forms, tol: float, sign: float = 1.0, scale: float = 0.0):
+def kernel_search_by_boxes(forms, tol_eff: float, sign: float = 1.0):
     """critpoint._kernel_search's return value at m = 1, from the quartic
     tensor symmetrized over its 24 axis permutations and decided by
-    critpoint._bernstein_bound, with the scale taken over the root points
-    and the reported one."""
+    critpoint._bernstein_bound."""
     n, m = forms.C.shape[:2]
     if m != 1:
         raise ValueError("the box oracle covers a one-dimensional kernel only")
@@ -535,18 +534,14 @@ def kernel_search_by_boxes(forms, tol: float, sign: float = 1.0, scale: float = 
     hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, 1))
     quart = forms.B - 0.5 * (c_flat.T @ hinv_c).reshape(1, 1, 1, 1)
     quart = sign * sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
-    q, b = float(quart.reshape(-1)[0]), float(forms.B.reshape(-1)[0])
+    q = float(quart.reshape(-1)[0])
 
     def value_grad(ys):
         return q * ys[:, 0] ** 4, 4.0 * q * ys ** 3
 
-    def size(ys, vals):
-        return max(float(np.max(np.abs(vals))), float(np.max(np.abs(b * ys[:, 0] ** 4))))
-
-    least, y_best, low, root_scale, note = _bernstein_bound(value_grad, size, 1, tol, scale, sign)
+    least, y_best, low, note = _bernstein_bound(value_grad, 1, tol_eff, sign)
     x_best = -hinv_c @ np.outer(y_best, y_best).reshape(1)
-    scale = max(root_scale, size(y_best[None, :], np.array([least])))
-    return sign * least, y_best, x_best, scale, sign * low, note
+    return sign * least, y_best, x_best, sign * low, note
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,15 @@ def test_only_the_framework_and_the_rigidity_matrix_read_the_pinned_slot_column(
                 if hasattr(rigidkit.PinnedFramework, name)]
     linear = ast.parse((package / "linear.py").read_text(encoding="utf-8"))
     assert not [node for node in ast.walk(linear) if isinstance(node, ast.ImportFrom) and node.module == "framework"]
+
+
+def test_no_library_function_imports():
+    # the modules import each other at the top, in one direction (ladder
+    # imports critpoint and energy, critpoint imports energy, and energy
+    # neither), so no function defers an import to break a cycle
+    package = Path(rigidkit.__file__).parent
+    found = [f"{path.name}:{fn.name}" for path in sorted(package.rglob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn))]
+    assert not found

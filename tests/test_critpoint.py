@@ -607,7 +607,7 @@ def test_dim_k_one_polynomials_match_the_box_search(case, monkeypatch):
 def test_dim_k_one_never_reaches_the_branch_and_bound(corpus_analysis, monkeypatch):
     calls = []
     bound = critpoint._bernstein_bound
-    monkeypatch.setattr(critpoint, "_bernstein_bound", lambda *args: calls.append(args[2]) or bound(*args))
+    monkeypatch.setattr(critpoint, "_bernstein_bound", lambda *args: calls.append(args[1]) or bound(*args))
     item = corpus_analysis["k33"]
     pf, kd, ladder = item["pf"], item["kd"], item["report"]
     spec = EnergySpec.for_framework(pf.base, "morse")

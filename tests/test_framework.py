@@ -263,18 +263,18 @@ def test_malformed_json_raises(tmp_path):
         load_framework(path)
 
 
-# the first offender is named: a self-loop or an out-of-range index in
-# input order, then any duplicate, then coincident endpoints in canonical
-# order; entries that are no integers, and rows that are no pairs, are
+# the first offender is named, as the file numbers it (from 1): a
+# self-loop or an out-of-range index in input order, then any duplicate,
+# then coincident endpoints in canonical order; entries that are no integers, and rows that are no pairs, are
 # malformed data, named in input order (vertices 4 and 5 coincide)
 _LOADER_CASES = [
-    ([[1, 2], [2, 9], [3, 3]], "edge (1,8) out of range for 5 vertices"),
-    ([[1, 2], [3, 3], [2, 9]], "edge (2,2) connects a vertex to itself"),
-    ([[0, 2]], "edge (-1,1) out of range for 5 vertices"),
-    ([[7, 7]], "edge (6,6) connects a vertex to itself"),
+    ([[1, 2], [2, 9], [3, 3]], "edge (2,9) out of range for 5 vertices"),
+    ([[1, 2], [3, 3], [2, 9]], "edge (3,3) connects a vertex to itself"),
+    ([[0, 2]], "edge (0,2) out of range for 5 vertices"),
+    ([[7, 7]], "edge (7,7) connects a vertex to itself"),
     ([[4, 5], [1, 2], [2, 1]], "duplicate edges"),
     ([[5, 4], [4, 5]], "duplicate edges"),
-    ([[2, 3], [5, 4], [1, 2]], "edge (3,4) connects coincident points"),
+    ([[2, 3], [5, 4], [1, 2]], "edge (4,5) connects coincident points"),
     ([[1, 2], [2.5, 3]], "malformed framework data: 2.5 is not an integer"),
     ([[1, 2.0], [2, 3.25]], "malformed framework data: 3.25 is not an integer"),
     ([[1, 2], [True, 3]], "malformed framework data: True is not an integer"),
@@ -284,8 +284,8 @@ _LOADER_CASES = [
     ([[1], [2, 3]], "malformed framework data: not enough values to unpack (expected 2, got 1)"),
     ([[1, 2], 3], "malformed framework data: cannot unpack non-iterable int object"),
     (5, "malformed framework data: 'int' object is not iterable"),
-    ([[1, 2**70]], f"edge (0,{2**70 - 1}) out of range for 5 vertices"),
-    ([[1.0, 2**60 + 1]], f"edge (0,{2**60}) out of range for 5 vertices"),
+    ([[1, 2**70]], f"edge (1,{2**70}) out of range for 5 vertices"),
+    ([[1.0, 2**60 + 1]], f"edge (1,{2**60 + 1}) out of range for 5 vertices"),
 ]
 
 
@@ -295,6 +295,14 @@ def test_loader_names_the_first_offending_edge(edges, message):
     with pytest.raises(FrameworkValidationError) as info:
         framework_from_dict(data)
     assert str(info.value) == message
+
+
+def test_loader_names_a_non_finite_vertex_as_the_file_numbers_it():
+    # JSON readers take NaN; the file's third vertex is vertex 3
+    data = json.loads('{"dimension": 2, "vertices": [[0, 0], [1, 0], [NaN, 1]], "edges": [[1, 2]]}')
+    with pytest.raises(FrameworkValidationError) as info:
+        framework_from_dict(data)
+    assert str(info.value) == "vertex 3 has a non-finite coordinate"
 
 
 def test_edges_from_arrays_lists_and_integral_floats_agree():
