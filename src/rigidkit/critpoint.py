@@ -43,7 +43,12 @@ it bounds |mu| and |B(y^4)| on the whole sphere, it is the same in every
 kernel basis, and no search path moves it.  At m = 1 the sphere is
 {+1, -1} and mu(e_1) is exact, so the search decides it in closed form,
 with no box: the order-2k test and every one-dimensional kernel cost a few
-scalar operations past the jets.
+scalar operations past the jets.  At m >= 2 the reports then polish the
+least point by minimize_on_sphere's Newton steps, which refines the
+reported extreme and its arg point but cannot change a decided search's
+classification; second_order_rigidity_verdict, the classification and
+certificate without the report that ladder.rigidity_order reads at
+dim K >= 2, polishes only when the search stopped undecided.
 
 Targets provide dim, grad0, hessian0 and gradient_jet_along(rows, order),
 the Taylor coefficient rows of grad f along the polynomial trajectory
@@ -60,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -263,7 +268,12 @@ class _QuarticForms:
         c(y) = C_flat (y (x) y), mu(y) = M(y, y, y, y), one solve for all y."""
         n, m = self.C.shape[:2]
         quart = self.B - 0.5 * (self.C.reshape(n, m * m).T @ self.hinv_c).reshape((m,) * 4)
-        return quart if m == 1 else sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
+        if m > 1:
+            # S_(k+1) is the union of the cosets (i k) S_k, i <= k, so the mean
+            # over S_4 is three coset means: 6 transposes instead of 23
+            for k in (1, 2, 3):
+                quart = (quart + sum(np.swapaxes(quart, i, k) for i in range(k))) / (k + 1.0)
+        return quart
 
     @cached_property
     def scale(self) -> float:
@@ -406,10 +416,52 @@ def _along_axes(mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return flat.reshape(coef.shape)
 
 
+def _mu_on_sphere(forms: _QuarticForms, sign: float):
+    """Batched value, gradient and Hessian of sign * mu(y) = sign * M(y, y, y, y)
+    at the rows ys of a (b, m) array: sign times (M(y^4), 4 M(y, y, y, .),
+    12 M(y, y, ., .)).  No evaluation touches the x dimension."""
+    m = forms.B.shape[0]
+    flat = sign * forms.M.reshape(m * m, m * m)
+
+    def value_grad_hess(ys):
+        yy = (ys[:, :, None] * ys[:, None, :]).reshape(-1, m * m)
+        m_yy = (yy @ flat).reshape(-1, m, m)                  # M(y, y, ., .)
+        cubic = np.einsum("bij,bj->bi", m_yy, ys)             # M(y, y, y, .)
+        return np.sum(cubic * ys, axis=1), 4.0 * cubic, 12.0 * m_yy
+
+    return value_grad_hess
+
+
 def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
     """Certified minimum of sign * mu(y) = sign * M(y, y, y, y) over the unit
-    sphere of R^m (no evaluation of mu touches the x dimension), decided by
-    _bernstein_bound against the tol_eff the caller fixed from the forms.
+    sphere of R^m, for a report: the decision of _kernel_decision, then, at
+    m >= 2, its least point polished by _polish.  Returns (mu(y), y, x,
+    bound, note) in mu's own sign: x = -Hxx^-1 c(y) is the extremizing
+    x-part, bound the certified lower bound on min mu (for sign = -1, the
+    upper bound on max mu; an infinite one when no box was bounded), and
+    note states the decision and the boxes it took.
+
+    The polish only refines the reported extreme and its point: once the
+    search has decided, no point it finds can change the classification, so
+    a verdict without a report (second_order_rigidity_verdict) polishes
+    only when the search stopped undecided."""
+    least, y_best, low, note, _ = _kernel_decision(forms, tol_eff, sign)
+    m = y_best.size
+    if m == 1:
+        x_best = -forms.hinv_c[:, 0]
+    else:
+        least, y_best = _polish(forms, sign, least, y_best)
+        x_best = -forms.hinv_c @ np.outer(y_best, y_best).reshape(m * m)
+    return sign * least, y_best, x_best, sign * low, note
+
+
+def _kernel_decision(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
+    """The certified decision on the sign of sign * mu over the unit sphere
+    of R^m, by _bernstein_bound against the tol_eff the caller fixed from
+    the forms; no evaluation of mu touches the x dimension.  Returns (least,
+    y, low, note, decided) in sign * mu's sign: the least value found and
+    its point, the certified lower bound on the minimum (-inf when no box
+    was bounded), the note, and whether the search decided (_decided).
 
     At m = 1 the sphere is {+1, -1} and mu is even, so mu(e_1) is exact: it
     is the bound and the least value, decided in closed form with no box
@@ -418,27 +470,13 @@ def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
     One root box has 5^(m-1) Bernstein coefficients.  When that exceeds
     BOX_CAP, no box is bounded, min mu stays unbounded, and mu is evaluated
     only at the axes and the diagonals (e_i +/- e_j) / sqrt(2), so a point
-    below -tol_eff can still be a witness at any m.
-
-    The least point is then polished by minimize_on_sphere's Newton steps,
-    its Hessian 12 M(y, y, ., .).  Returns (mu(y), y, x, bound, note):
-    x = -Hxx^-1 c(y) is the extremizing x-part, bound the certified lower
-    bound on min mu (for sign = -1, the upper bound on max mu; an infinite
-    one when no box was bounded), and note states the decision and the
-    boxes it took."""
+    below -tol_eff can still be a witness at any m."""
     m = forms.B.shape[0]
-    flat = sign * forms.M.reshape(m * m, m * m)
     if m == 1:   # mu(e_1) is exact
-        least = float(flat[0, 0])
-        return sign * least, np.ones(1), -forms.hinv_c[:, 0], sign * least, _search_note(
-            least, least, tol_eff, sign, 1)
+        least = sign * float(forms.M[0, 0, 0, 0])
+        return least, np.ones(1), least, _search_note(least, least, tol_eff, sign, 1), True
 
-    def value_grad_hess(ys):
-        yy = (ys[:, :, None] * ys[:, None, :]).reshape(-1, m * m)
-        m_yy = (yy @ flat).reshape(-1, m, m)                  # M(y, y, ., .)
-        cubic = np.einsum("bij,bj->bi", m_yy, ys)             # M(y, y, y, .)
-        return np.sum(cubic * ys, axis=1), 4.0 * cubic, 12.0 * m_yy
-
+    value_grad_hess = _mu_on_sphere(forms, sign)
     if 5 ** (m - 1) <= BOX_CAP:
         least, y_best, low, note = _bernstein_bound(value_grad_hess, m, tol_eff, sign)
     else:
@@ -450,12 +488,22 @@ def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
         least, y_best, low = float(vals[at]), ys[at], -np.inf
         note = (f"box cap of {BOX_CAP} reached before the first box: one face box at m = {m} "
                 f"has 5^{m - 1} Bernstein coefficients, so {'min' if sign > 0 else 'max'} mu is not bounded")
+    return least, y_best, low, note, _decided(low, least, tol_eff)
 
-    vals, zs, _ = minimize_on_sphere(value_grad_hess, y_best[None, :])
-    if vals[0] < least:
-        least, y_best = float(vals[0]), zs[0]
-    x_best = -forms.hinv_c @ np.outer(y_best, y_best).reshape(m * m)
-    return sign * least, y_best, x_best, sign * low, note
+
+def _decided(low: float, least: float, tol_eff: float) -> bool:
+    """Whether a bound low on the minimum and a least point value least
+    decide its sign against tol_eff: a certified bound above tol_eff, a
+    witness below -tol_eff, or the minimum certified within +/- tol_eff."""
+    return low > tol_eff or least < -tol_eff or (low >= -tol_eff and least <= tol_eff)
+
+
+def _polish(forms: _QuarticForms, sign: float, least: float, y: np.ndarray):
+    """The least point (least, y) of sign * mu refined by minimize_on_sphere's
+    Newton steps from y, with Hessian 12 M(y, y, ., .), or kept when the
+    polished value is not lower."""
+    vals, zs, _ = minimize_on_sphere(_mu_on_sphere(forms, sign), y[None, :])
+    return (float(vals[0]), zs[0]) if vals[0] < least else (least, y)
 
 
 def _bernstein_bound(value_grad, m: int, tol_eff: float, sign: float):
@@ -521,7 +569,7 @@ def _bernstein_bound(value_grad, m: int, tol_eff: float, sign: float):
         if vals[at] < least:
             least, y_best = float(vals[at]), ys[at]
         low = min(retired, float(np.min(bound)))
-        if low > tol_eff or least < -tol_eff or (low >= -tol_eff and least <= tol_eff):
+        if _decided(low, least, tol_eff):
             break
         split = bound <= tol_eff if least > tol_eff else bound < -tol_eff
         if boxes + 2 * int(np.sum(split)) > BOX_CAP:
@@ -698,35 +746,61 @@ def second_order_rigidity_test(
     energy is even in t along a first-order flex, so its cubic kernel form
     vanishes.
     """
+    forms, X, Y = _second_order_forms(pf, spec, kd)
+    return _kernel_verdict(forms, X, Y, "quartic", 4, "x-part minimized in closed form over K-bar")
+
+
+def second_order_rigidity_verdict(
+    pf: PinnedFramework,
+    spec: EnergySpec,
+    kd: KernelDecomposition | None = None,
+) -> tuple[str, str]:
+    """second_order_rigidity_test's classification and first note, without
+    its report: the same forms, search and rule (_classify), with the least
+    point polished only when the search stopped undecided (the box cap was
+    reached, as always at m > 6), the one case where the polish can change
+    the classification."""
+    forms = _second_order_forms(pf, spec, kd)[0]
+    tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
+    least, y_best, low, note, decided = _kernel_decision(forms, tol_eff)
+    if not decided:
+        least, _ = _polish(forms, 1.0, least, y_best)
+    return _classify(low, least, tol_eff), note
+
+
+def _second_order_forms(pf: PinnedFramework, spec: EnergySpec, kd: KernelDecomposition | None):
+    """The quartic forms of the framework energy with x spanning K-bar and y
+    spanning K, and the bases (X, Y) = (K-bar, K)."""
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))
     if kd.dim_K < 1:
         raise ValueError("second-order test needs dim K >= 1 (otherwise first-order rigid)")
     target = FrameworkEnergyTarget(spec, pf)
     X, Y = kd.Kbar_basis, kd.K_basis
-    forms = _assemble_quartic_forms(target, X, Y, target.hessian0())
-    return _kernel_verdict(forms, X, Y, "quartic", 4, "x-part minimized in closed form over K-bar")
+    return _assemble_quartic_forms(target, X, Y, target.hessian0()), X, Y
+
+
+def _classify(low: float, least: float, tol_eff: float) -> str:
+    """The energy tests' rule on mu: strict-min when the certified bound low
+    on min mu exceeds tol_eff, saddle when the least value found is below
+    -tol_eff, else inconclusive."""
+    if low > tol_eff:
+        return "strict-min"
+    return "saddle" if least < -tol_eff else "inconclusive"
 
 
 def _kernel_verdict(forms: _QuarticForms, X: np.ndarray, Y: np.ndarray,
                     resolved_by: str, order: int, closed_form_note: str) -> CritReport:
-    """The energy tests' verdict on mu over the unit sphere of R^m, m =
-    Y.shape[1], against the one tol_eff = DEFAULT_CRIT_TOL (1 + forms.scale)
-    that the search's note also states: strict-min when the certified bound
-    on min mu exceeds it, saddle when the least mu is below -tol_eff, else
-    inconclusive.  The argmin (y, x) is reported as (Y y, X x) / sqrt(1 +
-    |x|^2); the notes are the search's certificate, then closed_form_note."""
+    """The energy tests' report on mu over the unit sphere of R^m, m =
+    Y.shape[1], classified by _classify against the one tol_eff =
+    DEFAULT_CRIT_TOL (1 + forms.scale) that the search's note also states.
+    The polished argmin (y, x) is reported as (Y y, X x) / sqrt(1 + |x|^2);
+    the notes are the search's certificate, then closed_form_note."""
     tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
     mu_min, y_best, x_best, lower, note = _kernel_search(forms, tol_eff)
-    if lower > tol_eff:
-        cls = "strict-min"
-    elif mu_min < -tol_eff:
-        cls = "saddle"
-    else:
-        cls = "inconclusive"
     norm = np.sqrt(1.0 + x_best @ x_best)
     return CritReport(
-        cls, resolved_by, order, Y.shape[1], a_min=mu_min,
+        _classify(lower, mu_min, tol_eff), resolved_by, order, Y.shape[1], a_min=mu_min,
         arg_min_velocity=Y @ y_best / norm, arg_min_curvature=X @ x_best / norm,
         scale=forms.scale, notes=(note, closed_form_note),
     )

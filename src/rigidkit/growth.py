@@ -20,7 +20,9 @@ order-4 test (rigidkit critpoint) is the check there.  The order-4
 critical-point tests decide the sign of mu, their quartic with the
 curvature block eliminated in closed form, by a Bernstein branch and
 bound, and use the same Newton minimizer, with mu's Hessian, only to
-polish the reported minimum from the point that decided.
+polish the reported minimum from the point that decided; a verdict without
+a report (ladder.rigidity_order at dim K >= 2) runs that polish only when
+the search stopped undecided.
 
 Any local method only upper-bounds the true minimum, so the fit is a
 cross-check on the ladder, not an oracle.  Double precision limits

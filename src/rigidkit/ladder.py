@@ -218,6 +218,9 @@ def rigidity_order(
     apply; the 4th-derivative energy test can certify order 2 (absence of a
     second-order flex) but nothing beyond, and any other outcome is
     inconclusive, with the test's classification and first note as reason.
+    That verdict comes from critpoint.second_order_rigidity_verdict, which
+    runs second_order_rigidity_test's search but not the Newton polish that
+    refines its report, except when the search stops undecided.
     The report names the kernel split's method and rank margin.
     """
     kd = kernel_decomposition(rigidity_matrix(pf))
@@ -238,8 +241,8 @@ def _order_from_kernel(
         return solve_ladder(pf, kd, max_k=max_k, tol=tol)
 
     spec = EnergySpec.for_framework(pf.base, energy_family)
-    crit = critpoint.second_order_rigidity_test(pf, spec, kd)
-    strict = crit.classification == "strict-min"
-    reason = f"order-4 test {crit.classification}; {crit.notes[0]}; dimK>1 beyond order 2 requires symbolic methods"
+    classification, note = critpoint.second_order_rigidity_verdict(pf, spec, kd)
+    strict = classification == "strict-min"
+    reason = f"order-4 test {classification}; {note}; dimK>1 beyond order 2 requires symbolic methods"
     return OrderReport(verdict="order" if strict else "inconclusive", order=2 if strict else None,
                        reason=None if strict else reason, method="order4-energy", dim_K=kd.dim_K)
