@@ -220,9 +220,10 @@ class CritReport:
     the kernel search's least point y and its closed-form x-part, and their
     notes start with the search's certificate, then name the closed form.
     scale sets the threshold tol_eff = DEFAULT_CRIT_TOL (1 + scale): for
-    "hessian" it is max |lam|; for "cubic" the screen's sampled |T|; for
-    "quartic" and "order2k-family" the forms' max(||M||_F, ||B||_F) (module
-    docstring), with 1/2 |lam_top| added in fourth_derivative_test.
+    "hessian" it is max |lam|; for "cubic" the cubic kernel form's ||T||_F;
+    for "quartic" and "order2k-family" the forms' max(||M||_F, ||B||_F)
+    (module docstring), with 1/2 |lam_top| added in fourth_derivative_test.
+    Apart from "hessian"'s, each is the same in every kernel basis.
     """
 
     classification: str
@@ -319,8 +320,7 @@ def _lattice(m: int) -> _Lattice:
     index arrays, built once per m."""
     triples = np.array(list(combinations_with_replacement(range(m), 3)), dtype=np.intp).reshape(-1, 3)
     rows = np.arange(triples.shape[0])
-    points = np.zeros((rows.size, m))
-    np.add.at(points, (rows[:, None], triples), 1.0)
+    points = np.sum(triples[:, :, None] == np.arange(m), axis=1, dtype=float)
     rank = np.zeros((m,) * 3, dtype=np.intp)
     rank[tuple(triples.T)] = rows
     at = rank[tuple(np.sort(np.indices((m,) * 3).reshape(3, -1), axis=0))].reshape((m,) * 3)
@@ -447,11 +447,9 @@ def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
     only when the search stopped undecided."""
     least, y_best, low, note, _ = _kernel_decision(forms, tol_eff, sign)
     m = y_best.size
-    if m == 1:
-        x_best = -forms.hinv_c[:, 0]
-    else:
+    if m > 1:
         least, y_best = _polish(forms, sign, least, y_best)
-        x_best = -forms.hinv_c @ np.outer(y_best, y_best).reshape(m * m)
+    x_best = -forms.hinv_c @ np.outer(y_best, y_best).reshape(m * m)
     return sign * least, y_best, x_best, sign * low, note
 
 
@@ -605,16 +603,18 @@ def _search_note(low: float, least: float, tol_eff: float, sign: float, boxes: i
 def _cubic_screen(T: np.ndarray, Y: np.ndarray, tol: float) -> CritReport | None:
     """Saddle report when the cubic kernel form T(y,y,y) = t^3 coefficient
     of f(Y y t) is nonzero (any y_i y_j y_k term forces a saddle), else None.
-    The scale and the witness come from T on the sums of one to three
-    kernel basis vectors."""
+    T counts as nonzero when ||T||_F > tol (1 + ||T||_F); the scale ||T||_F,
+    by hypot as in _QuarticForms.scale, is the same in every orthonormal
+    basis of the kernel.  The witness is the sum of one to three kernel
+    basis vectors with the largest |T(v, v, v)|."""
+    scale3 = float(np.hypot.reduce(np.abs(T).ravel()))
+    if not scale3 > tol * (1.0 + scale3):
+        return None
     m = T.shape[0]
     eye = np.eye(m)
     vecs = np.array([eye[list(ids)].sum(axis=0)
                      for r in (1, 2, 3) for ids in combinations_with_replacement(range(m), r)])
     vals = np.einsum("ijk,bi,bj,bk->b", T, vecs, vecs, vecs)
-    scale3 = float(np.max(np.abs(vals)))
-    if not np.max(np.abs(T)) > tol * (1.0 + scale3):
-        return None
     best_vec = vecs[int(np.argmax(np.abs(vals)))]
     return CritReport(
         "saddle", "cubic", 3, m,

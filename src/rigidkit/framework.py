@@ -7,12 +7,18 @@ translating vertex 1 to the origin and rotating so vertex i lies in the span
 of the first i-1 coordinate axes, for i up to one past the affine span
 dimension.  All downstream rigidity analysis operates on the free pinned
 coordinates, and this module alone knows where each bar's two endpoints land
-among them: see rigidity_matrix and PinnedFramework.
+among them: one column map, built at pinning, sends each endpoint coordinate
+to its free column or to one spare column for the pinned slots.  Every move
+between edges and free coordinates reads it: the gather of edge differences,
+R's assembly (rigidity_matrix), and the sums of per-edge terms onto the free
+coordinates, which add left to right in canonical edge order, bit for bit
+the same as np.add.at.  See PinnedFramework.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -215,12 +221,15 @@ class PinnedFramework:
     fixes the column order of the rigidity matrix and the layout of every
     pinned-coordinate vector used downstream.
 
-    The free column of every edge endpoint coordinate, and the order in which
-    per-endpoint contributions are summed into those columns, are computed
-    once here (O(E d) each): edge_differences gathers through the former,
-    sum_onto_free (its adjoint) sums through the latter, and rigidity_matrix
-    assembles R through the column map, so no other module knows the pinned
-    slot.  sum_blocks_onto_free's O(E d^2) plan is built on first use.
+    The free column of every edge endpoint coordinate is computed once here
+    (O(E d)), with one spare column n_free that stands for every pinned
+    slot.  That one column map serves every move between edges and free
+    coordinates: edge_differences gathers through it, sum_onto_free (its
+    adjoint) and sum_blocks_onto_free sum through it, each into a spare
+    bin that is then dropped, and rigidity_matrix assembles R through it,
+    so no other module knows the pinned slot.  Both sums add in canonical
+    edge order, first endpoints before second ones.  sum_blocks_onto_free's
+    O(E d^2) flat targets are built on first use.
     """
 
     base: Framework
@@ -238,19 +247,8 @@ class PinnedFramework:
         col = np.full(self.base.vertices.shape, n_free)
         col[layout[0], layout[1]] = np.arange(n_free)
         ends = col[self.base._ends]
-        # the 2 E d endpoint contributions, stably sorted by free column with
-        # the pinned ones dropped, and the start of each column's run
-        flat = ends.ravel()
-        order = np.argsort(flat, kind="stable")[: np.count_nonzero(flat < n_free)]
-        cols = flat[order]
-        first = np.ones(cols.size, dtype=bool)
-        first[1:] = cols[1:] != cols[:-1]
-        starts = np.flatnonzero(first)
-        plan = (order, starts, cols[starts])
-        for a in (ends, *plan):
-            a.setflags(write=False)
+        ends.setflags(write=False)
         object.__setattr__(self, "_edge_columns", ends)
-        object.__setattr__(self, "_plan", plan)
 
     @property
     def n_free(self) -> int:
@@ -275,50 +273,47 @@ class PinnedFramework:
     def sum_onto_free(self, rows: np.ndarray) -> np.ndarray:
         """(n_free, ...) sums of +rows[i] onto the free coordinates of edge
         i's first endpoint and -rows[i] onto its second's, for rows of shape
-        (E, d, ...): the adjoint of edge_differences.  The fixed plan built
-        at pinning fixes the operands of each column's sum and the order
-        they are gathered in: canonical edge order, first endpoints before
-        second ones.  It does not fix how np.add.reduceat associates them,
-        so a sum can differ in the last bit from a left-to-right one; the
-        same rows always give the same sums.  Free coordinates that no edge
-        touches get zero."""
+        (E, d, ...): the adjoint of edge_differences.  One bincount of
+        [rows; -rows] through the endpoints' free columns, each widened by
+        the trailing size, into one spare column more for the pinned slot,
+        which is dropped.  bincount adds in input order, so each sum runs
+        left to right in canonical edge order, first endpoints before
+        second ones, bit for bit.  Free coordinates that no edge touches
+        get zero."""
         tail = rows.shape[2:]
-        flows = np.concatenate([rows, -rows]).reshape((-1,) + tail)
-        order, starts, columns = self._plan
-        out = np.zeros((self.n_free,) + tail)
-        if starts.size:
-            out[columns] = np.add.reduceat(np.take(flows, order, axis=0), starts)
-        return out
+        width = math.prod(tail)
+        flows = np.concatenate([rows, -rows]).ravel()
+        bins = (self._edge_columns[..., None] * width + np.arange(width)).ravel()
+        sums = np.bincount(bins, flows, minlength=(self.n_free + 1) * width)
+        return sums.reshape((self.n_free + 1,) + tail)[:-1]
 
     def sum_blocks_onto_free(self, blocks: np.ndarray) -> np.ndarray:
         """(B, n_free, n_free) sums, for (B, E, d, d) blocks M_e, of +M_e
         at (v, v) and (w, w) and -M_e at (v, w) and (w, v) of every
         canonical edge vw: sum_e (e_v - e_w)(e_v - e_w)' (x) M_e with pinned
         rows and columns deleted, so x' H x = sum_e X_e' M_e X_e for the
-        edge differences X of x.  One bincount over the free x free entries
-        of every row, in edge order."""
-        n_batch, n_free = blocks.shape[0], self.n_free
-        entries, targets = self._hessian_plan
+        edge differences X of x.  One bincount over an n_free^2 + 1 grid
+        per batch row, in edge order, whose spare last bin takes every
+        pinned entry and is dropped from the view returned."""
+        n_batch, size = blocks.shape[0], self.n_free**2 + 1
         signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, :, None]
-        bins = (np.arange(n_batch)[:, None] * n_free**2 + targets).ravel()
-        weights = signed.reshape(n_batch, -1)[:, entries].ravel()
-        return np.bincount(bins, weights, minlength=n_batch * n_free**2).reshape(n_batch, n_free, n_free)
+        bins = (np.arange(n_batch)[:, None] * size + self._hessian_plan).ravel()
+        sums = np.bincount(bins, signed.ravel(), minlength=n_batch * size)
+        return sums.reshape(n_batch, size)[:, :-1].reshape(n_batch, self.n_free, self.n_free)
 
     @cached_property
-    def _hessian_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """(entries, targets): the (edge, block, a, b) entries of blocks
-        (v, v), (w, w), (v, w), (w, v) of each edge vw whose row and column
-        are free, and their flat free x free indices; built on first use,
-        since a verdict the ladder decides takes no Hessian."""
+    def _hessian_plan(self) -> np.ndarray:
+        """The flat n_free x n_free index of every (edge, block, a, b)
+        entry of blocks (v, v), (w, w), (v, w), (w, v) of each edge vw, or
+        the spare bin n_free^2 where its row or column is pinned; built on
+        first use, since a verdict the ladder decides takes no Hessian."""
         n_free = self.n_free
         ends = self._edge_columns
         rows = ends[[0, 1, 0, 1]].transpose(1, 0, 2)[:, :, :, None]
         cols = ends[[0, 1, 1, 0]].transpose(1, 0, 2)[:, :, None, :]
-        entries = np.flatnonzero((rows < n_free) & (cols < n_free))
-        targets = (rows * n_free + cols).ravel()[entries]
-        entries.setflags(write=False)
+        targets = np.where((rows < n_free) & (cols < n_free), rows * n_free + cols, n_free**2).ravel()
         targets.setflags(write=False)
-        return entries, targets
+        return targets
 
     def free_vector(self) -> np.ndarray:
         """The free pinned coordinates of the base configuration."""
@@ -366,8 +361,6 @@ def pin(framework: Framework) -> tuple[PinnedFramework, Isometry]:
     verts = framework.vertices
     d = framework.dimension
     ell = affine_span_dimension(verts)
-    if verts.shape[0] < ell + 1:
-        raise DegenerateLeadingVertices("not enough vertices for the affine span")
     lead = (verts[1 : ell + 1] - verts[0]).T  # d x ell
     if _numerical_rank(lead) != ell:
         raise DegenerateLeadingVertices(

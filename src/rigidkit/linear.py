@@ -17,12 +17,13 @@ reaches, so a banded R, such as a strip's, costs O(E b^2) for the factor
 instead of O(N^3).  The factor works in one window of R' at a time and
 keeps O(E b) numbers: Q as compact-WY blocks, T as each panel's inverse
 diagonal block A^-1 and G = A^-1 U beside it (_PanelTriangular), the
-inverses formed in one batch on first use.  A solve is then one matmul
-per panel for T^-T and three per block for Q.  The one O(E N) array left
-on this path is R itself, a plain array that every caller assembles with
-framework.rigidity_matrix and passes to kernel_decomposition; the
-benchmark's tracer (bench/tracing.py) times the two at those bindings.
-Reading R's nonzeros straight from the pinned framework would remove it.
+inverses formed in one batch once the last panel is in.  A solve is then
+one matmul per panel for T^-T and three per block for Q.  The one O(E N)
+array left on this path is R itself, a plain array that every caller
+assembles with framework.rigidity_matrix and passes to
+kernel_decomposition; the benchmark's tracer (bench/tracing.py) times the
+two at those bindings.  Reading R's nonzeros straight from the pinned
+framework would remove it.
 Everything else goes to the dense SVD.
 """
 
@@ -133,40 +134,25 @@ class _PanelTriangular:
     E x E.  row_order is the edge at each position of T's columns, so
     ``t @ rhs`` is T^-T applied to rhs in edge order.
 
-    The factorization hands over A and U panel by panel (add_panel); the
-    inverses are formed on first use, in one batched _triangular_inverse
-    of the stacked (P, b, b) diagonal blocks, a short last panel apart,
-    so a split that declines before its last panel inverts none."""
+    factor lists (j0, A, U) of every panel, all of one order but the last,
+    which may be shorter; the factorization hands it over once its last
+    panel is in, so a split that declines earlier builds none.  The
+    inverses are formed here, in one batched _triangular_inverse of the
+    stacked (P, b, b) diagonal blocks, a short last panel apart."""
 
-    def __init__(self, row_order: np.ndarray):
+    def __init__(self, row_order: np.ndarray, factor: list):
         self.row_order = row_order
-        self._factor = []         # (j0, A, U) of each panel, until first use
-
-    def add_panel(self, j0: int, a: np.ndarray, u: np.ndarray) -> None:
-        """Append the panel whose rows of T start at j0: its diagonal
-        block a, an array of its own that is kept until first use, and its
-        coupling rectangle u, copied so that it does not keep the factor's
-        window alive.  The panels are all of one order but the last, which
-        may be shorter, and every panel is added before the first solve or
-        norm."""
-        self._factor.append((j0, a, u.copy()))
-
-    @cached_property
-    def _joint(self) -> list:
-        """(j0, [A^-1, G]) of each panel."""
-        blocks = [a for _, a, _ in self._factor]
+        blocks = [a for _, a, _ in factor]
         full = len(blocks) - (len(blocks[-1]) < len(blocks[0]))
         a_inv = list(_triangular_inverse(np.stack(blocks[:full])))
         a_inv += [_triangular_inverse(a) for a in blocks[full:]]
-        joint = []
-        for (j0, a, u), inv in zip(self._factor, a_inv):
+        self._joint = []          # (j0, [A^-1, G]) of each panel
+        for (j0, a, u), inv in zip(factor, a_inv):
             b = len(a)
             m = np.empty((b, b + u.shape[1]))
             m[:, :b] = inv
             np.matmul(inv, u, out=m[:, b:])
-            joint.append((j0, m))
-        self._factor = None
-        return joint
+            self._joint.append((j0, m))
 
     @property
     def panels(self) -> list:
@@ -403,7 +389,7 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     # the edges from k on all start at or after reach[k]
     reach = np.minimum.accumulate(first[::-1])[::-1]
     q = _CompactWY(col_order, n_edges)
-    t = _PanelTriangular(row_order)
+    factor = []               # (j0, A, U) of each panel of T
     # the previous window's trailing block, over coordinates j0..r0-1
     window, r0 = np.zeros((0, 0)), 0
     for j0 in range(0, n_edges, _BLOCK_ORDER):
@@ -424,8 +410,10 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
         vt, s = q.add_panel(j0, h, tau)
         trail = window[:, j1 - j0:]
         trail -= vt.T @ (s.T @ (vt @ trail))
-        t.add_panel(j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0])
+        # U copied so that it does not keep the window alive
+        factor.append((j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0].copy()))
         window = trail[j1 - j0:]
+    t = _PanelTriangular(row_order, factor)
     sigma_min_bound = 1.0 / np.sqrt(t.inverse_frobenius_sq())
     if not sigma_min_bound > cutoff:
         return None

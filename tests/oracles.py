@@ -335,6 +335,44 @@ def render_json_per_item(obj, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
+# sums onto the free coordinates, left to right
+# ---------------------------------------------------------------------------
+
+def _free_columns(pf) -> np.ndarray:
+    """(2, E, d) free column of each edge endpoint coordinate, -1 where it
+    is pinned, from the free layout alone."""
+    col = np.full(pf.base.vertices.shape, -1)
+    col[pf.free_vertex, pf.free_axis] = np.arange(pf.n_free)
+    return col[np.array(pf.base.edge_index_arrays())]
+
+
+def sum_onto_free_by_add_at(pf, rows: np.ndarray) -> np.ndarray:
+    """PinnedFramework.sum_onto_free by np.add.at, which adds in index
+    order: +rows of every edge's first endpoint in canonical edge order,
+    then -rows of every second one."""
+    cols = _free_columns(pf)
+    free = cols >= 0
+    out = np.zeros((pf.n_free,) + rows.shape[2:])
+    np.add.at(out, cols[free], np.array([rows, -rows])[free])
+    return out
+
+
+def sum_blocks_onto_free_by_add_at(pf, blocks: np.ndarray) -> np.ndarray:
+    """PinnedFramework.sum_blocks_onto_free by np.add.at, in (edge, block,
+    a, b) order: +M_e at (v, v) and (w, w), then -M_e at (v, w) and
+    (w, v), per canonical edge vw, with pinned rows and columns left out."""
+    v, w = _free_columns(pf)
+    rows, cols = np.broadcast_arrays(np.stack([v, w, v, w], axis=1)[:, :, :, None],
+                                     np.stack([v, w, w, v], axis=1)[:, :, None, :])
+    free = (rows >= 0) & (cols >= 0)
+    signed = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * blocks[:, :, None]
+    out = np.zeros((blocks.shape[0], pf.n_free, pf.n_free))
+    for hess, row_blocks in zip(out, signed):
+        np.add.at(hess, (rows[free], cols[free]), row_blocks[free])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the QR split's triangular factor, dense
 # ---------------------------------------------------------------------------
 
@@ -367,7 +405,7 @@ def qr_split_by_dense_workspace(mat: np.ndarray, tol: float):
     work = np.zeros((n_free, n_edges))
     work[:] = mat[np.ix_(row_order, col_order)].T
     reach = np.minimum.accumulate(first[::-1])[::-1]
-    q, t = _CompactWY(col_order, n_edges), _PanelTriangular(row_order)
+    q, factor = _CompactWY(col_order, n_edges), []
     for j0 in range(0, n_edges, _BLOCK_ORDER):
         j1 = min(j0 + _BLOCK_ORDER, n_edges)
         r1 = last[j1 - 1] + 1
@@ -377,7 +415,8 @@ def qr_split_by_dense_workspace(mat: np.ndarray, tol: float):
         vt, s = q.add_panel(j0, h, tau)
         trail = work[j0:r1, j1:np.searchsorted(reach, r1)]
         trail -= vt.T @ (s.T @ (vt @ trail))
-        t.add_panel(j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0])
+        factor.append((j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0].copy()))
+    t = _PanelTriangular(row_order, factor)
     sigma_min_bound = 1.0 / np.sqrt(t.inverse_frobenius_sq())
     if not sigma_min_bound > cutoff:
         return None

@@ -122,15 +122,16 @@ def test_fixed_tolerances_are_module_constants():
     assert "tol" in inspect.signature(rigidkit.rigidity_order).parameters
 
 
-LAYOUT_ATTRIBUTES = {"_edge_columns", "_plan", "_hessian_plan"}
+LAYOUT_ATTRIBUTES = {"_edge_columns", "_hessian_plan"}
 
 
 def test_only_the_framework_and_the_rigidity_matrix_read_the_pinned_slot_column():
     # the free-coordinate layout (the endpoint column map, whose extra
-    # column n_free stands for the pinned slots, and the two summation
-    # plans) is read in framework.py alone, where rigidity_matrix assembles
-    # R; every other module goes through edge_differences, sum_onto_free and
-    # sum_blocks_onto_free, and linear takes R as a plain array
+    # column n_free stands for the pinned slots, and the Hessian's flat
+    # targets built from it) is read in framework.py alone, where
+    # rigidity_matrix assembles R; every other module goes through
+    # edge_differences, sum_onto_free and sum_blocks_onto_free, and linear
+    # takes R as a plain array
     package = Path(rigidkit.__file__).parent
     readers = {path.name for path in package.rglob("*.py") if LAYOUT_ATTRIBUTES & _loaded_names(path)}
     assert readers == {"framework.py"}
@@ -138,6 +139,23 @@ def test_only_the_framework_and_the_rigidity_matrix_read_the_pinned_slot_column(
                 if hasattr(rigidkit.PinnedFramework, name)]
     linear = ast.parse((package / "linear.py").read_text(encoding="utf-8"))
     assert not [node for node in ast.walk(linear) if isinstance(node, ast.ImportFrom) and node.module == "framework"]
+
+
+def _sums_by_reduceat_or_add_at(path: Path) -> list[str]:
+    """Lines of a module that call a ufunc's reduceat or np.add.at."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and (node.attr == "reduceat" or node.attr == "at"
+                                                    and isinstance(node.value, ast.Attribute)
+                                                    and node.value.attr == "add")]
+
+
+def test_no_library_module_sums_by_reduceat_or_add_at():
+    # every sum onto the free coordinates is one bincount through the
+    # endpoint column map, which adds left to right in edge order;
+    # reduceat's association is its own, and np.add.at is the tests'
+    # left-to-right reference (tests/oracles.py)
+    package = Path(rigidkit.__file__).parent
+    assert not [line for path in sorted(package.rglob("*.py")) for line in _sums_by_reduceat_or_add_at(path)]
 
 
 def test_no_library_function_imports():

@@ -20,7 +20,8 @@ from rigidkit import (
     rigidity_matrix,
     save_framework,
 )
-from oracles import corpus_items, embed_tangent
+from oracles import corpus_items, embed_tangent, sum_blocks_onto_free_by_add_at, sum_onto_free_by_add_at
+from test_linear import strip_minus_edge
 
 
 def test_validation_rejects_self_loop():
@@ -445,4 +446,29 @@ def test_sum_blocks_onto_free_gives_the_edge_quadratic_form(corpus_analysis):
         assert np.all(np.abs(got - want) <= 64 * eps * (scale + np.abs(x) @ np.abs(hess) @ np.abs(x)))
         touched = np.isin(pf.free_vertex, pf.base.edge_index_arrays())
         assert not hess[:, ~touched].any() and not hess[:, :, ~touched].any()
+
+
+def _summation_cases(corpus_analysis):
+    return [item["pf"] for item in corpus_analysis.values()] + [strip_minus_edge(600, seed=600)]
+
+
+def test_sum_onto_free_adds_left_to_right_in_edge_order(corpus_analysis):
+    # bit for bit the np.add.at sum: first endpoints in canonical edge
+    # order, then second ones, for a column, a batch, and a batch of jets
+    # passed as a transposed view, as gradient_along_trajectory passes them
+    rng = np.random.default_rng(12)
+    for pf in _summation_cases(corpus_analysis):
+        shape = (pf.base.n_edges, pf.dimension)
+        jets = rng.standard_normal((6,) + shape + (5,)).transpose(1, 2, 0, 3)
+        for rows in (rng.standard_normal(shape), rng.standard_normal(shape + (6,)), jets):
+            summed = pf.sum_onto_free(rows)
+            assert summed.shape == (pf.n_free,) + rows.shape[2:]
+            assert np.array_equal(summed, sum_onto_free_by_add_at(pf, rows))
+
+
+def test_sum_blocks_onto_free_adds_left_to_right_in_edge_order(corpus_analysis):
+    rng = np.random.default_rng(13)
+    for pf in _summation_cases(corpus_analysis):
+        blocks = rng.standard_normal((2, pf.base.n_edges, pf.dimension, pf.dimension))
+        assert np.array_equal(pf.sum_blocks_onto_free(blocks), sum_blocks_onto_free_by_add_at(pf, blocks))
 

@@ -390,13 +390,13 @@ SPLIT_INPUTS = {
 
 def _split_recording_t(mat, monkeypatch):
     """_qr_split(mat) and its T, assembled from the panels it recorded."""
-    panels, add_panel = [], _PanelTriangular.add_panel
+    panels, init = [], _PanelTriangular.__init__
 
-    def recording(self, j0, a, u):
-        panels.append((j0, a.copy(), u.copy()))
-        add_panel(self, j0, a, u)
+    def recording(self, row_order, factor):
+        panels.extend((j0, a.copy(), u.copy()) for j0, a, u in factor)
+        init(self, row_order, factor)
 
-    monkeypatch.setattr(_PanelTriangular, "add_panel", recording)
+    monkeypatch.setattr(_PanelTriangular, "__init__", recording)
     kd = _qr_split(mat, DEFAULT_KERNEL_TOL)
     monkeypatch.undo()
     return kd, dense_triangular(panels, mat.shape[0])

@@ -2,7 +2,8 @@
 the quartic forms: scale = max(||M||_F, ||B||_F), with M the symmetric
 4-tensor of mu, is the same in every orthonormal basis of the kernel, and
 by Cauchy-Schwarz it bounds |mu| and |B(y^4)| on the whole kernel sphere,
-not only at the points a search visits."""
+not only at the points a search visits.  The cubic screen's scale, ||T||_F
+of the cubic kernel form, is the same in every basis too."""
 
 import dataclasses
 
@@ -105,3 +106,20 @@ def test_scale_bounds_mu_and_the_quartic_on_the_whole_sphere(m, family):
     mu = quartic - 0.5 * np.sum(c * np.linalg.solve(forms.Hxx, c.T).T, axis=1)
     # the bound is exact; the slack covers rounding in this other route to mu
     assert rep.scale * (1.0 + 1e-12) >= max(np.max(np.abs(mu)), np.max(np.abs(quartic)))
+
+
+# x0^2 + y1^3 + 1/2 y1 y2^2 + y1^4 + y2^4: a saddle by its cubic kernel form
+# T(y, y, y) = y1^3 + 1/2 y1 y2^2, whose ||T||_F = sqrt(1 + 3 / 36)
+_CUBIC = PolynomialTarget(3, (((2, 0, 0), 1.0), ((0, 3, 0), 1.0), ((0, 1, 2), 0.5),
+                              ((0, 4, 0), 1.0), ((0, 0, 4), 1.0)))
+
+
+def test_cubic_screen_scale_does_not_depend_on_the_kernel_basis():
+    rep = fourth_derivative_test(_CUBIC)
+    assert (rep.classification, rep.resolved_by, rep.nullity) == ("saddle", "cubic", 2)
+    assert rep.scale == pytest.approx(np.sqrt(1.0 + 3.0 / 36.0), rel=1e-12, abs=0.0)
+    rng = np.random.default_rng(3)
+    for _ in range(N_BASES):
+        other = fourth_derivative_test(_Rotated(_CUBIC, _orthogonal(rng, 3)))
+        assert (other.classification, other.resolved_by, other.nullity) == ("saddle", "cubic", 2)
+        assert other.scale == pytest.approx(rep.scale, rel=1e-12, abs=0.0)
