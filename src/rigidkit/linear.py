@@ -15,15 +15,15 @@ Cuthill-McKee order, the edges by their last coordinate in it, and each
 panel of _BLOCK_ORDER edges is factored over the window of coordinates it
 reaches, so a banded R, such as a strip's, costs O(E b^2) for the factor
 instead of O(N^3).  The factor works in one window of R' at a time and
-keeps O(E b) numbers: Q as compact-WY blocks, T as each panel's inverse
-diagonal block A^-1 and G = A^-1 U beside it (_PanelTriangular), the
-inverses formed in one batch once the last panel is in.  A solve is then
-one matmul per panel for T^-T and three per block for Q.  The one O(E N)
-array left on this path is R itself, a plain array that every caller
-assembles with framework.rigidity_matrix and passes to
-kernel_decomposition; the benchmark's tracer (bench/tracing.py) times the
-two at those bindings.  Reading R's nonzeros straight from the pinned
-framework would remove it.
+keeps O(E b) numbers: Q as each panel's explicit orthogonal factor over
+its window, T as each panel's inverse diagonal block A^-1 and G = A^-1 U
+beside it (_PanelTriangular), the inverses formed in one batch once the
+last panel is in.  A solve is then one matmul per panel for T^-T and one
+per window for Q.  The one O(E N) array left on this path is R itself, a
+plain array that every caller assembles with framework.rigidity_matrix
+and passes to kernel_decomposition; the benchmark's tracer
+(bench/tracing.py) times the two at those bindings.  Reading R's nonzeros
+straight from the pinned framework would remove it.
 Everything else goes to the dense SVD.
 """
 
@@ -53,9 +53,9 @@ class KernelDecomposition:
     R = U_r diag(sigma_r) Kbar' came from the SVD (method "svd"), _pinv is
     the matrix diag(1/sigma_r) U_r'.
     _range maps F^+ rhs into pinned coordinates: it is Kbar itself on the
-    SVD path and the Householder reflectors of Q, with P, on the QR path,
-    where Q is never formed and Kbar_basis is built from the reflectors on
-    first read.
+    SVD path and Q, with P, on the QR path, kept as one orthogonal matrix
+    per panel window, where Q[:, :E] is never formed and Kbar_basis is
+    built from the windows on first read.
     stresses is an orthonormal basis W of the self-stresses (coker R, empty
     on the QR path), and the least-squares residual is ||W' rhs||.
     rank_margin is the factor by which the smallest kept singular value
@@ -67,7 +67,7 @@ class KernelDecomposition:
     dim_K: int
     stresses: np.ndarray          # (n_edges, n_edges - rank)
     _pinv: np.ndarray | _PanelTriangular  # (rank, n_edges), or T by panels
-    _range: np.ndarray | _CompactWY  # Kbar (n_free, rank), or Q's reflectors
+    _range: np.ndarray | _WindowedQ  # Kbar (n_free, rank), or Q by windows
     method: str                   # "qr" or "svd"
     rank_margin: float | None
 
@@ -206,18 +206,13 @@ class _PanelTriangular:
         return total
 
 
-class _CompactWY:
-    """Q = H_0 H_1 ... H_{E-1} of a Householder QR of an (N, E) matrix whose
-    rows were taken in the order perm, kept as its reflectors in compact-WY
-    blocks (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989); Q
-    itself is never formed.
-
-    Block i holds reflectors j0..j1-1 as V' over their row window j0..r1-1
-    (rows: the reflectors, columns: the window, unit lower trapezoidal as V)
-    and an upper-triangular S with H_j0 ... H_j1-1 = I - V S V'; every
-    reflector of the block is zero outside the window.  ``q @ y`` is
-    Q [y; 0] with its rows put back in the original order, so for y of E
-    rows it is Q[:, :E] y.
+class _WindowedQ:
+    """Q of a Householder QR of an (N, E) matrix whose rows were taken in
+    the order perm, kept as one explicit orthogonal matrix per panel over
+    that panel's row window: block i is (j0, Q_w), Q_w the (h, h) factor of
+    the panel's window j0..j0+h-1, and Q is their product, each acting
+    only on its own window.  ``q @ y`` is Q [y; 0] with its rows put back
+    in the original order, so for y of E rows it is Q[:, :E] y.
     """
 
     def __init__(self, perm: np.ndarray, n_cols: int):
@@ -225,27 +220,12 @@ class _CompactWY:
         self.shape = (len(perm), n_cols)
         self.blocks = []
 
-    def add_panel(self, j0: int, h: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append the block of a panel factor whose window starts at row j0
-        and return its (V', S).  (h, tau) are as np.linalg.qr(window,
-        mode="raw") returns them: reflector j is h[j, j:] with its first
-        entry set to 1, H_j = I - tau_j v_j v_j'."""
-        b = len(tau)
-        vt = np.array(h, order="C")
-        vt[:, :b] = np.triu(vt[:, :b], 1) + np.eye(b)
-        # S^-1 = diag(1/tau) + striu(V'V) (Puglisi, SIAM J. Sci. Stat.
-        # Comput. 13, 1992), taken as S = (I + diag(tau) striu(V'V))^-1 diag(tau)
-        # so that a reflector with tau = 0 (H_j = I) needs no special case
-        s = _triangular_inverse(np.eye(b) + tau[:, None] * np.triu(vt @ vt.T, 1)) * tau
-        self.blocks.append((j0, vt, s))
-        return vt, s
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Q x, computed in place in x of shape (N,) or (N, m), x in the
         factor's row order."""
-        for j0, vt, s in reversed(self.blocks):
-            win = x[j0:j0 + vt.shape[1]]
-            win -= vt.T @ (s @ (vt @ win))
+        for j0, q_w in reversed(self.blocks):
+            win = x[j0:j0 + len(q_w)]
+            win[:] = q_w @ win
         return x
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
@@ -348,11 +328,14 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     last, then first, nonzero column in that order, so the nonzeros of
     edge j, and every fill-in of the factorization, lie in coordinates up
     to its last one, l_j.  A panel of _BLOCK_ORDER edges j0..j1-1 is then
-    one np.linalg.qr(mode="raw") of the window of coordinates
-    j0..l_{j1-1}, and its compact-WY block updates only that window of the
-    later edges whose first nonzero lies in it (sparse QR: George & Heath,
-    Linear Algebra Appl. 34, 1980).  On a banded R,
-    such as a strip's, this touches O(E b) entries for window width b; on a
+    decided by one np.linalg.qr(mode="raw") of the window of coordinates
+    j0..l_{j1-1}, whose R gives T's blocks.  A panel that passes takes the
+    window's complete orthogonal factor Q_w (h x h, h the window's height)
+    from a second np.linalg.qr(mode="complete") of the same block, and its
+    update is the one product Q_w' trail on the window of the later edges
+    whose first nonzero lies in it (sparse QR: George & Heath, Linear
+    Algebra Appl. 34, 1980).  On a banded R, such as a strip's, this
+    touches O(E b) entries for window width b, and h is about b + 6; on a
     dense envelope it is ordinary blocked QR at the dense cost.
 
     Only the current panel's window is held, as one dense array over
@@ -365,7 +348,7 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     mat, and the new edges are zero above them, since they start at or
     after it.
     When r1 stays put, as on a dense envelope, so does c1, and the
-    trailing block is the window itself, with no copy.  The numbers and
+    updated trailing block is the next window as it stands.  The numbers and
     the operations on them are those of one (N, E) work array of R', so
     the factor is the same to the bit, without that array; the one (E, N)
     array left is mat itself (see the module docstring).  An edge j
@@ -375,10 +358,11 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     the rectangle of later columns its update reached to a _PanelTriangular,
     which inverts the diagonal blocks in one batch once the last panel is
     in, and gives ||T^-1||_F by block selected inversion and T^-T rhs by
-    block substitution, O(E b) work per solve on a strip.  An accepted split keeps Q as
-    its blocks: K = Q [0; I], the solves apply Q to [T^-T rhs; 0], and
-    K-bar is formed only if Kbar_basis is read; the two orders fold into
-    _pinv's row_order and into Q's rows.
+    block substitution, O(E b) work per solve on a strip.  An accepted
+    split keeps Q as its read-only windows Q_w: K = Q [0; I], each solve
+    applies Q to [T^-T rhs; 0] by one matmul per window, and K-bar is
+    formed only if Kbar_basis is read; the two orders fold into _pinv's
+    row_order and into Q's rows.
     """
     layout = _envelope_layout(mat)
     if layout is None:
@@ -388,7 +372,7 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
     cutoff = tol * np.linalg.norm(vals)
     # the edges from k on all start at or after reach[k]
     reach = np.minimum.accumulate(first[::-1])[::-1]
-    q = _CompactWY(col_order, n_edges)
+    q = _WindowedQ(col_order, n_edges)
     factor = []               # (j0, A, U) of each panel of T
     # the previous window's trailing block, over coordinates j0..r0-1
     window, r0 = np.zeros((0, 0)), 0
@@ -404,12 +388,14 @@ def _qr_split(mat: np.ndarray, tol: float) -> KernelDecomposition | None:
             grown[:r0 - j0, :window.shape[1]] = window
             grown[r0 - j0:] = mat[row_order[j0:c1, None], col_order[r0:r1]].T
             window, r0 = grown, r1
-        h, tau = np.linalg.qr(window[:, :j1 - j0], mode="raw")
+        panel = window[:, :j1 - j0]
+        h = np.linalg.qr(panel, mode="raw")[0]
         if not np.min(np.abs(np.diagonal(h))) > cutoff:   # T's diagonal
             return None
-        vt, s = q.add_panel(j0, h, tau)
-        trail = window[:, j1 - j0:]
-        trail -= vt.T @ (s.T @ (vt @ trail))
+        q_w = np.linalg.qr(panel, mode="complete")[0]
+        q_w.setflags(write=False)
+        q.blocks.append((j0, q_w))
+        trail = q_w.T @ window[:, j1 - j0:]
         # U copied so that it does not keep the window alive
         factor.append((j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0].copy()))
         window = trail[j1 - j0:]

@@ -79,8 +79,8 @@ from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m, energy_gap_g
 from rigidkit.framework import rigidity_matrix
 from rigidkit.growth import NewtonStats, _check_radius, _tangent, minimize_on_sphere
 from rigidkit.jets import series_compose, series_mul
-from rigidkit.linear import (_BLOCK_ORDER, KernelDecomposition, _CompactWY, _envelope_layout, _PanelTriangular,
-                             kernel_decomposition)
+from rigidkit.linear import (_BLOCK_ORDER, KernelDecomposition, _envelope_layout, _PanelTriangular,
+                             _WindowedQ, kernel_decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +405,17 @@ def qr_split_by_dense_workspace(mat: np.ndarray, tol: float):
     work = np.zeros((n_free, n_edges))
     work[:] = mat[np.ix_(row_order, col_order)].T
     reach = np.minimum.accumulate(first[::-1])[::-1]
-    q, factor = _CompactWY(col_order, n_edges), []
+    q, factor = _WindowedQ(col_order, n_edges), []
     for j0 in range(0, n_edges, _BLOCK_ORDER):
         j1 = min(j0 + _BLOCK_ORDER, n_edges)
         r1 = last[j1 - 1] + 1
-        h, tau = np.linalg.qr(work[j0:r1, j0:j1], mode="raw")
+        h = np.linalg.qr(work[j0:r1, j0:j1], mode="raw")[0]
         if not np.min(np.abs(np.diagonal(h))) > cutoff:
             return None
-        vt, s = q.add_panel(j0, h, tau)
+        q_w = np.linalg.qr(work[j0:r1, j0:j1], mode="complete")[0]
+        q.blocks.append((j0, q_w))
         trail = work[j0:r1, j1:np.searchsorted(reach, r1)]
-        trail -= vt.T @ (s.T @ (vt @ trail))
+        trail[:] = q_w.T @ trail
         factor.append((j0, np.triu(h[:, :j1 - j0].T), trail[:j1 - j0].copy()))
     t = _PanelTriangular(row_order, factor)
     sigma_min_bound = 1.0 / np.sqrt(t.inverse_frobenius_sq())

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -17,14 +18,16 @@ from rigidkit import (
 from rigidkit.linear import (
     _BLOCK_ORDER,
     DEFAULT_KERNEL_TOL,
-    _CompactWY,
     _envelope_order,
     _PanelTriangular,
     _qr_split,
     _svd_split,
+    _triangular_inverse,
+    _WindowedQ,
 )
 
 from oracles import dense_triangular, embed_tangent, inverse_frobenius_sq, qr_split_by_dense_workspace
+from test_quartic_assembly import midpoint_strip
 
 
 def exact_rank(matrix) -> int:
@@ -216,7 +219,7 @@ def test_qr_split_matches_svd_referee_on_strips(n):
 @pytest.mark.parametrize("n", [20, 200])
 def test_qr_split_matches_svd_referee_at_dim_k_two(n):
     # n = 200 has 395 rows, so K, K-bar and the solves cross several
-    # compact-WY blocks of the Householder factor
+    # panel windows of the Householder factor
     R = rigidity_matrix(strip_minus_two_diagonals(n, seed=n))
     kd = kernel_decomposition(R)
     ref = _svd_split(R, DEFAULT_KERNEL_TOL)
@@ -237,30 +240,54 @@ def test_qr_split_matches_svd_referee_at_dim_k_two(n):
         assert residual == 0.0
 
 
-def test_qr_split_never_forms_q(monkeypatch):
-    # only Householder factors are computed, one raw factor per panel, on an
-    # accepted split and a declined one alike, and the dim K = 1 ladder
-    # never needs K-bar itself
-    modes, formed = [], []
-    qr, leading_columns = np.linalg.qr, _CompactWY.leading_columns
+def test_qr_split_factor_counts(monkeypatch):
+    # a count: each panel is decided by one raw factor and only a kept one
+    # takes its window's complete factor; the only triangular inverses are
+    # _PanelTriangular's one batched call and a short last panel's; a
+    # declined split takes raw factors only, up to the panel that fails;
+    # and the dim K = 1 ladder never needs K-bar itself
+    modes, inverses, formed = [], [], []
+    qr, leading_columns = np.linalg.qr, _WindowedQ.leading_columns
 
     def recording_qr(a, mode="reduced"):
         modes.append(mode)
         return qr(a, mode=mode)
 
+    def recording_inverse(t):
+        frame = sys._getframe(1)
+        if frame.f_code is not _triangular_inverse.__code__:   # not a recursive step
+            codes = set()
+            while frame is not None:
+                codes.add(frame.f_code)
+                frame = frame.f_back
+            inverses.append((_PanelTriangular.__init__.__code__ in codes, t.ndim))
+        return _triangular_inverse(t)
+
     def recording_leading_columns(q):
         formed.append(q)
         return leading_columns(q)
 
-    strip = strip_minus_edge(300, seed=300)
-    k33 = pin_with_permutation(load_corpus("k33"))[0]
+    strip = strip_minus_edge(600, seed=600)
+    declining = {
+        "k33": rigidity_matrix(pin_with_permutation(load_corpus("k33"))[0]),
+        "midpoints": rigidity_matrix(pin_with_permutation(midpoint_strip(40, 2))[0]),
+    }
+    assert declining["midpoints"].shape == (81, 81)
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    monkeypatch.setattr(_CompactWY, "leading_columns", recording_leading_columns)
+    monkeypatch.setattr("rigidkit.linear._triangular_inverse", recording_inverse)
+    monkeypatch.setattr(_WindowedQ, "leading_columns", recording_leading_columns)
     kd = kernel_decomposition(rigidity_matrix(strip))
     assert solve_ladder(strip, kd).verdict == "flex-found"
     assert kd.method == "qr" and not formed
-    assert kernel_decomposition(rigidity_matrix(k33)).method == "svd"
-    assert modes and set(modes) == {"raw"}
+    n_panels = -(-(strip.n_free - 1) // _BLOCK_ORDER)
+    assert modes == ["raw", "complete"] * n_panels
+    assert inverses[0] == (True, 3) and inverses[1:] in ([], [(True, 2)])
+    # both fail the diagonal cutoff at their first panel
+    for name, R in declining.items():
+        modes.clear()
+        inverses.clear()
+        assert kernel_decomposition(R).method == "svd", name
+        assert modes == ["raw"] and not inverses, name
 
 
 def _relabelled(pf, rng):
@@ -294,13 +321,13 @@ def test_qr_split_is_independent_of_vertex_labels(make, n, dim_k):
 
 def test_qr_split_windows_follow_the_band():
     # a count, not a timing: on a strip, in its own labels or in random
-    # ones, every compact-WY block acts on a window of about one panel's
+    # ones, every panel's Q_w acts on a window of about one panel's
     # height, not on all the coordinates below it
     pf = strip_minus_edge(600, seed=600)
     for strip in (pf, _relabelled(pf, np.random.default_rng(601))[0]):
         kd = kernel_decomposition(rigidity_matrix(strip))
         assert kd.method == "qr"
-        windows = [vt.shape[1] for _, vt, _ in kd._range.blocks]
+        windows = [len(q_w) for _, q_w in kd._range.blocks]
         assert len(windows) == -(-(kd.K_basis.shape[0] - kd.dim_K) // _BLOCK_ORDER)
         assert max(windows) <= _BLOCK_ORDER + 8
 
@@ -323,19 +350,26 @@ def test_envelope_order_refuses_nonzeros_out_of_row_order():
     assert np.array_equal(np.sort(order), np.arange(n_free))
 
 
-def test_compact_wy_block_is_the_product_of_its_reflectors():
-    # the first 10 columns are already triangular, so their reflectors are
-    # the identity (tau = 0); S must still give H_0 ... H_63 = I - V S V'
+def test_window_q_is_the_orthogonal_factor_of_its_panel(monkeypatch):
+    # one panel of 64 edges over a window of 70 coordinates whose first 10
+    # columns are already triangular, so their reflectors are the identity
+    # (tau = 0); the kept Q_w must still be orthogonal and take the panel
+    # to [R; 0], R the raw factor's, which T keeps to the bit
     a = np.random.default_rng(4).standard_normal((70, 64))
     a[:, :10] = np.triu(a[:, :10])
     h, tau = np.linalg.qr(a, mode="raw")
     assert np.all(tau[:10] == 0) and np.all(tau[10:] != 0)
-    vt, s = _CompactWY(np.arange(70), 64).add_panel(0, h, tau)
-    product = np.eye(70)
-    for v, t in zip(vt, tau):
-        product = product @ (np.eye(70) - t * np.outer(v, v))
-    assert np.allclose(np.eye(70) - vt.T @ s @ vt, product, rtol=0, atol=1e-13)
-    assert np.array_equal(np.triu(s), s)
+    r = np.triu(h[:, :64].T)
+    kd, t = _split_recording_t(a.T, monkeypatch)
+    assert kd.method == "qr"
+    assert np.array_equal(kd._range.perm, np.arange(70)) and np.array_equal(kd._pinv.row_order, np.arange(64))
+    [(j0, q_w)] = kd._range.blocks
+    assert j0 == 0 and q_w.shape == (70, 70) and not q_w.flags.writeable
+    assert np.max(np.abs(q_w.T @ q_w - np.eye(70))) <= 1e-14
+    assert np.array_equal(t, r)
+    assert np.array_equal(np.linalg.qr(a, mode="complete")[1], np.vstack([r, np.zeros((6, 64))]))
+    reduced = q_w.T @ a
+    assert np.max(np.abs(reduced - np.vstack([r, np.zeros((6, 64))]))) <= 1e-14 * np.linalg.norm(a)
 
 
 def test_qr_split_on_a_dense_envelope_matches_svd():
@@ -345,7 +379,7 @@ def test_qr_split_on_a_dense_envelope_matches_svd():
     kd = _qr_split(mat, DEFAULT_KERNEL_TOL)
     ref = _svd_split(mat, DEFAULT_KERNEL_TOL)
     assert kd.method == "qr" and kd.dim_K == ref.dim_K == 10
-    assert [vt.shape[1] for _, vt, _ in kd._range.blocks] == [140, 76, 12]
+    assert [len(q_w) for _, q_w in kd._range.blocks] == [140, 76, 12]
     assert 1 < kd.rank_margin <= ref.rank_margin
     cosines = np.linalg.svd(kd.K_basis.T @ ref.K_basis, compute_uv=False)
     assert np.min(cosines) >= 1 - 1e-12
@@ -558,7 +592,7 @@ def test_windowed_factor_is_the_dense_workspace_factor(name):
     R = rigidity_matrix(REFEREE_INPUTS[name]())
     kd, ref = _qr_split(R, DEFAULT_KERNEL_TOL), qr_split_by_dense_workspace(R, DEFAULT_KERNEL_TOL)
     assert kd.method == ref.method == "qr"
-    windows = [vt.shape[1] for _, vt, _ in kd._range.blocks]
+    windows = [len(q_w) for _, q_w in kd._range.blocks]
     assert len(windows) == (1 if name == "one_panel" else -(-R.shape[0] // _BLOCK_ORDER))
     if name == "wide_henneberg":
         assert max(windows) > 2 * _BLOCK_ORDER
@@ -594,3 +628,15 @@ def test_rigidity_matrix_is_assembled_in_place():
     R, peak = _traced_peak(rigidity_matrix, pf)
     assert R.flags.c_contiguous and not R.flags.writeable
     assert peak <= 1.1 * R.nbytes
+
+
+def test_windowed_q_of_a_wide_envelope_stays_bounded():
+    # Q keeps an h x h matrix per panel window, read-only, where the panel's
+    # reflectors alone would be b x h; on the wide Henneberg envelope, whose
+    # windows reach past twice a panel, that is 0.86 MB, the one referee
+    # input where the explicit windows cost more than the reflectors would
+    R = rigidity_matrix(REFEREE_INPUTS["wide_henneberg"]())
+    kd = kernel_decomposition(R)
+    assert kd.method == "qr"
+    assert not any(q_w.flags.writeable for _, q_w in kd._range.blocks)
+    assert sum(q_w.nbytes for _, q_w in kd._range.blocks) <= 0.9e6
