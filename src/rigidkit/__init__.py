@@ -11,7 +11,6 @@ stiff-bar energy families.
 from .corpus import CORPUS_NAMES, EXPECTED_ORDERS, load_corpus
 from .critpoint import (
     CritReport,
-    FrameworkEnergyTarget,
     PolynomialTarget,
     fourth_derivative_test,
     order2k_family_test,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CORPUS_NAMES", "EXPECTED_ORDERS", "load_corpus",
-    "CritReport", "FrameworkEnergyTarget", "PolynomialTarget",
+    "CritReport", "PolynomialTarget",
     "fourth_derivative_test", "order2k_family_test",
     "polynomial_from_monomial_list", "second_order_rigidity_test",
     "FAMILIES", "EnergySpec", "PolyTrajectory", "energy_along_trajectory", "energy_value_grad_hess",

@@ -31,7 +31,18 @@ at x0 = -Hxx^-1 c(y0), c(y0) = (Ci(y0, y0))_i.  This leaves
 and for a PSD Hessian a4 > 0 on the parameter sphere exactly when mu > 0 on
 the unit kernel sphere.  For an NSD Hessian the signs flip (a4 < 0 exactly
 when mu < 0), so NSD Hessians are handled by the search's sign, on -mu,
-in the same pass.  Both order-4 tests, and the order-2k test through the same
+in the same pass.
+
+At a framework at rest the rigidity test needs no jet.  Along
+p + t y + t^2 x, y in K, phi'(d_e^2) = 0 and R y = 0 leave the t^4
+coefficient 1/2 sum_e phi''_e (q_e(y) + 2 (R x)_e)^2, q_e(y) = |y_v - y_w|^2,
+and minimizing over x leaves mu(y) = 1/2 v' G^-1 v, v_s = y' Q_s y, with
+Q_s = sum_e w_es dY_e' dY_e over the self-stress basis W and G = W' D^-1 W,
+D = diag phi'' (the second-order stress condition of Connelly & Whiteley,
+SIAM J. Discrete Math. 9 (1996)).  The family changes G, never the zero
+set of v, so the order this certifies does not depend on the energy.
+
+Both order-4 tests, and the order-2k test through the same
 reduction at m = 1, decide the sign of mu there with _kernel_search, a
 deterministic Bernstein branch and bound: a strict verdict carries a
 certified bound on min mu beyond tol_eff, a saddle a sphere point where mu
@@ -55,8 +66,7 @@ the Taylor coefficient rows of grad f along the polynomial trajectory
 v(t) = sum_l rows[l-1] t^l: (degree, dim) rows give a (dim, order+1)
 array, and a (B, degree, dim) batch of rows gives (B, dim, order+1), row by
 row the single calls' arrays up to rounding.  The order-4 assembly makes
-one batched call; the framework energy's target answers it with one
-gradient_along_trajectory call.  PolynomialTarget differentiates in
+one batched call.  PolynomialTarget differentiates in
 gradient_jet_along only: its grad0 and hessian0 are the order-0 and order-1
 rows of its jets along v = 0 and along the coordinate axes.
 """
@@ -70,8 +80,8 @@ from math import comb
 
 import numpy as np
 
-from .energy import (EnergySpec, PolyTrajectory, energy_along_trajectory, energy_value_grad_hess,
-                     gradient_along_trajectory)
+from .energy import (EnergySpec, PolyTrajectory, _check_binding, _taylor_in_m, energy_along_trajectory,
+                     energy_value_grad_hess, gradient_along_trajectory)
 from .errors import DimKNotOne, NotACriticalPoint, RigidkitError
 from .framework import PinnedFramework, _as_float, _as_int, rigidity_matrix
 from .growth import minimize_on_sphere
@@ -170,34 +180,6 @@ def polynomial_from_monomial_list(data) -> PolynomialTarget:
     return PolynomialTarget(len(monos[0][0]), tuple(monos))
 
 
-@dataclass(frozen=True, eq=False)
-class FrameworkEnergyTarget:
-    """f(dp) = E(p + dp) - E(p) for a stiff-bar energy at a pinned framework,
-    as a critical-point target over the free pinned coordinates."""
-
-    spec: EnergySpec
-    pf: PinnedFramework
-
-    @property
-    def dim(self) -> int:
-        return self.pf.n_free
-
-    def grad0(self) -> np.ndarray:
-        _, g, _ = energy_value_grad_hess(self.spec, self.pf)
-        return g
-
-    def hessian0(self) -> np.ndarray:
-        _, _, h = energy_value_grad_hess(self.spec, self.pf)
-        return h
-
-    def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
-        """(n_free, order+1) gradient jets along the trajectory with
-        coefficient rows rows; a (B, degree, n_free) batch gives
-        (B, n_free, order+1) from one gradient_along_trajectory call."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return gradient_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
-
-
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -216,9 +198,10 @@ class CritReport:
     Arg points are reported in original coordinates as (velocity, curvature) =
     (t-part, t^2..t^k-part) of the extremizing trajectory.  The two
     rigidity tests, second_order_rigidity_test and order2k_family_test,
-    report a_min = min mu and the arg point (Y y, X x) / sqrt(1 + |x|^2) of
-    the kernel search's least point y and its closed-form x-part, and their
-    notes start with the search's certificate, then name the closed form.
+    report a_min = min mu and the arg point (Y y, x) / sqrt(1 + |x|^2) of
+    the kernel search's least point y and its closed-form x-part x in K-bar,
+    and their notes start with the search's certificate, then name the
+    closed form (mu = 1/2 v' G^-1 v for the order-4 test).
     scale sets the threshold tol_eff = DEFAULT_CRIT_TOL (1 + scale): for
     "hessian" it is max |lam|; for "cubic" the cubic kernel form's ||T||_F;
     for "quartic" and "order2k-family" the forms' max(||M||_F, ||B||_F)
@@ -245,8 +228,28 @@ class CritReport:
 # quartic form assembly
 # ---------------------------------------------------------------------------
 
+def _symmetrized(quart: np.ndarray) -> np.ndarray:
+    """The mean of an (m, m, m, m) tensor over the 24 orders of its axes:
+    S_(k+1) is the union of the cosets (i k) S_k, i <= k, so the mean over
+    S_4 is three coset means, 6 transposes instead of 23."""
+    for k in (1, 2, 3) if quart.shape[0] > 1 else ():
+        quart = (quart + sum(np.swapaxes(quart, i, k) for i in range(k))) / (k + 1.0)
+    return quart
+
+
+class _MuForms:
+    """mu's symmetric 4-tensor M and the kernel quartic B = a4(0, y), symmetric."""
+
+    @cached_property
+    def scale(self) -> float:
+        """max(||M||_F, ||B||_F), by hypot so that no square overflows: by
+        Cauchy-Schwarz it bounds |mu| and |B(y^4)| on the whole unit sphere,
+        whatever the kernel basis; at m = 1 it is max(|mu|, |B|) exactly."""
+        return max(float(np.hypot.reduce(np.abs(t).ravel())) for t in (self.M, self.B))
+
+
 @dataclass(frozen=True, eq=False)
-class _QuarticForms:
+class _QuarticForms(_MuForms):
     """Closed-form a4 over the parameter sphere:
     a4(x, y) = 1/2 x' Hxx x + sum_i x_i (y' C[i] y) + B(y,y,y,y),
     and the cubic kernel form T(y,y,y), the t^3 coefficient of f(Y y t);
@@ -268,20 +271,26 @@ class _QuarticForms:
         """mu's symmetric 4-tensor Sym(B - 1/2 C_flat' Hxx^-1 C_flat): since
         c(y) = C_flat (y (x) y), mu(y) = M(y, y, y, y), one solve for all y."""
         n, m = self.C.shape[:2]
-        quart = self.B - 0.5 * (self.C.reshape(n, m * m).T @ self.hinv_c).reshape((m,) * 4)
-        if m > 1:
-            # S_(k+1) is the union of the cosets (i k) S_k, i <= k, so the mean
-            # over S_4 is three coset means: 6 transposes instead of 23
-            for k in (1, 2, 3):
-                quart = (quart + sum(np.swapaxes(quart, i, k) for i in range(k))) / (k + 1.0)
-        return quart
+        return _symmetrized(self.B - 0.5 * (self.C.reshape(n, m * m).T @ self.hinv_c).reshape((m,) * 4))
 
-    @cached_property
-    def scale(self) -> float:
-        """max(||M||_F, ||B||_F), by hypot so that no square overflows: by
-        Cauchy-Schwarz it bounds |mu| and |B(y^4)| on the whole unit sphere,
-        whatever the kernel basis; at m = 1 it is max(|mu|, |B|) exactly."""
-        return max(float(np.hypot.reduce(np.abs(t).ravel())) for t in (self.M, self.B))
+    def x_part(self, y: np.ndarray) -> np.ndarray:
+        """x = -Hxx^-1 c(y), in the x-coordinates: it extremizes a4 at y."""
+        return -self.hinv_c @ np.outer(y, y).reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _StressForms(_MuForms):
+    """mu at a framework at rest, from its self-stresses (module docstring)."""
+
+    M: np.ndarray          # 1/2 Sym sum_ss' (G^-1)_ss' Q_s (x) Q_s'
+    B: np.ndarray          # 1/2 Sym sum_e phi''_e A_e (x) A_e
+    rhs: np.ndarray        # (E, m^2): D^-1 W G^-1 v - q(y) = rhs (y (x) y)
+    kd: KernelDecomposition
+
+    def x_part(self, y: np.ndarray) -> np.ndarray:
+        """x = 1/2 R^+ (D^-1 W G^-1 v - q(y)) in pinned coordinates: the x in
+        K-bar that minimizes a4 at y."""
+        return 0.5 * self.kd.solve_min_norm(self.rhs @ np.outer(y, y).reshape(-1))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +425,7 @@ def _along_axes(mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return flat.reshape(coef.shape)
 
 
-def _mu_on_sphere(forms: _QuarticForms, sign: float):
+def _mu_on_sphere(forms: _MuForms, sign: float):
     """Batched value, gradient and Hessian of sign * mu(y) = sign * M(y, y, y, y)
     at the rows ys of a (b, m) array: sign times (M(y^4), 4 M(y, y, y, .),
     12 M(y, y, ., .)).  No evaluation touches the x dimension."""
@@ -432,14 +441,14 @@ def _mu_on_sphere(forms: _QuarticForms, sign: float):
     return value_grad_hess
 
 
-def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
+def _kernel_search(forms: _MuForms, tol_eff: float, sign: float = 1.0):
     """Certified minimum of sign * mu(y) = sign * M(y, y, y, y) over the unit
     sphere of R^m, for a report: the decision of _kernel_decision, then, at
-    m >= 2, its least point polished by _polish.  Returns (mu(y), y, x,
-    bound, note) in mu's own sign: x = -Hxx^-1 c(y) is the extremizing
-    x-part, bound the certified lower bound on min mu (for sign = -1, the
-    upper bound on max mu; an infinite one when no box was bounded), and
-    note states the decision and the boxes it took.
+    m >= 2, its least point polished by _polish.  Returns (mu(y), y, bound,
+    note) in mu's own sign: bound is the certified lower bound on min mu
+    (for sign = -1, the upper bound on max mu; an infinite one when no box
+    was bounded), and note states the decision and the boxes it took; the
+    extremizing x-part is forms.x_part(y).
 
     The polish only refines the reported extreme and its point: once the
     search has decided, no point it finds can change the classification, so
@@ -449,11 +458,10 @@ def _kernel_search(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
     m = y_best.size
     if m > 1:
         least, y_best = _polish(forms, sign, least, y_best)
-    x_best = -forms.hinv_c @ np.outer(y_best, y_best).reshape(m * m)
-    return sign * least, y_best, x_best, sign * low, note
+    return sign * least, y_best, sign * low, note
 
 
-def _kernel_decision(forms: _QuarticForms, tol_eff: float, sign: float = 1.0):
+def _kernel_decision(forms: _MuForms, tol_eff: float, sign: float = 1.0):
     """The certified decision on the sign of sign * mu over the unit sphere
     of R^m, by _bernstein_bound against the tol_eff the caller fixed from
     the forms; no evaluation of mu touches the x dimension.  Returns (least,
@@ -496,7 +504,7 @@ def _decided(low: float, least: float, tol_eff: float) -> bool:
     return low > tol_eff or least < -tol_eff or (low >= -tol_eff and least <= tol_eff)
 
 
-def _polish(forms: _QuarticForms, sign: float, least: float, y: np.ndarray):
+def _polish(forms: _MuForms, sign: float, least: float, y: np.ndarray):
     """The least point (least, y) of sign * mu refined by minimize_on_sphere's
     Newton steps from y, with Hessian 12 M(y, y, ., .), or kept when the
     polished value is not lower."""
@@ -684,8 +692,9 @@ def fourth_derivative_test(target) -> CritReport:
     if cubic is not None:
         return replace(cubic, notes=cubic.notes + nsd)
 
-    def on_sphere(y, x):
+    def on_sphere(y):
         # a4(s^2 x, s y) = s^4 a4(x, y), and s^2 + s^4 |x|^2 = 1 at this s^2
+        x = forms.x_part(y)
         s2 = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * float(x @ x)))
         return Y @ (np.sqrt(s2) * y), X @ (s2 * x)
 
@@ -697,9 +706,9 @@ def fourth_derivative_test(target) -> CritReport:
     if n:
         far_arg, notes = (np.zeros(target.dim), vec[:, top]), ()
     else:
-        far, y_far, x_far, far_bound, note = _kernel_search(forms, tol_eff, sign=-side)
-        far_arg, notes = on_sphere(y_far, x_far), (note,)
-    near, y_near, x_near, near_bound, note = _kernel_search(forms, tol_eff, sign=side)
+        far, y_far, far_bound, note = _kernel_search(forms, tol_eff, sign=-side)
+        far_arg, notes = on_sphere(y_far), (note,)
+    near, y_near, near_bound, note = _kernel_search(forms, tol_eff, sign=side)
     notes = (note,) + notes
     if side * near_bound > tol_eff:
         cls = verdicts[0]
@@ -710,7 +719,7 @@ def fourth_derivative_test(target) -> CritReport:
     else:
         cls, notes = "inconclusive", notes + ("a4 attains (near-)zero on the parameter sphere",)
     # the near extreme is min mu on a PSD side and max mu on an NSD one
-    ends = [(near, on_sphere(y_near, x_near)), (far, far_arg)][:: int(side)]
+    ends = [(near, on_sphere(y_near)), (far, far_arg)][:: int(side)]
     (a_min, (vel_min, cur_min)), (a_max, (vel_max, cur_max)) = ends
     return CritReport(
         cls, "quartic", 4, m, a_min=a_min, a_max=a_max,
@@ -729,25 +738,25 @@ def second_order_rigidity_test(
     spec: EnergySpec,
     kd: KernelDecomposition | None = None,
 ) -> CritReport:
-    """Order-4 test of the framework energy with x-coordinates spanning
-    K-bar and y-coordinates spanning K.
+    """Order-4 test of the framework energy along p + t y + t^2 x, y in K.
 
-    Because the family's x-part enters a4 as a convex quadratic with positive
-    definite Hessian on K-bar, the x-minimization is done in closed form and
-    only the kernel sphere is searched:
-        mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y),
-    a homogeneous quartic whose strict positivity on the unit sphere of K is
-    equivalent to positivity of a4 on the full parameter sphere.  The search
+    The x-part is minimized in closed form, which leaves
+    mu(y) = 1/2 v' G^-1 v over the self-stresses (module docstring; mu = 0
+    without one), a homogeneous quartic whose strict positivity on the unit
+    sphere of K is equivalent to positivity of a4 on the full parameter
+    sphere.  The search
     is _kernel_search, the one fourth_derivative_test runs, so a strict
     minimum carries a certified lower bound on min mu above tol_eff and
     certifies rigidity order 2 at any dim K; a saddle carries a sphere
     point where mu is below -tol_eff.  The argmin is reported as
-    (Y y, X x) / sqrt(1 + |x|^2).  No cubic screen runs: an edge-length
-    energy is even in t along a first-order flex, so its cubic kernel form
-    vanishes.
+    (Y y, x) / sqrt(1 + |x|^2), x the x-part in K-bar.  No cubic screen
+    runs: an edge-length energy is even in t along a first-order flex, so
+    its cubic kernel form vanishes.  Raises NotACriticalPoint when the
+    framework is not at rest in spec.
     """
-    forms, X, Y = _second_order_forms(pf, spec, kd)
-    return _kernel_verdict(forms, X, Y, "quartic", 4, "x-part minimized in closed form over K-bar")
+    forms = _stress_forms(pf, spec, kd)
+    return _kernel_verdict(forms, forms.kd.K_basis, forms.x_part, "quartic", 4,
+                           "x-part minimized in closed form: mu = 1/2 v' G^-1 v over the self-stresses")
 
 
 def second_order_rigidity_verdict(
@@ -760,7 +769,7 @@ def second_order_rigidity_verdict(
     point polished only when the search stopped undecided (the box cap was
     reached, as always at m > 6), the one case where the polish can change
     the classification."""
-    forms = _second_order_forms(pf, spec, kd)[0]
+    forms = _stress_forms(pf, spec, kd)
     tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
     least, y_best, low, note, decided = _kernel_decision(forms, tol_eff)
     if not decided:
@@ -768,16 +777,35 @@ def second_order_rigidity_verdict(
     return _classify(low, least, tol_eff), note
 
 
-def _second_order_forms(pf: PinnedFramework, spec: EnergySpec, kd: KernelDecomposition | None):
-    """The quartic forms of the framework energy with x spanning K-bar and y
-    spanning K, and the bases (X, Y) = (K-bar, K)."""
+def _rest_curvature(spec: EnergySpec, pf: PinnedFramework) -> np.ndarray:
+    """phi''(d^2) of every edge at the framework's squared lengths d^2, from
+    one order-2 _taylor_in_m call.  Raises NotACriticalPoint when some edge
+    is off rest, |phi'(d^2)| > DEFAULT_CRIT_TOL phi''(d^2) d^2."""
+    _check_binding(spec, pf)
+    vecs = pf.base.edge_vectors()
+    sq = np.einsum("ed,ed->e", vecs, vecs)
+    _, slope, half_curv = _taylor_in_m(spec, sq, 2).T
+    off = np.flatnonzero(np.abs(slope) > DEFAULT_CRIT_TOL * 2.0 * half_curv * sq)
+    if off.size:
+        raise NotACriticalPoint(f"edge {off[0]} is not at rest in the {spec.family} energy: "
+                                f"|phi'(d^2)| = {abs(slope[off[0]]):.3e} exceeds tol phi''(d^2) d^2")
+    return 2.0 * half_curv
+
+
+def _stress_forms(pf: PinnedFramework, spec: EnergySpec, kd: KernelDecomposition | None) -> _StressForms:
+    """mu's forms from the kernel split and phi'': A_e = dY_e' dY_e for
+    dY = edge_differences(K), Q_s = sum_e w_es A_e, and G SPD, one solve."""
     if kd is None:
         kd = kernel_decomposition(rigidity_matrix(pf))
     if kd.dim_K < 1:
         raise ValueError("second-order test needs dim K >= 1 (otherwise first-order rigid)")
-    target = FrameworkEnergyTarget(spec, pf)
-    X, Y = kd.Kbar_basis, kd.K_basis
-    return _assemble_quartic_forms(target, X, Y, target.hessian0()), X, Y
+    curv, m, w = _rest_curvature(spec, pf), kd.dim_K, kd.stresses
+    dy = pf.edge_differences(kd.K_basis)
+    a = np.einsum("edi,edj->eij", dy, dy).reshape(-1, m * m)
+    w_over_d, q = w / curv[:, None], w.T @ a
+    g_inv_q = np.linalg.solve(w.T @ w_over_d, q)
+    return _StressForms(_symmetrized(0.5 * (q.T @ g_inv_q).reshape((m,) * 4)),
+                        _symmetrized(0.5 * ((a.T * curv) @ a).reshape((m,) * 4)), w_over_d @ g_inv_q - a, kd)
 
 
 def _classify(low: float, least: float, tol_eff: float) -> str:
@@ -789,19 +817,21 @@ def _classify(low: float, least: float, tol_eff: float) -> str:
     return "saddle" if least < -tol_eff else "inconclusive"
 
 
-def _kernel_verdict(forms: _QuarticForms, X: np.ndarray, Y: np.ndarray,
-                    resolved_by: str, order: int, closed_form_note: str) -> CritReport:
+def _kernel_verdict(forms: _MuForms, Y: np.ndarray, x_part, resolved_by: str, order: int,
+                    closed_form_note: str) -> CritReport:
     """The energy tests' report on mu over the unit sphere of R^m, m =
     Y.shape[1], classified by _classify against the one tol_eff =
     DEFAULT_CRIT_TOL (1 + forms.scale) that the search's note also states.
-    The polished argmin (y, x) is reported as (Y y, X x) / sqrt(1 + |x|^2);
-    the notes are the search's certificate, then closed_form_note."""
+    The polished argmin y and its x-part x = x_part(y), in pinned
+    coordinates, are reported as (Y y, x) / sqrt(1 + |x|^2); the notes are
+    the search's certificate, then closed_form_note."""
     tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
-    mu_min, y_best, x_best, lower, note = _kernel_search(forms, tol_eff)
+    mu_min, y_best, lower, note = _kernel_search(forms, tol_eff)
+    x_best = x_part(y_best)
     norm = np.sqrt(1.0 + x_best @ x_best)
     return CritReport(
         _classify(lower, mu_min, tol_eff), resolved_by, order, Y.shape[1], a_min=mu_min,
-        arg_min_velocity=Y @ y_best / norm, arg_min_curvature=X @ x_best / norm,
+        arg_min_velocity=Y @ y_best / norm, arg_min_curvature=x_best / norm,
         scale=forms.scale, notes=(note, closed_form_note),
     )
 
@@ -849,11 +879,12 @@ def order2k_family_test(
     lead = np.linalg.norm(traj.coeffs[0])
     if abs(lead - 1.0) > 1e-6:
         raise ValueError("witness leading coefficient must be a unit vector")
+    _rest_curvature(spec, pf)
 
     X = kd.Kbar_basis
     f2k = energy_along_trajectory(spec, pf, traj, 2 * k).c[2 * k]
     g_vec = X.T @ gradient_along_trajectory(spec, pf, traj, k)[:, k]
     _, _, hess = energy_value_grad_hess(spec, pf)
     forms = _QuarticForms(X.T @ hess @ X, g_vec.reshape(-1, 1, 1), np.full((1, 1, 1, 1), f2k))
-    return _kernel_verdict(forms, X, traj.coeffs[0][:, None], "order2k-family", 2 * k,
-                           "w minimized in closed form; mu = F2k - 1/2 G' Hxx^-1 G")
+    return _kernel_verdict(forms, traj.coeffs[0][:, None], lambda y: X @ forms.x_part(y), "order2k-family",
+                           2 * k, "w minimized in closed form; mu = F2k - 1/2 G' Hxx^-1 G")

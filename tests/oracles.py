@@ -3,6 +3,10 @@
 None of this is on the library's decision path; each function recomputes
 a quantity by a slower or more direct route:
 
+- FrameworkEnergyTarget: the framework energy as a critical-point target,
+  its Hessian from the pointwise kernel and its forms from batched
+  gradient jets, the route second_order_rigidity_test took before it read
+  mu from the self-stresses;
 - jet_from_poly: the Jet of a polynomial in t from its coefficients;
 - f_jet and a4_eval: the exact jet of a critical-point target along a
   polynomial trajectory, and the t^4 coefficient a4(x0, y0) of
@@ -67,13 +71,14 @@ a quantity by a slower or more direct route:
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, FrameworkEnergyTarget, Jet, PolyTrajectory,
-                      energy_along_trajectory, energy_value_grad_hess, load_corpus)
+from rigidkit import (CORPUS_NAMES, EXPECTED_ORDERS, EnergySpec, Jet, PinnedFramework, PolyTrajectory,
+                      energy_along_trajectory, energy_value_grad_hess, gradient_along_trajectory, load_corpus)
 from rigidkit.critpoint import _bernstein_bound, _QuarticForms
 from rigidkit.energy import _edge_diffs, _edge_m_jet, _taylor_in_m, energy_gap_grad_hess
 from rigidkit.framework import rigidity_matrix
@@ -86,6 +91,34 @@ from rigidkit.linear import (_BLOCK_ORDER, KernelDecomposition, _envelope_layout
 # ---------------------------------------------------------------------------
 # exact jets of a critical-point target
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class FrameworkEnergyTarget:
+    """f(dp) = E(p + dp) - E(p) for a stiff-bar energy at a pinned framework,
+    as a critical-point target over the free pinned coordinates."""
+
+    spec: EnergySpec
+    pf: PinnedFramework
+
+    @property
+    def dim(self) -> int:
+        return self.pf.n_free
+
+    def grad0(self) -> np.ndarray:
+        _, g, _ = energy_value_grad_hess(self.spec, self.pf)
+        return g
+
+    def hessian0(self) -> np.ndarray:
+        _, _, h = energy_value_grad_hess(self.spec, self.pf)
+        return h
+
+    def gradient_jet_along(self, rows: np.ndarray, order: int) -> np.ndarray:
+        """(n_free, order+1) gradient jets along the trajectory with
+        coefficient rows rows; a (B, degree, n_free) batch gives
+        (B, n_free, order+1) from one gradient_along_trajectory call."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        return gradient_along_trajectory(self.spec, self.pf, PolyTrajectory(rows), order)
+
 
 def jet_from_poly(base: float, t_coeffs, order: int) -> Jet:
     """Jet of base + sum_l t_coeffs[l-1] t^l, truncated at the given order."""
@@ -564,24 +597,19 @@ def gradient_by_jets(spec, pf, traj: PolyTrajectory, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def kernel_search_by_boxes(forms, tol_eff: float, sign: float = 1.0):
-    """critpoint._kernel_search's return value at m = 1, from the quartic
-    tensor symmetrized over its 24 axis permutations and decided by
+    """critpoint._kernel_search's return value at m = 1, from mu's quartic
+    tensor forms.M symmetrized over its 24 axis permutations and decided by
     critpoint._bernstein_bound."""
-    n, m = forms.C.shape[:2]
-    if m != 1:
+    if forms.B.shape[0] != 1:
         raise ValueError("the box oracle covers a one-dimensional kernel only")
-    c_flat = forms.C.reshape(n, 1)
-    hinv_c = np.linalg.solve(forms.Hxx, c_flat) if n else np.zeros((0, 1))
-    quart = forms.B - 0.5 * (c_flat.T @ hinv_c).reshape(1, 1, 1, 1)
-    quart = sign * sum(np.transpose(quart, p) for p in permutations(range(4))) / 24.0
+    quart = sign * sum(np.transpose(forms.M, p) for p in permutations(range(4))) / 24.0
     q = float(quart.reshape(-1)[0])
 
     def value_grad(ys):
         return q * ys[:, 0] ** 4, 4.0 * q * ys ** 3
 
     least, y_best, low, note = _bernstein_bound(value_grad, 1, tol_eff, sign)
-    x_best = -hinv_c @ np.outer(y_best, y_best).reshape(1)
-    return sign * least, y_best, x_best, sign * low, note
+    return sign * least, y_best, sign * low, note
 
 
 # ---------------------------------------------------------------------------

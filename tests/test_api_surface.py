@@ -21,6 +21,7 @@ TEST_ONLY_NAMES = (
     "embed_config", "embed_tangent", "displacement", "corpus_items",
     "RigidityMatrix", "compose_series", "free_coords", "from_poly",
     "bb_minimize_on_sphere", "energy_gap_and_grad", "N_STARTS", "MULTISTART_ROUNDS", "N_FINALISTS",
+    "FrameworkEnergyTarget",
 )
 
 

@@ -1,8 +1,9 @@
 """The cubic kernel form T is read from the order-2 gradient jets that
 already give the mixed form C: Y'[t^2] grad f(Y y t) = 3 T(y, y, .).  It
 is checked against the polarization of order-3 energy jets it replaced,
-on targets whose only cubic kernel term makes a saddle, and the order-4
-rigidity test is checked to take each of its jets once.  An edge-length
+on targets whose only cubic kernel term makes a saddle; the order-4 test
+on the framework energy is checked to take each of its jets once, and the
+rigidity test, which reads mu from the self-stresses, none.  An edge-length
 energy is even in t along a first-order flex, so its T vanishes and the
 rigidity tests run no screen; that T stays far below the screen's
 threshold is checked here instead."""
@@ -13,7 +14,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-import rigidkit.critpoint as critpoint
 from rigidkit import (
     FAMILIES,
     EnergySpec,
@@ -24,9 +24,10 @@ from rigidkit import (
     rigidity_matrix,
     second_order_rigidity_test,
 )
-from rigidkit.critpoint import DEFAULT_CRIT_TOL, FrameworkEnergyTarget, _assemble_quartic_forms, _cubic_screen
-from oracles import f_jet
-from test_quartic_assembly import _polynomial_case, collinear_chain, midpoint_strip
+from rigidkit.critpoint import DEFAULT_CRIT_TOL, _assemble_quartic_forms, _cubic_screen
+from oracles import FrameworkEnergyTarget, f_jet
+from test_quartic_assembly import (_polynomial_case, collinear_chain, count_energy_calls, count_target_jets,
+                                   midpoint_strip)
 
 RTOL = 1e-12
 
@@ -115,24 +116,22 @@ def test_lone_cubic_kernel_term_is_a_saddle(monkeypatch, m):
 
 @pytest.mark.parametrize("m, gradient_jets", [(2, 4), (3, 10)])
 def test_order4_test_takes_each_jet_once(monkeypatch, m, gradient_jets):
-    # C, T and B share the m(m+1)(m+2)/6 order-3 gradient jets, one per
-    # lattice point a in N^m with |a| = 3, all taken in one batched call of
-    # that many trajectories; no energy jet is taken
-    calls = Counter()
-    for name in ("energy_along_trajectory", "gradient_along_trajectory"):
-        def counted(spec, pf, traj, order, _name=name, _fn=getattr(critpoint, name)):
-            calls[_name, traj.coeffs.shape[0]] += 1
-            return _fn(spec, pf, traj, order)
-
-        monkeypatch.setattr(critpoint, name, counted)
+    # the rigidity test takes no energy or gradient jet; on the framework
+    # energy, fourth_derivative_test's C, T and B share the m(m+1)(m+2)/6
+    # order-3 gradient jets, one per lattice point a in N^m with |a| = 3,
+    # all taken in one batched call of that many trajectories
+    energy_calls, target_jets = count_energy_calls(monkeypatch), count_target_jets(monkeypatch)
     for n_vertices in (20, 40):
-        calls.clear()
         pf, _, _ = pin_with_permutation(midpoint_strip(n_vertices, m))
         kd = kernel_decomposition(rigidity_matrix(pf))
         assert kd.dim_K == m
-        rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"), kd)
-        assert rep.classification == "strict-min"
-        assert dict(calls) == {("gradient_along_trajectory", gradient_jets): 1}, n_vertices
+        spec = EnergySpec.for_framework(pf.base, "harmonic")
+        energy_calls.clear()
+        assert second_order_rigidity_test(pf, spec, kd).classification == "strict-min"
+        assert not energy_calls, n_vertices
+        target_jets.clear()
+        assert fourth_derivative_test(FrameworkEnergyTarget(spec, pf)).classification == "strict-min"
+        assert dict(target_jets) == {(3, gradient_jets): 1}, n_vertices
 
 
 def test_energy_cubic_kernel_form_is_far_below_the_screen(corpus_analysis):

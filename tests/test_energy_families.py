@@ -17,11 +17,13 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import oracles
 import rigidkit.critpoint as critpoint
 from rigidkit import (
     FAMILIES,
     EnergySpec,
     Framework,
+    NotACriticalPoint,
     energy_value_grad_hess,
     fourth_derivative_test,
     kernel_decomposition,
@@ -30,10 +32,10 @@ from rigidkit import (
     rigidity_matrix,
     second_order_rigidity_test,
 )
-from rigidkit.critpoint import FrameworkEnergyTarget
 from rigidkit.energy import _gap_and_slope, _taylor_in_m, energy_gap_grad_hess
 from rigidkit.growth import min_energy_on_sphere_with_arg
-from oracles import embed_config, embed_tangent, jet_value_grad_hess, lj_well_offset_by_fractions
+from oracles import (FrameworkEnergyTarget, embed_config, embed_tangent, jet_value_grad_hess,
+                     lj_well_offset_by_fractions)
 from test_quartic_assembly import midpoint_strip
 
 RTOL = 1e-12
@@ -229,6 +231,33 @@ def test_value_grad_hess_off_rest_matches_jet_reference(corpus_analysis):
             assert np.max(np.abs(energy_value_grad_hess(spec, pf)[1])) > 0.0, (name, spec.family)
 
 
+def test_energy_tests_refuse_a_framework_off_rest(corpus_analysis):
+    # the rigidity tests need phi'(d^2) = 0 on every edge: off rest they
+    # raise instead of reporting on a point that is not critical, at
+    # dim K = 1 (k33, with the order-2k test too) and at dim K = 2; specs
+    # from for_framework pass in every family, Lennard-Jones included
+    item = corpus_analysis["k33"]
+    strip, _, _ = pin_with_permutation(midpoint_strip(20, 2))
+    for pf, kd, ladder in ((item["pf"], item["kd"], item["report"]),
+                           (strip, kernel_decomposition(rigidity_matrix(strip)), None)):
+        def runs(spec):
+            yield lambda: second_order_rigidity_test(pf, spec, kd)
+            yield lambda: critpoint.second_order_rigidity_verdict(pf, spec, kd)
+            if ladder is not None:
+                yield lambda: order2k_family_test(pf, spec, ladder.witness, ladder.order, kd=kd)
+
+        for spec in _off_rest_specs(pf):
+            for run in runs(spec):
+                with pytest.raises(NotACriticalPoint, match="is not at rest in the"):
+                    run()
+        for family in FAMILIES:
+            spec = EnergySpec.for_framework(pf.base, family)
+            report, verdict, *order2k = [run() for run in runs(spec)]
+            # k33 is order 3, so mu vanishes on its kernel; the strip is order 2
+            assert verdict[0] == report.classification == ("inconclusive" if ladder else "strict-min"), family
+            assert [rep.classification for rep in order2k] == (["strict-min"] if ladder else []), family
+
+
 def test_lj_rest_energy_is_the_wells_at_the_rest_lengths(corpus_analysis):
     # 4 eps u_d (u_d - 1) per edge: exactly -eps at sigma = d 2^(-1/6)
     pf = corpus_analysis["k33"]["pf"]
@@ -280,9 +309,11 @@ def _energy_verdicts(corpus_analysis):
 def test_energy_verdicts_hold_on_the_jet_reference(corpus_analysis, monkeypatch):
     # the same classification, and a_min within a thousandth of the
     # decision threshold tol_eff = DEFAULT_CRIT_TOL (1 + scale), when the
-    # jet route supplies the energy's rest gradient and Hessian
+    # jet route supplies the energy's rest gradient and Hessian, to the
+    # order-2k test and to the framework target of the order-4 one
     got = dict(_energy_verdicts(corpus_analysis))
     monkeypatch.setattr(critpoint, "energy_value_grad_hess", jet_value_grad_hess)
+    monkeypatch.setattr(oracles, "energy_value_grad_hess", jet_value_grad_hess)
     want = dict(_energy_verdicts(corpus_analysis))
     assert got.keys() == want.keys()
     for case, rep in got.items():

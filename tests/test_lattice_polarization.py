@@ -23,9 +23,8 @@ from rigidkit import (
     pin_with_permutation,
     rigidity_matrix,
 )
-from rigidkit.critpoint import (FrameworkEnergyTarget, _assemble_quartic_forms, _lattice, _polarize_cubic,
-                                _polarize_quadratic)
-from oracles import quartic_forms_by_lstsq
+from rigidkit.critpoint import _assemble_quartic_forms, _lattice, _polarize_cubic, _polarize_quadratic
+from oracles import FrameworkEnergyTarget, quartic_forms_by_lstsq
 from test_quartic_assembly import midpoint_strip
 
 EPS = np.finfo(float).eps

@@ -1,13 +1,16 @@
 """Assembly of the order-4 quartic forms: the mixed form C from gradient
 jets against the a4 difference formula, gradient jets of polynomial
-targets, and a count guard on the jets the order-4 rigidity test needs."""
+targets, a count guard on the jets the order-4 tests take (none for the
+rigidity test), and a memory bound on its verdict."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import rigidkit.critpoint as critpoint
+import rigidkit.energy as energy
 from rigidkit import (
     FAMILIES,
     EnergySpec,
@@ -20,8 +23,8 @@ from rigidkit import (
     rigidity_matrix,
     second_order_rigidity_test,
 )
-from rigidkit.critpoint import FrameworkEnergyTarget, _assemble_quartic_forms
-from oracles import a4_eval, grad_batch, value_batch
+from rigidkit.critpoint import _assemble_quartic_forms
+from oracles import FrameworkEnergyTarget, a4_eval, grad_batch, value_batch
 
 RTOL = 1e-12
 
@@ -169,41 +172,72 @@ def test_polynomial_gradient_jet_matches_analytic_gradient():
         assert np.allclose(got, want, rtol=RTOL, atol=RTOL * (1.0 + np.max(np.abs(want))))
 
 
-def _count_order4_jets(monkeypatch, fw, family="harmonic"):
+def count_energy_calls(monkeypatch) -> Counter:
+    """A Counter that from now on counts each call of the energy jets and of
+    the pointwise value, gradient and Hessian, at the energy module and at
+    critpoint's bindings alike."""
     calls = Counter()
-    originals = {name: getattr(critpoint, name)
-                 for name in ("energy_along_trajectory", "gradient_along_trajectory")}
-    for name, fn in originals.items():
-        def counted(spec, pf, traj, order, _name=name, _fn=fn):
+    for name in ("energy_along_trajectory", "gradient_along_trajectory", "energy_value_grad_hess"):
+        def counted(*args, _name=name, _fn=getattr(energy, name), **kwargs):
             calls[_name] += 1
-            calls[_name + " trajectories"] += traj.coeffs.shape[0]
-            return _fn(spec, pf, traj, order)
+            return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(critpoint, name, counted)
-    pf, _, _ = pin_with_permutation(fw)
-    kd = kernel_decomposition(rigidity_matrix(pf))
-    rep = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, family), kd)
-    for name, fn in originals.items():
-        monkeypatch.setattr(critpoint, name, fn)
-    return rep, kd.dim_K, calls
+        for module in (energy, critpoint):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_target_jets(monkeypatch) -> Counter:
+    """A Counter of FrameworkEnergyTarget.gradient_jet_along calls by
+    (order, trajectories in the batch)."""
+    calls = Counter()
+    original = FrameworkEnergyTarget.gradient_jet_along
+
+    def counted(self, rows, order):
+        calls[order, np.shape(rows)[0]] += 1
+        return original(self, rows, order)
+
+    monkeypatch.setattr(FrameworkEnergyTarget, "gradient_jet_along", counted)
+    return calls
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_order4_jet_count_does_not_grow_with_the_framework(monkeypatch, family):
-    # the jets the order-4 test evaluates depend on dim K only: doubling the
-    # strip must not add any (the mixed form once took 2 n_Kbar m(m+1)/2).
-    # C, T and B all come from the m(m+1)(m+2)/6 order-3 gradient jets,
-    # taken in one batched call, so no energy jet is taken
-    counts = []
+    # the rigidity test reads mu from the self-stresses and phi'', so it
+    # takes no energy or gradient jet and no pointwise Hessian at any size.
+    # fourth_derivative_test on the framework energy takes the
+    # m(m+1)(m+2)/6 order-3 gradient jets in one batched call, whatever the
+    # size of the strip (the mixed form once took 2 n_Kbar m(m+1)/2)
+    energy_calls, target_jets = count_energy_calls(monkeypatch), count_target_jets(monkeypatch)
     for n_vertices in (20, 40):
-        rep, dim_k, calls = _count_order4_jets(monkeypatch, midpoint_strip(n_vertices, 2), family)
-        assert dim_k == 2
-        assert rep.classification == "strict-min"
-        assert calls["gradient_along_trajectory"] == 1
-        assert calls["gradient_along_trajectory trajectories"] == 4      # m (m + 1) (m + 2) / 6
-        assert "energy_along_trajectory" not in calls
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
+        pf, _, _ = pin_with_permutation(midpoint_strip(n_vertices, 2))
+        kd = kernel_decomposition(rigidity_matrix(pf))
+        assert kd.dim_K == 2
+        spec = EnergySpec.for_framework(pf.base, family)
+        energy_calls.clear()
+        assert second_order_rigidity_test(pf, spec, kd).classification == "strict-min"
+        assert critpoint.second_order_rigidity_verdict(pf, spec, kd)[0] == "strict-min"
+        assert not energy_calls, n_vertices
+        target_jets.clear()
+        assert fourth_derivative_test(FrameworkEnergyTarget(spec, pf)).classification == "strict-min"
+        assert dict(target_jets) == {(3, 4): 1}, n_vertices          # m (m + 1) (m + 2) / 6
+
+
+def test_order4_verdict_forms_no_square_array():
+    # given its split, the verdict on a 600-coordinate strip allocates less
+    # than one N x N float array (the dense Hessian alone was one, and
+    # K-bar's basis N x rank); the split's own arrays are not counted
+    pf, _, _ = pin_with_permutation(midpoint_strip(300, 2))
+    kd = kernel_decomposition(rigidity_matrix(pf))
+    spec = EnergySpec.for_framework(pf.base, "harmonic")
+    tracemalloc.start()
+    try:
+        verdict = critpoint.second_order_rigidity_verdict(pf, spec, kd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict[0] == "strict-min"
+    assert peak < 8 * pf.n_free**2, peak
 
 
 @pytest.mark.parametrize("relabel", [False, True])

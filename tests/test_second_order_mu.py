@@ -1,6 +1,6 @@
-"""second_order_rigidity_test evaluates mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y)
-through the m^2 x m^2 form G = C_flat' Hxx^-1 C_flat; the reported minimum
-and its K-bar part must agree with the explicit-inverse formula."""
+"""second_order_rigidity_test reads mu from the self-stresses; its reported
+minimum and K-bar part must agree with mu(y) = B(y^4) - 1/2 c(y)' Hxx^-1 c(y)
+and x = -Hxx^-1 c(y) by the explicit inverse, on the jet route's forms."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,13 @@ from rigidkit import (
     FAMILIES,
     EnergySpec,
     Framework,
-    FrameworkEnergyTarget,
     kernel_decomposition,
     pin_with_permutation,
     rigidity_matrix,
     second_order_rigidity_test,
 )
 from rigidkit.critpoint import _assemble_quartic_forms
-from oracles import kernel_terms
+from oracles import FrameworkEnergyTarget, kernel_terms
 
 
 def _triangle_with_two_midpoints():
