@@ -41,6 +41,11 @@ Q_s = sum_e w_es dY_e' dY_e over the self-stress basis W and G = W' D^-1 W,
 D = diag phi'' (the second-order stress condition of Connelly & Whiteley,
 SIAM J. Discrete Math. 9 (1996)).  The family changes G, never the zero
 set of v, so the order this certifies does not depend on the energy.
+One stress combination omega with lam = lambda_min(sum_s omega_s Q_s) > 0
+then proves min mu >= 1/2 lam^2 / (omega' G omega) by Cauchy-Schwarz
+(prestress stability): second_order_rigidity_verdict tries
+omega = t / |t|, t_s = tr Q_s, with one m x m eigvalsh, and when that bound
+exceeds tol_eff it certifies order 2 with no search, at any m.
 
 Both order-4 tests, and the order-2k test through the same
 reduction at m = 1, decide the sign of mu there with _kernel_search, a
@@ -59,7 +64,10 @@ least point by minimize_on_sphere's Newton steps, which refines the
 reported extreme and its arg point but cannot change a decided search's
 classification; second_order_rigidity_verdict, the classification and
 certificate without the report that ladder.rigidity_order reads at
-dim K >= 2, polishes only when the search stopped undecided.
+dim K >= 2, searches only when the prestress certificate fails and
+polishes only when the search stopped undecided.  The report reads the
+prestress certificate only where its search stopped undecided at the box
+cap, so its verdict is the search's wherever the search decides.
 
 Targets provide dim, grad0, hessian0 and gradient_jet_along(rows, order),
 the Taylor coefficient rows of grad f along the polynomial trajectory
@@ -80,7 +88,7 @@ from math import comb
 
 import numpy as np
 
-from .energy import (EnergySpec, PolyTrajectory, _check_binding, _taylor_in_m, energy_along_trajectory,
+from .energy import (EnergySpec, PolyTrajectory, _check_binding, _gap_and_slope, energy_along_trajectory,
                      energy_value_grad_hess, gradient_along_trajectory)
 from .errors import DimKNotOne, NotACriticalPoint, RigidkitError
 from .framework import PinnedFramework, _as_float, _as_int, rigidity_matrix
@@ -200,8 +208,9 @@ class CritReport:
     rigidity tests, second_order_rigidity_test and order2k_family_test,
     report a_min = min mu and the arg point (Y y, x) / sqrt(1 + |x|^2) of
     the kernel search's least point y and its closed-form x-part x in K-bar,
-    and their notes start with the search's certificate, then name the
-    closed form (mu = 1/2 v' G^-1 v for the order-4 test).
+    and their notes start with the search's certificate (for the order-4
+    test past the box cap, the prestress certificate when it holds), then
+    name the closed form (mu = 1/2 v' G^-1 v for the order-4 test).
     scale sets the threshold tol_eff = DEFAULT_CRIT_TOL (1 + scale): for
     "hessian" it is max |lam|; for "cubic" the cubic kernel form's ||T||_F;
     for "quartic" and "order2k-family" the forms' max(||M||_F, ||B||_F)
@@ -247,6 +256,11 @@ class _MuForms:
         whatever the kernel basis; at m = 1 it is max(|mu|, |B|) exactly."""
         return max(float(np.hypot.reduce(np.abs(t).ravel())) for t in (self.M, self.B))
 
+    def prestress_note(self, tol_eff: float) -> str | None:
+        """A certificate on min mu > tol_eff that needs no search, or None:
+        only the stress forms have one (_StressForms.prestress)."""
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class _QuarticForms(_MuForms):
@@ -286,11 +300,42 @@ class _StressForms(_MuForms):
     B: np.ndarray          # 1/2 Sym sum_e phi''_e A_e (x) A_e
     rhs: np.ndarray        # (E, m^2): D^-1 W G^-1 v - q(y) = rhs (y (x) y)
     kd: KernelDecomposition
+    Q: np.ndarray          # (s, m, m): Q_s = sum_e w_es A_e
+    G: np.ndarray          # (s, s): W' D^-1 W, SPD
 
     def x_part(self, y: np.ndarray) -> np.ndarray:
         """x = 1/2 R^+ (D^-1 W G^-1 v - q(y)) in pinned coordinates: the x in
         K-bar that minimizes a4 at y."""
         return 0.5 * self.kd.solve_min_norm(self.rhs @ np.outer(y, y).reshape(-1))[0]
+
+    @cached_property
+    def prestress(self) -> tuple[float, float]:
+        """(bound, lam): the prestress certificate on min mu from the one
+        stress combination omega = t / |t|, t_s = tr Q_s.  For unit y,
+        omega' v = y' S y >= lam with S = sum_s omega_s Q_s, and by
+        Cauchy-Schwarz in G's inner product (omega' v)^2 <= (omega' G omega)
+        (v' G^-1 v), so lam > 0 proves min mu >= 1/2 lam^2 / (omega' G omega)
+        (prestress stability, Connelly & Whiteley 1996).  lam is eigvalsh's
+        least eigenvalue of S lowered by its rounding bound m eps ||S||_F.
+        S and omega' G omega, so both numbers, are the same in every
+        orthonormal basis of K and of W.  bound is -inf when lam <= 0, and
+        lam is NaN when t = 0 (so always when W is empty)."""
+        t = np.trace(self.Q, axis1=1, axis2=2)
+        norm = float(np.linalg.norm(t))
+        if not norm > 0.0:
+            return -np.inf, np.nan
+        omega = t / norm
+        s = np.tensordot(omega, self.Q, axes=1)
+        lam = float(np.linalg.eigvalsh(s)[0]) - s.shape[0] * np.finfo(float).eps * float(np.linalg.norm(s))
+        return (0.5 * lam * lam / float(omega @ self.G @ omega) if lam > 0.0 else -np.inf), lam
+
+    def prestress_note(self, tol_eff: float) -> str | None:
+        """The certificate's note when its bound exceeds tol_eff, else None."""
+        bound, lam = self.prestress
+        if not bound > tol_eff:
+            return None
+        return (f"certified: min mu >= {bound:.6e} by the prestress omega = tr Q / |tr Q|, "
+                f"lambda_min {lam:.6e} (tol_eff {tol_eff:.3e}, no box)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -747,12 +792,19 @@ def second_order_rigidity_test(
     sphere.  The search
     is _kernel_search, the one fourth_derivative_test runs, so a strict
     minimum carries a certified lower bound on min mu above tol_eff and
-    certifies rigidity order 2 at any dim K; a saddle carries a sphere
-    point where mu is below -tol_eff.  The argmin is reported as
-    (Y y, x) / sqrt(1 + |x|^2), x the x-part in K-bar.  No cubic screen
-    runs: an edge-length energy is even in t along a first-order flex, so
-    its cubic kernel form vanishes.  Raises NotACriticalPoint when the
-    framework is not at rest in spec.
+    certifies rigidity order 2; a saddle carries a sphere point where mu is
+    below -tol_eff.  Where the box cap leaves the search undecided (always
+    at dim K > 6), the prestress certificate (_StressForms.prestress) can
+    still certify order 2: the report is then strict-min with the
+    certificate as its first note, and its a_min is the polished least
+    value, a point value that rounding can send to another local minimum,
+    so it is not reproducible under a change of kernel basis there.
+    Wherever the search decides, the report is the search's alone, and
+    second_order_rigidity_verdict may certify it without searching.  The
+    argmin is reported as (Y y, x) / sqrt(1 + |x|^2), x the x-part in
+    K-bar.  No cubic screen runs: an edge-length energy is even in t along
+    a first-order flex, so its cubic kernel form vanishes.  Raises
+    NotACriticalPoint when the framework is not at rest in spec.
     """
     forms = _stress_forms(pf, spec, kd)
     return _kernel_verdict(forms, forms.kd.K_basis, forms.x_part, "quartic", 4,
@@ -764,13 +816,22 @@ def second_order_rigidity_verdict(
     spec: EnergySpec,
     kd: KernelDecomposition | None = None,
 ) -> tuple[str, str]:
-    """second_order_rigidity_test's classification and first note, without
-    its report: the same forms, search and rule (_classify), with the least
-    point polished only when the search stopped undecided (the box cap was
-    reached, as always at m > 6), the one case where the polish can change
-    the classification."""
+    """second_order_rigidity_test's classification and a certificate for it,
+    without the report.  First the prestress certificate
+    (_StressForms.prestress): when its bound on min mu exceeds tol_eff, the
+    verdict is strict-min at once, with no box bounded and no polish, and
+    the note states the bound, lambda_min and tol_eff.  Otherwise the
+    report's search and rule (_classify) decide, and the note is the
+    report's first one: the least point is polished only when the search
+    stopped undecided (the box cap was reached, as always at m > 6), the
+    one case where the polish can change the classification.  So the
+    classification is always the report's, and so is the note wherever the
+    certificate does not decide."""
     forms = _stress_forms(pf, spec, kd)
     tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
+    note = forms.prestress_note(tol_eff)
+    if note is not None:
+        return "strict-min", note
     least, y_best, low, note, decided = _kernel_decision(forms, tol_eff)
     if not decided:
         least, _ = _polish(forms, 1.0, least, y_best)
@@ -779,17 +840,20 @@ def second_order_rigidity_verdict(
 
 def _rest_curvature(spec: EnergySpec, pf: PinnedFramework) -> np.ndarray:
     """phi''(d^2) of every edge at the framework's squared lengths d^2, from
-    one order-2 _taylor_in_m call.  Raises NotACriticalPoint when some edge
-    is off rest, |phi'(d^2)| > DEFAULT_CRIT_TOL phi''(d^2) d^2."""
+    the pointwise E'(l) and E''(l) of energy._gap_and_slope at its lengths l
+    (dl = l - d): phi(m) = E(sqrt m) gives phi' = E' / (2 l) and
+    phi'' = (E'' - E' / l) / (4 l^2).  Raises NotACriticalPoint when some
+    edge is off rest, |phi'(d^2)| > DEFAULT_CRIT_TOL phi''(d^2) d^2."""
     _check_binding(spec, pf)
-    vecs = pf.base.edge_vectors()
-    sq = np.einsum("ed,ed->e", vecs, vecs)
-    _, slope, half_curv = _taylor_in_m(spec, sq, 2).T
-    off = np.flatnonzero(np.abs(slope) > DEFAULT_CRIT_TOL * 2.0 * half_curv * sq)
+    lengths = pf.base.edge_lengths()
+    _, e1, e2 = (c[:, 0] for c in _gap_and_slope(spec, lengths[:, None], (lengths - spec.rest_lengths)[:, None]))
+    sq = lengths * lengths
+    slope, curv = e1 / (2.0 * lengths), (e2 - e1 / lengths) / (4.0 * sq)
+    off = np.flatnonzero(np.abs(slope) > DEFAULT_CRIT_TOL * curv * sq)
     if off.size:
         raise NotACriticalPoint(f"edge {off[0]} is not at rest in the {spec.family} energy: "
                                 f"|phi'(d^2)| = {abs(slope[off[0]]):.3e} exceeds tol phi''(d^2) d^2")
-    return 2.0 * half_curv
+    return curv
 
 
 def _stress_forms(pf: PinnedFramework, spec: EnergySpec, kd: KernelDecomposition | None) -> _StressForms:
@@ -803,9 +867,11 @@ def _stress_forms(pf: PinnedFramework, spec: EnergySpec, kd: KernelDecomposition
     dy = pf.edge_differences(kd.K_basis)
     a = np.einsum("edi,edj->eij", dy, dy).reshape(-1, m * m)
     w_over_d, q = w / curv[:, None], w.T @ a
-    g_inv_q = np.linalg.solve(w.T @ w_over_d, q)
+    g = w.T @ w_over_d
+    g_inv_q = np.linalg.solve(g, q)
     return _StressForms(_symmetrized(0.5 * (q.T @ g_inv_q).reshape((m,) * 4)),
-                        _symmetrized(0.5 * ((a.T * curv) @ a).reshape((m,) * 4)), w_over_d @ g_inv_q - a, kd)
+                        _symmetrized(0.5 * ((a.T * curv) @ a).reshape((m,) * 4)), w_over_d @ g_inv_q - a, kd,
+                        q.reshape(-1, m, m), g)
 
 
 def _classify(low: float, least: float, tol_eff: float) -> str:
@@ -822,15 +888,22 @@ def _kernel_verdict(forms: _MuForms, Y: np.ndarray, x_part, resolved_by: str, or
     """The energy tests' report on mu over the unit sphere of R^m, m =
     Y.shape[1], classified by _classify against the one tol_eff =
     DEFAULT_CRIT_TOL (1 + forms.scale) that the search's note also states.
-    The polished argmin y and its x-part x = x_part(y), in pinned
-    coordinates, are reported as (Y y, x) / sqrt(1 + |x|^2); the notes are
-    the search's certificate, then closed_form_note."""
+    Only when the search leaves the sign undecided (the box cap) is the
+    forms' prestress_note read: if there is one, the report is strict-min
+    and that note replaces the search's.  The polished argmin y and its
+    x-part x = x_part(y), in pinned coordinates, are reported as
+    (Y y, x) / sqrt(1 + |x|^2); the notes are the certificate, then
+    closed_form_note."""
     tol_eff = DEFAULT_CRIT_TOL * (1.0 + forms.scale)
     mu_min, y_best, lower, note = _kernel_search(forms, tol_eff)
+    classification = _classify(lower, mu_min, tol_eff)
+    prestress = None if _decided(lower, mu_min, tol_eff) else forms.prestress_note(tol_eff)
+    if prestress is not None:
+        classification, note = "strict-min", prestress
     x_best = x_part(y_best)
     norm = np.sqrt(1.0 + x_best @ x_best)
     return CritReport(
-        _classify(lower, mu_min, tol_eff), resolved_by, order, Y.shape[1], a_min=mu_min,
+        classification, resolved_by, order, Y.shape[1], a_min=mu_min,
         arg_min_velocity=Y @ y_best / norm, arg_min_curvature=x_best / norm,
         scale=forms.scale, notes=(note, closed_form_note),
     )

@@ -64,13 +64,19 @@ a quantity by a slower or more direct route:
   before its array form;
 - lj_well_offset_by_fractions: the Lennard-Jones well offset
   (sigma/d)^6 - 1/2 from exact Fractions;
+- rest_curvature_by_jets: phi''(d^2) of every edge from one order-2
+  _taylor_in_m jet on the squared lengths, the route
+  critpoint._rest_curvature took before it read E' and E'' pointwise;
 - embed_config, embed_tangent, displacement and corpus_items: full (n, d)
   arrays from free coordinates, p(t) - p at one t, and the corpus with its
-  expected orders, which only tests need in these forms.
+  expected orders, which only tests need in these forms;
+- count_calls: a Counter of the calls made through named module bindings,
+  with which tests check that a path is or is not taken.
 """
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -765,3 +771,28 @@ def corpus_items():
     """Yield (name, framework, expected_order) for the whole corpus."""
     for name in CORPUS_NAMES:
         yield name, load_corpus(name), EXPECTED_ORDERS[name]
+
+
+def rest_curvature_by_jets(spec: EnergySpec, pf: PinnedFramework) -> np.ndarray:
+    """phi''(d^2) of every edge at the framework's squared lengths d^2, twice
+    the s^2 coefficient of the jet formula on d^2 + s."""
+    vecs = pf.base.edge_vectors()
+    return 2.0 * _taylor_in_m(spec, np.einsum("ed,ed->e", vecs, vecs), 2)[:, 2]
+
+
+def count_calls(monkeypatch, names, modules) -> Counter:
+    """A Counter that from now on counts each call of the functions names,
+    by name, through every module of modules that binds them: each is
+    wrapped once, as the first of modules binds it, and that wrapper
+    replaces the binding in each of them."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=next(getattr(mod, name) for mod in modules if hasattr(mod, name)),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls

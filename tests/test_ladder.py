@@ -24,6 +24,7 @@ from rigidkit.framework import PinnedFramework
 from rigidkit.ladder import DEFAULT_LADDER_TOL, DEFAULT_MAX_K
 from oracles import classify_flex, embed_tangent
 from test_linear import strip_minus_edge
+from test_lattice_polarization import zigzag_path
 from test_quartic_assembly import midpoint_strip
 
 
@@ -259,11 +260,12 @@ def test_rigidity_order_dispatch_dimk2():
 def test_rigidity_order_at_dim_k_two_or_more_gives_what_the_order4_test_found():
     # a pentagon flexes (dim K = 2), and the test certifies min mu within
     # +/- tol_eff; at m = 7 one face box has 5^6 Bernstein coefficients, so
-    # the box cap stops the search before its first box
+    # the box cap stops the search before its first box, and a zigzag path
+    # has no self-stress for the prestress certificate to read
     angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
     pentagon = Framework(2, np.c_[np.cos(angles), np.sin(angles)], [(i, (i + 1) % 5) for i in range(5)])
     cases = ((pentagon, 2, "certified: min mu within +/-"),
-             (midpoint_strip(40, 7), 7, "box cap of 4096 reached before the first box"))
+             (zigzag_path(9), 7, "box cap of 4096 reached before the first box"))
     for fw, dim_k, note in cases:
         pf, _, _ = pin_with_permutation(fw)
         rep = rigidity_order(pf)
@@ -272,6 +274,13 @@ def test_rigidity_order_at_dim_k_two_or_more_gives_what_the_order4_test_found():
         assert (crit.classification, crit.notes[0][:len(note)]) == ("inconclusive", note)
         assert rep.reason == (f"order-4 test inconclusive; {crit.notes[0]}; "
                               "dimK>1 beyond order 2 requires symbolic methods")
+    # past the box cap the prestress certificate decides a midpoint strip
+    pf, _, _ = pin_with_permutation(midpoint_strip(40, 7))
+    rep = rigidity_order(pf)
+    crit = second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"))
+    assert (rep.verdict, rep.order, rep.method, rep.dim_K) == ("order", 2, "order4-energy", 7)
+    assert crit.classification == "strict-min"
+    assert crit.notes[0].startswith("certified: min mu >= ") and "prestress" in crit.notes[0]
 
 
 def tetrahedron_edge_midpoint() -> Framework:

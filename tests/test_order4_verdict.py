@@ -1,9 +1,11 @@
 """The order-4 verdict without its report: rigidity_order at dim K >= 2
-reads critpoint.second_order_rigidity_verdict, which runs the report's
-forms, search and classification rule but polishes the least point only
-when the search stopped undecided.  Its verdict and certificate must be the
-report's, and mu's symmetric tensor, symmetrized by cosets of S_4, must be
-the mean over all 24 axis permutations."""
+reads critpoint.second_order_rigidity_verdict, which first tries the
+prestress certificate and otherwise runs the report's forms, search and
+classification rule but polishes the least point only when the search
+stopped undecided.  Its verdict must be the report's, and its certificate
+the report's first note wherever the prestress certificate does not
+decide; mu's symmetric tensor, symmetrized by cosets of S_4, must be the
+mean over all 24 axis permutations."""
 
 from itertools import permutations
 
@@ -18,7 +20,8 @@ from rigidkit import (
     rigidity_order,
     second_order_rigidity_test,
 )
-from rigidkit.critpoint import _QuarticForms, second_order_rigidity_verdict
+from rigidkit.critpoint import DEFAULT_CRIT_TOL, _QuarticForms, second_order_rigidity_verdict
+from oracles import count_calls
 from test_ladder import tetrahedron_edge_midpoint
 from test_lattice_polarization import zigzag_path
 from test_linear import strip_minus_two_diagonals
@@ -26,8 +29,10 @@ from test_quartic_assembly import midpoint_strip
 
 EPS = np.finfo(float).eps
 
-# dim K >= 2 frameworks: certified strict minima at m = 2..6, the box cap
-# at m = 7, 8, 10 and 14, and min mu certified within +/- tol_eff
+# dim K >= 2 frameworks: strict minima certified by the search at
+# m = 2..6 and by the prestress certificate alone at m = 7 and 8, the box
+# cap at m = 10 and 14 with no self-stress, and min mu certified within
+# +/- tol_eff
 FRAMEWORKS = {
     **{f"strip40-m{m}": lambda m=m: pin_with_permutation(midpoint_strip(40, m))[0] for m in range(2, 9)},
     **{f"zigzag{n}": lambda n=n: pin_with_permutation(zigzag_path(n))[0] for n in (12, 16)},
@@ -43,7 +48,10 @@ def test_the_verdict_is_the_reports_classification_and_first_note(name):
         spec = EnergySpec.for_framework(pf.base, family)
         crit = second_order_rigidity_test(pf, spec)
         assert crit.nullity >= 2, (name, family)
-        assert second_order_rigidity_verdict(pf, spec) == (crit.classification, crit.notes[0]), (name, family)
+        forms = critpoint._stress_forms(pf, spec, None)
+        prestress = forms.prestress_note(DEFAULT_CRIT_TOL * (1.0 + forms.scale))
+        assert second_order_rigidity_verdict(pf, spec) == (crit.classification, prestress or crit.notes[0]), (
+            name, family)
         rep = rigidity_order(pf, energy_family=family)
         strict = crit.classification == "strict-min"
         reason = (f"order-4 test {crit.classification}; {crit.notes[0]}; "
@@ -53,25 +61,21 @@ def test_the_verdict_is_the_reports_classification_and_first_note(name):
             "order4-energy"), (name, family)
 
 
-@pytest.mark.parametrize("n_vertices, m, verdict_polishes", [(40, 2, 0), (20, 3, 0), (40, 7, 1)])
-def test_a_verdict_polishes_only_an_undecided_search(monkeypatch, n_vertices, m, verdict_polishes):
-    # m = 2 and 3 are certified strict minima; at m = 7 the box cap stops
-    # the search before its first box, and the polish may still find a witness
-    calls = []
-    polish = critpoint.minimize_on_sphere
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return polish(*args, **kwargs)
-
-    monkeypatch.setattr(critpoint, "minimize_on_sphere", counted)
-    pf, _, _ = pin_with_permutation(midpoint_strip(n_vertices, m))
+@pytest.mark.parametrize("build, m, verdict_polishes", [
+    (lambda: midpoint_strip(40, 2), 2, 0), (lambda: midpoint_strip(20, 3), 3, 0),
+    (lambda: midpoint_strip(40, 7), 7, 0), (lambda: zigzag_path(9), 7, 1)], ids=["m2", "m3", "m7", "zigzag-m7"])
+def test_a_verdict_polishes_only_an_undecided_search(monkeypatch, build, m, verdict_polishes):
+    # the prestress certificate decides the strips with no search; on a
+    # zigzag path, which has no self-stress, the box cap stops the search
+    # at m = 7 before its first box, and the polish may still find a witness
+    calls = count_calls(monkeypatch, ("minimize_on_sphere",), (critpoint,))
+    pf, _, _ = pin_with_permutation(build())
     rep = rigidity_order(pf)
     assert rep.dim_K == m
-    assert len(calls) == verdict_polishes
+    assert calls["minimize_on_sphere"] == verdict_polishes
     calls.clear()
     second_order_rigidity_test(pf, EnergySpec.for_framework(pf.base, "harmonic"))
-    assert len(calls) == 1
+    assert calls["minimize_on_sphere"] == 1
 
 
 @pytest.mark.parametrize("m", range(1, 7))

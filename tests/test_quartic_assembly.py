@@ -24,7 +24,7 @@ from rigidkit import (
     second_order_rigidity_test,
 )
 from rigidkit.critpoint import _assemble_quartic_forms
-from oracles import FrameworkEnergyTarget, a4_eval, grad_batch, value_batch
+from oracles import FrameworkEnergyTarget, a4_eval, count_calls, grad_batch, value_batch
 
 RTOL = 1e-12
 
@@ -172,19 +172,14 @@ def test_polynomial_gradient_jet_matches_analytic_gradient():
         assert np.allclose(got, want, rtol=RTOL, atol=RTOL * (1.0 + np.max(np.abs(want))))
 
 
+ENERGY_CALLS = ("energy_along_trajectory", "gradient_along_trajectory", "energy_value_grad_hess")
+
+
 def count_energy_calls(monkeypatch) -> Counter:
     """A Counter that from now on counts each call of the energy jets and of
     the pointwise value, gradient and Hessian, at the energy module and at
     critpoint's bindings alike."""
-    calls = Counter()
-    for name in ("energy_along_trajectory", "gradient_along_trajectory", "energy_value_grad_hess"):
-        def counted(*args, _name=name, _fn=getattr(energy, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for module in (energy, critpoint):
-            monkeypatch.setattr(module, name, counted)
-    return calls
+    return count_calls(monkeypatch, ENERGY_CALLS, (energy, critpoint))
 
 
 def count_target_jets(monkeypatch) -> Counter:
